@@ -40,6 +40,7 @@ from .protocol import (
     random_secret,
     run_protocol,
 )
+from .threshold import bytes_to_elements
 
 log = logging.getLogger("dpvqss")
 
@@ -317,6 +318,22 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if ok else EXIT_ERROR
 
 
+def _check_secret_shape(cfg: ProtocolConfig, secret: bytes | None):
+    """Raise ValueError unless w | m and the secret, fixed or drawn at
+    random, fills exactly m / w field elements."""
+    n_elems = cfg.elements
+    if secret is None:
+        if cfg.w == 4 and n_elems % 2:
+            raise ValueError("nibble-width secrets need an even element count")
+        return
+    got = len(bytes_to_elements(secret, cfg.w))
+    if got != n_elems:
+        raise ValueError(
+            f"secret encodes {got} field elements, "
+            f"but m={cfg.m}, w={cfg.w} requires {n_elems}"
+        )
+
+
 def _sweep_cells(rc: RunConfig):
     keys = sorted(rc.sweep)
     for combo in product(*(rc.sweep[k] for k in keys)):
@@ -343,9 +360,16 @@ def cmd_sweep(args) -> int:
             cfg = _build_protocol(values)
             plan = _build_plan(values)
             plan.validate(cfg.n, cfg.k)
+            _check_secret_shape(cfg, values["secret"])
+        except ValueError as err:
+            log.warning("skipping cell %s: %s", cell, err)
+            continue
+        # Past validation only a capacity bound may skip a cell; any other
+        # error here is a defect and must not pass for a skipped cell.
+        try:
             reports = _run_trials(cfg, plan, trials, seed,
                                   values["secret"], cell=cell_idx)
-        except (ValueError, CapacityError) as err:
+        except CapacityError as err:
             log.warning("skipping cell %s: %s", cell, err)
             continue
         stats = empirical_stats(reports)
@@ -426,6 +450,7 @@ def cmd_report(args) -> int:
         flat = {
             "trials": stats["trials"],
             "abort_rate": stats["abort"]["rate"],
+            "decoy_abort_rate": stats["decoy_abort"]["rate"],
             "detection_rate": stats["detection"]["rate"],
             "recovery_rate": stats["recovery"]["rate"],
             "ambiguity_rate": stats["ambiguity"]["rate"],

@@ -238,16 +238,8 @@ def reconstruct(shares: Sequence[Share], cfg: SplitConfig) -> tuple[int, ...]:
     return tuple(secret)
 
 
-def robust_decode(
-    claimed: Sequence[Share], cfg: SplitConfig
-) -> tuple[tuple[int, ...], int]:
-    """Decode n claimed shares by the maximal-consistency rule.
-
-    Every k-subset defines a candidate polynomial vector; the winner is the
-    candidate consistent with the most claimed shares.  Unique and correct
-    whenever the number of false shares t satisfies t <= floor((n-k)/2).
-    Ties between distinct candidate secrets raise AmbiguousDecodeError.
-    """
+def _roster(claimed: Sequence[Share], cfg: SplitConfig) -> list[Share]:
+    """Check that there is exactly one share per agent; return them in index order."""
     if len(claimed) != cfg.n:
         raise ShareIntegrityError(
             f"expected exactly one share per agent ({cfg.n}), got {len(claimed)}"
@@ -255,8 +247,157 @@ def robust_decode(
     _check_distinct(claimed)
     if sorted(s.agent_index for s in claimed) != list(range(cfg.n)):
         raise ShareIntegrityError("agent indices must cover 0..n-1")
+    return sorted(claimed, key=lambda s: s.agent_index)
+
+
+def robust_decode(
+    claimed: Sequence[Share], cfg: SplitConfig
+) -> tuple[tuple[int, ...], int]:
+    """Decode n claimed shares by the maximal-consistency rule.
+
+    Every k-subset defines a candidate polynomial vector; the winner is the
+    candidate consistent with the most claimed shares (its support).  Unique
+    and correct whenever the number of false shares t satisfies
+    t <= floor((n-k)/2).  Ties between distinct candidate secrets raise
+    AmbiguousDecodeError.
+
+    The result equals that of the exhaustive search over all C(n, k)
+    subsets, which runs only as the last of three steps.  With
+    r = floor((n-k)/2), two distinct candidates agree on at most k-1 shares,
+    so a candidate with support >= n - r beats every other one:
+
+    1. Interpolate from the first k shares; return if the support is at
+       least n - r.
+    2. Otherwise decode each field element by Berlekamp-Welch with r errors
+       (a linear solve and one polynomial division).  If the decoded
+       polynomials miss at most r shares in all, return them with support
+       n minus the missed count.
+    3. Otherwise run the exhaustive search.
+    """
+    ordered = _roster(claimed, cfg)
+    n, k, gf = cfg.n, cfg.k, cfg.field
+    radius = (n - k) // 2
+    n_elems = len(ordered[0].value)
+    mul = gf.mul
+
+    xs = tuple(s.x for s in ordered[:k])
+    first_values = [s.value for s in ordered[:k]]
+
+    def value_at(weights, e):
+        acc = 0
+        for w_i, vals in zip(weights, first_values):
+            acc ^= mul(w_i, vals[e])
+        return acc
+
+    # The first k shares are the interpolation nodes, so they always agree.
+    misses = 0
+    for share in ordered[k:]:
+        weights = _cached_weights(cfg.w, xs, share.x)
+        if any(value_at(weights, e) != share.value[e] for e in range(n_elems)):
+            misses += 1
+            if misses > radius:
+                break
+    else:
+        weights = _cached_weights(cfg.w, xs, 0)
+        return tuple(value_at(weights, e) for e in range(n_elems)), n - misses
+
+    all_xs = [s.x for s in ordered]
+    secret = []
+    missed: set[int] = set()
+    for e in range(n_elems):
+        poly = _berlekamp_welch(all_xs, [s.value[e] for s in ordered], k, radius, gf)
+        if poly is None:
+            break
+        missed.update(
+            i for i, s in enumerate(ordered) if gf.poly_eval(poly, s.x) != s.value[e]
+        )
+        if len(missed) > radius:
+            break
+        secret.append(poly[0])
+    else:
+        return tuple(secret), n - len(missed)
+
+    return _exhaustive_decode(ordered, cfg)
+
+
+def _berlekamp_welch(
+    xs: Sequence[int], ys: Sequence[int], k: int, t: int, gf: GF
+) -> list[int] | None:
+    """Coefficients of a degree < k polynomial P with P(x_i) = y_i at all but
+    at most t points, or None when the key equation shows there is none.
+
+    Solves Q(x_i) = y_i * E(x_i) for Q of degree < k + t and monic E of
+    degree t, then divides: P = Q / E.  Callers must still count the points
+    P misses, because a solution can exist while more than t points are off.
+    """
+    n_q = k + t
+    cols = n_q + t
+    rows = []
+    for x, y in zip(xs, ys):
+        powers = [1]
+        for _ in range(n_q - 1):
+            powers.append(gf.mul(powers[-1], x))
+        rows.append(
+            powers + [gf.mul(y, p) for p in powers[:t]] + [gf.mul(y, powers[t])]
+        )
+    solution = _solve(rows, cols, gf)
+    if solution is None:
+        return None
+    q = solution[:n_q]
+    err_locator = solution[n_q:] + [1]
+    # Long division by the monic error locator; P is the quotient.
+    quotient = [0] * k
+    for d in range(n_q - 1, t - 1, -1):
+        c = q[d]
+        quotient[d - t] = c
+        if c:
+            for j in range(t + 1):
+                q[d - t + j] ^= gf.mul(c, err_locator[j])
+    if any(q[:t]):
+        return None
+    return quotient
+
+
+def _solve(rows: list[list[int]], cols: int, gf: GF) -> list[int] | None:
+    """One solution of the augmented system over GF(2^w), free unknowns set
+    to 0, or None if it is inconsistent.  Reduces `rows` in place."""
+    pivots = []
+    r = 0
+    for c in range(cols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = gf.inv(rows[r][c])
+        pivot_row = [gf.mul(inv, v) for v in rows[r]]
+        rows[r] = pivot_row
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                for j in range(c, cols + 1):
+                    row[j] ^= gf.mul(f, pivot_row[j])
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    if any(row[cols] for row in rows[r:]):
+        return None
+    solution = [0] * cols
+    for i, c in enumerate(pivots):
+        solution[c] = rows[i][cols]
+    return solution
+
+
+def _exhaustive_decode(
+    claimed: Sequence[Share], cfg: SplitConfig
+) -> tuple[tuple[int, ...], int]:
+    """Maximal-consistency decoding by trying every k-subset of the shares.
+
+    The fallback of `robust_decode` past the unique-decoding radius, and the
+    reference that its fast steps are tested against.
+    """
+    ordered = _roster(claimed, cfg)
     gf = cfg.field
-    ordered = sorted(claimed, key=lambda s: s.agent_index)
     n_elems = len(ordered[0].value)
     all_xs = [s.x for s in ordered]
 

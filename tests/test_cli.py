@@ -186,6 +186,42 @@ sweep.protocol.k = 1,2,3
         # k = 1 and k = 2 violate the majority threshold and are skipped.
         assert [r["cell.protocol.k"] for r in rows] == [3]
 
+    def test_unsplittable_secret_cells_skipped(self, tmp_path, capsys):
+        text = """
+protocol.n = 3
+protocol.k = 2
+protocol.m = 8
+protocol.w = 4
+trials = 2
+seed = 1
+sweep.protocol.m = 4,6,8
+"""
+        cfg = write(tmp_path, "sweep.cfg", text)
+        code = main(["sweep", cfg])
+        rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines() if ln]
+        assert code == 0
+        # m = 4 gives one nibble (no whole bytes); w = 4 does not divide 6.
+        assert [r["cell.protocol.m"] for r in rows] == [8]
+
+    def test_trial_errors_are_not_skipped_cells(self, tmp_path, capsys,
+                                                monkeypatch):
+        def broken_decode(claimed, cfg):
+            raise ValueError("decoder defect")
+
+        monkeypatch.setattr("dpvqss.protocol.robust_decode", broken_decode)
+        text = """
+protocol.n = 3
+protocol.k = 2
+protocol.m = 8
+trials = 2
+seed = 1
+sweep.protocol.decoys = 0,1
+"""
+        cfg = write(tmp_path, "sweep.cfg", text)
+        with pytest.raises(ValueError, match="decoder defect"):
+            main(["sweep", cfg])
+        assert capsys.readouterr().out == ""
+
     def test_eta_columns_are_exact(self, tmp_path, capsys):
         text = """
 protocol.n = 3
@@ -231,6 +267,16 @@ class TestMetricsAndReport:
         assert stats["trials"] == 8
         assert stats["abort"]["rate"] == 0.0
         assert stats["recovery"]["rate"] == 1.0
+
+    def test_report_csv_columns_match_sweep_rows(self, tmp_path, capsys):
+        cfg = write(tmp_path, "honest.cfg", HONEST_CFG)
+        jsonl = tmp_path / "runs.jsonl"
+        main(["run", cfg, "--trials", "3", "--out", str(jsonl)])
+        code = main(["report", str(jsonl), "--format", "csv"])
+        header = capsys.readouterr().out.splitlines()[0]
+        assert code == 0
+        assert header == ("trials,abort_rate,decoy_abort_rate,detection_rate,"
+                          "recovery_rate,ambiguity_rate")
 
     def test_report_missing_file(self, capsys):
         code = main(["report", "/nonexistent/file.jsonl"])

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from dpvqss import threshold
 from dpvqss.threshold import (
     FIELDS,
     AmbiguousDecodeError,
@@ -176,6 +177,43 @@ class TestRobustDecode:
             shares = split(secret, cfg, rng)
             decoded, _ = robust_decode(shares, cfg)
             assert decoded == reconstruct(shares[: cfg.k], cfg)
+
+    def test_false_first_share_decodes_without_exhaustive_search(self, monkeypatch):
+        # The lie at index 0 spoils the interpolation from the first k
+        # shares, so the answer has to come from Berlekamp-Welch.
+        cfg = SplitConfig(8, 15, 8)
+        rng = np.random.default_rng(20)
+        secret = [0x42, 0x17, 0xC3]
+        shares = split(secret, cfg, rng)
+        shares[0] = Share(0, tuple(v ^ 0x5A for v in shares[0].value), 8)
+
+        def refuse(claimed, cfg):
+            raise AssertionError("exhaustive search entered")
+
+        monkeypatch.setattr(threshold, "_exhaustive_decode", refuse)
+        assert robust_decode(shares, cfg) == (tuple(secret), 14)
+
+    def test_errors_spread_over_elements_fall_back(self, monkeypatch):
+        # Each element has one error, within the radius of 2, but the three
+        # false shares together exceed it: only the search may answer.
+        cfg = SplitConfig(5, 9, 8)
+        rng = np.random.default_rng(21)
+        secret = [0x11, 0x22, 0x33]
+        shares = split(secret, cfg, rng)
+        for liar, e in ((6, 0), (7, 1), (8, 2)):
+            value = list(shares[liar].value)
+            value[e] ^= 0xFF
+            shares[liar] = Share(liar, tuple(value), 8)
+        fallbacks = []
+
+        def spy(claimed, cfg):
+            fallbacks.append(cfg)
+            return exhaustive(claimed, cfg)
+
+        exhaustive = threshold._exhaustive_decode
+        monkeypatch.setattr(threshold, "_exhaustive_decode", spy)
+        assert robust_decode(shares, cfg) == (tuple(secret), 6)
+        assert len(fallbacks) == 1
 
     def test_requires_full_roster(self):
         cfg = SplitConfig(3, 5, 8)

@@ -1,0 +1,141 @@
+"""Property-based checks of the field, the sharing scheme and the decoder."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dpvqss.threshold import (
+    FIELDS,
+    AmbiguousDecodeError,
+    Share,
+    SplitConfig,
+    _exhaustive_decode,
+    bytes_to_elements,
+    elements_to_bytes,
+    reconstruct,
+    robust_decode,
+)
+
+widths = st.sampled_from(sorted(FIELDS))
+
+
+def elements(w, **kwargs):
+    return st.lists(st.integers(0, (1 << w) - 1), **kwargs)
+
+
+@st.composite
+def field_triples(draw):
+    w = draw(widths)
+    a, b, c = draw(elements(w, min_size=3, max_size=3))
+    return FIELDS[w], a, b, c
+
+
+@st.composite
+def configs(draw, max_n):
+    w = draw(widths)
+    n = draw(st.integers(2, min(max_n, (1 << w) - 1)))
+    k = draw(st.integers(n // 2 + 1, n))
+    return SplitConfig(k, n, w)
+
+
+def evaluate(cfg, polys, agent):
+    return Share(agent, tuple(cfg.field.poly_eval(p, agent + 1) for p in polys),
+                 cfg.w)
+
+
+@st.composite
+def polynomial_vectors(draw, cfg):
+    """One degree < k polynomial per secret element, element count 1..3."""
+    count = draw(st.integers(1, 3))
+    return [draw(elements(cfg.w, min_size=cfg.k, max_size=cfg.k))
+            for _ in range(count)]
+
+
+@st.composite
+def claimed_share_sets(draw):
+    """n claimed shares, any number of them false.
+
+    Liars either send independent random values or all sit on one fake
+    polynomial vector (colluding); the liar count ranges from 0 to n, so it
+    covers both sides of the floor((n-k)/2) radius.
+    """
+    cfg = draw(configs(max_n=11))
+    polys = draw(polynomial_vectors(cfg))
+    shares = [evaluate(cfg, polys, i) for i in range(cfg.n)]
+    liars = draw(st.lists(st.integers(0, cfg.n - 1), unique=True,
+                          max_size=cfg.n))
+    if draw(st.booleans()):
+        fake = [draw(elements(cfg.w, min_size=cfg.k, max_size=cfg.k))
+                for _ in polys]
+        for i in liars:
+            shares[i] = evaluate(cfg, fake, i)
+    else:
+        for i in liars:
+            value = draw(elements(cfg.w, min_size=len(polys),
+                                  max_size=len(polys)))
+            shares[i] = Share(i, tuple(value), cfg.w)
+    order = draw(st.permutations(range(cfg.n)))
+    return [shares[i] for i in order], cfg
+
+
+def decode_outcome(decode, shares, cfg):
+    try:
+        return decode(shares, cfg)
+    except AmbiguousDecodeError as err:
+        return "ambiguous", err.support, err.candidates
+
+
+class TestFieldAxioms:
+    @given(field_triples())
+    def test_ring_axioms(self, triple):
+        gf, a, b, c = triple
+        assert gf.mul(a, b) == gf.mul(b, a)
+        assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
+        assert gf.mul(a, b ^ c) == gf.mul(a, b) ^ gf.mul(a, c)
+        assert gf.mul(a, 1) == a
+        assert gf.mul(a, 0) == 0
+
+    @given(field_triples())
+    def test_inverse_and_division(self, triple):
+        gf, a, b, _ = triple
+        if b == 0:
+            with pytest.raises(ZeroDivisionError):
+                gf.div(a, b)
+            return
+        assert gf.mul(b, gf.inv(b)) == 1
+        assert gf.inv(gf.inv(b)) == b
+        assert gf.mul(gf.div(a, b), b) == a
+        assert gf.div(a, b) == gf.mul(a, gf.inv(b))
+
+
+class TestSharing:
+    @given(st.data())
+    def test_reconstruct_from_any_k_subset(self, data):
+        cfg = data.draw(configs(max_n=15))
+        polys = data.draw(polynomial_vectors(cfg))
+        shares = [evaluate(cfg, polys, i) for i in range(cfg.n)]
+        subset = data.draw(st.lists(st.sampled_from(shares), unique=True,
+                                    min_size=cfg.k, max_size=cfg.k))
+        assert reconstruct(subset, cfg) == tuple(p[0] for p in polys)
+
+    @given(widths, st.binary(max_size=32))
+    def test_bytes_round_trip(self, w, data):
+        els = bytes_to_elements(data, w)
+        assert len(els) == len(data) * 8 // w
+        assert elements_to_bytes(els, w) == data
+
+    @given(st.data())
+    def test_elements_round_trip(self, data):
+        w = data.draw(widths)
+        count = data.draw(st.integers(0, 16)) * (8 // w)
+        els = tuple(data.draw(elements(w, min_size=count, max_size=count)))
+        assert bytes_to_elements(elements_to_bytes(els, w), w) == els
+
+
+class TestDecoderEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(claimed_share_sets())
+    def test_matches_exhaustive_search(self, case):
+        shares, cfg = case
+        assert (decode_outcome(robust_decode, shares, cfg)
+                == decode_outcome(_exhaustive_decode, shares, cfg))
