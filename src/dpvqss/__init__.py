@@ -5,14 +5,15 @@ Library layout:
 - bitvec     bit-vector and segment algebra
 - qsim       exact statevector simulator (ground-truth oracle)
 - threshold  (k, n) Shamir sharing over GF(2^w) with robust decoding
-- entangle   entanglement distribution, decoys, scalable outcome sampler
+- entangle   entanglement distribution, decoys, exact outcome sampler
+             (stabilizer law per tap configuration)
 - adversary  eavesdropper strategies, rogue agents, leakage audits
 - protocol   the three protocol phases and the run orchestrator
 - metrics    qubit-efficiency ratios and empirical statistics
 - cli        experiment driver (run / sweep / oracle-check / metrics / report)
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .bitvec import BitVector, SegmentedVector  # noqa: F401
 from .qsim import RegisterLayout, StateVector  # noqa: F401

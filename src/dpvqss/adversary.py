@@ -168,7 +168,8 @@ def view_distribution(
     """Exact distribution of Eve's view for one phase under secret s.
 
     Variables are the measured register vectors (agents then the source) plus
-    one outcome vector per tapped channel.  What Eve sees:
+    one outcome vector per entangling tap, or one shared by all measuring
+    taps.  What Eve sees:
 
     - phase 1: every classical payload of the fan-out round, i.e. all of the
       source's vector and every agent vector with its own segment hidden;
@@ -197,23 +198,24 @@ def view_distribution(
     if strategy.channel is not None:
         channels = [ch for ch in channels if ch == strategy.channel]
 
-    tapped = channels if kind in ("measure_resend", "intercept_resend",
-                                  "entangle_measure") else []
-    n_eve = len(tapped)
-    widths = [width] * (n_regs + n_eve)
-    # Entangling ancillas join the XOR chain; measuring taps break it,
-    # leaving every outcome vector free and uniform.
-    if kind in ("none", "entangle_measure"):
-        constraint_arg = constraint_vec.value
-    else:
+    n_eve = len(channels) if kind != "none" else 0
+    # Entangling ancillas join the XOR chain, one outcome vector each.  The
+    # first measuring tap collapses every tuple instead: the registers go
+    # free and uniform, and all tapped channels read one shared vector.
+    measuring = n_eve > 0 and kind in ("measure_resend", "intercept_resend")
+    if measuring:
+        widths = [width] * (n_regs + 1)
         constraint_arg = None
+    else:
+        widths = [width] * (n_regs + n_eve)
+        constraint_arg = constraint_vec.value
 
     total_free = len(widths) - (1 if constraint_arg is not None else 0)
     dist: dict[tuple, Fraction] = {}
     weight = Fraction(1, 1 << (total_free * width))
     for values in _iter_assignments(widths, constraint_arg):
         regs = values[:n_regs]  # agents 0..n-1 (or the pair), then the source
-        eve_vals = values[n_regs:]
+        eve_vals = values[n_regs:] * n_eve if measuring else values[n_regs:]
         if phase == 1:
             a = regs[-1]
             visible = [a] + [

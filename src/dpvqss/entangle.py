@@ -7,9 +7,13 @@ GHZ_r tuple (a Bell pair when r = 2).  Two backings expose the same API:
   targets and eavesdropper ancillas; exact but bounded at 22 qubits.
 - sampler: the measurement statistics without exponential state.  Untapped
   rounds draw all but one register uniformly and solve the last from the XOR
-  constraint (the solved register is chosen uniformly per draw); rounds with
-  an active tap are simulated tuple-by-tuple on a small statevector, which
-  reproduces the exact post-attack statistics at any register width.
+  constraint (the solved register is chosen uniformly per draw).  Tapped
+  rounds are H/CNOT circuits, so each tuple's joint outcome is uniform over
+  an affine subspace of GF(2)^(r+t) (Aaronson & Gottesman 2004).  That law
+  depends only on the tap configuration, not on the phase bits (a phase
+  kick before the Hadamard layer is a bit flip after it); it is computed
+  once per configuration on a stabilizer tableau, cached, and sampled for
+  all p positions at once, at any register width.
 
 Decoy qubits are independent single-qubit systems interleaved into each
 transmitted sequence; they are simulated only when an eavesdropper actually
@@ -19,7 +23,10 @@ touches the channel, since an untouched eigenstate can never mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from .bitvec import BitVector, CapacityError, DimensionError
 from .qsim import BASIS_LABELS, MAX_QUBITS, StateVector
@@ -309,53 +316,169 @@ class EntangledBatch:
         return RoundOutcome(bits, {})
 
     def _sampler_tapped(self, phase_bits, rng) -> RoundOutcome:
-        reg_bits = [[0] * self.p for _ in range(self.r)]
-        eve_bits = {ch: [0] * self.p for ch in self.taps}
-        for j in range(self.p):
-            z_bits = {
-                enc: vec.bit(j) for enc, vec in phase_bits.items() if vec.bit(j)
-            }
-            tuple_bits, tuple_eve = _simulate_tuple(self.r, z_bits, self.taps, rng)
-            for i in range(self.r):
-                reg_bits[i][j] = tuple_bits[i]
-            for ch, bit in tuple_eve.items():
-                eve_bits[ch][j] = bit
+        """Draw every tuple position at once from its tap configuration's law.
+
+        A random-basis interception reads each position in the X basis where
+        its basis bit is set, so positions are grouped by basis pattern and
+        each group is drawn from its own cached law.
+        """
+        p, r = self.p, self.r
+        channels = sorted(self.taps)
+        random_chs = [
+            ch for ch in channels
+            if self.taps[ch].kind == "intercept_resend"
+            and self.taps[ch].basis == "random"
+        ]
+        full = (1 << p) - 1
+        groups = [(set(), full)]  # (channels read in the X basis, positions)
+        if random_chs:
+            basis_bits = rng.integers(0, 2, size=(len(random_chs), p))
+            patterns, which = np.unique(basis_bits, axis=1, return_inverse=True)
+            which = which.reshape(-1)
+            groups = [
+                (
+                    {ch for ch, bit in zip(random_chs, pattern) if bit},
+                    int.from_bytes(
+                        np.packbits(which == g, bitorder="little").tobytes(),
+                        "little",
+                    ),
+                )
+                for g, pattern in enumerate(patterns.T)
+            ]
+        laws = []
+        for x_basis, mask in groups:
+            reads = tuple(
+                (ch, _read(self.taps[ch], ch in x_basis)) for ch in channels
+            )
+            laws.append((_outcome_law(r, reads), mask))
+
+        nbytes = (p + 7) // 8
+        dim = max(len(basis) for (_, basis), _ in laws)
+        raw = rng.bytes(dim * nbytes)
+        draws = [
+            int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
+            for i in range(dim)
+        ]
+        outputs = [0] * (r + len(channels))
+        for (offset, basis), mask in laws:
+            for j in range(len(outputs)):
+                acc = full if (offset >> j) & 1 else 0
+                for vec, draw in zip(basis, draws):
+                    if (vec >> j) & 1:
+                        acc ^= draw
+                outputs[j] |= acc & mask
+        # A phase kick before the Hadamard layer is a bit flip after it.
+        for enc, vec in phase_bits.items():
+            outputs[enc] ^= vec.value
         return RoundOutcome(
-            [BitVector.from_bits(v) for v in reg_bits],
-            {ch: BitVector.from_bits(v) for ch, v in eve_bits.items()},
+            [BitVector(v, p) for v in outputs[:r]],
+            {ch: BitVector(v, p) for ch, v in zip(channels, outputs[r:])},
         )
 
 
-def _simulate_tuple(
-    r: int, z_bits: dict[int, int], taps: dict[int, ChannelTap], rng
-) -> tuple[list[int], dict[int, int]]:
-    """Exact one-tuple simulation: GHZ_r, channel taps, phase kicks, H, measure."""
-    ent_channels = [
-        ch for ch, tap in sorted(taps.items()) if tap.kind == "entangle_measure"
-    ]
-    target = r
-    q = r + 1 + len(ent_channels)
-    sv = StateVector(q)
-    sv.prepare_ghz(range(r))
-    eve: dict[int, int] = {}
-    for ch, tap in sorted(taps.items()):
-        if tap.kind == "entangle_measure":
-            sv.apply_cnot(ch, target + 1 + ent_channels.index(ch))
-        elif tap.kind == "intercept_resend" and tap.basis == "random" and rng.integers(2):
-            eve[ch] = sv.measure_hadamard_basis(ch, rng)
-            sv.apply_h(ch)
+def _read(tap: ChannelTap, x_basis: bool) -> str:
+    """How a tap reads one tuple qubit: "entangle", or a "z"/"x" measurement."""
+    if tap.kind == "entangle_measure":
+        return "entangle"
+    return "x" if x_basis else "z"
+
+
+@lru_cache(maxsize=4096)
+def _outcome_law(
+    r: int, reads: tuple[tuple[int, str], ...]
+) -> tuple[int, tuple[int, ...]]:
+    """Joint outcome law of one tapped GHZ_r tuple without phase kicks.
+
+    Outputs are the r register bits, then one eavesdropper bit per entry of
+    `reads`.  Each mid-circuit measurement is deferred onto its own ancilla:
+    a Z read is CNOT(channel -> ancilla); an X read that forwards the
+    collapsed eigenstate is H, CNOT, H on the channel.  An entangling tap's
+    ancilla is read in the X basis at the end.  The outcomes are uniform over
+    offset + span(basis), as returned by `_stabilizer_support`.
+    """
+    gates = [("h", 0)] + [("cnot", 0, i) for i in range(1, r)]
+    for i, (ch, read) in enumerate(reads):
+        if read == "x":
+            gates += [("h", ch), ("cnot", ch, r + i), ("h", ch)]
         else:
-            eve[ch] = sv.measure_qubit(ch, rng)
-    sv.prepare_basis("-", target)
-    for reg, bit in sorted(z_bits.items()):
-        if bit:
-            sv.apply_cnot(reg, target)
-    for reg in range(r):
-        sv.apply_h(reg)
-    bits = [sv.measure_qubit(reg, rng) for reg in range(r)]
-    for i, ch in enumerate(ent_channels):
-        eve[ch] = sv.measure_hadamard_basis(target + 1 + i, rng)
-    return bits, eve
+            gates.append(("cnot", ch, r + i))
+    gates += [("h", i) for i in range(r)]
+    gates += [
+        ("h", r + i) for i, (_, read) in enumerate(reads) if read == "entangle"
+    ]
+    return _stabilizer_support(r + len(reads), gates)
+
+
+def _stabilizer_support(q: int, gates) -> tuple[int, tuple[int, ...]]:
+    """Z-basis outcome law of an H/CNOT circuit applied to |0...0>.
+
+    Stabilizer rows are [x, z, sign] over q-bit masks, updated by the
+    tableau rules of Aaronson & Gottesman (2004).  The computational-basis
+    support of the final state is offset + span(basis): the X parts of the
+    stabilizer group span its directions, and its Z-only elements fix the
+    offset.  Every point of the support is equally likely.
+    """
+    rows = [[0, 1 << a, 0] for a in range(q)]
+    for name, *qubits in gates:
+        for row in rows:
+            x, z = row[0], row[1]
+            if name == "h":
+                (a,) = qubits
+                xa, za = (x >> a) & 1, (z >> a) & 1
+                row[2] ^= xa & za
+                if xa != za:
+                    row[0] ^= 1 << a
+                    row[1] ^= 1 << a
+            else:
+                c, t = qubits
+                xc, zc = (x >> c) & 1, (z >> c) & 1
+                xt, zt = (x >> t) & 1, (z >> t) & 1
+                row[2] ^= xc & zt & (xt ^ zc ^ 1)
+                row[0] ^= xc << t
+                row[1] ^= zt << c
+
+    x_pivots, rows = _eliminate(rows, 0, q)
+    # What is left is Z-only: each row [0, z, s] demands parity z.x = s.
+    offset = 0
+    for a, (_, z, s) in reversed(_eliminate(rows, 1, q)[0]):
+        # Later pivots and free coordinates (left at 0) are already set.
+        offset |= (s ^ (z & offset).bit_count() & 1) << a
+    return offset, tuple(row[0] for _, row in x_pivots)
+
+
+def _eliminate(rows, part: int, q: int):
+    """Row-reduce signed Pauli rows on their x (part 0) or z (part 1) masks.
+
+    Returns the (column, row) pivots in increasing column order, each pivot
+    row clear of every earlier pivot column, and the rows whose mask in that
+    part reduced to zero.
+    """
+    pivots = []
+    for a in range(q):
+        pivot = next((row for row in rows if (row[part] >> a) & 1), None)
+        if pivot is None:
+            continue
+        rows = [
+            _pauli_product(row, pivot) if (row[part] >> a) & 1 else row
+            for row in rows if row is not pivot
+        ]
+        pivots.append((a, pivot))
+    return pivots, rows
+
+
+def _pauli_product(p1, p2):
+    """The product of two commuting signed Pauli rows [x, z, sign]."""
+    x1, z1, s1 = p1
+    x2, z2, s2 = p2
+    y1, xo1, zo1 = x1 & z1, x1 & ~z1, z1 & ~x1
+    y2, xo2, zo2 = x2 & z2, x2 & ~z2, z2 & ~x2
+    # Power of i picked up qubit by qubit (Aaronson & Gottesman's g).
+    g = (
+        (y1 & zo2).bit_count() - (y1 & xo2).bit_count()
+        + (xo1 & y2).bit_count() - (xo1 & zo2).bit_count()
+        + (zo1 & xo2).bit_count() - (zo1 & y2).bit_count()
+    )
+    return [x1 ^ x2, z1 ^ z2, ((2 * s1 + 2 * s2 + g) % 4) // 2]
 
 
 def distribute(

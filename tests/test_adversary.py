@@ -96,6 +96,17 @@ class TestLeakageAudit:
             dist = view_distribution(strategy, 2, 1, bv("10"), phase)
             assert sum(dist.values()) == Fraction(1)
 
+    @pytest.mark.parametrize("kind", ["measure_resend", "intercept_resend"])
+    @pytest.mark.parametrize("phase", [1, 2, 3])
+    def test_measuring_taps_share_one_vector(self, kind, phase):
+        # The first measurement collapses each tuple, so both tapped
+        # channels read the same vector.
+        dist = view_distribution(EveStrategy(kind), 2, 1, bv("10"), phase)
+        assert sum(dist.values()) == Fraction(1)
+        for key, mass in dist.items():
+            assert mass > 0
+            assert key[-1] == key[-2]
+
     def test_passive_phase1_reveals_nothing(self):
         cfg = AuditSize(2, 1)
         tv = leakage_audit(EveStrategy(), cfg, bv("10"), bv("01"), phase=1)

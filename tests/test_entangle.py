@@ -1,5 +1,7 @@
+import copy
 import math
 from collections import Counter
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from dpvqss.entangle import (
     ChannelTap,
     DecoySpec,
     IntegrityError,
+    _outcome_law,
+    _stabilizer_support,
     distribute,
     insert_decoys,
     sample_icpqc_outcomes,
@@ -17,6 +21,7 @@ from dpvqss.entangle import (
     verify_decoys,
 )
 from dpvqss.metrics import chi_square_homogeneity
+from dpvqss.qsim import StateVector
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -183,12 +188,12 @@ class TestSamplerOracleEquivalence:
 class TestTapPhysics:
     """Cross-validate the sampler's per-tuple attack model against the oracle."""
 
-    def joint_counts(self, mode, tap, s, n, m, shots, rng):
+    def joint_counts(self, mode, taps, s, n, m, shots, rng):
         counts = Counter()
         for _ in range(shots):
             batch = distribute(
                 n + 1, n * m, mode,
-                taps={0: tap}, transmitted=range(n), encoders=(n,),
+                taps=taps, transmitted=range(n), encoders=(n,),
             )
             transmit(batch, insert_decoys(batch, DecoySpec(0), rng), rng)
             out = batch.encode_and_measure({n: s}, rng)
@@ -215,8 +220,8 @@ class TestTapPhysics:
     def test_measuring_taps_match_oracle(self, tap):
         rng = np.random.default_rng(48)
         s, n, m, shots = bv("10"), 1, 2, 6000
-        oracle = self.joint_counts("oracle", tap, s, n, m, shots, rng)
-        sampler = self.joint_counts("sampler", tap, s, n, m, shots, rng)
+        oracle = self.joint_counts("oracle", {0: tap}, s, n, m, shots, rng)
+        sampler = self.joint_counts("sampler", {0: tap}, s, n, m, shots, rng)
         assert chi_square_homogeneity(oracle, sampler) > 0.001
 
     def test_entangle_tap_matches_oracle(self):
@@ -224,8 +229,62 @@ class TestTapPhysics:
         tap = ChannelTap("entangle_measure")
         s, n, m, shots = bv("10"), 2, 1, 8000
         oracle = self.joint_counts_oracle_batched(tap, s, n, m, shots, rng)
-        sampler = self.joint_counts("sampler", tap, s, n, m, shots, rng)
+        sampler = self.joint_counts("sampler", {0: tap}, s, n, m, shots, rng)
         assert chi_square_homogeneity(oracle, sampler) > 0.001
+
+    @pytest.mark.parametrize(
+        "taps",
+        [
+            {0: ChannelTap("measure_resend"), 1: ChannelTap("measure_resend")},
+            {0: ChannelTap("intercept_resend", "random"),
+             1: ChannelTap("intercept_resend", "random")},
+            {0: ChannelTap("entangle_measure"), 1: ChannelTap("entangle_measure")},
+            {0: ChannelTap("entangle_measure"),
+             1: ChannelTap("intercept_resend", "random")},
+        ],
+        ids=["measure", "random_intercept", "entangle", "mixed"],
+    )
+    def test_multi_channel_taps_match_oracle(self, taps):
+        rng = np.random.default_rng(63)
+        s, n, m, shots = bv("10"), 2, 1, 4000
+        oracle = self.joint_counts("oracle", taps, s, n, m, shots, rng)
+        sampler = self.joint_counts("sampler", taps, s, n, m, shots, rng)
+        assert chi_square_homogeneity(oracle, sampler) > 0.001
+
+    @pytest.mark.parametrize("kind", ["measure_resend", "intercept_resend"])
+    def test_measuring_taps_read_one_shared_vector(self, kind):
+        # The first Z measurement collapses the GHZ tuple, so every tapped
+        # channel reads the same vector.
+        rng = np.random.default_rng(64)
+        tap = ChannelTap(kind)
+        for _ in range(500):
+            batch = distribute(3, 2, "sampler", taps={0: tap, 1: tap},
+                               transmitted=(0, 1), encoders=(2,))
+            transmit(batch, insert_decoys(batch, DecoySpec(0), rng), rng)
+            out = batch.encode_and_measure({2: bv("01")}, rng)
+            assert out.eve[0] == out.eve[1]
+
+    def test_wide_random_basis_positions_follow_their_own_law(self):
+        # 66 random-basis taps: every position must land in the support of
+        # the law for its own basis pattern.
+        r, p = 67, 4
+        chans = range(r - 1)
+        tap = ChannelTap("intercept_resend", "random")
+        batch = distribute(r, p, "sampler", taps={ch: tap for ch in chans},
+                           transmitted=chans, encoders=(r - 1,))
+        rng = np.random.default_rng(65)
+        transmit(batch, insert_decoys(batch, DecoySpec(0), rng), rng)
+        # The sampler's first draw is the basis bits.
+        basis_bits = copy.deepcopy(rng).integers(0, 2, size=(r - 1, p))
+        out = batch.encode_and_measure({r - 1: BitVector.zeros(p)}, rng)
+        vectors = out.registers + [out.eve[ch] for ch in chans]
+        for j in range(p):
+            reads = tuple((ch, "x" if basis_bits[ch, j] else "z") for ch in chans)
+            offset, basis = _outcome_law(r, reads)
+            point = offset
+            for i, vec in enumerate(vectors):
+                point ^= vec.bit(j) << i
+            assert in_span(point, basis)
 
     def test_entangle_tap_extends_constraint(self):
         # With one entangling ancilla per tuple the XOR constraint gains
@@ -247,6 +306,152 @@ class TestTapPhysics:
             ones += e.weight()
         freq = ones / (trials * 4)
         assert abs(freq - 0.5) < 0.02
+
+
+def in_span(point, basis):
+    """Whether a bit mask lies in the GF(2) span of the given masks."""
+    reduced = []  # echelon form, keyed by leading bit
+    for vec in basis:
+        for row in reduced:
+            vec = min(vec, vec ^ row)
+        if vec:
+            reduced.append(vec)
+            reduced.sort(reverse=True)
+    for row in reduced:
+        point = min(point, point ^ row)
+    return point == 0
+
+
+class _Forced:
+    """Stands in for a generator so that measure_qubit returns `bit`."""
+
+    def __init__(self, bit):
+        self.bit = bit
+
+    def random(self):
+        return 0.0 if self.bit else 1.0
+
+
+def dense_tuple_law(r, reads, z):
+    """Exact joint law of one tapped GHZ_r tuple on a dense statevector.
+
+    Mid-circuit measurements branch over both outcomes with their Born
+    weights; the phase kicks `z` go through a |-> target.  Keys pack the r
+    register bits, then one eavesdropper bit per entry of `reads`.
+    """
+    ent = [i for i, (_, read) in enumerate(reads) if read == "entangle"]
+    target = r
+    sv = StateVector(r + 1 + len(ent))
+    sv.prepare_ghz(range(r))
+    branches = [(1.0, sv, {})]
+    for i, (ch, read) in enumerate(reads):
+        if read == "entangle":
+            for _, state, _ in branches:
+                state.apply_cnot(ch, target + 1 + ent.index(i))
+            continue
+        grown = []
+        for weight, state, eve in branches:
+            if read == "x":
+                state.apply_h(ch)
+            p1 = state.probability_one(ch)
+            for bit, prob in ((0, 1.0 - p1), (1, p1)):
+                if prob < 1e-15:
+                    continue
+                branch = state.copy()
+                branch.measure_qubit(ch, _Forced(bit))
+                if read == "x":
+                    branch.apply_h(ch)
+                grown.append((weight * prob, branch, {**eve, i: bit}))
+        branches = grown
+    law = Counter()
+    for weight, state, eve in branches:
+        state.prepare_basis("-", target)
+        for reg, bit in enumerate(z):
+            if bit:
+                state.apply_cnot(reg, target)
+        for reg in range(r):
+            state.apply_h(reg)
+        for k in range(len(ent)):
+            state.apply_h(target + 1 + k)
+        probs = np.abs(state.amps) ** 2
+        for idx in np.nonzero(probs > 1e-15)[0]:
+            key = int(idx) & ((1 << r) - 1)
+            for i in range(len(reads)):
+                if i in ent:
+                    bit = (int(idx) >> (target + 1 + ent.index(i))) & 1
+                else:
+                    bit = eve[i]
+                key |= bit << (r + i)
+            law[key] += weight * probs[idx]
+    return law
+
+
+def uniform_law(offset, basis):
+    """Probabilities of the uniform law over offset + span(basis)."""
+    law = Counter()
+    for coeffs in product((0, 1), repeat=len(basis)):
+        key = offset
+        for c, vec in zip(coeffs, basis):
+            if c:
+                key ^= vec
+        law[key] += 1.0 / (1 << len(basis))
+    return law
+
+
+def affine_tuple_law(r, reads, z):
+    """The cached law with the phase kicks applied as output bit flips."""
+    offset, basis = _outcome_law(r, reads)
+    return uniform_law(offset ^ sum(bit << reg for reg, bit in enumerate(z)), basis)
+
+
+class TestOutcomeLaw:
+    """The cached affine law against exact dense probabilities."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matches_dense_statevector(self, r):
+        kicks = [(0,) * r, (1,) * r, tuple(reg % 2 for reg in range(r))]
+        for t in range(1, r + 1):
+            for chans in combinations(range(r), t):
+                # Every mix of kinds, which includes every random-basis
+                # pattern of X and Z reads.
+                for reads in product(("entangle", "z", "x"), repeat=t):
+                    key = tuple(zip(chans, reads))
+                    for z in kicks:
+                        affine = affine_tuple_law(r, key, z)
+                        dense = dense_tuple_law(r, key, z)
+                        for k in set(affine) | set(dense):
+                            assert abs(affine[k] - dense[k]) < 1e-12, (key, z, k)
+
+    def test_random_circuits_match_dense_statevector(self):
+        # General H/CNOT circuits, where (unlike the protocol's) the support
+        # can miss the all-zero outcome, so the stabilizer signs matter.
+        rng = np.random.default_rng(66)
+        offsets = 0
+        for _ in range(400):
+            q = int(rng.integers(1, 5))
+            sv = StateVector(q)
+            gates = []
+            for _ in range(int(rng.integers(1, 16))):
+                if q > 1 and rng.random() < 0.5:
+                    c, t = (int(x) for x in rng.choice(q, 2, replace=False))
+                    sv.apply_cnot(c, t)
+                    gates.append(("cnot", c, t))
+                else:
+                    a = int(rng.integers(q))
+                    sv.apply_h(a)
+                    gates.append(("h", a))
+            offset, basis = _stabilizer_support(q, gates)
+            offsets += offset != 0
+            law = uniform_law(offset, basis)
+            probs = np.abs(sv.amps) ** 2
+            assert np.allclose(
+                [law[i] for i in range(1 << q)], probs, rtol=0, atol=1e-12
+            ), gates
+        assert offsets > 0
+
+    def test_law_is_cached(self):
+        reads = ((0, "entangle"), (1, "z"))
+        assert _outcome_law(3, reads) is _outcome_law(3, reads)
 
 
 class TestDecoys:

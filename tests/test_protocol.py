@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,22 @@ class TestRunProtocol:
                                rng=np.random.default_rng(seed), seed=seed)
             assert rep.verdict == "abort"
             assert rep.abort.phase == "phase2"
+
+    @pytest.mark.parametrize("kind", ["entangle_measure", "pns"])
+    def test_wide_entangling_taps_reach_a_verdict(self, kind):
+        # Taps on all 15 phase-1 channels: 31 qubits per tuple, far past the
+        # dense 22-qubit bound.  Eve's ancillas join the XOR chain, so the
+        # agents' slices are wrong and verification aborts.
+        cfg = ProtocolConfig(n=15, k=8, m=16, decoys=0)
+        plan = AdversaryPlan(eve=EveStrategy(kind, phases=(1,)))
+        rng = np.random.default_rng(98)
+        start = time.monotonic()
+        rep = run_protocol(cfg, random_secret(cfg, rng), plan, rng=rng)
+        assert time.monotonic() - start < 1.0
+        assert rep.verdict == "abort"
+        assert (rep.abort.phase, rep.abort.cause) == (
+            "phase2", "verification_failed"
+        )
 
     def test_seed_determinism_byte_identical(self):
         cfg = ProtocolConfig(n=5, k=3, m=16)
