@@ -5,7 +5,7 @@ XOR correlation that survives the Hadamard layers."""
 import numpy as np
 
 from dpvqss.bitvec import BitVector
-from dpvqss.entangle import distribute
+from dpvqss.entangle import dense_outcomes
 from dpvqss.qsim import StateVector
 
 rng = np.random.default_rng(2)
@@ -33,9 +33,8 @@ print("== The distribution circuit, exactly ==")
 n, m = 2, 1
 s = BitVector.from_string("10")
 print(f"n={n} agents, m={m} bit slices, secret s = {s}")
-batch = distribute(n + 1, n * m, "oracle", transmitted=range(n), encoders=(n,))
 counts = {}
-for out in batch.sample_outcomes({n: s}, 4000, rng):
+for out in dense_outcomes(n + 1, n * m, {n: s}, 4000, rng):
     a, b0, b1 = out.registers[n], out.registers[0], out.registers[1]
     assert a ^ b0 ^ b1 == s, "XOR constraint violated"
     counts[(str(a), str(b1), str(b0))] = counts.get((str(a), str(b1), str(b0)), 0) + 1

@@ -3,20 +3,21 @@
 Library layout:
 
 - bitvec     bit-vector and segment algebra
-- qsim       exact statevector simulator (ground-truth oracle)
+- qsim       exact statevector simulator (tapped decoys, dense reference)
 - threshold  (k, n) Shamir sharing over GF(2^w) with robust decoding
 - entangle   entanglement distribution, decoys, exact outcome sampler
-             (stabilizer law per tap configuration)
+             (stabilizer law per tap configuration, untapped rounds too),
+             dense statevector reference of a round
 - adversary  eavesdropper strategies, rogue agents, leakage audits
 - protocol   the three protocol phases and the run orchestrator
 - metrics    qubit-efficiency ratios and empirical statistics
 - cli        experiment driver (run / sweep / oracle-check / metrics / report)
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .bitvec import BitVector, SegmentedVector  # noqa: F401
-from .qsim import RegisterLayout, StateVector  # noqa: F401
+from .qsim import StateVector  # noqa: F401
 from .threshold import Share, SplitConfig, reconstruct, robust_decode, split  # noqa: F401
 from .adversary import AdversaryPlan, EveStrategy, RogueBehavior, leakage_audit  # noqa: F401
 from .protocol import ProtocolConfig, RunReport, run_protocol  # noqa: F401

@@ -160,18 +160,6 @@ class SegmentedVector:
         return [self.segment(i) for i in range(self._n)]
 
 
-def inner_product_mod2(x: BitVector, y: BitVector) -> int:
-    return x.dot(y)
-
-
-def xor(x: BitVector, y: BitVector) -> BitVector:
-    return x ^ y
-
-
-def segment(v: SegmentedVector, i: int) -> BitVector:
-    return v.segment(i)
-
-
 def extend_segment(s_i: BitVector, i: int, n: int) -> BitVector:
     """Place an m-bit vector into segment i of an otherwise-zero n*m vector."""
     if not 0 <= i < n:

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .adversary import AdversaryPlan, EveStrategy, RogueBehavior
 from .bitvec import BitVector, CapacityError
-from .entangle import distribute, sample_idpqc_outcomes
+from .entangle import dense_outcomes, dense_state, sample_idpqc_outcomes
 from .metrics import chi_square_homogeneity, efficiency_report, empirical_stats
 from .protocol import (
     ProtocolConfig,
@@ -83,7 +83,6 @@ CONFIG_KEYS = {
     "protocol.k": (_parse_int, None),
     "protocol.m": (_parse_int, None),
     "protocol.w": (_parse_int, 8),
-    "protocol.backing": (str, "sampler"),
     "protocol.decoys": (_parse_int, 16),
     "protocol.source": (str, "alice"),
     "adversary.eve.kind": (str, "none"),
@@ -178,8 +177,8 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
 def _build_protocol(values) -> ProtocolConfig:
     return ProtocolConfig(
         n=values["protocol.n"], k=values["protocol.k"], m=values["protocol.m"],
-        w=values["protocol.w"], backing=values["protocol.backing"],
-        decoys=values["protocol.decoys"], source=values["protocol.source"],
+        w=values["protocol.w"], decoys=values["protocol.decoys"],
+        source=values["protocol.source"],
     )
 
 
@@ -262,9 +261,10 @@ def _pack_outcome(registers) -> int:
 
 
 def oracle_check_case(n, m, shots, secrets, seed, dump=False):
-    """Compare oracle and sampler outcome distributions for honest rounds.
+    """Compare dense-reference and sampler outcome distributions for honest
+    rounds.
 
-    The violation count is the number of oracle shots whose register XOR
+    The violation count is the number of dense shots whose register XOR
     misses the secret (the sampler's support is that constraint set by
     construction, so any nonzero count is a support violation).
     """
@@ -273,14 +273,10 @@ def oracle_check_case(n, m, shots, secrets, seed, dump=False):
     for idx in range(secrets):
         s = BitVector.random(n * m, rng)
         if dump and idx == 0:
-            probe = distribute(n + 1, n * m, "oracle", transmitted=range(n),
-                               encoders=(n,))
-            print(probe.final_state({n: s}).dump())
-        batch = distribute(n + 1, n * m, "oracle", transmitted=range(n),
-                           encoders=(n,))
+            print(dense_state(n + 1, n * m, phase_bits={n: s})[0].dump())
         oracle_counts: Counter = Counter()
         violations = 0
-        for out in batch.sample_outcomes({n: s}, shots, rng):
+        for out in dense_outcomes(n + 1, n * m, {n: s}, shots, rng):
             acc = out.registers[0]
             for reg in out.registers[1:]:
                 acc = acc ^ reg
@@ -289,8 +285,8 @@ def oracle_check_case(n, m, shots, secrets, seed, dump=False):
             oracle_counts[_pack_outcome(out.registers)] += 1
         sampler_counts: Counter = Counter()
         for _ in range(shots):
-            tup = sample_idpqc_outcomes(s, n, m, rng)
-            sampler_counts[_pack_outcome(tup.b + [tup.a])] += 1
+            out = sample_idpqc_outcomes(s, n, m, rng)
+            sampler_counts[_pack_outcome(out.registers)] += 1
         p_value = chi_square_homogeneity(oracle_counts, sampler_counts)
         results.append({
             "secret": str(s), "violations": violations, "p_value": p_value,
@@ -298,7 +294,7 @@ def oracle_check_case(n, m, shots, secrets, seed, dump=False):
     return results
 
 
-def cmd_oracle_check(args) -> int:
+def cmd_check_oracle(args) -> int:
     try:
         results = oracle_check_case(args.n, args.m, args.shots,
                                     args.secrets, args.seed, dump=args.dump)
@@ -478,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oc = sub.add_parser(
         "oracle-check",
-        help="certify the sampler against the statevector oracle",
+        help="certify the sampler against the dense statevector reference",
     )
     p_oc.add_argument("--n", type=int, required=True)
     p_oc.add_argument("--m", type=int, required=True)
@@ -487,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oc.add_argument("--seed", type=int, default=0)
     p_oc.add_argument("--dump", action="store_true",
                       help="print the pre-measurement state of the first case")
-    p_oc.set_defaults(func=cmd_oracle_check)
+    p_oc.set_defaults(func=cmd_check_oracle)
 
     p_sw = sub.add_parser("sweep", help="run a parameter grid")
     p_sw.add_argument("config")

@@ -1,19 +1,18 @@
 """Entanglement distribution, decoy handling, and the correlated-outcome sampler.
 
 A batch models r parties holding p-qubit registers whose j-th qubits form one
-GHZ_r tuple (a Bell pair when r = 2).  Two backings expose the same API:
+GHZ_r tuple (a Bell pair when r = 2).  Every round, tapped or not, is an
+H/CNOT circuit, so each tuple's joint outcome is uniform over an affine
+subspace of GF(2)^(r+t) for t tapped channels (Aaronson & Gottesman 2004).
+That law depends only on the tap configuration, not on the phase bits (a
+phase kick before the Hadamard layer is a bit flip after it); it is computed
+once per configuration on a stabilizer tableau, cached, and sampled for all
+p positions at once, at any register width.  With no taps it is the XOR
+constraint: uniform over the register tuples whose XOR is the phase bits.
 
-- oracle: one dense statevector over every register qubit, phase-oracle
-  targets and eavesdropper ancillas; exact but bounded at 22 qubits.
-- sampler: the measurement statistics without exponential state.  Untapped
-  rounds draw all but one register uniformly and solve the last from the XOR
-  constraint (the solved register is chosen uniformly per draw).  Tapped
-  rounds are H/CNOT circuits, so each tuple's joint outcome is uniform over
-  an affine subspace of GF(2)^(r+t) (Aaronson & Gottesman 2004).  That law
-  depends only on the tap configuration, not on the phase bits (a phase
-  kick before the Hadamard layer is a bit flip after it); it is computed
-  once per configuration on a stabilizer tableau, cached, and sampled for
-  all p positions at once, at any register width.
+`dense_state` and `dense_outcomes` build the same round as one dense
+statevector.  They are the exact reference the sampler is checked against
+and no protocol path calls them; `StateVector` bounds them at 22 qubits.
 
 Decoy qubits are independent single-qubit systems interleaved into each
 transmitted sequence; they are simulated only when an eavesdropper actually
@@ -23,13 +22,14 @@ touches the channel, since an untouched eigenstate can never mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 from typing import Sequence
 
 import numpy as np
 
-from .bitvec import BitVector, CapacityError, DimensionError
-from .qsim import BASIS_LABELS, MAX_QUBITS, StateVector
+from .bitvec import BitVector, DimensionError
+from .qsim import BASIS_LABELS, StateVector
 
 TAP_KINDS = ("measure_resend", "intercept_resend", "entangle_measure")
 
@@ -93,34 +93,24 @@ class TransmissionPlan:
 
 
 @dataclass
-class OutcomeTuple:
-    """Measured register contents of one round: Alice's a, the agents' b's,
-    and any eavesdropper outcomes keyed by tapped channel."""
-
-    a: BitVector
-    b: list[BitVector]
-    e: dict[int, BitVector] | None = None
-
-
-@dataclass
 class RoundOutcome:
+    """Measured register contents of one round, and any eavesdropper
+    outcomes keyed by tapped channel."""
+
     registers: list[BitVector]
     eve: dict[int, BitVector]
 
 
 class EntangledBatch:
-    """r registers of p positions backed by an oracle state or the sampler."""
+    """r registers of p positions, drawn exactly from their outcome law."""
 
-    def __init__(self, r, p, mode, taps, transmitted, encoders):
+    def __init__(self, r, p, taps, transmitted, encoders):
         if r < 2:
             raise ValueError("need at least two entangled registers")
         if p < 1:
             raise ValueError("need at least one tuple position")
-        if mode not in ("oracle", "sampler"):
-            raise ValueError(f"unknown backing {mode!r}")
         self.r = r
         self.p = p
-        self.mode = mode
         self.taps = dict(taps)
         self.transmitted = tuple(transmitted)
         self.encoders = tuple(encoders)
@@ -129,51 +119,8 @@ class EntangledBatch:
                 raise ValueError(f"tap on channel {ch} which is never transmitted")
         self.sealed = False
         self.consumed = False
-        # Eavesdropper bits captured during transmission (oracle mode).
-        self._transit_eve: dict[int, list[int]] = {}
-
-        if mode == "oracle":
-            ent_taps = [
-                ch for ch, tap in sorted(self.taps.items())
-                if tap.kind == "entangle_measure"
-            ]
-            q = r * p + len(self.encoders) + len(ent_taps) * p
-            if q > MAX_QUBITS:
-                raise CapacityError(
-                    f"oracle backing needs {q} qubits, over the {MAX_QUBITS} bound"
-                )
-            self.state = StateVector(q)
-            self.registers = [
-                tuple(range(i * p, (i + 1) * p)) for i in range(r)
-            ]
-            base = r * p
-            self.targets = {
-                enc: base + i for i, enc in enumerate(self.encoders)
-            }
-            base += len(self.encoders)
-            self.eve_ancillas = {
-                ch: tuple(range(base + i * p, base + (i + 1) * p))
-                for i, ch in enumerate(ent_taps)
-            }
-            for j in range(p):
-                self.state.prepare_ghz([reg[j] for reg in self.registers])
-        else:
-            self.state = None
 
     # -- transmission -------------------------------------------------------
-
-    def _tap_payload_oracle(self, tap: ChannelTap, channel: int, pos: int, rng):
-        qubit = self.registers[channel][pos]
-        if tap.kind == "entangle_measure":
-            self.state.apply_cnot(qubit, self.eve_ancillas[channel][pos])
-            return
-        if tap.kind == "intercept_resend" and tap.basis == "random" and rng.integers(2):
-            # X-basis interception: the collapsed eigenstate is what she forwards.
-            bit = self.state.measure_hadamard_basis(qubit, rng)
-            self.state.apply_h(qubit)
-        else:
-            bit = self.state.measure_qubit(qubit, rng)
-        self._transit_eve.setdefault(channel, [0] * self.p)[pos] = bit
 
     def transmit_channel(self, channel: int, plan: TransmissionPlan, rng):
         """Invoke the tap hook (if any) over one channel's full slot sequence."""
@@ -184,9 +131,7 @@ class EntangledBatch:
         for kind, ref in plan.slots[channel]:
             if kind == "decoy":
                 _tap_decoy(plan.decoys[ref], tap, rng)
-            elif self.mode == "oracle":
-                self._tap_payload_oracle(tap, channel, ref, rng)
-            # Sampler payload taps take effect during outcome simulation.
+            # Payload taps take effect when the outcomes are drawn.
 
     # -- outcome generation ---------------------------------------------------
 
@@ -194,7 +139,7 @@ class EntangledBatch:
         out = {}
         for enc, vec in phase_bits.items():
             if enc not in self.encoders:
-                raise ValueError(f"register {enc} has no oracle target allocated")
+                raise ValueError(f"register {enc} is not an encoder")
             if vec.length != self.p:
                 raise DimensionError(
                     f"phase vector for register {enc} has length {vec.length}, "
@@ -216,107 +161,11 @@ class EntangledBatch:
         """Apply the encoders' phase oracles, the Hadamard layers, and measure."""
         phase_bits = self._phase_vectors(phase_bits)
         self._mark_consumed()
-        if self.mode == "oracle":
-            return self._oracle_round(phase_bits, rng, collapse=True)
-        return self._sampler_round(phase_bits, rng)
+        return self._sample(phase_bits, rng)
 
-    def sample_outcomes(
-        self, phase_bits: dict[int, BitVector], shots: int, rng
-    ) -> list[RoundOutcome]:
-        """Draw many independent final-measurement outcomes of the same round.
-
-        Oracle mode builds the pre-measurement state once and Born-samples it,
-        which is only valid while nothing has collapsed mid-circuit; batches
-        carrying measuring taps are refused.
-        """
-        phase_bits = self._phase_vectors(phase_bits)
-        self._mark_consumed()
-        if self.mode == "sampler":
-            return [self._sampler_round(phase_bits, rng) for _ in range(shots)]
-        if any(tap.kind != "entangle_measure" for tap in self.taps.values()):
-            raise ValueError("cannot batch-sample a batch with measuring taps")
-        return self._oracle_sample(phase_bits, shots, rng)
-
-    def final_state(self, phase_bits: dict[int, BitVector]) -> StateVector:
-        """Oracle mode only: encode, apply the Hadamard layers, and return the
-        pre-measurement state for exact inspection."""
-        if self.mode != "oracle":
-            raise ValueError("final_state requires the oracle backing")
-        phase_bits = self._phase_vectors(phase_bits)
-        self._mark_consumed()
-        self._apply_encoding(phase_bits)
-        return self.state
-
-    def _apply_encoding(self, phase_bits):
-        for enc in self.encoders:
-            target = self.targets[enc]
-            self.state.prepare_basis("-", target)
-            vec = phase_bits.get(enc)
-            if vec is not None:
-                self.state.apply_phase_oracle(vec, self.registers[enc], target)
-        for reg in self.registers:
-            self.state.apply_h_register(reg)
-
-    def _oracle_round(self, phase_bits, rng, collapse) -> RoundOutcome:
-        self._apply_encoding(phase_bits)
-        bits = [self.state.measure_register(reg, rng) for reg in self.registers]
-        eve = {
-            ch: BitVector.from_bits(vals) for ch, vals in self._transit_eve.items()
-        }
-        for ch, ancillas in self.eve_ancillas.items():
-            vals = [self.state.measure_hadamard_basis(qb, rng) for qb in ancillas]
-            eve[ch] = BitVector.from_bits(vals)
-        return RoundOutcome(bits, eve)
-
-    def _oracle_sample(self, phase_bits, shots, rng) -> list[RoundOutcome]:
-        self._apply_encoding(phase_bits)
-        anc_order = sorted(self.eve_ancillas)
-        for ch in anc_order:
-            for qb in self.eve_ancillas[ch]:
-                self.state.apply_h(qb)
-        qubits = [qb for reg in self.registers for qb in reg]
-        for ch in anc_order:
-            qubits.extend(self.eve_ancillas[ch])
-        packed = self.state.sample_register(qubits, shots, rng)
-        p, r = self.p, self.r
-        mask = (1 << p) - 1
-        out = []
-        for raw in packed:
-            raw = int(raw)
-            regs = [BitVector((raw >> (i * p)) & mask, p) for i in range(r)]
-            eve = {}
-            for i, ch in enumerate(anc_order):
-                eve[ch] = BitVector((raw >> ((r + i) * p)) & mask, p)
-            out.append(RoundOutcome(regs, eve))
-        return out
-
-    def _sampler_round(self, phase_bits, rng) -> RoundOutcome:
-        if not self.taps:
-            return self._sampler_honest(phase_bits, rng)
-        return self._sampler_tapped(phase_bits, rng)
-
-    def _sampler_honest(self, phase_bits, rng) -> RoundOutcome:
-        constraint = BitVector.zeros(self.p)
-        for vec in phase_bits.values():
-            constraint = constraint ^ vec
-        solved = int(rng.integers(self.r))
-        bits: list[BitVector | None] = [None] * self.r
-        acc = constraint
-        for i in range(self.r):
-            if i == solved:
-                continue
-            v = BitVector.random(self.p, rng)
-            bits[i] = v
-            acc = acc ^ v
-        bits[solved] = acc
-        total = BitVector.zeros(self.p)
-        for v in bits:
-            total = total ^ v
-        assert total == constraint, "sampler violated its own XOR constraint"
-        return RoundOutcome(bits, {})
-
-    def _sampler_tapped(self, phase_bits, rng) -> RoundOutcome:
-        """Draw every tuple position at once from its tap configuration's law.
+    def _sample(self, phase_bits, rng) -> RoundOutcome:
+        """Draw every tuple position at once from its tap configuration's law
+        (with no taps, the XOR constraint).
 
         A random-basis interception reads each position in the X basis where
         its basis bit is set, so positions are grouped by basis pattern and
@@ -352,24 +201,31 @@ class EntangledBatch:
             )
             laws.append((_outcome_law(r, reads), mask))
 
-        nbytes = (p + 7) // 8
+        # Whole 64-bit words per basis vector, straight from the bit
+        # generator: `rng.bytes` goes through `Generator.integers` and costs
+        # more than the rest of a small round.
+        nbytes = 8 * ((p + 63) // 64)
         dim = max(len(basis) for (_, basis), _ in laws)
-        raw = rng.bytes(dim * nbytes)
+        raw = rng.bit_generator.random_raw(dim * nbytes // 8).tobytes()
         draws = [
             int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
             for i in range(dim)
         ]
         outputs = [0] * (r + len(channels))
         for (offset, basis), mask in laws:
-            for j in range(len(outputs)):
-                acc = full if (offset >> j) & 1 else 0
-                for vec, draw in zip(basis, draws):
-                    if (vec >> j) & 1:
-                        acc ^= draw
-                outputs[j] |= acc & mask
+            # Each set bit j of a law vector XORs its draw into output j.
+            for vec, draw in ((offset, full), *zip(basis, draws)):
+                draw &= mask
+                while vec:
+                    outputs[(vec & -vec).bit_length() - 1] ^= draw
+                    vec &= vec - 1
         # A phase kick before the Hadamard layer is a bit flip after it.
         for enc, vec in phase_bits.items():
             outputs[enc] ^= vec.value
+        if not channels:
+            assert reduce(xor, outputs) == reduce(
+                xor, (vec.value for vec in phase_bits.values()), 0
+            ), "sampler violated its own XOR constraint"
         return RoundOutcome(
             [BitVector(v, p) for v in outputs[:r]],
             {ch: BitVector(v, p) for ch, v in zip(channels, outputs[r:])},
@@ -387,7 +243,7 @@ def _read(tap: ChannelTap, x_basis: bool) -> str:
 def _outcome_law(
     r: int, reads: tuple[tuple[int, str], ...]
 ) -> tuple[int, tuple[int, ...]]:
-    """Joint outcome law of one tapped GHZ_r tuple without phase kicks.
+    """Joint outcome law of one GHZ_r tuple under `reads`, without phase kicks.
 
     Outputs are the r register bits, then one eavesdropper bit per entry of
     `reads`.  Each mid-circuit measurement is deferred onto its own ancilla:
@@ -484,7 +340,6 @@ def _pauli_product(p1, p2):
 def distribute(
     r: int,
     p: int,
-    mode: str = "sampler",
     taps: dict[int, ChannelTap] | None = None,
     transmitted: Sequence[int] | None = None,
     encoders: Sequence[int] | None = None,
@@ -492,14 +347,13 @@ def distribute(
     """Prepare a batch of p GHZ_r tuples (Bell pairs at r = 2).
 
     `transmitted` lists the registers that traverse a channel (and may be
-    tapped); `encoders` lists the registers that will apply a phase oracle,
-    which in oracle mode costs one |-> target qubit each.
+    tapped); `encoders` lists the registers that will apply a phase oracle.
     """
     if transmitted is None:
         transmitted = range(r)
     if encoders is None:
         encoders = range(r)
-    return EntangledBatch(r, p, mode, taps or {}, transmitted, encoders)
+    return EntangledBatch(r, p, taps or {}, transmitted, encoders)
 
 
 def insert_decoys(batch: EntangledBatch, spec: DecoySpec, rng) -> TransmissionPlan:
@@ -552,12 +406,18 @@ def _tap_decoy(decoy: Decoy, tap: ChannelTap, rng):
     else:
         sv = StateVector(1)
         sv.prepare_basis(decoy.label, 0)
-        if tap.kind == "intercept_resend" and tap.basis == "random" and rng.integers(2):
-            sv.measure_hadamard_basis(0, rng)
-            sv.apply_h(0)
-        else:
-            sv.measure_qubit(0, rng)
+        _measure_tap(sv, 0, tap, rng)
     decoy.state = sv
+
+
+def _measure_tap(state: StateVector, qubit: int, tap: ChannelTap, rng) -> int:
+    """A measuring tap's read of one qubit; an X read forwards the collapsed
+    eigenstate."""
+    if tap.kind == "intercept_resend" and tap.basis == "random" and rng.integers(2):
+        bit = state.measure_hadamard_basis(qubit, rng)
+        state.apply_h(qubit)
+        return bit
+    return state.measure_qubit(qubit, rng)
 
 
 def verify_decoys(
@@ -583,16 +443,14 @@ def verify_decoys(
     return mismatches, ("abort" if mismatches else "proceed")
 
 
-def sample_idpqc_outcomes(s: BitVector, n: int, m: int, rng) -> OutcomeTuple:
-    """One honest information-distribution round: uniform over all tuples with
-    a XOR b_{n-1} XOR ... XOR b_0 = s; every proper subset is marginally uniform."""
+def sample_idpqc_outcomes(s: BitVector, n: int, m: int, rng) -> RoundOutcome:
+    """One honest information-distribution round: registers b_0..b_{n-1}, then
+    a, uniform over all tuples with a XOR b_{n-1} XOR ... XOR b_0 = s; every
+    proper subset is marginally uniform."""
     if s.length != n * m:
         raise DimensionError(f"secret length {s.length} != n*m = {n * m}")
-    batch = distribute(
-        n + 1, n * m, "sampler", transmitted=range(n), encoders=(n,)
-    )
-    out = batch.encode_and_measure({n: s}, rng)
-    return OutcomeTuple(a=out.registers[n], b=out.registers[:n])
+    batch = distribute(n + 1, n * m, transmitted=range(n), encoders=(n,))
+    return batch.encode_and_measure({n: s}, rng)
 
 
 def sample_icpqc_outcomes(
@@ -604,6 +462,87 @@ def sample_icpqc_outcomes(
         raise DimensionError(
             f"partial vectors of lengths {s_i.length} and {s_j.length}"
         )
-    batch = distribute(2, s_i.length, "sampler", encoders=(0, 1))
+    batch = distribute(2, s_i.length, encoders=(0, 1))
     out = batch.encode_and_measure({0: s_i, 1: s_j}, rng)
     return out.registers[0], out.registers[1]
+
+
+def dense_state(
+    r: int,
+    p: int,
+    taps: dict[int, ChannelTap] | None = None,
+    phase_bits: dict[int, BitVector] | None = None,
+    rng=None,
+) -> tuple[StateVector, dict[int, BitVector]]:
+    """Reference only: one round's circuit on a single dense statevector.
+
+    Register i holds qubits i*p .. i*p+p-1, and position j of every register
+    belongs to GHZ tuple j.  Each tap then acts on every position of its
+    channel, in channel order: a measuring tap reads it mid-circuit with
+    `rng`, an entangling tap CNOTs it onto an ancilla of its own.  Given `phase_bits`, each encoder
+    kicks its phases through a |-> target and every register and ancilla
+    gets a Hadamard, so the state is the one the final measurement reads.
+    The targets follow the registers in sorted encoder order, then p ancillas
+    per entangling tap in channel order.
+
+    Returns the state and the measuring taps' reads.  Over the qubit bound
+    `StateVector` raises CapacityError.
+    """
+    taps = taps or {}
+    encoders = sorted(phase_bits) if phase_bits is not None else []
+    ancilla = r * p + len(encoders)
+    ent = [ch for ch in sorted(taps) if taps[ch].kind == "entangle_measure"]
+    state = StateVector(ancilla + len(ent) * p)
+    for j in range(p):
+        state.prepare_ghz([i * p + j for i in range(r)])
+    eve = {}
+    for ch in sorted(taps):
+        tap = taps[ch]
+        qubits = range(ch * p, (ch + 1) * p)
+        if tap.kind == "entangle_measure":
+            for qubit in qubits:
+                state.apply_cnot(qubit, ancilla)
+                ancilla += 1
+            continue
+        eve[ch] = BitVector.from_bits(
+            _measure_tap(state, qubit, tap, rng) for qubit in qubits
+        )
+    if phase_bits is not None:
+        for i, enc in enumerate(encoders):
+            target = r * p + i
+            state.prepare_basis("-", target)
+            state.apply_phase_oracle(
+                phase_bits[enc], range(enc * p, (enc + 1) * p), target
+            )
+        state.apply_h_register(range(r * p))
+        state.apply_h_register(range(r * p + len(encoders), state.q))
+    return state, eve
+
+
+def dense_outcomes(
+    r: int,
+    p: int,
+    phase_bits: dict[int, BitVector],
+    shots: int,
+    rng,
+    taps: dict[int, ChannelTap] | None = None,
+) -> list[RoundOutcome]:
+    """Reference only: Born-sample `shots` final measurements of one round.
+
+    Shots share one final state while nothing collapses mid-circuit; with a
+    measuring tap the state is rebuilt for every shot.
+    """
+    taps = taps or {}
+    ent = [ch for ch in sorted(taps) if taps[ch].kind == "entangle_measure"]
+    first_ancilla = r * p + len(phase_bits)
+    qubits = [*range(r * p), *range(first_ancilla, first_ancilla + len(ent) * p)]
+    per_state = shots if len(ent) == len(taps) else 1
+    mask = (1 << p) - 1
+    out = []
+    while len(out) < shots:
+        state, eve = dense_state(r, p, taps, phase_bits, rng)
+        for raw in state.sample_register(qubits, per_state, rng):
+            vecs = [BitVector((int(raw) >> (i * p)) & mask, p)
+                    for i in range(r + len(ent))]
+            out.append(RoundOutcome(vecs[:r], {**eve, **dict(zip(ent, vecs[r:]))}))
+    return out

@@ -103,12 +103,6 @@ def chi_square_homogeneity(
     return float(chi2.sf(stat, dof))
 
 
-def total_variation(p: Mapping, q: Mapping) -> float:
-    """TV distance between two distributions given as value -> probability."""
-    keys = set(p) | set(q)
-    return float(sum(abs(p.get(k, 0) - q.get(k, 0)) for k in keys)) / 2.0
-
-
 # Statistic fields aggregated out of RunReport dictionaries.
 class MixedConfigError(ValueError):
     """empirical_stats refuses batches that mix configurations."""

@@ -51,8 +51,6 @@ from .threshold import (
     split,
 )
 
-MAX_ORACLE_QUBITS = 22
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -60,7 +58,6 @@ class ProtocolConfig:
     k: int
     m: int
     w: int = 8
-    backing: str = "sampler"
     decoys: int = 16
     source: str = "alice"
     seed: int | None = None
@@ -69,19 +66,10 @@ class ProtocolConfig:
         SplitConfig(self.k, self.n, self.w)  # reuse the k > n/2 etc. checks
         if self.m < 1:
             raise ValueError(f"need m >= 1, got m={self.m}")
-        if self.backing not in ("oracle", "sampler"):
-            raise ValueError(f"unknown backing {self.backing!r}")
         if self.source not in ("alice", "third_party"):
             raise ValueError(f"unknown source {self.source!r}")
         if self.decoys < 0:
             raise ValueError("decoy count must be nonnegative")
-        if self.backing == "oracle":
-            q = (self.n + 1) * self.n * self.m + 1
-            if q > MAX_ORACLE_QUBITS:
-                raise ValueError(
-                    f"oracle backing needs {q} qubits for phase 1, "
-                    f"over the {MAX_ORACLE_QUBITS} bound"
-                )
 
     @property
     def split_config(self) -> SplitConfig:
@@ -98,7 +86,7 @@ class ProtocolConfig:
     def to_dict(self) -> dict:
         return {
             "n": self.n, "k": self.k, "m": self.m, "w": self.w,
-            "backing": self.backing, "decoys": self.decoys,
+            "decoys": self.decoys,
             "source": self.source,
         }
 
@@ -265,7 +253,7 @@ def _run_quantum_round(cfg, plan, rng, *, phase, r, p, encoders, phase_bits,
     else:
         transmitted = tuple(range(r))
     taps = plan.eve.taps_for(phase, transmitted)
-    batch = distribute(r, p, cfg.backing, taps=taps, transmitted=transmitted,
+    batch = distribute(r, p, taps=taps, transmitted=transmitted,
                        encoders=encoders)
 
     suffix = "" if pair is None else f":pair{pair[0]}-{pair[1]}"

@@ -1,5 +1,11 @@
 """Exact statevector simulator for small qubit registers.
 
+The protocol samples its entangled rounds from a stabilizer law (see
+`entangle`); it builds a statevector only for the one- or two-qubit decoys an
+eavesdropper touches.  Whole rounds on a statevector serve as the exact
+reference (`entangle.dense_state`) that tests and `oracle-check` compare
+the sampler against.
+
 Conventions:
 
 - Little-endian indexing: qubit j contributes bit j of a basis-state index,
@@ -202,34 +208,3 @@ class StateVector:
                 lines.append(f"{format(idx, f'0{self.q}b')} {a.real:.12g} {a.imag:.12g}")
         return "\n".join(lines)
 
-
-class RegisterLayout:
-    """Allocates named registers onto consecutive global qubit indices.
-
-    Position j of a register maps to base + j, keeping the little-endian
-    convention; the overall assignment is a bijection onto 0..q-1.
-    """
-
-    def __init__(self):
-        self._regs: dict[str, tuple[int, ...]] = {}
-        self._next = 0
-
-    def add(self, name: str, width: int) -> tuple[int, ...]:
-        if name in self._regs:
-            raise ValueError(f"register {name!r} already allocated")
-        if width <= 0:
-            raise ValueError("register width must be positive")
-        qubits = tuple(range(self._next, self._next + width))
-        self._regs[name] = qubits
-        self._next += width
-        return qubits
-
-    def qubits(self, name: str) -> tuple[int, ...]:
-        return self._regs[name]
-
-    def names(self) -> list[str]:
-        return list(self._regs)
-
-    @property
-    def total_qubits(self) -> int:
-        return self._next

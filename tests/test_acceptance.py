@@ -26,6 +26,7 @@ from dpvqss.cli import main, oracle_check_case
 from dpvqss.entangle import (
     ChannelTap,
     DecoySpec,
+    dense_outcomes,
     distribute,
     insert_decoys,
     transmit,
@@ -68,16 +69,14 @@ def xor_all(vectors):
 
 
 def test_c1_hadamard_entanglement_property_oracle():
-    with criterion("C1", "oracle-mode outcome XOR always equals the secret"):
+    with criterion("C1", "dense-reference outcome XOR always equals the secret"):
         start = time.monotonic()
         rng = np.random.default_rng(2024_01)
         violations = 0
         for n, m in ORACLE_CASES:
             for _ in range(8):
                 s = BitVector.random(n * m, rng)
-                batch = distribute(n + 1, n * m, "oracle",
-                                   transmitted=range(n), encoders=(n,))
-                for out in batch.sample_outcomes({n: s}, 2000, rng):
+                for out in dense_outcomes(n + 1, n * m, {n: s}, 2000, rng):
                     if xor_all(out.registers) != s:
                         violations += 1
         elapsed = time.monotonic() - start
@@ -195,7 +194,7 @@ def _decoy_detection_rate(d, trials, seed):
     tap = ChannelTap("intercept_resend")
     aborts = 0
     for _ in range(trials):
-        batch = distribute(2, 4, "sampler", taps={0: tap},
+        batch = distribute(2, 4, taps={0: tap},
                            transmitted=(0,), encoders=(1,))
         plan = insert_decoys(batch, DecoySpec(d), rng)
         transmit(batch, plan, rng)

@@ -9,9 +9,6 @@ from dpvqss.bitvec import (
     cip_census,
     concat_segments,
     extend_segment,
-    inner_product_mod2,
-    segment,
-    xor,
 )
 
 
@@ -54,18 +51,18 @@ class TestBitVector:
 class TestInnerProduct:
     def test_direct_evaluation(self):
         # XOR-of-products formula evaluated by hand.
-        assert inner_product_mod2(bv("101"), bv("110")) == 1
-        assert inner_product_mod2(bv("111"), bv("111")) == 1
+        assert bv("101").dot(bv("110")) == 1
+        assert bv("111").dot(bv("111")) == 1
 
     def test_zero_vector_annihilates(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = BitVector.random(9, rng)
-            assert inner_product_mod2(x, BitVector.zeros(9)) == 0
+            assert x.dot(BitVector.zeros(9)) == 0
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            inner_product_mod2(bv("10"), bv("100"))
+            bv("10").dot(bv("100"))
 
     def test_symmetric_and_linear(self):
         # Exhaustive at p = 4, randomized at larger lengths.
@@ -87,7 +84,7 @@ class TestInnerProduct:
 
 class TestXor:
     def test_bitwise(self):
-        assert xor(bv("1010"), bv("0110")) == bv("1100")
+        assert bv("1010") ^ bv("0110") == bv("1100")
 
     def test_self_inverse_and_identity(self):
         rng = np.random.default_rng(2)
@@ -98,7 +95,7 @@ class TestXor:
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            xor(bv("1"), bv("11"))
+            bv("1") ^ bv("11")
 
 
 class TestSegments:
@@ -149,7 +146,7 @@ class TestSegments:
             parts = [BitVector.random(m, rng) for _ in range(n)]
             whole = SegmentedVector(concat_segments(parts), n, m)
             for i in range(n):
-                assert segment(whole, i) == parts[i]
+                assert whole.segment(i) == parts[i]
 
     def test_concat_rejects_ragged(self):
         with pytest.raises(DimensionError):

@@ -13,6 +13,8 @@ from dpvqss.entangle import (
     IntegrityError,
     _outcome_law,
     _stabilizer_support,
+    dense_outcomes,
+    dense_state,
     distribute,
     insert_decoys,
     sample_icpqc_outcomes,
@@ -50,23 +52,25 @@ def outcome_key(outcome):
 
 
 class TestDistributeOracle:
+    """The dense reference's GHZ preparation."""
+
     def test_bell_pair(self):
-        batch = distribute(2, 1, "oracle", encoders=())
-        assert batch.state.amplitude(0b00) == pytest.approx(SQRT1_2)
-        assert batch.state.amplitude(0b11) == pytest.approx(SQRT1_2)
+        state, _ = dense_state(2, 1)
+        assert state.amplitude(0b00) == pytest.approx(SQRT1_2)
+        assert state.amplitude(0b11) == pytest.approx(SQRT1_2)
 
     def test_tensor_power_of_ghz3(self):
         # Two GHZ_3 tuples across three 2-qubit registers: amplitude 1/2 on
         # every |x>|x>|x> pattern.
-        batch = distribute(3, 2, "oracle", encoders=())
+        state, _ = dense_state(3, 2)
         for xv in range(4):
             idx = xv | (xv << 2) | (xv << 4)
-            assert batch.state.amplitude(idx) == pytest.approx(0.5)
-        assert batch.state.amplitude(0b000001) == pytest.approx(0.0)
+            assert state.amplitude(idx) == pytest.approx(0.5)
+        assert state.amplitude(0b000001) == pytest.approx(0.0)
 
     def test_oracle_capacity_refusal(self):
         with pytest.raises(CapacityError):
-            distribute(5, 8, "oracle", encoders=(4,))
+            dense_state(5, 8, phase_bits={4: BitVector.zeros(8)})
 
 
 class TestHonestSampler:
@@ -75,7 +79,7 @@ class TestHonestSampler:
         s = bv("1011")
         for _ in range(100_000):
             out = sample_idpqc_outcomes(s, n=2, m=2, rng=rng)
-            assert xor_all([out.a] + out.b) == s
+            assert xor_all(out.registers) == s
 
     def test_small_case_uniform_support(self):
         rng = np.random.default_rng(41)
@@ -83,7 +87,7 @@ class TestHonestSampler:
         trials = 4000
         for _ in range(trials):
             out = sample_idpqc_outcomes(bv("1"), n=1, m=1, rng=rng)
-            counts[(out.a.value, out.b[0].value)] += 1
+            counts[(out.registers[1].value, out.registers[0].value)] += 1
         assert set(counts) == {(0, 1), (1, 0)}
         for c in counts.values():
             assert abs(c / trials - 0.5) < 0.05
@@ -93,7 +97,7 @@ class TestHonestSampler:
         s = BitVector.zeros(6)
         for _ in range(200):
             out = sample_idpqc_outcomes(s, n=3, m=2, rng=rng)
-            assert xor_all(out.b) == out.a
+            assert xor_all(out.registers[:3]) == out.registers[3]
 
 
 class TestIcpqcSampler:
@@ -121,11 +125,8 @@ class TestIcpqcSampler:
 
 
 class TestSamplerOracleEquivalence:
-    def idpqc_oracle_counts(self, s, n, m, shots, rng):
-        batch = distribute(
-            n + 1, n * m, "oracle", transmitted=range(n), encoders=(n,)
-        )
-        outs = batch.sample_outcomes({n: s}, shots, rng)
+    def idpqc_dense_counts(self, s, n, m, shots, rng):
+        outs = dense_outcomes(n + 1, n * m, {n: s}, shots, rng)
         violations = sum(
             1 for o in outs if xor_all(o.registers) != s
         )
@@ -135,29 +136,23 @@ class TestSamplerOracleEquivalence:
         rng = np.random.default_rng(46)
         n, m, shots = 2, 1, 10_000
         for s in (bv("01"), bv("11")):
-            oracle_counts, violations = self.idpqc_oracle_counts(s, n, m, shots, rng)
+            dense_counts, violations = self.idpqc_dense_counts(s, n, m, shots, rng)
             assert violations == 0
             sampler_counts = Counter()
             for _ in range(shots):
                 out = sample_idpqc_outcomes(s, n, m, rng)
-                key = 0
-                width = 0
-                for reg in out.b + [out.a]:
-                    key |= reg.value << width
-                    width += reg.length
-                sampler_counts[key] += 1
-            # Oracle support must sit inside the sampler's constraint set.
+                sampler_counts[outcome_key(out)] += 1
+            # Dense support must sit inside the sampler's constraint set.
             support = set(sampler_counts)
-            assert set(oracle_counts) <= support
-            p = chi_square_homogeneity(oracle_counts, sampler_counts)
+            assert set(dense_counts) <= support
+            p = chi_square_homogeneity(dense_counts, sampler_counts)
             assert p > 0.001
 
     def test_subset_marginals_exactly_uniform(self):
         # From the exact pre-measurement state, every proper register subset
         # is uniform no matter the secret.
         for s in (bv("00"), bv("10"), bv("11")):
-            batch = distribute(3, 2, "oracle", transmitted=(0, 1), encoders=(2,))
-            state = batch.final_state({2: s})
+            state, _ = dense_state(3, 2, phase_bits={2: s})
             probs = np.abs(state.amps.reshape([2] * state.q)) ** 2
             # Register i occupies qubits [2i, 2i+1]; axes are reversed.
             for keep in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
@@ -176,7 +171,7 @@ class TestSamplerOracleEquivalence:
             counts = Counter()
             for _ in range(trials):
                 out = sample_idpqc_outcomes(s, n=1, m=2, rng=rng)
-                counts[out.b[0].value] += 1
+                counts[out.registers[0].value] += 1
             dists.append({k: v / trials for k, v in counts.items()})
         tv = sum(
             abs(dists[0].get(k, 0) - dists[1].get(k, 0))
@@ -186,27 +181,22 @@ class TestSamplerOracleEquivalence:
 
 
 class TestTapPhysics:
-    """Cross-validate the sampler's per-tuple attack model against the oracle."""
+    """Cross-validate the sampler's per-tuple attack model against the
+    dense reference."""
 
-    def joint_counts(self, mode, taps, s, n, m, shots, rng):
+    def joint_counts(self, taps, s, n, m, shots, rng):
         counts = Counter()
         for _ in range(shots):
             batch = distribute(
-                n + 1, n * m, mode,
-                taps=taps, transmitted=range(n), encoders=(n,),
+                n + 1, n * m, taps=taps, transmitted=range(n), encoders=(n,),
             )
             transmit(batch, insert_decoys(batch, DecoySpec(0), rng), rng)
             out = batch.encode_and_measure({n: s}, rng)
             counts[outcome_key(out)] += 1
         return counts
 
-    def joint_counts_oracle_batched(self, tap, s, n, m, shots, rng):
-        batch = distribute(
-            n + 1, n * m, "oracle",
-            taps={0: tap}, transmitted=range(n), encoders=(n,),
-        )
-        transmit(batch, insert_decoys(batch, DecoySpec(0), rng), rng)
-        outs = batch.sample_outcomes({n: s}, shots, rng)
+    def dense_counts(self, taps, s, n, m, shots, rng):
+        outs = dense_outcomes(n + 1, n * m, {n: s}, shots, rng, taps)
         return Counter(outcome_key(o) for o in outs)
 
     @pytest.mark.parametrize(
@@ -220,17 +210,17 @@ class TestTapPhysics:
     def test_measuring_taps_match_oracle(self, tap):
         rng = np.random.default_rng(48)
         s, n, m, shots = bv("10"), 1, 2, 6000
-        oracle = self.joint_counts("oracle", {0: tap}, s, n, m, shots, rng)
-        sampler = self.joint_counts("sampler", {0: tap}, s, n, m, shots, rng)
-        assert chi_square_homogeneity(oracle, sampler) > 0.001
+        dense = self.dense_counts({0: tap}, s, n, m, shots, rng)
+        sampler = self.joint_counts({0: tap}, s, n, m, shots, rng)
+        assert chi_square_homogeneity(dense, sampler) > 0.001
 
     def test_entangle_tap_matches_oracle(self):
         rng = np.random.default_rng(49)
         tap = ChannelTap("entangle_measure")
         s, n, m, shots = bv("10"), 2, 1, 8000
-        oracle = self.joint_counts_oracle_batched(tap, s, n, m, shots, rng)
-        sampler = self.joint_counts("sampler", {0: tap}, s, n, m, shots, rng)
-        assert chi_square_homogeneity(oracle, sampler) > 0.001
+        dense = self.dense_counts({0: tap}, s, n, m, shots, rng)
+        sampler = self.joint_counts({0: tap}, s, n, m, shots, rng)
+        assert chi_square_homogeneity(dense, sampler) > 0.001
 
     @pytest.mark.parametrize(
         "taps",
@@ -247,9 +237,9 @@ class TestTapPhysics:
     def test_multi_channel_taps_match_oracle(self, taps):
         rng = np.random.default_rng(63)
         s, n, m, shots = bv("10"), 2, 1, 4000
-        oracle = self.joint_counts("oracle", taps, s, n, m, shots, rng)
-        sampler = self.joint_counts("sampler", taps, s, n, m, shots, rng)
-        assert chi_square_homogeneity(oracle, sampler) > 0.001
+        dense = self.dense_counts(taps, s, n, m, shots, rng)
+        sampler = self.joint_counts(taps, s, n, m, shots, rng)
+        assert chi_square_homogeneity(dense, sampler) > 0.001
 
     @pytest.mark.parametrize("kind", ["measure_resend", "intercept_resend"])
     def test_measuring_taps_read_one_shared_vector(self, kind):
@@ -258,7 +248,7 @@ class TestTapPhysics:
         rng = np.random.default_rng(64)
         tap = ChannelTap(kind)
         for _ in range(500):
-            batch = distribute(3, 2, "sampler", taps={0: tap, 1: tap},
+            batch = distribute(3, 2, taps={0: tap, 1: tap},
                                transmitted=(0, 1), encoders=(2,))
             transmit(batch, insert_decoys(batch, DecoySpec(0), rng), rng)
             out = batch.encode_and_measure({2: bv("01")}, rng)
@@ -270,7 +260,7 @@ class TestTapPhysics:
         r, p = 67, 4
         chans = range(r - 1)
         tap = ChannelTap("intercept_resend", "random")
-        batch = distribute(r, p, "sampler", taps={ch: tap for ch in chans},
+        batch = distribute(r, p, taps={ch: tap for ch in chans},
                            transmitted=chans, encoders=(r - 1,))
         rng = np.random.default_rng(65)
         transmit(batch, insert_decoys(batch, DecoySpec(0), rng), rng)
@@ -295,7 +285,7 @@ class TestTapPhysics:
         trials = 4000
         for _ in range(trials):
             batch = distribute(
-                3, 4, "sampler",
+                3, 4,
                 taps={0: ChannelTap("entangle_measure")},
                 transmitted=(0, 1), encoders=(2,),
             )
@@ -410,7 +400,7 @@ class TestOutcomeLaw:
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_matches_dense_statevector(self, r):
         kicks = [(0,) * r, (1,) * r, tuple(reg % 2 for reg in range(r))]
-        for t in range(1, r + 1):
+        for t in range(r + 1):
             for chans in combinations(range(r), t):
                 # Every mix of kinds, which includes every random-basis
                 # pattern of X and Z reads.
@@ -456,7 +446,7 @@ class TestOutcomeLaw:
 
 class TestDecoys:
     def make_batch(self, taps=None, r=2, p=4):
-        return distribute(r, p, "sampler", taps=taps, transmitted=(0,), encoders=(1,))
+        return distribute(r, p, taps=taps, transmitted=(0,), encoders=(1,))
 
     def test_zero_decoys_is_identity(self):
         rng = np.random.default_rng(51)
@@ -540,7 +530,7 @@ class TestDecoys:
 class TestBatchLifecycle:
     def test_double_measurement_rejected(self):
         rng = np.random.default_rng(61)
-        batch = distribute(2, 2, "sampler", encoders=(1,))
+        batch = distribute(2, 2, encoders=(1,))
         batch.encode_and_measure({1: bv("10")}, rng)
         with pytest.raises(RuntimeError):
             batch.encode_and_measure({1: bv("10")}, rng)
@@ -548,7 +538,7 @@ class TestBatchLifecycle:
     def test_tapped_batch_requires_transmission(self):
         rng = np.random.default_rng(62)
         batch = distribute(
-            2, 2, "sampler", taps={0: ChannelTap("measure_resend")},
+            2, 2, taps={0: ChannelTap("measure_resend")},
             transmitted=(0,), encoders=(1,),
         )
         with pytest.raises(RuntimeError):
@@ -557,6 +547,6 @@ class TestBatchLifecycle:
     def test_tap_on_untransmitted_channel_rejected(self):
         with pytest.raises(ValueError):
             distribute(
-                2, 2, "sampler", taps={1: ChannelTap("measure_resend")},
+                2, 2, taps={1: ChannelTap("measure_resend")},
                 transmitted=(0,), encoders=(1,),
             )

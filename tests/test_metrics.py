@@ -13,7 +13,6 @@ from dpvqss.metrics import (
     eta1,
     eta2,
     eta3,
-    total_variation,
     wilson_interval,
 )
 from dpvqss.protocol import ProtocolConfig, run_protocol
@@ -98,10 +97,6 @@ class TestChiSquare:
         a = Counter({0: 1000})
         b = Counter({1: 1000})
         assert chi_square_homogeneity(a, b) < 1e-6
-
-    def test_total_variation(self):
-        assert total_variation({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}) == 0
-        assert total_variation({0: 1.0}, {1: 1.0}) == 1
 
 
 class TestEmpiricalStats:

@@ -31,10 +31,6 @@ class TestConfig:
         ProtocolConfig(n=5, k=3, m=16)
         with pytest.raises(ValueError):
             ProtocolConfig(n=4, k=2, m=8)  # k <= n/2
-        with pytest.raises(ValueError):
-            ProtocolConfig(n=2, k=2, m=8, backing="oracle")  # 49 qubits
-        with pytest.raises(ValueError):
-            ProtocolConfig(n=2, k=2, m=4, backing="densitymatrix")
 
     def test_elements_requires_alignment(self):
         cfg = ProtocolConfig(n=2, k=2, m=3)
@@ -52,15 +48,6 @@ class TestPhase1:
             inputs, _, abort, _ = phase1_distribute(cfg, s, HONEST, rng)
             assert abort is None
             assert inputs == segments_of(s, cfg.n, cfg.m)
-
-    def test_honest_oracle_recovers_segments(self):
-        cfg = ProtocolConfig(n=2, k=2, m=1, backing="oracle", decoys=2)
-        rng = np.random.default_rng(81)
-        for _ in range(40):
-            s = BitVector.random(2, rng)
-            inputs, _, abort, _ = phase1_distribute(cfg, s, HONEST, rng)
-            assert abort is None
-            assert inputs == segments_of(s, 2, 1)
 
     def test_zero_secret(self):
         cfg = ProtocolConfig(n=3, k=2, m=4)
@@ -147,7 +134,7 @@ class TestPhase2:
         cfg = ProtocolConfig(n=5, k=3, m=4)
         rng = np.random.default_rng(89)
         s, inputs = self.make_inputs(cfg, rng)
-        batch = distribute(cfg.n + 1, cfg.n * cfg.m, "sampler",
+        batch = distribute(cfg.n + 1, cfg.n * cfg.m,
                            transmitted=range(cfg.n), encoders=range(cfg.n))
         phase_bits = {i: extend_segment(inputs[i], i, cfg.n) for i in range(cfg.n)}
         out = batch.encode_and_measure(phase_bits, rng)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpvqss.bitvec import BitVector, CapacityError
-from dpvqss.qsim import MAX_QUBITS, RegisterLayout, StateVector
+from dpvqss.qsim import MAX_QUBITS, StateVector
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -253,13 +253,3 @@ class TestDumpAndLayout:
         assert lines[0].startswith("00 ")
         assert lines[1].startswith("11 ")
         assert float(lines[0].split()[1]) == pytest.approx(SQRT1_2)
-
-    def test_layout_bijection(self):
-        layout = RegisterLayout()
-        a = layout.add("alice", 4)
-        b = layout.add("bob", 2)
-        assert a == (0, 1, 2, 3)
-        assert b == (4, 5)
-        assert layout.total_qubits == 6
-        with pytest.raises(ValueError):
-            layout.add("alice", 1)
