@@ -3,18 +3,18 @@
 Library layout:
 
 - bitvec     bit-vector and segment algebra
-- qsim       exact statevector simulator (tapped decoys, dense reference)
+- qsim       exact statevector simulator (dense reference only)
 - threshold  (k, n) Shamir sharing over GF(2^w) with robust decoding
-- entangle   entanglement distribution, decoys, exact outcome sampler
-             (stabilizer law per tap configuration, untapped rounds too),
-             dense statevector reference of a round
+- entangle   entanglement distribution, decoys (closed-form read law),
+             exact outcome sampler (stabilizer law per tap configuration,
+             untapped rounds too), dense statevector reference of a round
 - adversary  eavesdropper strategies, rogue agents, leakage audits
 - protocol   the three protocol phases and the run orchestrator
 - metrics    qubit-efficiency ratios and empirical statistics
 - cli        experiment driver (run / sweep / oracle-check / metrics / report)
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .bitvec import BitVector, SegmentedVector  # noqa: F401
 from .qsim import StateVector  # noqa: F401

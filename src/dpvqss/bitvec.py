@@ -61,9 +61,14 @@ class BitVector:
 
     @classmethod
     def random(cls, length: int, rng) -> "BitVector":
-        """Uniform vector drawn from a numpy Generator."""
-        nbytes = (length + 7) // 8
-        value = int.from_bytes(rng.bytes(nbytes), "little")
+        """Uniform vector drawn from a numpy Generator.
+
+        Whole 64-bit words come straight from the bit generator:
+        `Generator.bytes` goes through `Generator.integers` and costs about
+        ten times as much.
+        """
+        raw = rng.bit_generator.random_raw((length + 63) // 64)
+        value = int.from_bytes(raw.tobytes(), "little")
         return cls(value & ((1 << length) - 1), length)
 
     @property

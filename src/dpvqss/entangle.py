@@ -14,14 +14,16 @@ constraint: uniform over the register tuples whose XOR is the phase bits.
 statevector.  They are the exact reference the sampler is checked against
 and no protocol path calls them; `StateVector` bounds them at 22 qubits.
 
-Decoy qubits are independent single-qubit systems interleaved into each
-transmitted sequence; they are simulated only when an eavesdropper actually
-touches the channel, since an untouched eigenstate can never mismatch.
+Decoy qubits are Z or X eigenstates interleaved into each transmitted
+sequence and checked in their preparation basis (Bennett & Brassard 1984).
+No decoy state is simulated: one that a tap read in the conjugate basis
+mismatches with probability 1/2, and any other never does (an entangling
+CNOT reads like Z).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import xor
 from typing import Sequence
@@ -51,6 +53,11 @@ class ChannelTap:
         if self.basis not in ("computational", "random"):
             raise ValueError(f"unknown interception basis {self.basis!r}")
 
+    @property
+    def random_basis(self) -> bool:
+        """Whether the tap reads each qubit in a uniformly random Z or X basis."""
+        return self.kind == "intercept_resend" and self.basis == "random"
+
 
 @dataclass(frozen=True)
 class DecoySpec:
@@ -68,9 +75,8 @@ class Decoy:
     channel: int
     slot: int
     label: str
-    # One- or two-qubit statevector, materialized only on tapped channels
-    # (qubit 0 is the decoy, qubit 1 an entangling ancilla if present).
-    state: StateVector | None = None
+    # How a tap read the decoy ("z", "x" or "entangle"); None if untouched.
+    state: str | None = None
 
 
 @dataclass
@@ -80,7 +86,6 @@ class TransmissionPlan:
     slots: dict[int, list[tuple[str, int]]]  # channel -> [("payload", pos) | ("decoy", id)]
     decoys: list[Decoy]
     records: list[tuple[int, int, str]]  # source-retained (channel, slot, label)
-    tapped_channels: set[int] = field(default_factory=set)
 
     def dump(self) -> list[str]:
         """Test format: "channel, slot, kind, state-label" per transmitted item."""
@@ -119,19 +124,6 @@ class EntangledBatch:
                 raise ValueError(f"tap on channel {ch} which is never transmitted")
         self.sealed = False
         self.consumed = False
-
-    # -- transmission -------------------------------------------------------
-
-    def transmit_channel(self, channel: int, plan: TransmissionPlan, rng):
-        """Invoke the tap hook (if any) over one channel's full slot sequence."""
-        tap = self.taps.get(channel)
-        if tap is None:
-            return
-        plan.tapped_channels.add(channel)
-        for kind, ref in plan.slots[channel]:
-            if kind == "decoy":
-                _tap_decoy(plan.decoys[ref], tap, rng)
-            # Payload taps take effect when the outcomes are drawn.
 
     # -- outcome generation ---------------------------------------------------
 
@@ -173,11 +165,7 @@ class EntangledBatch:
         """
         p, r = self.p, self.r
         channels = sorted(self.taps)
-        random_chs = [
-            ch for ch in channels
-            if self.taps[ch].kind == "intercept_resend"
-            and self.taps[ch].basis == "random"
-        ]
+        random_chs = [ch for ch in channels if self.taps[ch].random_basis]
         full = (1 << p) - 1
         groups = [(set(), full)]  # (channels read in the X basis, positions)
         if random_chs:
@@ -202,8 +190,8 @@ class EntangledBatch:
             laws.append((_outcome_law(r, reads), mask))
 
         # Whole 64-bit words per basis vector, straight from the bit
-        # generator: `rng.bytes` goes through `Generator.integers` and costs
-        # more than the rest of a small round.
+        # generator: `Generator.bytes` goes through `Generator.integers` and
+        # costs more than the rest of a small round.
         nbytes = 8 * ((p + 63) // 64)
         dim = max(len(basis) for (_, basis), _ in laws)
         raw = rng.bit_generator.random_raw(dim * nbytes // 8).tobytes()
@@ -390,56 +378,41 @@ def insert_decoys(batch: EntangledBatch, spec: DecoySpec, rng) -> TransmissionPl
 
 
 def transmit(batch: EntangledBatch, plan: TransmissionPlan, rng):
-    """Send every channel through its (possibly tapped) route and seal the batch."""
+    """Send every channel through its (possibly tapped) route and seal the batch.
+
+    Each decoy on a tapped channel records how the tap read it; payload taps
+    take effect when the outcomes are drawn.
+    """
     if batch.sealed:
         raise RuntimeError("batch already transmitted")
-    for ch in sorted(batch.transmitted):
-        batch.transmit_channel(ch, plan, rng)
+    for ch, tap in sorted(batch.taps.items()):
+        decoys = [
+            plan.decoys[ref] for kind, ref in plan.slots[ch] if kind == "decoy"
+        ]
+        x_basis = [False] * len(decoys)
+        if tap.random_basis:
+            x_basis = rng.integers(0, 2, size=len(decoys))
+        for decoy, x in zip(decoys, x_basis):
+            decoy.state = _read(tap, x)
     batch.sealed = True
-
-
-def _tap_decoy(decoy: Decoy, tap: ChannelTap, rng):
-    if tap.kind == "entangle_measure":
-        sv = StateVector(2)
-        sv.prepare_basis(decoy.label, 0)
-        sv.apply_cnot(0, 1)
-    else:
-        sv = StateVector(1)
-        sv.prepare_basis(decoy.label, 0)
-        _measure_tap(sv, 0, tap, rng)
-    decoy.state = sv
-
-
-def _measure_tap(state: StateVector, qubit: int, tap: ChannelTap, rng) -> int:
-    """A measuring tap's read of one qubit; an X read forwards the collapsed
-    eigenstate."""
-    if tap.kind == "intercept_resend" and tap.basis == "random" and rng.integers(2):
-        bit = state.measure_hadamard_basis(qubit, rng)
-        state.apply_h(qubit)
-        return bit
-    return state.measure_qubit(qubit, rng)
 
 
 def verify_decoys(
     plan: TransmissionPlan, records: Sequence[tuple[int, int, str]], rng
 ) -> tuple[int, str]:
-    """Measure every decoy in its preparation basis; any mismatch aborts."""
+    """Check every decoy in its preparation basis; any mismatch aborts.
+
+    A decoy read in the conjugate basis mismatches with probability 1/2 and
+    any other never does, so the mismatch count is one binomial draw.
+    """
     plan_records = [(d.channel, d.slot, d.label) for d in plan.decoys]
     if sorted(records) != sorted(plan_records):
         raise IntegrityError("source records do not match the received plan")
-    mismatches = 0
-    for decoy in plan.decoys:
-        expected = {"0": 0, "1": 1, "+": 0, "-": 1}[decoy.label]
-        if decoy.state is None:
-            # Untouched eigenstate: measuring in the preparation basis can
-            # never err, so the simulation is skipped.
-            continue
-        if decoy.label in ("0", "1"):
-            got = decoy.state.measure_qubit(0, rng)
-        else:
-            got = decoy.state.measure_hadamard_basis(0, rng)
-        if got != expected:
-            mismatches += 1
+    disturbed = sum(
+        (d.label in "+-") != (d.state == "x")
+        for d in plan.decoys if d.state is not None
+    )
+    mismatches = int(rng.binomial(disturbed, 0.5))
     return mismatches, ("abort" if mismatches else "proceed")
 
 
@@ -504,9 +477,15 @@ def dense_state(
                 state.apply_cnot(qubit, ancilla)
                 ancilla += 1
             continue
-        eve[ch] = BitVector.from_bits(
-            _measure_tap(state, qubit, tap, rng) for qubit in qubits
-        )
+        # A random-basis X read forwards the collapsed eigenstate.
+        bits = []
+        for qubit in qubits:
+            if tap.random_basis and rng.integers(2):
+                bits.append(state.measure_hadamard_basis(qubit, rng))
+                state.apply_h(qubit)
+            else:
+                bits.append(state.measure_qubit(qubit, rng))
+        eve[ch] = BitVector.from_bits(bits)
     if phase_bits is not None:
         for i, enc in enumerate(encoders):
             target = r * p + i

@@ -566,4 +566,4 @@ def random_secret(cfg: ProtocolConfig, rng) -> bytes:
     if cfg.w == 4 and n_elements % 2:
         raise ValueError("nibble-width secrets need an even element count")
     n_bytes = n_elements if cfg.w == 8 else n_elements // 2
-    return bytes(rng.bytes(n_bytes))
+    return BitVector.random(8 * n_bytes, rng).value.to_bytes(n_bytes, "little")

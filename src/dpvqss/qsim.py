@@ -1,8 +1,8 @@
 """Exact statevector simulator for small qubit registers.
 
-The protocol samples its entangled rounds from a stabilizer law (see
-`entangle`); it builds a statevector only for the one- or two-qubit decoys an
-eavesdropper touches.  Whole rounds on a statevector serve as the exact
+The protocol never builds a statevector: it samples its entangled rounds
+from a stabilizer law and checks its decoys against a closed-form read law
+(see `entangle`).  Whole rounds on a statevector serve as the exact
 reference (`entangle.dense_state`) that tests and `oracle-check` compare
 the sampler against.
 

@@ -9,8 +9,10 @@ import pytest
 from dpvqss.bitvec import BitVector, CapacityError
 from dpvqss.entangle import (
     ChannelTap,
+    Decoy,
     DecoySpec,
     IntegrityError,
+    TransmissionPlan,
     _outcome_law,
     _stabilizer_support,
     dense_outcomes,
@@ -502,9 +504,64 @@ class TestDecoys:
             aborts += verdict == "abort"
         return aborts / trials
 
-    def test_intercept_resend_detection(self):
-        rate = self.detection_rate(ChannelTap("intercept_resend"), 16, 1000, 56)
+    @pytest.mark.parametrize("basis", ["computational", "random"])
+    def test_intercept_resend_detection(self, basis):
+        rate = self.detection_rate(
+            ChannelTap("intercept_resend", basis), 16, 1000, 56
+        )
         assert rate >= 0.98
+
+    @staticmethod
+    def branch(sv, qubit, bit):
+        """Probability of reading `bit` on `qubit`, and the collapsed state."""
+        out = sv.copy()
+        out.amps[((np.arange(len(out.amps)) >> qubit) & 1) != bit] = 0.0
+        prob = out.norm() ** 2
+        if prob > 1e-12:
+            out.amps /= math.sqrt(prob)
+        return prob, out
+
+    @pytest.mark.parametrize("read", ["z", "x", "entangle"])
+    @pytest.mark.parametrize("label", ["0", "1", "+", "-"])
+    def test_read_law_matches_dense_statevector(self, label, read):
+        disturbed = (label in "+-") != (read == "x")
+        # The decoy as a dense state: a Z or X read collapses qubit 0 and
+        # forwards the eigenstate; an entangling tap CNOTs it onto qubit 1,
+        # whose Z value is Eve's branch.
+        sv = StateVector(2 if read == "entangle" else 1)
+        sv.prepare_basis(label, 0)
+        if read == "entangle":
+            sv.apply_cnot(0, 1)
+        elif read == "x":
+            sv.apply_h(0)
+        seen = 0.0
+        for bit in (0, 1):
+            prob, post = self.branch(sv, 1 if read == "entangle" else 0, bit)
+            if prob <= 1e-12:
+                continue
+            seen += prob
+            if read == "x":
+                post.apply_h(0)
+            if label in "+-":
+                post.apply_h(0)
+            expected = 1 if label in "1-" else 0
+            p_mismatch = abs(expected - post.probability_one(0))
+            assert abs(p_mismatch - (0.5 if disturbed else 0.0)) < 1e-12
+        assert abs(seen - 1.0) < 1e-12
+
+        # verify_decoys draws from the same law.
+        d = 400
+        plan = TransmissionPlan(
+            {0: [("decoy", i) for i in range(d)]},
+            [Decoy(0, i, label, read) for i in range(d)],
+            [(0, i, label) for i in range(d)],
+        )
+        mismatches, _ = verify_decoys(plan, plan.records,
+                                      np.random.default_rng(63))
+        if disturbed:
+            assert abs(mismatches / d - 0.5) < 0.1
+        else:
+            assert mismatches == 0
 
     def test_measure_resend_matches_intercept_z(self):
         a = self.detection_rate(ChannelTap("measure_resend"), 8, 800, 57)
