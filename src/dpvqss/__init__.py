@@ -6,15 +6,15 @@ Library layout:
 - qsim       exact statevector simulator (dense reference only)
 - threshold  (k, n) Shamir sharing over GF(2^w) with robust decoding
 - entangle   entanglement distribution, decoys (closed-form read law),
-             exact outcome sampler (stabilizer law per tap configuration,
-             untapped rounds too), dense statevector reference of a round
+             exact outcome sampler (closed-form GHZ read law, every round),
+             dense statevector reference of a round
 - adversary  eavesdropper strategies, rogue agents, leakage audits
 - protocol   the three protocol phases and the run orchestrator
 - metrics    qubit-efficiency ratios and empirical statistics
 - cli        experiment driver (run / sweep / oracle-check / metrics / report)
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .bitvec import BitVector, SegmentedVector  # noqa: F401
 from .qsim import StateVector  # noqa: F401

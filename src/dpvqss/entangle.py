@@ -4,11 +4,12 @@ A batch models r parties holding p-qubit registers whose j-th qubits form one
 GHZ_r tuple (a Bell pair when r = 2).  Every round, tapped or not, is an
 H/CNOT circuit, so each tuple's joint outcome is uniform over an affine
 subspace of GF(2)^(r+t) for t tapped channels (Aaronson & Gottesman 2004).
-That law depends only on the tap configuration, not on the phase bits (a
-phase kick before the Hadamard layer is a bit flip after it); it is computed
-once per configuration on a stabilizer tableau, cached, and sampled for all
-p positions at once, at any register width.  With no taps it is the XOR
-constraint: uniform over the register tuples whose XOR is the phase bits.
+The round only prepares GHZ tuples, reads them channel by channel and
+applies a Hadamard layer, so that subspace has a closed form, `_read_law`,
+which draws all p positions at once as p-bit words, whatever each position's
+read basis.  The phase bits only shift it: a phase kick before the Hadamard
+layer is a bit flip after it.  With no taps it is the XOR constraint:
+uniform over the register tuples whose XOR is the phase bits.
 
 `dense_state` and `dense_outcomes` build the same round as one dense
 statevector.  They are the exact reference the sampler is checked against
@@ -24,9 +25,9 @@ CNOT reads like Z).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import xor
-from typing import Sequence
+from functools import reduce
+from operator import and_, xor
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -81,20 +82,10 @@ class Decoy:
 
 @dataclass
 class TransmissionPlan:
-    """Per-channel ordered slots of payload qubits and interleaved decoys."""
+    """The decoys interleaved into the transmitted channels."""
 
-    slots: dict[int, list[tuple[str, int]]]  # channel -> [("payload", pos) | ("decoy", id)]
-    decoys: list[Decoy]
+    decoys: list[Decoy]  # per channel in increasing order, by slot
     records: list[tuple[int, int, str]]  # source-retained (channel, slot, label)
-
-    def dump(self) -> list[str]:
-        """Test format: "channel, slot, kind, state-label" per transmitted item."""
-        lines = []
-        for ch in sorted(self.slots):
-            for slot, (kind, ref) in enumerate(self.slots[ch]):
-                label = f"pos{ref}" if kind == "payload" else self.decoys[ref].label
-                lines.append(f"{ch}, {slot}, {kind}, {label}")
-        return lines
 
 
 @dataclass
@@ -156,57 +147,36 @@ class EntangledBatch:
         return self._sample(phase_bits, rng)
 
     def _sample(self, phase_bits, rng) -> RoundOutcome:
-        """Draw every tuple position at once from its tap configuration's law
-        (with no taps, the XOR constraint).
+        """Draw every tuple position at once from the read law.
 
-        A random-basis interception reads each position in the X basis where
-        its basis bit is set, so positions are grouped by basis pattern and
-        each group is drawn from its own cached law.
+        The draws are uniform p-bit words: r for the registers, one per
+        entangling tap, one shared Z outcome, then one basis word per
+        random-basis tap, whose set bits are the positions it reads in the
+        X basis.
         """
         p, r = self.p, self.r
         channels = sorted(self.taps)
         random_chs = [ch for ch in channels if self.taps[ch].random_basis]
-        full = (1 << p) - 1
-        groups = [(set(), full)]  # (channels read in the X basis, positions)
-        if random_chs:
-            basis_bits = rng.integers(0, 2, size=(len(random_chs), p))
-            patterns, which = np.unique(basis_bits, axis=1, return_inverse=True)
-            which = which.reshape(-1)
-            groups = [
-                (
-                    {ch for ch, bit in zip(random_chs, pattern) if bit},
-                    int.from_bytes(
-                        np.packbits(which == g, bitorder="little").tobytes(),
-                        "little",
-                    ),
-                )
-                for g, pattern in enumerate(patterns.T)
-            ]
-        laws = []
-        for x_basis, mask in groups:
-            reads = tuple(
-                (ch, _read(self.taps[ch], ch in x_basis)) for ch in channels
-            )
-            laws.append((_outcome_law(r, reads), mask))
-
-        # Whole 64-bit words per basis vector, straight from the bit
-        # generator: `Generator.bytes` goes through `Generator.integers` and
-        # costs more than the rest of a small round.
-        nbytes = 8 * ((p + 63) // 64)
-        dim = max(len(basis) for (_, basis), _ in laws)
-        raw = rng.bit_generator.random_raw(dim * nbytes // 8).tobytes()
-        draws = [
-            int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
-            for i in range(dim)
+        entangling = [
+            ch for ch in channels if self.taps[ch].kind == "entangle_measure"
         ]
-        outputs = [0] * (r + len(channels))
-        for (offset, basis), mask in laws:
-            # Each set bit j of a law vector XORs its draw into output j.
-            for vec, draw in ((offset, full), *zip(basis, draws)):
-                draw &= mask
-                while vec:
-                    outputs[(vec & -vec).bit_length() - 1] ^= draw
-                    vec &= vec - 1
+        count = r + len(entangling) + 1 + len(random_chs)
+        # Whole 64-bit words per draw, straight from the bit generator:
+        # `Generator.bytes` goes through `Generator.integers` and costs more
+        # than the rest of a small round.
+        nbytes = 8 * ((p + 63) // 64)
+        raw = rng.bit_generator.random_raw(count * nbytes // 8).tobytes()
+        full = (1 << p) - 1
+        draws = [
+            int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") & full
+            for i in range(count)
+        ]
+        x_reads = dict(zip(random_chs, draws[count - len(random_chs):]))
+        reads = [
+            (ch, None if ch in entangling else x_reads.get(ch, 0))
+            for ch in channels
+        ]
+        outputs = _read_law(r, p, reads, iter(draws))
         # A phase kick before the Hadamard layer is a bit flip after it.
         for enc, vec in phase_bits.items():
             outputs[enc] ^= vec.value
@@ -227,102 +197,34 @@ def _read(tap: ChannelTap, x_basis: bool) -> str:
     return "x" if x_basis else "z"
 
 
-@lru_cache(maxsize=4096)
-def _outcome_law(
-    r: int, reads: tuple[tuple[int, str], ...]
-) -> tuple[int, tuple[int, ...]]:
-    """Joint outcome law of one GHZ_r tuple under `reads`, without phase kicks.
+def _read_law(
+    r: int, p: int, reads: list[tuple[int, int | None]], draws: Iterator[int]
+) -> list[int]:
+    """Outcomes of one round at all p positions, before the phase kicks.
 
-    Outputs are the r register bits, then one eavesdropper bit per entry of
-    `reads`.  Each mid-circuit measurement is deferred onto its own ancilla:
-    a Z read is CNOT(channel -> ancilla); an X read that forwards the
-    collapsed eigenstate is H, CNOT, H on the channel.  An entangling tap's
-    ancilla is read in the X basis at the end.  The outcomes are uniform over
-    offset + span(basis), as returned by `_stabilizer_support`.
+    `reads` lists the tapped channels in increasing order, each with the
+    p-bit mask of positions its tap reads in the X basis (Z at the others),
+    or None for an entangling tap.  `draws` yields uniform p-bit words.
+    Returns the r register words, then Eve's word per entry of `reads`.
+
+    At each position the round is uniform subject only to:
+    1. an X read on channel c gives register c's bit;
+    2. all Z reads give the same bit;
+    3. with no Z read, the registers and the entangling taps' bits XOR to 0.
+    A Z read collapses the GHZ tuple, so the Hadamard layer leaves every
+    qubit not read in X uniform.  An X read forwards its eigenstate, which
+    the Hadamard layer turns back into Eve's bit, and flips the remaining
+    GHZ phase by that bit.  An entangling tap's ancilla joins the GHZ tuple.
     """
-    gates = [("h", 0)] + [("cnot", 0, i) for i in range(1, r)]
-    for i, (ch, read) in enumerate(reads):
-        if read == "x":
-            gates += [("h", ch), ("cnot", ch, r + i), ("h", ch)]
-        else:
-            gates.append(("cnot", ch, r + i))
-    gates += [("h", i) for i in range(r)]
-    gates += [
-        ("h", r + i) for i, (_, read) in enumerate(reads) if read == "entangle"
-    ]
-    return _stabilizer_support(r + len(reads), gates)
-
-
-def _stabilizer_support(q: int, gates) -> tuple[int, tuple[int, ...]]:
-    """Z-basis outcome law of an H/CNOT circuit applied to |0...0>.
-
-    Stabilizer rows are [x, z, sign] over q-bit masks, updated by the
-    tableau rules of Aaronson & Gottesman (2004).  The computational-basis
-    support of the final state is offset + span(basis): the X parts of the
-    stabilizer group span its directions, and its Z-only elements fix the
-    offset.  Every point of the support is equally likely.
-    """
-    rows = [[0, 1 << a, 0] for a in range(q)]
-    for name, *qubits in gates:
-        for row in rows:
-            x, z = row[0], row[1]
-            if name == "h":
-                (a,) = qubits
-                xa, za = (x >> a) & 1, (z >> a) & 1
-                row[2] ^= xa & za
-                if xa != za:
-                    row[0] ^= 1 << a
-                    row[1] ^= 1 << a
-            else:
-                c, t = qubits
-                xc, zc = (x >> c) & 1, (z >> c) & 1
-                xt, zt = (x >> t) & 1, (z >> t) & 1
-                row[2] ^= xc & zt & (xt ^ zc ^ 1)
-                row[0] ^= xc << t
-                row[1] ^= zt << c
-
-    x_pivots, rows = _eliminate(rows, 0, q)
-    # What is left is Z-only: each row [0, z, s] demands parity z.x = s.
-    offset = 0
-    for a, (_, z, s) in reversed(_eliminate(rows, 1, q)[0]):
-        # Later pivots and free coordinates (left at 0) are already set.
-        offset |= (s ^ (z & offset).bit_count() & 1) << a
-    return offset, tuple(row[0] for _, row in x_pivots)
-
-
-def _eliminate(rows, part: int, q: int):
-    """Row-reduce signed Pauli rows on their x (part 0) or z (part 1) masks.
-
-    Returns the (column, row) pivots in increasing column order, each pivot
-    row clear of every earlier pivot column, and the rows whose mask in that
-    part reduced to zero.
-    """
-    pivots = []
-    for a in range(q):
-        pivot = next((row for row in rows if (row[part] >> a) & 1), None)
-        if pivot is None:
-            continue
-        rows = [
-            _pauli_product(row, pivot) if (row[part] >> a) & 1 else row
-            for row in rows if row is not pivot
-        ]
-        pivots.append((a, pivot))
-    return pivots, rows
-
-
-def _pauli_product(p1, p2):
-    """The product of two commuting signed Pauli rows [x, z, sign]."""
-    x1, z1, s1 = p1
-    x2, z2, s2 = p2
-    y1, xo1, zo1 = x1 & z1, x1 & ~z1, z1 & ~x1
-    y2, xo2, zo2 = x2 & z2, x2 & ~z2, z2 & ~x2
-    # Power of i picked up qubit by qubit (Aaronson & Gottesman's g).
-    g = (
-        (y1 & zo2).bit_count() - (y1 & xo2).bit_count()
-        + (xo1 & y2).bit_count() - (xo1 & zo2).bit_count()
-        + (zo1 & xo2).bit_count() - (zo1 & y2).bit_count()
-    )
-    return [x1 ^ x2, z1 ^ z2, ((2 * s1 + 2 * s2 + g) % 4) // 2]
+    registers = [next(draws) for _ in range(r)]
+    eve = [next(draws) if x is None else 0 for _, x in reads]
+    shared = next(draws)
+    no_z = reduce(and_, (x for _, x in reads if x is not None), (1 << p) - 1)
+    registers[-1] ^= reduce(xor, registers + eve) & no_z
+    for i, (ch, x) in enumerate(reads):
+        if x is not None:
+            eve[i] = (registers[ch] & x) | (shared & ~x)
+    return registers + eve
 
 
 def distribute(
@@ -345,36 +247,19 @@ def distribute(
 
 
 def insert_decoys(batch: EntangledBatch, spec: DecoySpec, rng) -> TransmissionPlan:
-    """Interleave per-channel decoys at seeded random positions."""
-    slots: dict[int, list[tuple[str, int]]] = {}
+    """Interleave per-channel decoys at seeded random slots."""
     decoys: list[Decoy] = []
-    records = []
     d = spec.count_per_channel
-    for ch in sorted(batch.transmitted):
-        total = batch.p + d
-        if d:
-            decoy_slots = set(
-                int(s) for s in rng.choice(total, size=d, replace=False)
-            )
-            labels = [BASIS_LABELS[i] for i in rng.integers(0, 4, size=d)]
-        else:
-            decoy_slots = set()
-            labels = []
-        channel_slots = []
-        pos = 0
-        label_idx = 0
-        for slot in range(total):
-            if slot in decoy_slots:
-                label = labels[label_idx]
-                label_idx += 1
-                decoys.append(Decoy(ch, slot, label))
-                records.append((ch, slot, label))
-                channel_slots.append(("decoy", len(decoys) - 1))
-            else:
-                channel_slots.append(("payload", pos))
-                pos += 1
-        slots[ch] = channel_slots
-    return TransmissionPlan(slots, decoys, records)
+    if d:
+        for ch in sorted(batch.transmitted):
+            slots = np.sort(rng.choice(batch.p + d, size=d, replace=False))
+            labels = rng.integers(0, 4, size=d)
+            decoys += [
+                Decoy(ch, int(slot), BASIS_LABELS[label])
+                for slot, label in zip(slots, labels)
+            ]
+    records = [(decoy.channel, decoy.slot, decoy.label) for decoy in decoys]
+    return TransmissionPlan(decoys, records)
 
 
 def transmit(batch: EntangledBatch, plan: TransmissionPlan, rng):
@@ -386,9 +271,7 @@ def transmit(batch: EntangledBatch, plan: TransmissionPlan, rng):
     if batch.sealed:
         raise RuntimeError("batch already transmitted")
     for ch, tap in sorted(batch.taps.items()):
-        decoys = [
-            plan.decoys[ref] for kind, ref in plan.slots[ch] if kind == "decoy"
-        ]
+        decoys = [decoy for decoy in plan.decoys if decoy.channel == ch]
         x_basis = [False] * len(decoys)
         if tap.random_basis:
             x_basis = rng.integers(0, 2, size=len(decoys))
@@ -424,20 +307,6 @@ def sample_idpqc_outcomes(s: BitVector, n: int, m: int, rng) -> RoundOutcome:
         raise DimensionError(f"secret length {s.length} != n*m = {n * m}")
     batch = distribute(n + 1, n * m, transmitted=range(n), encoders=(n,))
     return batch.encode_and_measure({n: s}, rng)
-
-
-def sample_icpqc_outcomes(
-    s_i: BitVector, s_j: BitVector, rng
-) -> tuple[BitVector, BitVector]:
-    """One honest pairwise-consolidation round: uniform pairs with
-    b_i XOR b_j = s_i XOR s_j."""
-    if s_i.length != s_j.length:
-        raise DimensionError(
-            f"partial vectors of lengths {s_i.length} and {s_j.length}"
-        )
-    batch = distribute(2, s_i.length, encoders=(0, 1))
-    out = batch.encode_and_measure({0: s_i, 1: s_j}, rng)
-    return out.registers[0], out.registers[1]
 
 
 def dense_state(

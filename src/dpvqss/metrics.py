@@ -8,8 +8,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from scipy.stats import chi2
-
 
 def eta1(n: int, m: int) -> Fraction:
     """Distribution-phase efficiency: n*m useful bits over (n+1)*n*m + 1 qubits."""
@@ -100,6 +98,9 @@ def chi_square_homogeneity(
     dof = used_cells - 1
     if dof <= 0:
         return 1.0
+    # Imported here: scipy.stats is most of the cost of `import dpvqss`.
+    from scipy.stats import chi2
+
     return float(chi2.sf(stat, dof))
 
 

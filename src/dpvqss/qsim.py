@@ -1,8 +1,8 @@
 """Exact statevector simulator for small qubit registers.
 
 The protocol never builds a statevector: it samples its entangled rounds
-from a stabilizer law and checks its decoys against a closed-form read law
-(see `entangle`).  Whole rounds on a statevector serve as the exact
+from a closed-form GHZ read law and checks its decoys against another
+closed-form read law (see `entangle`).  Whole rounds on a statevector serve as the exact
 reference (`entangle.dense_state`) that tests and `oracle-check` compare
 the sampler against.
 

@@ -13,19 +13,18 @@ from dpvqss.entangle import (
     DecoySpec,
     IntegrityError,
     TransmissionPlan,
-    _outcome_law,
-    _stabilizer_support,
+    _read_law,
     dense_outcomes,
     dense_state,
     distribute,
     insert_decoys,
-    sample_icpqc_outcomes,
     sample_idpqc_outcomes,
     transmit,
     verify_decoys,
 )
 from dpvqss.metrics import chi_square_homogeneity
 from dpvqss.qsim import StateVector
+from stabilizer_reference import echelon, in_span, outcome_law, uniform_law
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -102,12 +101,20 @@ class TestHonestSampler:
             assert xor_all(out.registers[:3]) == out.registers[3]
 
 
+def sample_icpqc(s_i, s_j, rng):
+    """One honest pairwise-consolidation round: b_i XOR b_j = s_i XOR s_j."""
+    out = distribute(2, s_i.length, encoders=(0, 1)).encode_and_measure(
+        {0: s_i, 1: s_j}, rng
+    )
+    return out.registers[0], out.registers[1]
+
+
 class TestIcpqcSampler:
     def test_single_bit_difference(self):
         rng = np.random.default_rng(43)
         counts = Counter()
         for _ in range(2000):
-            bi, bj = sample_icpqc_outcomes(bv("0"), bv("1"), rng)
+            bi, bj = sample_icpqc(bv("0"), bv("1"), rng)
             counts[(bi.value, bj.value)] += 1
         assert set(counts) == {(0, 1), (1, 0)}
 
@@ -115,14 +122,14 @@ class TestIcpqcSampler:
         rng = np.random.default_rng(44)
         s = bv("1101")
         for _ in range(200):
-            bi, bj = sample_icpqc_outcomes(s, s, rng)
+            bi, bj = sample_icpqc(s, s, rng)
             assert bi == bj
 
     def test_xor_matches_in_every_draw(self):
         rng = np.random.default_rng(45)
         si, sj = bv("10110101"), bv("01110010")
         for _ in range(100_000):
-            bi, bj = sample_icpqc_outcomes(si, sj, rng)
+            bi, bj = sample_icpqc(si, sj, rng)
             assert bi ^ bj == si ^ sj
 
 
@@ -266,13 +273,17 @@ class TestTapPhysics:
                            transmitted=chans, encoders=(r - 1,))
         rng = np.random.default_rng(65)
         transmit(batch, insert_decoys(batch, DecoySpec(0), rng), rng)
-        # The sampler's first draw is the basis bits.
-        basis_bits = copy.deepcopy(rng).integers(0, 2, size=(r - 1, p))
+        # The sampler draws one 64-bit word each for the r registers and the
+        # shared Z outcome, then the basis words, one per channel.
+        raw = copy.deepcopy(rng).bit_generator.random_raw(r + 1 + len(chans))
+        basis_words = [int(word) for word in raw[r + 1:]]
         out = batch.encode_and_measure({r - 1: BitVector.zeros(p)}, rng)
         vectors = out.registers + [out.eve[ch] for ch in chans]
         for j in range(p):
-            reads = tuple((ch, "x" if basis_bits[ch, j] else "z") for ch in chans)
-            offset, basis = _outcome_law(r, reads)
+            reads = tuple(
+                (ch, "x" if (basis_words[ch] >> j) & 1 else "z") for ch in chans
+            )
+            offset, basis = outcome_law(r, reads)
             point = offset
             for i, vec in enumerate(vectors):
                 point ^= vec.bit(j) << i
@@ -298,20 +309,6 @@ class TestTapPhysics:
             ones += e.weight()
         freq = ones / (trials * 4)
         assert abs(freq - 0.5) < 0.02
-
-
-def in_span(point, basis):
-    """Whether a bit mask lies in the GF(2) span of the given masks."""
-    reduced = []  # echelon form, keyed by leading bit
-    for vec in basis:
-        for row in reduced:
-            vec = min(vec, vec ^ row)
-        if vec:
-            reduced.append(vec)
-            reduced.sort(reverse=True)
-    for row in reduced:
-        point = min(point, point ^ row)
-    return point == 0
 
 
 class _Forced:
@@ -378,26 +375,38 @@ def dense_tuple_law(r, reads, z):
     return law
 
 
-def uniform_law(offset, basis):
-    """Probabilities of the uniform law over offset + span(basis)."""
-    law = Counter()
-    for coeffs in product((0, 1), repeat=len(basis)):
-        key = offset
-        for c, vec in zip(coeffs, basis):
-            if c:
-                key ^= vec
-        law[key] += 1.0 / (1 << len(basis))
-    return law
+def sampler_law(r, reads):
+    """The production read law at one position as (offset, basis).
+
+    `reads` pairs each tapped channel, in increasing order, with "z", "x" or
+    "entangle".  The law is linear in its uniform draws, so the all-zero
+    draw gives the offset and each unit draw one spanning vector.
+    """
+    reads = [
+        (ch, None if read == "entangle" else int(read == "x"))
+        for ch, read in reads
+    ]
+    count = r + sum(x is None for _, x in reads) + 1
+
+    def point(draws):
+        outputs = _read_law(r, 1, reads, iter(draws))
+        return sum(bit << i for i, bit in enumerate(outputs))
+
+    offset = point([0] * count)
+    units = ([int(i == k) for i in range(count)] for k in range(count))
+    return offset, [point(draws) ^ offset for draws in units]
 
 
 def affine_tuple_law(r, reads, z):
-    """The cached law with the phase kicks applied as output bit flips."""
-    offset, basis = _outcome_law(r, reads)
-    return uniform_law(offset ^ sum(bit << reg for reg, bit in enumerate(z)), basis)
+    """The sampler's law with the phase kicks applied as output bit flips."""
+    offset, basis = sampler_law(r, reads)
+    return uniform_law(
+        offset ^ sum(bit << reg for reg, bit in enumerate(z)), echelon(basis)
+    )
 
 
 class TestOutcomeLaw:
-    """The cached affine law against exact dense probabilities."""
+    """The sampler's closed-form read law against exact references."""
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_matches_dense_statevector(self, r):
@@ -414,36 +423,23 @@ class TestOutcomeLaw:
                         for k in set(affine) | set(dense):
                             assert abs(affine[k] - dense[k]) < 1e-12, (key, z, k)
 
-    def test_random_circuits_match_dense_statevector(self):
-        # General H/CNOT circuits, where (unlike the protocol's) the support
-        # can miss the all-zero outcome, so the stabilizer signs matter.
-        rng = np.random.default_rng(66)
-        offsets = 0
-        for _ in range(400):
-            q = int(rng.integers(1, 5))
-            sv = StateVector(q)
-            gates = []
-            for _ in range(int(rng.integers(1, 16))):
-                if q > 1 and rng.random() < 0.5:
-                    c, t = (int(x) for x in rng.choice(q, 2, replace=False))
-                    sv.apply_cnot(c, t)
-                    gates.append(("cnot", c, t))
-                else:
-                    a = int(rng.integers(q))
-                    sv.apply_h(a)
-                    gates.append(("h", a))
-            offset, basis = _stabilizer_support(q, gates)
-            offsets += offset != 0
-            law = uniform_law(offset, basis)
-            probs = np.abs(sv.amps) ** 2
-            assert np.allclose(
-                [law[i] for i in range(1 << q)], probs, rtol=0, atol=1e-12
-            ), gates
-        assert offsets > 0
-
-    def test_law_is_cached(self):
-        reads = ((0, "entangle"), (1, "z"))
-        assert _outcome_law(3, reads) is _outcome_law(3, reads)
+    def test_matches_stabilizer_tableau(self):
+        # Every sorted channel subset and mix of reads up to r = 6, which
+        # includes untapped and entangle-only rounds: the same offset and
+        # span, so the same uniform law.
+        cases = 0
+        for r in range(2, 7):
+            for t in range(r + 1):
+                for chans in combinations(range(r), t):
+                    for reads in product(("entangle", "z", "x"), repeat=t):
+                        key = tuple(zip(chans, reads))
+                        offset, basis = sampler_law(r, key)
+                        ref_offset, ref_basis = outcome_law(r, key)
+                        assert in_span(offset ^ ref_offset, ref_basis), key
+                        assert all(in_span(v, ref_basis) for v in basis), key
+                        assert len(echelon(basis)) == len(ref_basis), key
+                        cases += 1
+        assert cases == sum(4 ** r for r in range(2, 7))
 
 
 class TestDecoys:
@@ -453,16 +449,17 @@ class TestDecoys:
     def test_zero_decoys_is_identity(self):
         rng = np.random.default_rng(51)
         batch = self.make_batch()
+        state = rng.bit_generator.state
         plan = insert_decoys(batch, DecoySpec(0), rng)
-        assert plan.decoys == []
-        assert [kind for kind, _ in plan.slots[0]] == ["payload"] * 4
+        assert plan.decoys == [] and plan.records == []
+        assert rng.bit_generator.state == state
 
     def test_seeded_positions_reproducible(self):
         batch = self.make_batch()
         plan_a = insert_decoys(batch, DecoySpec(4), np.random.default_rng(52))
         plan_b = insert_decoys(self.make_batch(), DecoySpec(4), np.random.default_rng(52))
         assert plan_a.records == plan_b.records
-        assert plan_a.dump() == plan_b.dump()
+        assert plan_a.decoys == plan_b.decoys
 
     def test_labels_uniform(self):
         rng = np.random.default_rng(53)
@@ -476,13 +473,29 @@ class TestDecoys:
         for label in "01+-":
             assert abs(counts[label] / total - 0.25) < 0.02
 
-    def test_dump_format(self):
+    def test_plan_layout(self):
+        # Two decoys among the 4 + 2 slots of the one transmitted channel,
+        # in slot order, and recorded as planned.
         rng = np.random.default_rng(54)
         plan = insert_decoys(self.make_batch(), DecoySpec(2), rng)
-        lines = plan.dump()
-        assert len(lines) == 6
-        assert all(line.startswith("0, ") for line in lines)
-        assert sum(", decoy, " in line for line in lines) == 2
+        assert len(plan.decoys) == 2
+        assert all(d.channel == 0 and d.state is None for d in plan.decoys)
+        slots = [d.slot for d in plan.decoys]
+        assert slots == sorted(set(slots))
+        assert all(0 <= slot < 6 for slot in slots)
+        assert plan.records == [(d.channel, d.slot, d.label) for d in plan.decoys]
+
+    def test_decoys_follow_their_channel(self):
+        # Only the tapped channel's decoys record a read.
+        rng = np.random.default_rng(67)
+        batch = distribute(4, 5, taps={2: ChannelTap("measure_resend")},
+                           transmitted=(0, 2, 3), encoders=(1,))
+        plan = insert_decoys(batch, DecoySpec(3), rng)
+        assert [d.channel for d in plan.decoys] == [0] * 3 + [2] * 3 + [3] * 3
+        transmit(batch, plan, rng)
+        assert [d.state is not None for d in plan.decoys] == (
+            [False] * 3 + [True] * 3 + [False] * 3
+        )
 
     def test_untouched_channel_never_mismatches(self):
         rng = np.random.default_rng(55)
@@ -552,7 +565,6 @@ class TestDecoys:
         # verify_decoys draws from the same law.
         d = 400
         plan = TransmissionPlan(
-            {0: [("decoy", i) for i in range(d)]},
             [Decoy(0, i, label, read) for i in range(d)],
             [(0, i, label) for i in range(d)],
         )

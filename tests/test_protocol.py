@@ -242,13 +242,20 @@ class TestRunProtocol:
             assert rep.verdict == "abort"
             assert rep.abort.phase == "phase2"
 
-    @pytest.mark.parametrize("kind", ["entangle_measure", "pns"])
-    def test_wide_entangling_taps_reach_a_verdict(self, kind):
+    @pytest.mark.parametrize(
+        "kind, basis",
+        [("entangle_measure", "computational"), ("pns", "computational"),
+         ("intercept_resend", "random")],
+        ids=["entangle_measure", "pns", "intercept_resend_random"],
+    )
+    def test_wide_entangling_taps_reach_a_verdict(self, kind, basis):
         # Taps on all 15 phase-1 channels: 31 qubits per tuple, far past the
-        # dense 22-qubit bound.  Eve's ancillas join the XOR chain, so the
-        # agents' slices are wrong and verification aborts.
+        # dense 22-qubit bound.  Eve's ancillas join the XOR chain, or her
+        # reads collapse the tuples, so the agents' slices are wrong and
+        # verification aborts.  A random-basis interception reads each
+        # position in its own basis pattern.
         cfg = ProtocolConfig(n=15, k=8, m=16, decoys=0)
-        plan = AdversaryPlan(eve=EveStrategy(kind, phases=(1,)))
+        plan = AdversaryPlan(eve=EveStrategy(kind, basis, phases=(1,)))
         rng = np.random.default_rng(98)
         start = time.monotonic()
         rep = run_protocol(cfg, random_secret(cfg, rng), plan, rng=rng)
