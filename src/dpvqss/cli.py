@@ -9,7 +9,8 @@ Config files are flat key=value text with dotted sections::
     trials = 100
 
 Unknown keys are rejected by name.  Sweeps add `sweep.<key> = v1,v2,...`
-entries whose cross-product defines the grid.  Every subcommand is
+entries whose cross-product defines the grid; seed, trials, out and audit
+cannot be swept, and a sweep config cannot set audit.  Every subcommand is
 deterministic under a fixed --seed; exit codes are 0 (success), 1 (error),
 and 2 (a protocol abort was observed by `run`).
 """
@@ -101,6 +102,9 @@ CONFIG_KEYS = {
 }
 
 REQUIRED_KEYS = ("protocol.n", "protocol.k", "protocol.m")
+# Per-run keys: every cell shares one seed, trial count and output, and a
+# sweep runs no leakage audit.
+UNSWEPT_KEYS = ("seed", "trials", "out", "audit")
 
 
 @dataclass
@@ -143,6 +147,8 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
             base_key = key[len("sweep."):]
             if base_key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown sweep key {base_key!r}")
+            if base_key in UNSWEPT_KEYS:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} cannot be swept")
             conv = CONFIG_KEYS[base_key][0]
             try:
                 sweep[base_key] = tuple(conv(tok.strip()) for tok in value.split(","))
@@ -164,6 +170,8 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
             raise ConfigError(f"{path}: missing required key {key!r}")
     values = {k: raw.get(k, default) for k, (_, default) in CONFIG_KEYS.items()}
     if sweep:
+        if values["audit"]:
+            raise ConfigError(f"{path}: key 'audit' is not supported in sweeps")
         return RunConfig(values, sweep, None, None)
     try:
         protocol = _build_protocol(values)

@@ -60,17 +60,6 @@ class ChannelTap:
         return self.kind == "intercept_resend" and self.basis == "random"
 
 
-@dataclass(frozen=True)
-class DecoySpec:
-    """How many decoys to interleave into each transmitted channel."""
-
-    count_per_channel: int = 16
-
-    def __post_init__(self):
-        if self.count_per_channel < 0:
-            raise ValueError("decoy count must be nonnegative")
-
-
 @dataclass
 class Decoy:
     channel: int
@@ -246,10 +235,11 @@ def distribute(
     return EntangledBatch(r, p, taps or {}, transmitted, encoders)
 
 
-def insert_decoys(batch: EntangledBatch, spec: DecoySpec, rng) -> TransmissionPlan:
-    """Interleave per-channel decoys at seeded random slots."""
+def insert_decoys(batch: EntangledBatch, d: int, rng) -> TransmissionPlan:
+    """Interleave d decoys per channel at seeded random slots."""
+    if d < 0:
+        raise ValueError("decoy count must be nonnegative")
     decoys: list[Decoy] = []
-    d = spec.count_per_channel
     if d:
         for ch in sorted(batch.transmitted):
             slots = np.sort(rng.choice(batch.p + d, size=d, replace=False))

@@ -16,9 +16,10 @@ independent Bell-pair exchange; a single parallel round carries all
 n(n-1) directed reports, after which each agent robustly decodes his n
 collected shares.
 
-Classical rounds are unordered message sets; permuting messages within a
-round never changes the run report.  All randomness flows through one
-injected generator, so a (config, secret, plan, seed) tuple reproduces a
+The transcript records each quantum or classical round only as its phase,
+its kind and how many messages it carried; every agent XORs what it
+receives as it arrives.  All randomness flows through one injected
+generator, so a (config, secret, plan, seed) tuple reproduces a
 byte-identical report.
 """
 
@@ -34,13 +35,7 @@ import numpy as np
 from . import __version__
 from .adversary import AdversaryPlan, HONEST_PLAN, falsify, rogue_transform
 from .bitvec import BitVector, SegmentedVector, concat_segments, extend_segment
-from .entangle import (
-    DecoySpec,
-    distribute,
-    insert_decoys,
-    transmit,
-    verify_decoys,
-)
+from .entangle import distribute, insert_decoys, transmit, verify_decoys
 from .metrics import efficiency_report
 from .threshold import (
     AmbiguousDecodeError,
@@ -91,35 +86,17 @@ class ProtocolConfig:
         }
 
 
-@dataclass(frozen=True)
-class Message:
-    sender: str
-    receiver: str
-    payload: BitVector | None
-    phase: str
-
-
-@dataclass
-class Round:
-    phase: str
-    kind: str  # quantum | classical
-    messages: tuple[Message, ...]  # an unordered set; order carries no meaning
-
-
 @dataclass
 class Transcript:
-    rounds: list[Round] = field(default_factory=list)
+    """Every round in order, as {"phase", "kind", "messages": count} rows."""
 
-    def add(self, phase: str, kind: str, messages) -> Round:
-        rnd = Round(phase, kind, tuple(messages))
-        self.rounds.append(rnd)
-        return rnd
+    rounds: list[dict] = field(default_factory=list)
+
+    def add(self, phase: str, kind: str, count: int):
+        self.rounds.append({"phase": phase, "kind": kind, "messages": count})
 
     def summary(self) -> list[dict]:
-        return [
-            {"phase": r.phase, "kind": r.kind, "messages": len(r.messages)}
-            for r in self.rounds
-        ]
+        return [dict(row) for row in self.rounds]
 
 
 @dataclass
@@ -238,15 +215,11 @@ def config_hash(cfg: ProtocolConfig, plan: AdversaryPlan) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _agent_name(i: int) -> str:
-    return f"bob{i}"
-
-
 def _run_quantum_round(cfg, plan, rng, *, phase, r, p, encoders, phase_bits,
                        detection, pair=None):
     """Distribute, interleave decoys, transmit through taps, verify, measure.
 
-    Returns (RoundOutcome, AbortInfo | None, transmission messages).
+    Returns (RoundOutcome, AbortInfo | None, number of transmitted registers).
     """
     if cfg.source == "alice" and pair is None:
         transmitted = tuple(range(r - 1))  # the source keeps her own register
@@ -256,16 +229,8 @@ def _run_quantum_round(cfg, plan, rng, *, phase, r, p, encoders, phase_bits,
     batch = distribute(r, p, taps=taps, transmitted=transmitted,
                        encoders=encoders)
 
-    suffix = "" if pair is None else f":pair{pair[0]}-{pair[1]}"
-    source_name = "alice" if cfg.source == "alice" else "source"
-    tx_messages = [
-        Message(source_name, _channel_owner(ch, r, pair), None,
-                f"phase{phase}{suffix}")
-        for ch in transmitted
-    ]
-
     if taps:
-        dplan = insert_decoys(batch, DecoySpec(cfg.decoys), rng)
+        dplan = insert_decoys(batch, cfg.decoys, rng)
         transmit(batch, dplan, rng)
         mismatches, verdict = verify_decoys(dplan, dplan.records, rng)
         if mismatches:
@@ -278,16 +243,10 @@ def _run_quantum_round(cfg, plan, rng, *, phase, r, p, encoders, phase_bits,
                 f"phase{phase}", "decoy_mismatch",
                 {"mismatches": mismatches, "pair": list(pair) if pair else None},
             )
-            return None, abort, tx_messages
+            return None, abort, len(transmitted)
     # Untapped rounds skip decoy bookkeeping entirely: an untouched
     # eigenstate can never mismatch, so the statistics are unchanged.
-    return batch.encode_and_measure(phase_bits, rng), None, tx_messages
-
-
-def _channel_owner(ch, r, pair):
-    if pair is not None:
-        return _agent_name(pair[ch])
-    return _agent_name(ch) if ch < r - 1 else "alice"
+    return batch.encode_and_measure(phase_bits, rng), None, len(transmitted)
 
 
 def phase1_distribute(cfg: ProtocolConfig, s: BitVector, plan: AdversaryPlan,
@@ -302,11 +261,11 @@ def phase1_distribute(cfg: ProtocolConfig, s: BitVector, plan: AdversaryPlan,
     transcript = transcript if transcript is not None else Transcript()
     detection: list[dict] = []
 
-    outcome, abort, tx = _run_quantum_round(
+    outcome, abort, sent = _run_quantum_round(
         cfg, plan, rng, phase=1, r=n + 1, p=n * m, encoders=(n,),
         phase_bits={n: s}, detection=detection,
     )
-    transcript.add("phase1", "quantum", tx)
+    transcript.add("phase1", "quantum", sent)
     if abort:
         return None, transcript, abort, detection
 
@@ -318,31 +277,18 @@ def phase1_distribute(cfg: ProtocolConfig, s: BitVector, plan: AdversaryPlan,
             total = total ^ outcome.registers[i]
         assert total == s, "distribution round broke its XOR constraint"
 
-    # One parallel round: alice and every agent j send segment i to agent i.
-    messages = []
-    received: dict[int, dict[str, BitVector]] = {i: {} for i in range(n)}
-    for i in range(n):
-        payload = a.segment(i)
-        messages.append(Message("alice", _agent_name(i), payload, "phase1"))
-        received[i]["alice"] = payload
-        for j in range(n):
-            if j == i:
-                continue
-            payload = rogue_transform(
-                plan.rogues, j, "lie_phase1_comms", bobs[j].segment(i), rng
-            )
-            messages.append(Message(_agent_name(j), _agent_name(i), payload,
-                                    "phase1"))
-            received[i][_agent_name(j)] = payload
-    transcript.add("phase1", "classical", messages)
-
+    # One parallel round of n * n messages: the source and every agent j
+    # send segment i to agent i, who XORs them into his own segment i.
     inputs = []
     for i in range(n):
-        acc = received[i]["alice"] ^ bobs[i].segment(i)
+        acc = a.segment(i) ^ bobs[i].segment(i)
         for j in range(n):
             if j != i:
-                acc = acc ^ received[i][_agent_name(j)]
+                acc = acc ^ rogue_transform(
+                    plan.rogues, j, "lie_phase1_comms", bobs[j].segment(i), rng
+                )
         inputs.append(acc)
+    transcript.add("phase1", "classical", n * n)
     return inputs, transcript, None, detection
 
 
@@ -364,27 +310,21 @@ def phase2_verify(cfg: ProtocolConfig, agent_inputs, s: BitVector,
     phase_bits = {
         i: extend_segment(agent_inputs[i], i, n) for i in range(n)
     }
-    outcome, abort, tx = _run_quantum_round(
+    outcome, abort, sent = _run_quantum_round(
         cfg, plan, rng, phase=2, r=n + 1, p=n * m, encoders=tuple(range(n)),
         phase_bits=phase_bits, detection=detection,
     )
-    transcript.add("phase2", "quantum", tx)
+    transcript.add("phase2", "quantum", sent)
     if abort:
         return "abort", transcript, abort, detection
 
-    messages = []
-    reported = []
+    # One parallel round: every agent reports his outcome to the source.
+    computed = outcome.registers[n]
     for i in range(n):
-        payload = rogue_transform(
+        computed = computed ^ rogue_transform(
             plan.rogues, i, "lie_phase2_report", outcome.registers[i], rng
         )
-        messages.append(Message(_agent_name(i), "alice", payload, "phase2"))
-        reported.append(payload)
-    transcript.add("phase2", "classical", messages)
-
-    computed = outcome.registers[n]
-    for payload in reported:
-        computed = computed ^ payload
+    transcript.add("phase2", "classical", n)
     if computed == s:
         return "proceed", transcript, None, detection
     detection.append({"phase": "phase2", "kind": "xor_mismatch",
@@ -410,7 +350,7 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
     # oracle liars a falsified vector (fresh per pair in random mode).
     measured: dict[tuple[int, int], BitVector] = {}
     embedded: dict[tuple[int, int], BitVector] = {}
-    all_tx = []
+    sent = 0
     for i in range(n):
         for j in range(i + 1, n):
             emb_i = agent_inputs[i]
@@ -421,35 +361,30 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
             if plan.rogues.lies(j, "lie_phase3_oracle"):
                 emb_j = falsify(emb_j, plan.rogues.mode,
                                 plan.rogues.fixed_value, rng)
-            outcome, abort, tx = _run_quantum_round(
+            outcome, abort, pair_sent = _run_quantum_round(
                 cfg, plan, rng, phase=3, r=2, p=m, encoders=(0, 1),
                 phase_bits={0: emb_i, 1: emb_j},
                 detection=detection, pair=(i, j),
             )
-            all_tx.extend(tx)
+            sent += pair_sent
             if abort:
-                transcript.add("phase3", "quantum", all_tx)
+                transcript.add("phase3", "quantum", sent)
                 return None, transcript, abort, detection
             measured[(i, j)] = outcome.registers[0]
             measured[(j, i)] = outcome.registers[1]
             embedded[(i, j)] = emb_i
             embedded[(j, i)] = emb_j
-    transcript.add("phase3", "quantum", all_tx)
+    transcript.add("phase3", "quantum", sent)
 
     # One parallel classical round carrying all n(n-1) directed reports.
-    messages = []
     reported: dict[tuple[int, int], BitVector] = {}
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            payload = rogue_transform(
-                plan.rogues, i, "lie_phase3_report", measured[(i, j)], rng
-            )
-            messages.append(Message(_agent_name(i), _agent_name(j), payload,
-                                    "phase3"))
-            reported[(i, j)] = payload
-    transcript.add("phase3", "classical", messages)
+            if i != j:
+                reported[(i, j)] = rogue_transform(
+                    plan.rogues, i, "lie_phase3_report", measured[(i, j)], rng
+                )
+    transcript.add("phase3", "classical", n * (n - 1))
 
     results = []
     for i in range(n):

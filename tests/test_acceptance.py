@@ -25,7 +25,6 @@ from dpvqss.bitvec import BitVector
 from dpvqss.cli import main, oracle_check_case
 from dpvqss.entangle import (
     ChannelTap,
-    DecoySpec,
     dense_outcomes,
     distribute,
     insert_decoys,
@@ -196,7 +195,7 @@ def _decoy_detection_rate(d, trials, seed):
     for _ in range(trials):
         batch = distribute(2, 4, taps={0: tap},
                            transmitted=(0,), encoders=(1,))
-        plan = insert_decoys(batch, DecoySpec(d), rng)
+        plan = insert_decoys(batch, d, rng)
         transmit(batch, plan, rng)
         _, verdict = verify_decoys(plan, plan.records, rng)
         aborts += verdict == "abort"

@@ -239,6 +239,17 @@ sweep.protocol.m = 8,16
         assert rows[0]["eta3"] == "8/9"
         assert rows[1]["eta1"] == "48/193"
 
+    @pytest.mark.parametrize("line", [
+        "sweep.seed = 1,2", "sweep.trials = 2,7", "sweep.out = a,b",
+        "sweep.audit = 0,1", "audit = true",
+    ])
+    def test_per_run_keys_rejected(self, line):
+        text = "protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n"
+        text += "sweep.protocol.decoys = 0,1\n" + line + "\n"
+        key = line.split("=")[0].strip()
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(text)
+
     def test_csv_format(self, tmp_path, capsys):
         cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG.replace("trials = 200",
                                                              "trials = 5"))

@@ -10,7 +10,6 @@ from dpvqss.bitvec import BitVector, CapacityError
 from dpvqss.entangle import (
     ChannelTap,
     Decoy,
-    DecoySpec,
     IntegrityError,
     TransmissionPlan,
     _read_law,
@@ -199,7 +198,7 @@ class TestTapPhysics:
             batch = distribute(
                 n + 1, n * m, taps=taps, transmitted=range(n), encoders=(n,),
             )
-            transmit(batch, insert_decoys(batch, DecoySpec(0), rng), rng)
+            transmit(batch, insert_decoys(batch, 0, rng), rng)
             out = batch.encode_and_measure({n: s}, rng)
             counts[outcome_key(out)] += 1
         return counts
@@ -259,7 +258,7 @@ class TestTapPhysics:
         for _ in range(500):
             batch = distribute(3, 2, taps={0: tap, 1: tap},
                                transmitted=(0, 1), encoders=(2,))
-            transmit(batch, insert_decoys(batch, DecoySpec(0), rng), rng)
+            transmit(batch, insert_decoys(batch, 0, rng), rng)
             out = batch.encode_and_measure({2: bv("01")}, rng)
             assert out.eve[0] == out.eve[1]
 
@@ -272,7 +271,7 @@ class TestTapPhysics:
         batch = distribute(r, p, taps={ch: tap for ch in chans},
                            transmitted=chans, encoders=(r - 1,))
         rng = np.random.default_rng(65)
-        transmit(batch, insert_decoys(batch, DecoySpec(0), rng), rng)
+        transmit(batch, insert_decoys(batch, 0, rng), rng)
         # The sampler draws one 64-bit word each for the r registers and the
         # shared Z outcome, then the basis words, one per channel.
         raw = copy.deepcopy(rng).bit_generator.random_raw(r + 1 + len(chans))
@@ -302,7 +301,7 @@ class TestTapPhysics:
                 taps={0: ChannelTap("entangle_measure")},
                 transmitted=(0, 1), encoders=(2,),
             )
-            transmit(batch, insert_decoys(batch, DecoySpec(0), rng), rng)
+            transmit(batch, insert_decoys(batch, 0, rng), rng)
             out = batch.encode_and_measure({2: s}, rng)
             e = out.eve[0]
             assert xor_all(out.registers) ^ e == s
@@ -450,14 +449,18 @@ class TestDecoys:
         rng = np.random.default_rng(51)
         batch = self.make_batch()
         state = rng.bit_generator.state
-        plan = insert_decoys(batch, DecoySpec(0), rng)
+        plan = insert_decoys(batch, 0, rng)
         assert plan.decoys == [] and plan.records == []
         assert rng.bit_generator.state == state
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            insert_decoys(self.make_batch(), -1, np.random.default_rng(56))
+
     def test_seeded_positions_reproducible(self):
         batch = self.make_batch()
-        plan_a = insert_decoys(batch, DecoySpec(4), np.random.default_rng(52))
-        plan_b = insert_decoys(self.make_batch(), DecoySpec(4), np.random.default_rng(52))
+        plan_a = insert_decoys(batch, 4, np.random.default_rng(52))
+        plan_b = insert_decoys(self.make_batch(), 4, np.random.default_rng(52))
         assert plan_a.records == plan_b.records
         assert plan_a.decoys == plan_b.decoys
 
@@ -465,7 +468,7 @@ class TestDecoys:
         rng = np.random.default_rng(53)
         counts = Counter()
         for _ in range(2500):
-            plan = insert_decoys(self.make_batch(), DecoySpec(4), rng)
+            plan = insert_decoys(self.make_batch(), 4, rng)
             for d in plan.decoys:
                 counts[d.label] += 1
         total = sum(counts.values())
@@ -477,7 +480,7 @@ class TestDecoys:
         # Two decoys among the 4 + 2 slots of the one transmitted channel,
         # in slot order, and recorded as planned.
         rng = np.random.default_rng(54)
-        plan = insert_decoys(self.make_batch(), DecoySpec(2), rng)
+        plan = insert_decoys(self.make_batch(), 2, rng)
         assert len(plan.decoys) == 2
         assert all(d.channel == 0 and d.state is None for d in plan.decoys)
         slots = [d.slot for d in plan.decoys]
@@ -490,7 +493,7 @@ class TestDecoys:
         rng = np.random.default_rng(67)
         batch = distribute(4, 5, taps={2: ChannelTap("measure_resend")},
                            transmitted=(0, 2, 3), encoders=(1,))
-        plan = insert_decoys(batch, DecoySpec(3), rng)
+        plan = insert_decoys(batch, 3, rng)
         assert [d.channel for d in plan.decoys] == [0] * 3 + [2] * 3 + [3] * 3
         transmit(batch, plan, rng)
         assert [d.state is not None for d in plan.decoys] == (
@@ -501,7 +504,7 @@ class TestDecoys:
         rng = np.random.default_rng(55)
         for _ in range(200):
             batch = self.make_batch()
-            plan = insert_decoys(batch, DecoySpec(8), rng)
+            plan = insert_decoys(batch, 8, rng)
             transmit(batch, plan, rng)
             mismatches, verdict = verify_decoys(plan, plan.records, rng)
             assert (mismatches, verdict) == (0, "proceed")
@@ -511,7 +514,7 @@ class TestDecoys:
         aborts = 0
         for _ in range(trials):
             batch = self.make_batch(taps={0: tap})
-            plan = insert_decoys(batch, DecoySpec(d), rng)
+            plan = insert_decoys(batch, d, rng)
             transmit(batch, plan, rng)
             _, verdict = verify_decoys(plan, plan.records, rng)
             aborts += verdict == "abort"
@@ -588,7 +591,7 @@ class TestDecoys:
     def test_record_mismatch_raises(self):
         rng = np.random.default_rng(60)
         batch = self.make_batch()
-        plan = insert_decoys(batch, DecoySpec(4), rng)
+        plan = insert_decoys(batch, 4, rng)
         transmit(batch, plan, rng)
         bad = list(plan.records)
         bad[0] = (bad[0][0], bad[0][1], "0" if bad[0][2] != "0" else "1")
