@@ -5,8 +5,7 @@ XOR correlation that survives the Hadamard layers."""
 import numpy as np
 
 from dpvqss.bitvec import BitVector
-from dpvqss.entangle import dense_outcomes
-from dpvqss.qsim import StateVector
+from dpvqss.qsim import StateVector, dense_outcomes
 
 rng = np.random.default_rng(2)
 

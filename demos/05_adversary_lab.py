@@ -72,3 +72,18 @@ diff = leakage_audit(EveStrategy(), size3, BitVector.from_string("1001"),
 print(f"  phase 3, equal pair-XOR secrets : TV = {same}")
 print(f"  phase 3, different pair-XOR     : TV = {diff}  "
       "(the exchange reveals exactly the XOR, nothing else)")
+
+print()
+print("== Random-basis interception leaks: the decoys must catch it ==")
+random_eve = EveStrategy("intercept_resend", basis="random")
+s0, s1 = BitVector.from_string("00"), BitVector.from_string("01")
+for phase, why in ((1, "all taps read the differing position in X"),
+                   (2, "the owner's tap reads it in X")):
+    tv = leakage_audit(random_eve, size, s0, s1, phase=phase)
+    print(f"  phase {phase}, secrets 00 vs 01: TV = {tv}  ({why})")
+big = AuditSize(15, 16)
+rng = np.random.default_rng(80)
+s, zero = BitVector.random(240, rng), BitVector.zeros(240)
+tvs = [leakage_audit(random_eve, big, s, zero, phase=ph) for ph in (1, 2)]
+print(f"  n = 15, m = 16, a random secret vs zero: phase 1 TV = "
+      f"{float(tvs[0]):.4f}, phase 2 TV = 1 - {float(1 - tvs[1]):.1e}")

@@ -3,21 +3,21 @@
 Library layout:
 
 - bitvec     bit-vector and segment algebra
-- qsim       exact statevector simulator (dense reference only)
+- qsim       exact statevector simulator and dense round reference
+             (tests and oracle-check only; no protocol module imports it)
 - threshold  (k, n) Shamir sharing over GF(2^w) with robust decoding
 - entangle   entanglement distribution, decoys (closed-form read law),
-             exact outcome sampler (closed-form GHZ read law, every round),
-             dense statevector reference of a round
-- adversary  eavesdropper strategies, rogue agents, leakage audits
+             exact outcome sampler (closed-form GHZ read law, every round)
+- adversary  eavesdropper strategies, rogue agents, exact leakage audits
+             read off the sampler's read law, at any size
 - protocol   the three protocol phases and the run orchestrator
 - metrics    qubit-efficiency ratios and empirical statistics
 - cli        experiment driver (run / sweep / oracle-check / metrics / report)
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .bitvec import BitVector, SegmentedVector  # noqa: F401
-from .qsim import StateVector  # noqa: F401
 from .threshold import Share, SplitConfig, reconstruct, robust_decode, split  # noqa: F401
 from .adversary import AdversaryPlan, EveStrategy, RogueBehavior, leakage_audit  # noqa: F401
 from .protocol import ProtocolConfig, RunReport, run_protocol  # noqa: F401

@@ -2,20 +2,24 @@
 
 The eavesdropper ("Eve") acts on quantum channels through `ChannelTap`s; rogue
 agents act on classical messages by replacing payloads.  The leakage audit
-enumerates Eve's complete view (her own measurement outcomes plus every public
-classical payload) under two candidate secrets and returns the exact total
-variation distance between the two view distributions, as a Fraction.
+returns the exact total variation distance, as a Fraction, between Eve's
+complete views (Eve's own outcomes plus every public classical payload) under
+two candidate secrets.  It reads the sampler's own law (`entangle._read_law`):
+each position's outcome is uniform over a subspace, shifted by the secret's
+phase kicks, and Eve sees a projection of it.  With fixed reads two views are
+then equal or disjoint, one rank test per kind of position; with random-basis
+reads each position separates them with an exact probability.  The cost grows
+with n*m, not with the number of outcomes.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .bitvec import BitVector, CapacityError, SegmentedVector
-from .entangle import ChannelTap
+from .bitvec import BitVector
+from .entangle import ChannelTap, _read_law
 
 EVE_KINDS = ("none", "measure_resend", "intercept_resend", "entangle_measure", "pns")
 ROGUE_ACTIONS = (
@@ -25,9 +29,6 @@ ROGUE_ACTIONS = (
     "lie_phase3_report",
 )
 LIE_MODES = ("bit_flip", "random", "fixed")
-
-# The audit enumerates every free bit exactly; cap the exponent.
-AUDIT_BIT_BOUND = 20
 
 AuditSize = namedtuple("AuditSize", "n m")
 
@@ -132,102 +133,76 @@ def rogue_transform(
 # -- leakage auditing ---------------------------------------------------------
 
 
-def _iter_assignments(widths: list[int], constraint: int | None):
-    """Yield tuples of variable values, each of the given bit width.
+def _positions(n: int, m: int, diff: int, phase: int):
+    """Yield (kick difference, visible registers) at every position.
 
-    With a constraint, the assignment is uniform over solutions of
-    XOR(vars) = constraint (the last variable is solved); otherwise all
-    variables are free and uniform.
+    Both are masks over the round's registers: agents 0..n-1 then the source
+    (phases 1 and 2), or the audited pair, agents 0 and 1 (phase 3).
     """
-    free = widths[:-1] if constraint is not None else widths
-    if sum(free) > AUDIT_BIT_BOUND:
-        raise CapacityError(
-            f"audit would enumerate 2^{sum(free)} assignments "
-            f"(bound 2^{AUDIT_BIT_BOUND})"
-        )
-    for values in product(*(range(1 << w) for w in free)):
-        if constraint is None:
-            yield values
-        else:
-            acc = constraint
-            for v in values:
-                acc ^= v
-            yield values + (acc,)
-
-
-def _mask_out_segment(value: int, seg: int, m: int, n: int) -> int:
-    """Drop segment `seg` from an n*m-bit value, keeping the rest packed."""
-    low = value & ((1 << (seg * m)) - 1)
-    high = value >> ((seg + 1) * m)
-    return low | (high << (seg * m))
-
-
-def view_distribution(
-    strategy: EveStrategy, n: int, m: int, s: BitVector, phase: int
-) -> dict[tuple, Fraction]:
-    """Exact distribution of Eve's view for one phase under secret s.
-
-    Variables are the measured register vectors (agents then the source) plus
-    one outcome vector per entangling tap, or one shared by all measuring
-    taps.  What Eve sees:
-
-    - phase 1: every classical payload of the fan-out round, i.e. all of the
-      source's vector and every agent vector with its own segment hidden;
-    - phase 2: the agents' reported vectors (the source's stays private);
-    - phase 3: both exchanged vectors of the audited pair (agents 0 and 1).
-    """
-    if phase not in (1, 2, 3):
-        raise ValueError(f"unknown phase {phase}")
-    kind = strategy.effective_kind if strategy.is_active_in(phase) else "none"
-    if kind == "intercept_resend" and strategy.basis == "random":
-        raise ValueError("exact audit does not model random-basis interception")
-
     if phase == 3:
-        width = m
-        n_regs = 2
-        seg = SegmentedVector(s, n, m)
-        constraint_vec = seg.segment(0) ^ seg.segment(1)
-        channels = [0, 1]
-    else:
-        width = n * m
-        n_regs = n + 1
-        if s.length != width:
-            raise ValueError(f"secret length {s.length} != n*m")
-        constraint_vec = s
-        channels = list(range(n))
-    if strategy.channel is not None:
-        channels = [ch for ch in channels if ch == strategy.channel]
-
-    n_eve = len(channels) if kind != "none" else 0
-    # Entangling ancillas join the XOR chain, one outcome vector each.  The
-    # first measuring tap collapses every tuple instead: the registers go
-    # free and uniform, and all tapped channels read one shared vector.
-    measuring = n_eve > 0 and kind in ("measure_resend", "intercept_resend")
-    if measuring:
-        widths = [width] * (n_regs + 1)
-        constraint_arg = None
-    else:
-        widths = [width] * (n_regs + n_eve)
-        constraint_arg = constraint_vec.value
-
-    total_free = len(widths) - (1 if constraint_arg is not None else 0)
-    dist: dict[tuple, Fraction] = {}
-    weight = Fraction(1, 1 << (total_free * width))
-    for values in _iter_assignments(widths, constraint_arg):
-        regs = values[:n_regs]  # agents 0..n-1 (or the pair), then the source
-        eve_vals = values[n_regs:] * n_eve if measuring else values[n_regs:]
+        for j in range(m):
+            yield (diff >> j & 1) | (diff >> (m + j) & 1) << 1, 0b11
+        return
+    everyone = (1 << (n + 1)) - 1
+    for j in range(n * m):
+        bit = diff >> j & 1
         if phase == 1:
-            a = regs[-1]
-            visible = [a] + [
-                _mask_out_segment(regs[j], j, m, n) for j in range(n)
-            ]
-        elif phase == 2:
-            visible = list(regs[:-1])
+            # The source kicks; its vector is public, and so is every
+            # agent's, except the owner's own segment.
+            yield bit << n, everyone & ~(1 << (j // m))
         else:
-            visible = list(regs)
-        key = tuple(visible) + tuple(eve_vals)
-        dist[key] = dist.get(key, Fraction(0)) + weight
-    return dist
+            # The segment's owner kicks; the agents' reports are public.
+            yield bit << (j // m), everyone >> 1
+
+
+def _outcome_span(r: int, taps: dict[int, ChannelTap]) -> list[int]:
+    """Spanning vectors of one position's outcomes under fixed reads.
+
+    Each packs the r register bits, then one bit per tap in channel order.
+    The sampler's read law is linear in its draws, so each unit draw gives
+    one spanning vector.
+    """
+    reads = [
+        (ch, None if tap.kind == "entangle_measure" else 0)
+        for ch, tap in sorted(taps.items())
+    ]
+    count = r + sum(x is None for _, x in reads) + 1
+
+    def point(draws):
+        outputs = _read_law(r, 1, reads, iter(draws))
+        return sum(bit << i for i, bit in enumerate(outputs))
+
+    zero = point([0] * count)
+    return [point([int(i == k) for i in range(count)]) ^ zero for k in range(count)]
+
+
+def _in_span(vector: int, vectors) -> bool:
+    basis: list[int] = []  # distinct leading bits, highest first
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted(basis + [v], reverse=True)
+    for b in basis:
+        vector = min(vector, vector ^ b)
+    return vector == 0
+
+
+def _separating_share(kick: int, visible: int, tapped: int, everyone: int) -> Fraction:
+    """Share of random Z/X read patterns at one position that separate.
+
+    An X read gives Eve the register's bit before the kick, so a visible
+    register read in X shows its kick.  Any Z read leaves every register
+    not read in X uniform, so otherwise only the all-X pattern separates:
+    the registers then XOR to 0 before the kicks, which Eve reads whole when
+    every register is visible or tapped.
+    """
+    exposed = kick & visible & tapped
+    if exposed:
+        return 1 - Fraction(1, 1 << exposed.bit_count())
+    if visible | tapped == everyone and (kick & visible & ~tapped).bit_count() % 2:
+        return Fraction(1, 1 << tapped.bit_count())
+    return Fraction(0)
 
 
 def leakage_audit(
@@ -240,10 +215,25 @@ def leakage_audit(
     """
     if s.length != s_prime.length:
         raise ValueError("candidate secrets must have equal length")
-    da = view_distribution(strategy, cfg.n, cfg.m, s, phase)
-    db = view_distribution(strategy, cfg.n, cfg.m, s_prime, phase)
-    keys = set(da) | set(db)
-    return sum(
-        (abs(da.get(k, Fraction(0)) - db.get(k, Fraction(0))) for k in keys),
-        Fraction(0),
-    ) / 2
+    if phase not in (1, 2, 3):
+        raise ValueError(f"unknown phase {phase}")
+    n, m = cfg.n, cfg.m
+    if s.length != n * m:
+        raise ValueError(f"secret length {s.length} != n*m")
+    r = 2 if phase == 3 else n + 1
+    # Phases 1 and 2 send every agent's register; the source keeps its own.
+    taps = strategy.taps_for(phase, range(2 if phase == 3 else n))
+    groups = Counter(_positions(n, m, (s ^ s_prime).value, phase))
+    if any(tap.random_basis for tap in taps.values()):
+        tapped = sum(1 << ch for ch in taps)
+        kept = Fraction(1)
+        for (kick, visible), count in groups.items():
+            share = _separating_share(kick, visible, tapped, (1 << r) - 1)
+            kept *= (1 - share) ** count
+        return 1 - kept
+    span = _outcome_span(r, taps)
+    eve = ((1 << len(taps)) - 1) << r
+    return Fraction(any(
+        kick and not _in_span(kick & visible, (v & (visible | eve) for v in span))
+        for kick, visible in groups
+    ))

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .adversary import AdversaryPlan, EveStrategy, RogueBehavior
 from .bitvec import BitVector, CapacityError
-from .entangle import dense_outcomes, dense_state, sample_idpqc_outcomes
+from .entangle import sample_idpqc_outcomes
 from .metrics import chi_square_homogeneity, efficiency_report, empirical_stats
 from .protocol import (
     ProtocolConfig,
@@ -41,6 +41,7 @@ from .protocol import (
     random_secret,
     run_protocol,
 )
+from .qsim import dense_outcomes, dense_state
 from .threshold import bytes_to_elements
 
 log = logging.getLogger("dpvqss")
@@ -56,6 +57,13 @@ class ConfigError(ValueError):
 
 def _parse_int(text):
     return int(text, 0)
+
+
+def _parse_trials(text):
+    trials = int(text, 0)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return trials
 
 
 def _parse_int_list(text):
@@ -95,7 +103,7 @@ CONFIG_KEYS = {
     "adversary.rogues.mode": (str, "random"),
     "adversary.rogues.fixed": (_parse_bits, None),
     "seed": (_parse_int, 0),
-    "trials": (_parse_int, 1),
+    "trials": (_parse_trials, 1),
     "secret": (_parse_hex, None),
     "out": (str, None),
     "audit": (lambda v: v.lower() in ("1", "true", "yes"), False),
@@ -476,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute trials from a config file")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--trials", type=int, default=None)
+    p_run.add_argument("--trials", type=_parse_trials, default=None)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=cmd_run)
 
@@ -496,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="run a parameter grid")
     p_sw.add_argument("config")
     p_sw.add_argument("--seed", type=int, default=None)
-    p_sw.add_argument("--trials", type=int, default=None)
+    p_sw.add_argument("--trials", type=_parse_trials, default=None)
     p_sw.add_argument("--out", default=None)
     p_sw.add_argument("--format", choices=("json", "csv"), default="json")
     p_sw.set_defaults(func=cmd_sweep)

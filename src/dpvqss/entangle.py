@@ -11,9 +11,8 @@ read basis.  The phase bits only shift it: a phase kick before the Hadamard
 layer is a bit flip after it.  With no taps it is the XOR constraint:
 uniform over the register tuples whose XOR is the phase bits.
 
-`dense_state` and `dense_outcomes` build the same round as one dense
-statevector.  They are the exact reference the sampler is checked against
-and no protocol path calls them; `StateVector` bounds them at 22 qubits.
+`qsim.dense_state` and `qsim.dense_outcomes` build the same round as one
+dense statevector, the exact reference the sampler is checked against.
 
 Decoy qubits are Z or X eigenstates interleaved into each transmitted
 sequence and checked in their preparation basis (Bennett & Brassard 1984).
@@ -32,9 +31,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bitvec import BitVector, DimensionError
-from .qsim import BASIS_LABELS, StateVector
 
 TAP_KINDS = ("measure_resend", "intercept_resend", "entangle_measure")
+BASIS_LABELS = ("0", "1", "+", "-")  # decoy preparation states
 
 
 class IntegrityError(ValueError):
@@ -297,90 +296,3 @@ def sample_idpqc_outcomes(s: BitVector, n: int, m: int, rng) -> RoundOutcome:
         raise DimensionError(f"secret length {s.length} != n*m = {n * m}")
     batch = distribute(n + 1, n * m, transmitted=range(n), encoders=(n,))
     return batch.encode_and_measure({n: s}, rng)
-
-
-def dense_state(
-    r: int,
-    p: int,
-    taps: dict[int, ChannelTap] | None = None,
-    phase_bits: dict[int, BitVector] | None = None,
-    rng=None,
-) -> tuple[StateVector, dict[int, BitVector]]:
-    """Reference only: one round's circuit on a single dense statevector.
-
-    Register i holds qubits i*p .. i*p+p-1, and position j of every register
-    belongs to GHZ tuple j.  Each tap then acts on every position of its
-    channel, in channel order: a measuring tap reads it mid-circuit with
-    `rng`, an entangling tap CNOTs it onto an ancilla of its own.  Given `phase_bits`, each encoder
-    kicks its phases through a |-> target and every register and ancilla
-    gets a Hadamard, so the state is the one the final measurement reads.
-    The targets follow the registers in sorted encoder order, then p ancillas
-    per entangling tap in channel order.
-
-    Returns the state and the measuring taps' reads.  Over the qubit bound
-    `StateVector` raises CapacityError.
-    """
-    taps = taps or {}
-    encoders = sorted(phase_bits) if phase_bits is not None else []
-    ancilla = r * p + len(encoders)
-    ent = [ch for ch in sorted(taps) if taps[ch].kind == "entangle_measure"]
-    state = StateVector(ancilla + len(ent) * p)
-    for j in range(p):
-        state.prepare_ghz([i * p + j for i in range(r)])
-    eve = {}
-    for ch in sorted(taps):
-        tap = taps[ch]
-        qubits = range(ch * p, (ch + 1) * p)
-        if tap.kind == "entangle_measure":
-            for qubit in qubits:
-                state.apply_cnot(qubit, ancilla)
-                ancilla += 1
-            continue
-        # A random-basis X read forwards the collapsed eigenstate.
-        bits = []
-        for qubit in qubits:
-            if tap.random_basis and rng.integers(2):
-                bits.append(state.measure_hadamard_basis(qubit, rng))
-                state.apply_h(qubit)
-            else:
-                bits.append(state.measure_qubit(qubit, rng))
-        eve[ch] = BitVector.from_bits(bits)
-    if phase_bits is not None:
-        for i, enc in enumerate(encoders):
-            target = r * p + i
-            state.prepare_basis("-", target)
-            state.apply_phase_oracle(
-                phase_bits[enc], range(enc * p, (enc + 1) * p), target
-            )
-        state.apply_h_register(range(r * p))
-        state.apply_h_register(range(r * p + len(encoders), state.q))
-    return state, eve
-
-
-def dense_outcomes(
-    r: int,
-    p: int,
-    phase_bits: dict[int, BitVector],
-    shots: int,
-    rng,
-    taps: dict[int, ChannelTap] | None = None,
-) -> list[RoundOutcome]:
-    """Reference only: Born-sample `shots` final measurements of one round.
-
-    Shots share one final state while nothing collapses mid-circuit; with a
-    measuring tap the state is rebuilt for every shot.
-    """
-    taps = taps or {}
-    ent = [ch for ch in sorted(taps) if taps[ch].kind == "entangle_measure"]
-    first_ancilla = r * p + len(phase_bits)
-    qubits = [*range(r * p), *range(first_ancilla, first_ancilla + len(ent) * p)]
-    per_state = shots if len(ent) == len(taps) else 1
-    mask = (1 << p) - 1
-    out = []
-    while len(out) < shots:
-        state, eve = dense_state(r, p, taps, phase_bits, rng)
-        for raw in state.sample_register(qubits, per_state, rng):
-            vecs = [BitVector((int(raw) >> (i * p)) & mask, p)
-                    for i in range(r + len(ent))]
-            out.append(RoundOutcome(vecs[:r], {**eve, **dict(zip(ent, vecs[r:]))}))
-    return out

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .adversary import AdversaryPlan, HONEST_PLAN, falsify, rogue_transform
+from .adversary import AdversaryPlan, HONEST_PLAN, falsify, leakage_audit, rogue_transform
 from .bitvec import BitVector, SegmentedVector, concat_segments, extend_segment
 from .entangle import distribute, insert_decoys, transmit, verify_decoys
 from .metrics import efficiency_report
@@ -418,9 +418,9 @@ def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONES
     """Split, distribute, verify, consolidate; deterministic given
     (config, secret, plan, seed).
 
-    With audit=True (and enumerable sizes) the report carries a leakage
-    block: exact total-variation distances of the eavesdropper's view
-    between this run's secret and the all-zero reference secret.
+    With audit=True the report carries a leakage block: exact
+    total-variation distances of the eavesdropper's view between this run's
+    secret and the all-zero reference secret.
     """
     if rng is None:
         seed = cfg.seed if seed is None else seed
@@ -481,17 +481,11 @@ def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONES
 
 def _leakage_block(cfg: ProtocolConfig, plan: AdversaryPlan, s: BitVector):
     """Exact view-distance audit of this run's secret against the zero secret."""
-    from .adversary import leakage_audit
-
     zero = BitVector.zeros(s.length)
     block: dict = {"reference": "zero-secret"}
     for phase in (1, 2, 3):
-        try:
-            tv = leakage_audit(plan.eve, cfg, s, zero, phase=phase)
-            block[f"phase{phase}_tv"] = f"{tv.numerator}/{tv.denominator}"
-        except ValueError as err:  # capacity bound or unmodeled basis
-            block[f"phase{phase}_tv"] = None
-            block[f"phase{phase}_note"] = str(err)
+        tv = leakage_audit(plan.eve, cfg, s, zero, phase=phase)
+        block[f"phase{phase}_tv"] = f"{tv.numerator}/{tv.denominator}"
     return block
 
 

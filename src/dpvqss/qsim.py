@@ -1,10 +1,11 @@
-"""Exact statevector simulator for small qubit registers.
+"""Exact statevector simulator for small qubit registers: the dense reference.
 
 The protocol never builds a statevector: it samples its entangled rounds
 from a closed-form GHZ read law and checks its decoys against another
-closed-form read law (see `entangle`).  Whole rounds on a statevector serve as the exact
-reference (`entangle.dense_state`) that tests and `oracle-check` compare
-the sampler against.
+closed-form read law (see `entangle`), and no protocol module imports this
+one.  `dense_state` and `dense_outcomes` run whole rounds on a statevector:
+they are the exact reference that tests and `oracle-check` compare the
+sampler against.
 
 Conventions:
 
@@ -24,11 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from .bitvec import BitVector, CapacityError
+from .entangle import BASIS_LABELS, ChannelTap, RoundOutcome
 
 MAX_QUBITS = 22
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-BASIS_LABELS = ("0", "1", "+", "-")
 
 
 class StateVector:
@@ -208,3 +208,89 @@ class StateVector:
                 lines.append(f"{format(idx, f'0{self.q}b')} {a.real:.12g} {a.imag:.12g}")
         return "\n".join(lines)
 
+
+def dense_state(
+    r: int,
+    p: int,
+    taps: dict[int, ChannelTap] | None = None,
+    phase_bits: dict[int, BitVector] | None = None,
+    rng=None,
+) -> tuple[StateVector, dict[int, BitVector]]:
+    """Reference only: one round's circuit on a single dense statevector.
+
+    Register i holds qubits i*p .. i*p+p-1, and position j of every register
+    belongs to GHZ tuple j.  Each tap then acts on every position of its
+    channel, in channel order: a measuring tap reads it mid-circuit with
+    `rng`, an entangling tap CNOTs it onto an ancilla of its own.  Given `phase_bits`, each encoder
+    kicks its phases through a |-> target and every register and ancilla
+    gets a Hadamard, so the state is the one the final measurement reads.
+    The targets follow the registers in sorted encoder order, then p ancillas
+    per entangling tap in channel order.
+
+    Returns the state and the measuring taps' reads.  Over the qubit bound
+    `StateVector` raises CapacityError.
+    """
+    taps = taps or {}
+    encoders = sorted(phase_bits) if phase_bits is not None else []
+    ancilla = r * p + len(encoders)
+    ent = [ch for ch in sorted(taps) if taps[ch].kind == "entangle_measure"]
+    state = StateVector(ancilla + len(ent) * p)
+    for j in range(p):
+        state.prepare_ghz([i * p + j for i in range(r)])
+    eve = {}
+    for ch in sorted(taps):
+        tap = taps[ch]
+        qubits = range(ch * p, (ch + 1) * p)
+        if tap.kind == "entangle_measure":
+            for qubit in qubits:
+                state.apply_cnot(qubit, ancilla)
+                ancilla += 1
+            continue
+        # A random-basis X read forwards the collapsed eigenstate.
+        bits = []
+        for qubit in qubits:
+            if tap.random_basis and rng.integers(2):
+                bits.append(state.measure_hadamard_basis(qubit, rng))
+                state.apply_h(qubit)
+            else:
+                bits.append(state.measure_qubit(qubit, rng))
+        eve[ch] = BitVector.from_bits(bits)
+    if phase_bits is not None:
+        for i, enc in enumerate(encoders):
+            target = r * p + i
+            state.prepare_basis("-", target)
+            state.apply_phase_oracle(
+                phase_bits[enc], range(enc * p, (enc + 1) * p), target
+            )
+        state.apply_h_register(range(r * p))
+        state.apply_h_register(range(r * p + len(encoders), state.q))
+    return state, eve
+
+
+def dense_outcomes(
+    r: int,
+    p: int,
+    phase_bits: dict[int, BitVector],
+    shots: int,
+    rng,
+    taps: dict[int, ChannelTap] | None = None,
+) -> list[RoundOutcome]:
+    """Reference only: Born-sample `shots` final measurements of one round.
+
+    Shots share one final state while nothing collapses mid-circuit; with a
+    measuring tap the state is rebuilt for every shot.
+    """
+    taps = taps or {}
+    ent = [ch for ch in sorted(taps) if taps[ch].kind == "entangle_measure"]
+    first_ancilla = r * p + len(phase_bits)
+    qubits = [*range(r * p), *range(first_ancilla, first_ancilla + len(ent) * p)]
+    per_state = shots if len(ent) == len(taps) else 1
+    mask = (1 << p) - 1
+    out = []
+    while len(out) < shots:
+        state, eve = dense_state(r, p, taps, phase_bits, rng)
+        for raw in state.sample_register(qubits, per_state, rng):
+            vecs = [BitVector((int(raw) >> (i * p)) & mask, p)
+                    for i in range(r + len(ent))]
+            out.append(RoundOutcome(vecs[:r], {**eve, **dict(zip(ent, vecs[r:]))}))
+    return out

@@ -25,7 +25,6 @@ from dpvqss.bitvec import BitVector
 from dpvqss.cli import main, oracle_check_case
 from dpvqss.entangle import (
     ChannelTap,
-    dense_outcomes,
     distribute,
     insert_decoys,
     transmit,
@@ -38,6 +37,7 @@ from dpvqss.protocol import (
     random_secret,
     run_protocol,
 )
+from dpvqss.qsim import dense_outcomes
 from dpvqss.threshold import (
     AmbiguousDecodeError,
     FIELDS,

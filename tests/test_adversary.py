@@ -1,7 +1,12 @@
+import time
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpvqss.adversary import (
     AdversaryPlan,
@@ -11,9 +16,14 @@ from dpvqss.adversary import (
     falsify,
     leakage_audit,
     rogue_transform,
-    view_distribution,
 )
-from dpvqss.bitvec import BitVector, CapacityError
+from dpvqss.adversary import _separating_share
+from dpvqss.bitvec import BitVector
+from dpvqss.entangle import ChannelTap, _read_law
+from dpvqss.protocol import ProtocolConfig, random_secret, run_protocol
+from dpvqss.qsim import dense_outcomes
+from audit_reference import reference_audit, view_distribution
+from stabilizer_reference import in_span
 
 
 def bv(text):
@@ -154,16 +164,248 @@ class TestLeakageAudit:
         b = view_distribution(EveStrategy("entangle_measure"), 2, 1, bv("10"), 1)
         assert a == b
 
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            leakage_audit(
-                EveStrategy(), AuditSize(4, 2), bv("10101010"), bv("01010101"),
-                phase=1,
-            )
+    def test_passive_audit_past_the_enumerator(self):
+        # (4, 2) would need 2^32 assignments to enumerate.
+        tv = leakage_audit(
+            EveStrategy(), AuditSize(4, 2), bv("10101010"), bv("01010101"),
+            phase=1,
+        )
+        assert tv == 0
 
-    def test_random_basis_refused(self):
-        with pytest.raises(ValueError):
-            leakage_audit(
-                EveStrategy("intercept_resend", basis="random"),
-                AuditSize(2, 1), bv("10"), bv("01"), phase=1,
-            )
+    def test_random_basis_phase1_leaks_a_quarter_per_position(self):
+        # Only when both taps read a position in X does Eve see the whole
+        # XOR chain, which carries the source's kick there.
+        eve = EveStrategy("intercept_resend", basis="random")
+        cfg = AuditSize(2, 1)
+        assert leakage_audit(eve, cfg, bv("00"), bv("01"), phase=1) == Fraction(1, 4)
+        # Two differing positions: 1 - (3/4)^2.
+        assert leakage_audit(eve, cfg, bv("10"), bv("01"), phase=1) == Fraction(7, 16)
+
+
+# -- the audit against its references -----------------------------------------
+
+FIXED_KINDS = ("none", "measure_resend", "intercept_resend", "entangle_measure",
+               "pns")
+RANDOM_BASIS = EveStrategy("intercept_resend", basis="random")
+
+
+@st.composite
+def audit_cases(draw, sizes, kinds=FIXED_KINDS, channels=(None, 0, 1),
+                basis="computational"):
+    """(strategy, size, s, s_prime, phase) with two distinct secrets."""
+    n, m = draw(st.sampled_from(sizes))
+    s = draw(st.integers(0, (1 << (n * m)) - 1))
+    diff = draw(st.integers(1, (1 << (n * m)) - 1))
+    strategy = EveStrategy(
+        draw(st.sampled_from(kinds)),
+        basis=basis,
+        channel=draw(st.sampled_from(channels)),
+    )
+    return (strategy, AuditSize(n, m), BitVector(s, n * m),
+            BitVector(s ^ diff, n * m), draw(st.sampled_from((1, 2, 3))))
+
+
+class TestAuditMatchesEnumerator:
+    """Fixed reads against the brute-force enumerator, at every size it reaches."""
+
+    @pytest.mark.parametrize("channel", [None, 0, 1])
+    @pytest.mark.parametrize("kind", FIXED_KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_toy_size(self, kind, channel, data):
+        strategy, size, s, s2, phase = data.draw(
+            audit_cases([(2, 1)], (kind,), (channel,))
+        )
+        assert leakage_audit(strategy, size, s, s2, phase) == reference_audit(
+            strategy, size, s, s2, phase
+        )
+
+    # The enumerator takes up to 2 s per view here; a fixed draw keeps the
+    # cost steady.
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(audit_cases([(2, 2), (3, 1)]))
+    @example((EveStrategy("pns"), AuditSize(2, 2), bv("1001"), bv("0011"), 2))
+    @example((EveStrategy("intercept_resend", channel=1), AuditSize(3, 1),
+              bv("101"), bv("000"), 1))
+    def test_largest_sizes(self, case):
+        assert leakage_audit(*case) == reference_audit(*case)
+
+
+def read_law_span(r, reads):
+    """Spanning vectors of one position's outcomes under the sampler's law.
+
+    `reads` pairs each tapped channel with 1 (X read) or 0 (Z read); the
+    vectors pack the r register bits, then Eve's bit per read.
+    """
+    count = r + 1
+
+    def point(draws):
+        return sum(bit << i for i, bit in enumerate(_read_law(r, 1, reads, iter(draws))))
+
+    zero = point([0] * count)
+    return [point([int(i == k) for i in range(count)]) ^ zero
+            for k in range(count)]
+
+
+def pattern_share(kick, visible, tapped, r):
+    """Share of Z/X read patterns whose view separates, one rank test each."""
+    channels = [ch for ch in range(r) if tapped >> ch & 1]
+    seen = visible | ((1 << len(channels)) - 1) << r
+    hits = 0
+    for xs in product((0, 1), repeat=len(channels)):
+        span = read_law_span(r, list(zip(channels, xs)))
+        hits += not in_span(kick & visible, [v & seen for v in span])
+    return Fraction(hits, 1 << len(channels))
+
+
+def random_basis_positions(n, m, diff, phase):
+    """(kick, visible, count) of every position, stated register by register."""
+    rows = Counter()
+    if phase == 3:
+        for j in range(m):
+            kick = {0: diff >> j & 1, 1: diff >> (m + j) & 1}
+            rows[(sum(b << reg for reg, b in kick.items()), 0b11)] += 1
+        return rows
+    for j in range(n * m):
+        owner = j // m
+        kicked = n if phase == 1 else owner
+        shown = ([n] + [i for i in range(n) if i != owner] if phase == 1
+                 else list(range(n)))
+        rows[((diff >> j & 1) << kicked, sum(1 << reg for reg in shown))] += 1
+    return rows
+
+
+class TestRandomBasisAudit:
+    """Random-basis interception: the closed form against per-pattern rank
+    tests on the sampler's read law, and against the dense statevector."""
+
+    def test_share_rule_exhaustive_to_three_registers(self):
+        for r in (2, 3):
+            for case in product(range(1 << r), repeat=3):  # kick, visible, tapped
+                assert _separating_share(*case, (1 << r) - 1) \
+                    == pattern_share(*case, r), case
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_share_rule_up_to_six_taps(self, data):
+        r = data.draw(st.integers(4, 7))
+        masks = st.integers(0, (1 << r) - 1)
+        tapped = data.draw(masks.filter(lambda t: 0 < t.bit_count() <= 6))
+        kick, visible = data.draw(masks), data.draw(masks)
+        assert _separating_share(kick, visible, tapped, (1 << r) - 1) \
+            == pattern_share(kick, visible, tapped, r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(audit_cases([(2, 1), (2, 2), (3, 2), (4, 1), (5, 2), (6, 1)],
+                       ("intercept_resend",), (None, 0, 1, 5), "random"))
+    def test_audit_matches_pattern_rank_tests(self, case):
+        strategy, size, s, s2, phase = case
+        r = 2 if phase == 3 else size.n + 1
+        tapped = sum(1 << ch for ch in strategy.taps_for(
+            phase, range(2 if phase == 3 else size.n)))
+        rows = random_basis_positions(size.n, size.m, (s ^ s2).value, phase)
+        kept = Fraction(1)
+        for (kick, visible), count in rows.items():
+            kept *= (1 - pattern_share(kick, visible, tapped, r)) ** count
+        assert leakage_audit(*case) == 1 - kept
+
+    @pytest.mark.parametrize("phase, expected", [(1, Fraction(1, 4)),
+                                                 (2, Fraction(1, 2)),
+                                                 (3, Fraction(1, 2))])
+    def test_dense_statevector_agrees(self, phase, expected):
+        # n = 2, m = 1, secrets 00 and 01 differ at position 0 only, and
+        # every position is its own tuple, so the view there carries every
+        # difference.  The plug-in TV of the ~36 view values is biased up by
+        # about 0.05 at this many shots, so the event that separates is
+        # learned on one half of the shots and measured on the other.
+        rng = np.random.default_rng(90 + phase)
+        shots = 2000
+        samples = [dense_views(phase, bv(text), shots, rng) for text in ("00", "01")]
+        half = shots // 2
+        first = [Counter(views[:half]) for views in samples]
+        event = {v for v in first[0] if first[0][v] > first[1][v]}
+        second = [sum(v in event for v in views[half:]) for views in samples]
+        assert abs(Fraction(second[0] - second[1], shots - half) - expected) < 0.05
+        assert leakage_audit(RANDOM_BASIS, AuditSize(2, 1), bv("00"), bv("01"),
+                             phase) == expected
+
+
+class _Recorder:
+    """A generator that records its `integers` draws: the dense reference
+    draws each random-basis read's basis with one."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.drawn = []
+
+    def integers(self, *args, **kwargs):
+        value = self.rng.integers(*args, **kwargs)
+        self.drawn.append(int(value))
+        return value
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def dense_views(phase, s, shots, rng):
+    """Eve's view at position 0 of `shots` dense n = 2, m = 1 rounds, with
+    random-basis taps on every transmitted channel: Eve's bases, the public
+    register bits and Eve's bits."""
+    tap = ChannelTap("intercept_resend", "random")
+    if phase == 3:
+        r, p, kicks, shown = 2, 1, {0: BitVector(s.bit(0), 1),
+                                    1: BitVector(s.bit(1), 1)}, (0, 1)
+    else:
+        # Phase 1 hides agent 0's own segment, position 0; in phase 2 each
+        # agent kicks its own segment.
+        r, p = 3, 2
+        kicks = {2: s} if phase == 1 else {i: BitVector(s.bit(i) << i, 2)
+                                           for i in range(2)}
+        shown = (2, 1) if phase == 1 else (0, 1)
+    taps = {ch: tap for ch in range(2)}
+    rec = _Recorder(rng)
+    outcomes = dense_outcomes(r, p, kicks, shots, rec, taps)
+    assert len(rec.drawn) == 2 * p * shots  # one basis per tapped qubit
+    views = []
+    for k, out in enumerate(outcomes):
+        bases = rec.drawn[2 * p * k:2 * p * (k + 1):p]  # position 0 per channel
+        views.append((tuple(bases),
+                      tuple(out.registers[reg].bit(0) for reg in shown),
+                      tuple(out.eve[ch].bit(0) for ch in range(2))))
+    return views
+
+
+class TestAuditAtScale:
+    @pytest.mark.parametrize("strategy", [
+        EveStrategy(kind) for kind in FIXED_KINDS] + [RANDOM_BASIS],
+        ids=list(FIXED_KINDS) + ["intercept_resend_random"])
+    def test_full_size_audit_is_fast(self, strategy):
+        rng = np.random.default_rng(95)
+        size = AuditSize(15, 16)
+        s = BitVector.random(240, rng)
+        zero = BitVector.zeros(240)
+        for phase in (1, 2, 3):
+            start = time.perf_counter()
+            leakage_audit(strategy, size, s, zero, phase)
+            assert time.perf_counter() - start < 0.1, phase
+
+    def test_random_basis_full_size_values(self):
+        size = AuditSize(15, 16)
+        one = BitVector(1, 240)
+        zero = BitVector.zeros(240)
+        # One differing position: phase 1 needs all 15 taps to read it in X;
+        # in phase 2 its owner's tap alone reads it in X half the time.
+        assert leakage_audit(RANDOM_BASIS, size, one, zero, 1) == Fraction(1, 1 << 15)
+        assert leakage_audit(RANDOM_BASIS, size, one, zero, 2) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("strategy", [EveStrategy("entangle_measure"),
+                                          RANDOM_BASIS],
+                             ids=["entangle_measure", "intercept_resend_random"])
+    def test_run_protocol_audit_writes_every_phase(self, strategy):
+        cfg = ProtocolConfig(n=15, k=8, m=16, decoys=0)
+        rng = np.random.default_rng(96)
+        report = run_protocol(cfg, random_secret(cfg, rng), AdversaryPlan(eve=strategy),
+                              rng=rng, audit=True).to_dict()
+        leakage = report["leakage"]
+        assert all(leakage[f"phase{ph}_tv"] is not None for ph in (1, 2, 3))
+        assert not any(key.endswith("_note") for key in leakage)

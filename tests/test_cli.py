@@ -120,6 +120,18 @@ class TestRun:
         main(["run", cfg, "--trials", "3", "--seed", "2", "--out", str(out_b)])
         assert out_a.read_bytes() != out_b.read_bytes()
 
+    @pytest.mark.parametrize("text, flag", [
+        ("trials = -3", []), ("trials = 0", []), ("", ["--trials", "0"]),
+        ("", ["--trials", "-2"]),
+    ], ids=["key_negative", "key_zero", "flag_zero", "flag_negative"])
+    def test_nonpositive_trials_rejected(self, tmp_path, capsys, text, flag):
+        cfg = write(tmp_path, "t.cfg", HONEST_CFG.replace("trials = 30", text))
+        code = main(["run", cfg, *flag])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "trials" in captured.err
+
     def test_fixed_secret_from_config(self, tmp_path, capsys):
         cfg = write(tmp_path, "s.cfg", HONEST_CFG + "\nsecret = beef\n")
         main(["run", cfg, "--trials", "2"])
@@ -249,6 +261,17 @@ sweep.protocol.m = 8,16
         key = line.split("=")[0].strip()
         with pytest.raises(ConfigError, match=key):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("text, flag", [
+        ("trials = -3", []), ("trials = 5", ["--trials", "0"]),
+    ], ids=["key_negative", "flag_zero"])
+    def test_nonpositive_trials_rejected(self, tmp_path, capsys, text, flag):
+        cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG.replace("trials = 200", text))
+        code = main(["sweep", cfg, *flag])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "trials" in captured.err
 
     def test_csv_format(self, tmp_path, capsys):
         cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG.replace("trials = 200",

@@ -13,8 +13,6 @@ from dpvqss.entangle import (
     IntegrityError,
     TransmissionPlan,
     _read_law,
-    dense_outcomes,
-    dense_state,
     distribute,
     insert_decoys,
     sample_idpqc_outcomes,
@@ -22,7 +20,7 @@ from dpvqss.entangle import (
     verify_decoys,
 )
 from dpvqss.metrics import chi_square_homogeneity
-from dpvqss.qsim import StateVector
+from dpvqss.qsim import StateVector, dense_outcomes, dense_state
 from stabilizer_reference import echelon, in_span, outcome_law, uniform_law
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)

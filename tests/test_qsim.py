@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -253,3 +255,8 @@ class TestDumpAndLayout:
         assert lines[0].startswith("00 ")
         assert lines[1].startswith("11 ")
         assert float(lines[0].split()[1]) == pytest.approx(SQRT1_2)
+
+
+def test_protocol_never_loads_the_dense_reference():
+    code = "import sys, dpvqss.protocol; sys.exit('dpvqss.qsim' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
