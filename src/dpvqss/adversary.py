@@ -210,8 +210,10 @@ def leakage_audit(
 ) -> Fraction:
     """Exact total variation distance between Eve's views under two secrets.
 
-    `cfg` needs only n and m attributes (AuditSize works).  A result of 0
-    means the strategy reveals nothing that distinguishes the two secrets.
+    `cfg` needs n and m attributes (AuditSize works); a `source` attribute
+    of "third_party" means the source's register is transmitted, and so
+    tapped, too.  A result of 0 means the strategy reveals nothing that
+    distinguishes the two secrets.
     """
     if s.length != s_prime.length:
         raise ValueError("candidate secrets must have equal length")
@@ -221,8 +223,15 @@ def leakage_audit(
     if s.length != n * m:
         raise ValueError(f"secret length {s.length} != n*m")
     r = 2 if phase == 3 else n + 1
-    # Phases 1 and 2 send every agent's register; the source keeps its own.
-    taps = strategy.taps_for(phase, range(2 if phase == 3 else n))
+    # As in the protocol's rounds: phases 1 and 2 send every agent's
+    # register, and the source's too unless the source is Alice herself.
+    if phase == 3:
+        transmitted = range(2)
+    elif getattr(cfg, "source", "alice") == "third_party":
+        transmitted = range(n + 1)
+    else:
+        transmitted = range(n)
+    taps = strategy.taps_for(phase, transmitted)
     groups = Counter(_positions(n, m, (s ^ s_prime).value, phase))
     if any(tap.random_basis for tap in taps.values()):
         tapped = sum(1 << ch for ch in taps)

@@ -253,7 +253,7 @@ def cmd_run(args) -> int:
     try:
         reports = _run_trials(rc.protocol, rc.plan, trials, seed, rc.secret,
                               audit=rc.values["audit"])
-    except (ValueError, CapacityError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     out_path = args.out or rc.out
@@ -376,14 +376,8 @@ def cmd_sweep(args) -> int:
         except ValueError as err:
             log.warning("skipping cell %s: %s", cell, err)
             continue
-        # Past validation only a capacity bound may skip a cell; any other
-        # error here is a defect and must not pass for a skipped cell.
-        try:
-            reports = _run_trials(cfg, plan, trials, seed,
-                                  values["secret"], cell=cell_idx)
-        except CapacityError as err:
-            log.warning("skipping cell %s: %s", cell, err)
-            continue
+        reports = _run_trials(cfg, plan, trials, seed, values["secret"],
+                              cell=cell_idx)
         stats = empirical_stats(reports)
         eff = efficiency_report(cfg.n, cfg.m).to_dict()
         row = {f"cell.{k}": v for k, v in sorted(cell.items())}

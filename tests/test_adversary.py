@@ -1,5 +1,5 @@
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -184,6 +184,9 @@ class TestLeakageAudit:
 
 # -- the audit against its references -----------------------------------------
 
+# A size with a source: "third_party" sends the source's register too.
+SourcedSize = namedtuple("SourcedSize", "n m source")
+
 FIXED_KINDS = ("none", "measure_resend", "intercept_resend", "entangle_measure",
                "pns")
 RANDOM_BASIS = EveStrategy("intercept_resend", basis="random")
@@ -297,22 +300,29 @@ class TestRandomBasisAudit:
 
     @settings(max_examples=100, deadline=None)
     @given(audit_cases([(2, 1), (2, 2), (3, 2), (4, 1), (5, 2), (6, 1)],
-                       ("intercept_resend",), (None, 0, 1, 5), "random"))
-    def test_audit_matches_pattern_rank_tests(self, case):
+                       ("intercept_resend",), (None, 0, 1, 2, 5), "random"),
+           st.sampled_from(("alice", "third_party")))
+    def test_audit_matches_pattern_rank_tests(self, case, source):
         strategy, size, s, s2, phase = case
+        size = SourcedSize(size.n, size.m, source)
         r = 2 if phase == 3 else size.n + 1
-        tapped = sum(1 << ch for ch in strategy.taps_for(
-            phase, range(2 if phase == 3 else size.n)))
+        sent = 2 if phase == 3 else size.n + (source == "third_party")
+        tapped = sum(1 << ch for ch in strategy.taps_for(phase, range(sent)))
         rows = random_basis_positions(size.n, size.m, (s ^ s2).value, phase)
         kept = Fraction(1)
         for (kick, visible), count in rows.items():
             kept *= (1 - pattern_share(kick, visible, tapped, r)) ** count
-        assert leakage_audit(*case) == 1 - kept
+        assert leakage_audit(strategy, size, s, s2, phase) == 1 - kept
 
-    @pytest.mark.parametrize("phase, expected", [(1, Fraction(1, 4)),
-                                                 (2, Fraction(1, 2)),
-                                                 (3, Fraction(1, 2))])
-    def test_dense_statevector_agrees(self, phase, expected):
+    @pytest.mark.parametrize("source, phase, expected", [
+        ("alice", 1, Fraction(1, 4)),
+        ("alice", 2, Fraction(1, 2)),
+        ("alice", 3, Fraction(1, 2)),
+        # An X read on the sent source register shows the source's kick.
+        ("third_party", 1, Fraction(1, 2)),
+        ("third_party", 2, Fraction(1, 2)),
+    ])
+    def test_dense_statevector_agrees(self, source, phase, expected):
         # n = 2, m = 1, secrets 00 and 01 differ at position 0 only, and
         # every position is its own tuple, so the view there carries every
         # difference.  The plug-in TV of the ~36 view values is biased up by
@@ -320,14 +330,16 @@ class TestRandomBasisAudit:
         # learned on one half of the shots and measured on the other.
         rng = np.random.default_rng(90 + phase)
         shots = 2000
-        samples = [dense_views(phase, bv(text), shots, rng) for text in ("00", "01")]
+        sent = 3 if phase < 3 and source == "third_party" else 2
+        samples = [dense_views(phase, bv(text), shots, rng, sent)
+                   for text in ("00", "01")]
         half = shots // 2
         first = [Counter(views[:half]) for views in samples]
         event = {v for v in first[0] if first[0][v] > first[1][v]}
         second = [sum(v in event for v in views[half:]) for views in samples]
         assert abs(Fraction(second[0] - second[1], shots - half) - expected) < 0.05
-        assert leakage_audit(RANDOM_BASIS, AuditSize(2, 1), bv("00"), bv("01"),
-                             phase) == expected
+        assert leakage_audit(RANDOM_BASIS, SourcedSize(2, 1, source), bv("00"),
+                             bv("01"), phase) == expected
 
 
 class _Recorder:
@@ -347,9 +359,9 @@ class _Recorder:
         return getattr(self.rng, name)
 
 
-def dense_views(phase, s, shots, rng):
+def dense_views(phase, s, shots, rng, sent):
     """Eve's view at position 0 of `shots` dense n = 2, m = 1 rounds, with
-    random-basis taps on every transmitted channel: Eve's bases, the public
+    random-basis taps on the first `sent` channels: Eve's bases, the public
     register bits and Eve's bits."""
     tap = ChannelTap("intercept_resend", "random")
     if phase == 3:
@@ -362,16 +374,17 @@ def dense_views(phase, s, shots, rng):
         kicks = {2: s} if phase == 1 else {i: BitVector(s.bit(i) << i, 2)
                                            for i in range(2)}
         shown = (2, 1) if phase == 1 else (0, 1)
-    taps = {ch: tap for ch in range(2)}
+    taps = {ch: tap for ch in range(sent)}
     rec = _Recorder(rng)
     outcomes = dense_outcomes(r, p, kicks, shots, rec, taps)
-    assert len(rec.drawn) == 2 * p * shots  # one basis per tapped qubit
+    per_shot = sent * p
+    assert len(rec.drawn) == per_shot * shots  # one basis per tapped qubit
     views = []
     for k, out in enumerate(outcomes):
-        bases = rec.drawn[2 * p * k:2 * p * (k + 1):p]  # position 0 per channel
+        bases = rec.drawn[per_shot * k:per_shot * (k + 1):p]  # position 0 per channel
         views.append((tuple(bases),
                       tuple(out.registers[reg].bit(0) for reg in shown),
-                      tuple(out.eve[ch].bit(0) for ch in range(2))))
+                      tuple(out.eve[ch].bit(0) for ch in range(sent))))
     return views
 
 
