@@ -1,16 +1,10 @@
 #!/usr/bin/env python3
-"""Bit-vector algebra walkthrough: XOR, inner products, segments, and the
-balance property that makes the whole protocol tick."""
+"""Bit-vector algebra walkthrough: XOR, inner products, segments as shifts
+of plain ints, and the balance property that makes the whole protocol tick."""
 
 import numpy as np
 
-from dpvqss.bitvec import (
-    BitVector,
-    SegmentedVector,
-    cip_census,
-    concat_segments,
-    extend_segment,
-)
+from dpvqss.bitvec import BitVector, cip_census
 
 rng = np.random.default_rng(1)
 
@@ -24,18 +18,22 @@ print(f"x . y      = {x.dot(y)}   (inner product mod 2)")
 
 print()
 print("== Segments ==")
-# A 3-agent layout with 4-bit slices: segment 0 is least significant.
-parts = [BitVector.random(4, rng) for _ in range(3)]
-s = concat_segments(parts)
-seg = SegmentedVector(s, n=3, m=4)
-print(f"slices (s2, s1, s0) = {parts[2]}, {parts[1]}, {parts[0]}")
-print(f"aggregated          = {s}")
-for i in range(3):
-    print(f"  segment {i}         = {seg.segment(i)}")
-
-acc = BitVector.zeros(12)
+# A 3-agent layout with 4-bit slices, as the protocol's phases hold it: one
+# int, segment i in bits 4i .. 4i+3, so segment 0 is least significant.
+n, m = 3, 4
+mask = (1 << m) - 1
+parts = [BitVector.random(m, rng) for _ in range(n)]
+s = 0
 for i, part in enumerate(parts):
-    acc = acc ^ extend_segment(part, i, 3)
+    s |= part.value << (i * m)
+print(f"slices (s2, s1, s0) = {parts[2]}, {parts[1]}, {parts[0]}")
+print(f"aggregated          = {s:0{n * m}b}")
+for i in range(n):
+    print(f"  segment {i}         = {s >> (i * m) & mask:0{m}b}")
+
+acc = 0
+for i, part in enumerate(parts):
+    acc ^= part.value << (i * m)
 print(f"XOR of extended slices reproduces the aggregate: {acc == s}")
 
 print()

@@ -33,10 +33,11 @@ n, m = 2, 1
 s = BitVector.from_string("10")
 print(f"n={n} agents, m={m} bit slices, secret s = {s}")
 counts = {}
-for out in dense_outcomes(n + 1, n * m, {n: s}, 4000, rng):
+for out in dense_outcomes(n + 1, n * m, {n: s.value}, 4000, rng):
     a, b0, b1 = out.registers[n], out.registers[0], out.registers[1]
-    assert a ^ b0 ^ b1 == s, "XOR constraint violated"
-    counts[(str(a), str(b1), str(b0))] = counts.get((str(a), str(b1), str(b0)), 0) + 1
+    assert a ^ b0 ^ b1 == s.value, "XOR constraint violated"
+    key = tuple(format(reg, f"0{n * m}b") for reg in (a, b1, b0))
+    counts[key] = counts.get(key, 0) + 1
 print(f"4000 shots, {len(counts)} distinct outcomes, all satisfying")
 print("a XOR b1 XOR b0 = s; a few of them:")
 for key, c in sorted(counts.items())[:6]:

@@ -2,7 +2,7 @@
 
 Library layout:
 
-- bitvec     bit-vector and segment algebra
+- bitvec     bit vectors at the API edge; rounds and phases use plain ints
 - qsim       exact statevector simulator and dense round reference
              (tests and oracle-check only; no protocol module imports it)
 - threshold  (k, n) Shamir sharing over GF(2^w) with robust decoding
@@ -17,7 +17,7 @@ Library layout:
 
 __version__ = "0.6.0"
 
-from .bitvec import BitVector, SegmentedVector  # noqa: F401
+from .bitvec import BitVector  # noqa: F401
 from .threshold import Share, SplitConfig, reconstruct, robust_decode, split  # noqa: F401
 from .adversary import AdversaryPlan, EveStrategy, RogueBehavior, leakage_audit  # noqa: F401
 from .protocol import ProtocolConfig, RunReport, run_protocol  # noqa: F401

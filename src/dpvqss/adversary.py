@@ -1,15 +1,16 @@
 """Eavesdropper strategies, rogue-agent behaviours, and exact leakage audits.
 
 The eavesdropper ("Eve") acts on quantum channels through `ChannelTap`s; rogue
-agents act on classical messages by replacing payloads.  The leakage audit
-returns the exact total variation distance, as a Fraction, between Eve's
-complete views (Eve's own outcomes plus every public classical payload) under
-two candidate secrets.  It reads the sampler's own law (`entangle._read_law`):
-each position's outcome is uniform over a subspace, shifted by the secret's
-phase kicks, and Eve sees a projection of it.  With fixed reads two views are
-then equal or disjoint, one rank test per kind of position; with random-basis
-reads each position separates them with an exact probability.  The cost grows
-with n*m, not with the number of outcomes.
+agents act on classical messages by replacing payloads, ints of a width the
+protocol config fixes.  The leakage audit returns the exact total variation
+distance, as a Fraction, between Eve's complete views (Eve's own outcomes
+plus every public classical payload) under two candidate secrets.  It reads
+the sampler's own law (`entangle._read_law`): each position's outcome is
+uniform over a subspace, shifted by the secret's phase kicks, and Eve sees a
+projection of it.  With fixed reads two views are then equal or disjoint, one
+rank test per kind of position; with random-basis reads each position
+separates them with an exact probability.  The cost grows with n*m, not with
+the number of outcomes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitvec import BitVector
+from .bitvec import BitVector, random_bits
 from .entangle import ChannelTap, _read_law
 
 EVE_KINDS = ("none", "measure_resend", "intercept_resend", "entangle_measure", "pns")
@@ -91,7 +92,13 @@ class AdversaryPlan:
     eve: EveStrategy = EveStrategy()
     rogues: RogueBehavior = RogueBehavior()
 
-    def validate(self, n: int, k: int):
+    def validate(self, cfg):
+        """Raise ValueError unless the plan can run under `cfg`.
+
+        `cfg` needs n, k and m attributes, and a `source` of "alice" or
+        "third_party" (ProtocolConfig works).
+        """
+        n, k, m = cfg.n, cfg.k, cfg.m
         if any(not 0 <= a < n for a in self.rogues.agents):
             raise ValueError(f"rogue agent ids {self.rogues.agents} out of range")
         if len(set(self.rogues.agents)) > n - k:
@@ -99,35 +106,55 @@ class AdversaryPlan:
                 f"{len(set(self.rogues.agents))} rogues break the "
                 f"at-least-k-loyal bound (n-k = {n - k})"
             )
+        fixed = self.rogues.fixed_value
+        if self.rogues.mode == "fixed" and fixed is not None:
+            for action in self.rogues.actions:
+                need = n * m if action == "lie_phase2_report" else m
+                if fixed.length != need:
+                    raise ValueError(
+                        f"adversary.rogues.fixed has {fixed.length} bits, but "
+                        f"{action} needs {need}"
+                    )
+        channel = self.eve.channel
+        if self.eve.kind != "none" and channel is not None:
+            # Each phase sends channels 0 .. c-1: phases 1 and 2 every
+            # agent's register, and the source's too unless the source is
+            # Alice herself; phase 3 the pair's two registers.
+            sent = max((2 if phase == 3 else n + (cfg.source == "third_party")
+                        for phase in self.eve.phases), default=0)
+            if not 0 <= channel < sent:
+                raise ValueError(
+                    f"adversary.eve.channel {channel} is not sent in any of "
+                    f"phases {list(self.eve.phases)}"
+                )
 
 
 HONEST_PLAN = AdversaryPlan()
 
 
-def falsify(payload: BitVector, mode: str, fixed_value, rng) -> BitVector:
-    """Produce the lie that replaces an honest payload."""
+def falsify(payload: int, length: int, mode: str, fixed_value, rng) -> int:
+    """Produce the lie that replaces an honest length-bit payload."""
     if mode == "bit_flip":
-        j = int(rng.integers(payload.length))
-        return payload ^ BitVector(1 << j, payload.length)
+        return payload ^ (1 << int(rng.integers(length)))
     if mode == "random":
-        return BitVector.random(payload.length, rng)
+        return random_bits(length, rng)
     if mode == "fixed":
-        if fixed_value is None or fixed_value.length != payload.length:
+        if fixed_value is None or fixed_value.length != length:
             raise ValueError(
-                "fixed lie value missing or of wrong length "
-                f"(need {payload.length})"
+                f"fixed lie value missing or of wrong length (need {length})"
             )
-        return fixed_value
+        return fixed_value.value
     raise ValueError(f"unknown lie mode {mode!r}")
 
 
 def rogue_transform(
-    behavior: RogueBehavior, sender: int, action: str, payload: BitVector, rng
-) -> BitVector:
-    """Replace a message payload if the sender is rogue for this action."""
+    behavior: RogueBehavior, sender: int, action: str, payload: int,
+    length: int, rng,
+) -> int:
+    """Replace a length-bit payload if the sender is rogue for this action."""
     if not behavior.lies(sender, action):
         return payload
-    return falsify(payload, behavior.mode, behavior.fixed_value, rng)
+    return falsify(payload, length, behavior.mode, behavior.fixed_value, rng)
 
 
 # -- leakage auditing ---------------------------------------------------------

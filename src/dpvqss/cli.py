@@ -26,7 +26,9 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import xor
 
 import numpy as np
 
@@ -40,9 +42,9 @@ from .protocol import (
     canonical_json,
     random_secret,
     run_protocol,
+    secret_length,
 )
 from .qsim import dense_outcomes, dense_state
-from .threshold import bytes_to_elements
 
 log = logging.getLogger("dpvqss")
 
@@ -184,7 +186,8 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
     try:
         protocol = _build_protocol(values)
         plan = _build_plan(values)
-        plan.validate(protocol.n, protocol.k)
+        plan.validate(protocol)
+        secret_length(protocol, values["secret"])
     except (ValueError, TypeError) as err:
         raise ConfigError(f"{path}: {err}") from None
     return RunConfig(values, {}, protocol, plan)
@@ -227,7 +230,7 @@ def _trial_rng(seed: int, *indices: int):
 def _run_trials(cfg: ProtocolConfig, plan: AdversaryPlan, trials: int,
                 seed: int, secret: bytes | None, cell: int = 0,
                 audit: bool = False):
-    plan.validate(cfg.n, cfg.k)
+    plan.validate(cfg)
     reports = []
     for trial in range(trials):
         rng = _trial_rng(seed, cell, trial)
@@ -267,13 +270,8 @@ def cmd_run(args) -> int:
     return EXIT_ABORT_OBSERVED if any_abort else EXIT_OK
 
 
-def _pack_outcome(registers) -> int:
-    key = 0
-    width = 0
-    for reg in registers:
-        key |= reg.value << width
-        width += reg.length
-    return key
+def _pack_outcome(registers, p: int) -> int:
+    return sum(reg << (i * p) for i, reg in enumerate(registers))
 
 
 def oracle_check_case(n, m, shots, secrets, seed, dump=False):
@@ -286,26 +284,25 @@ def oracle_check_case(n, m, shots, secrets, seed, dump=False):
     """
     rng = np.random.default_rng([seed, n, m])
     results = []
+    p = n * m
     for idx in range(secrets):
-        s = BitVector.random(n * m, rng)
+        secret = BitVector.random(p, rng)
+        s = secret.value
         if dump and idx == 0:
-            print(dense_state(n + 1, n * m, phase_bits={n: s})[0].dump())
+            print(dense_state(n + 1, p, phase_bits={n: s})[0].dump())
         oracle_counts: Counter = Counter()
         violations = 0
-        for out in dense_outcomes(n + 1, n * m, {n: s}, shots, rng):
-            acc = out.registers[0]
-            for reg in out.registers[1:]:
-                acc = acc ^ reg
-            if acc != s:
+        for out in dense_outcomes(n + 1, p, {n: s}, shots, rng):
+            if reduce(xor, out.registers) != s:
                 violations += 1
-            oracle_counts[_pack_outcome(out.registers)] += 1
+            oracle_counts[_pack_outcome(out.registers, p)] += 1
         sampler_counts: Counter = Counter()
         for _ in range(shots):
             out = sample_idpqc_outcomes(s, n, m, rng)
-            sampler_counts[_pack_outcome(out.registers)] += 1
+            sampler_counts[_pack_outcome(out.registers, p)] += 1
         p_value = chi_square_homogeneity(oracle_counts, sampler_counts)
         results.append({
-            "secret": str(s), "violations": violations, "p_value": p_value,
+            "secret": str(secret), "violations": violations, "p_value": p_value,
         })
     return results
 
@@ -328,22 +325,6 @@ def cmd_check_oracle(args) -> int:
     print(f"oracle-check n={args.n} m={args.m} shots={args.shots}: "
           f"{'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_ERROR
-
-
-def _check_secret_shape(cfg: ProtocolConfig, secret: bytes | None):
-    """Raise ValueError unless w | m and the secret, fixed or drawn at
-    random, fills exactly m / w field elements."""
-    n_elems = cfg.elements
-    if secret is None:
-        if cfg.w == 4 and n_elems % 2:
-            raise ValueError("nibble-width secrets need an even element count")
-        return
-    got = len(bytes_to_elements(secret, cfg.w))
-    if got != n_elems:
-        raise ValueError(
-            f"secret encodes {got} field elements, "
-            f"but m={cfg.m}, w={cfg.w} requires {n_elems}"
-        )
 
 
 def _sweep_cells(rc: RunConfig):
@@ -371,8 +352,8 @@ def cmd_sweep(args) -> int:
         try:
             cfg = _build_protocol(values)
             plan = _build_plan(values)
-            plan.validate(cfg.n, cfg.k)
-            _check_secret_shape(cfg, values["secret"])
+            plan.validate(cfg)
+            secret_length(cfg, values["secret"])
         except ValueError as err:
             log.warning("skipping cell %s: %s", cell, err)
             continue

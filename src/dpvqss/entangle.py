@@ -1,9 +1,11 @@
 """Entanglement distribution, decoy handling, and the correlated-outcome sampler.
 
 A batch models r parties holding p-qubit registers whose j-th qubits form one
-GHZ_r tuple (a Bell pair when r = 2).  Every round, tapped or not, is an
-H/CNOT circuit, so each tuple's joint outcome is uniform over an affine
-subspace of GF(2)^(r+t) for t tapped channels (Aaronson & Gottesman 2004).
+GHZ_r tuple (a Bell pair when r = 2).  Phase bits, register outcomes and
+Eve's reads are p-bit ints, bit j belonging to tuple j.  Every round, tapped
+or not, is an H/CNOT circuit, so each tuple's joint outcome is uniform over
+an affine subspace of GF(2)^(r+t) for t tapped channels (Aaronson &
+Gottesman 2004).
 The round only prepares GHZ tuples, reads them channel by channel and
 applies a Hadamard layer, so that subspace has a closed form, `_read_law`,
 which draws all p positions at once as p-bit words, whatever each position's
@@ -30,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bitvec import BitVector, DimensionError
+from .bitvec import DimensionError
 
 TAP_KINDS = ("measure_resend", "intercept_resend", "entangle_measure")
 BASIS_LABELS = ("0", "1", "+", "-")  # decoy preparation states
@@ -81,8 +83,8 @@ class RoundOutcome:
     """Measured register contents of one round, and any eavesdropper
     outcomes keyed by tapped channel."""
 
-    registers: list[BitVector]
-    eve: dict[int, BitVector]
+    registers: list[int]
+    eve: dict[int, int]
 
 
 class EntangledBatch:
@@ -106,18 +108,15 @@ class EntangledBatch:
 
     # -- outcome generation ---------------------------------------------------
 
-    def _phase_vectors(self, phase_bits: dict[int, BitVector]) -> dict[int, BitVector]:
-        out = {}
+    def _phase_vectors(self, phase_bits: dict[int, int]):
         for enc, vec in phase_bits.items():
             if enc not in self.encoders:
                 raise ValueError(f"register {enc} is not an encoder")
-            if vec.length != self.p:
+            if not 0 <= vec < 1 << self.p:
                 raise DimensionError(
-                    f"phase vector for register {enc} has length {vec.length}, "
-                    f"expected {self.p}"
+                    f"phase vector {vec:#x} for register {enc} does not fit "
+                    f"in {self.p} bits"
                 )
-            out[enc] = vec
-        return out
 
     def _mark_consumed(self):
         if self.consumed:
@@ -128,9 +127,9 @@ class EntangledBatch:
             self.sealed = True
         self.consumed = True
 
-    def encode_and_measure(self, phase_bits: dict[int, BitVector], rng) -> RoundOutcome:
+    def encode_and_measure(self, phase_bits: dict[int, int], rng) -> RoundOutcome:
         """Apply the encoders' phase oracles, the Hadamard layers, and measure."""
-        phase_bits = self._phase_vectors(phase_bits)
+        self._phase_vectors(phase_bits)
         self._mark_consumed()
         return self._sample(phase_bits, rng)
 
@@ -167,15 +166,12 @@ class EntangledBatch:
         outputs = _read_law(r, p, reads, iter(draws))
         # A phase kick before the Hadamard layer is a bit flip after it.
         for enc, vec in phase_bits.items():
-            outputs[enc] ^= vec.value
+            outputs[enc] ^= vec
         if not channels:
             assert reduce(xor, outputs) == reduce(
-                xor, (vec.value for vec in phase_bits.values()), 0
+                xor, phase_bits.values(), 0
             ), "sampler violated its own XOR constraint"
-        return RoundOutcome(
-            [BitVector(v, p) for v in outputs[:r]],
-            {ch: BitVector(v, p) for ch, v in zip(channels, outputs[r:])},
-        )
+        return RoundOutcome(outputs[:r], dict(zip(channels, outputs[r:])))
 
 
 def _read(tap: ChannelTap, x_basis: bool) -> str:
@@ -288,11 +284,9 @@ def verify_decoys(
     return mismatches, ("abort" if mismatches else "proceed")
 
 
-def sample_idpqc_outcomes(s: BitVector, n: int, m: int, rng) -> RoundOutcome:
+def sample_idpqc_outcomes(s: int, n: int, m: int, rng) -> RoundOutcome:
     """One honest information-distribution round: registers b_0..b_{n-1}, then
     a, uniform over all tuples with a XOR b_{n-1} XOR ... XOR b_0 = s; every
     proper subset is marginally uniform."""
-    if s.length != n * m:
-        raise DimensionError(f"secret length {s.length} != n*m = {n * m}")
     batch = distribute(n + 1, n * m, transmitted=range(n), encoders=(n,))
     return batch.encode_and_measure({n: s}, rng)

@@ -7,7 +7,7 @@ classical round fans the per-segment outcomes out so that agent i can
 solve for his own m-bit slice.
 
 Phase 2 (verification): a fresh batch; every agent phases his received
-slice (zero-extended to his segment) into his own circuit, the source
+slice (shifted into his segment) into his own circuit, the source
 collects all reported outcomes in one parallel round and checks that the
 XOR chain reproduces the original secret.  Any discrepancy aborts.
 
@@ -16,10 +16,13 @@ independent Bell-pair exchange; a single parallel round carries all
 n(n-1) directed reports, after which each agent robustly decodes his n
 collected shares.
 
-The transcript records each quantum or classical round only as its phase,
-its kind and how many messages it carried; every agent XORs what it
-receives as it arrives.  All randomness flows through one injected
-generator, so a (config, secret, plan, seed) tuple reproduces a
+Registers, slices and reports are plain ints: the aggregated secret and
+every register are n*m bits wide, segment i being bits i*m .. i*m+m-1, and
+each slice is m bits wide, so the phases cut and place segments with
+shifts and masks.  The transcript records each quantum or classical round
+only as its phase, its kind and how many messages it carried; every agent
+XORs what it receives as it arrives.  All randomness flows through one
+injected generator, so a (config, secret, plan, seed) tuple reproduces a
 byte-identical report.
 """
 
@@ -28,13 +31,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 
 import numpy as np
 
 from . import __version__
 from .adversary import AdversaryPlan, HONEST_PLAN, falsify, leakage_audit, rogue_transform
-from .bitvec import BitVector, SegmentedVector, concat_segments, extend_segment
+from .bitvec import BitVector
 from .entangle import distribute, insert_decoys, transmit, verify_decoys
 from .metrics import efficiency_report
 from .threshold import (
@@ -119,23 +123,25 @@ def elements_to_hex(elements, w: int) -> str:
 class AgentResult:
     index: int
     loyal: bool
-    s_i: BitVector | None = None
+    s_i: int | None = None  # the m-bit slice received in phase 1
     claimed_shares: list[Share] = field(default_factory=list)
     reconstructed: tuple[int, ...] | None = None
     support: int | None = None
     ambiguous: bool = False
 
-    def to_dict(self, true_elements, w: int) -> dict:
+    def to_dict(self, true_elements, cfg: ProtocolConfig) -> dict:
         recovered = (
             self.reconstructed is not None
             and tuple(self.reconstructed) == tuple(true_elements)
         )
         return {
             "loyal": self.loyal,
-            "s_i": str(self.s_i) if self.s_i is not None else None,
+            "s_i": (
+                format(self.s_i, f"0{cfg.m}b") if self.s_i is not None else None
+            ),
             "claimed_shares": [sh.token() for sh in self.claimed_shares],
             "reconstructed": (
-                elements_to_hex(self.reconstructed, w)
+                elements_to_hex(self.reconstructed, cfg.w)
                 if self.reconstructed is not None else None
             ),
             "support": self.support,
@@ -173,7 +179,7 @@ class RunReport:
             "abort": self.abort.to_dict() if self.abort else None,
             "detection_events": self.detection_events,
             "agents": {
-                str(a.index): a.to_dict(self.secret_elements, cfg.w)
+                str(a.index): a.to_dict(self.secret_elements, cfg)
                 for a in self.agents
             },
             "rounds": self.transcript.summary(),
@@ -249,15 +255,16 @@ def _run_quantum_round(cfg, plan, rng, *, phase, r, p, encoders, phase_bits,
     return batch.encode_and_measure(phase_bits, rng), None, len(transmitted)
 
 
-def phase1_distribute(cfg: ProtocolConfig, s: BitVector, plan: AdversaryPlan,
+def phase1_distribute(cfg: ProtocolConfig, s: int, plan: AdversaryPlan,
                       rng, transcript: Transcript | None = None):
     """Run the distribution circuit plus its one parallel classical round.
 
-    Returns (per-agent received vectors | None, transcript, abort, detection).
+    `s` is the n*m-bit aggregated secret.  Returns (per-agent received m-bit
+    slices | None, transcript, abort, detection).
     """
     n, m = cfg.n, cfg.m
-    if s.length != n * m:
-        raise ValueError(f"secret length {s.length} != n*m = {n * m}")
+    if not 0 <= s < 1 << (n * m):
+        raise ValueError(f"secret {s:#x} does not fit in n*m = {n * m} bits")
     transcript = transcript if transcript is not None else Transcript()
     detection: list[dict] = []
 
@@ -269,34 +276,34 @@ def phase1_distribute(cfg: ProtocolConfig, s: BitVector, plan: AdversaryPlan,
     if abort:
         return None, transcript, abort, detection
 
-    a = SegmentedVector(outcome.registers[n], n, m)
-    bobs = [SegmentedVector(outcome.registers[i], n, m) for i in range(n)]
+    registers = outcome.registers
     if not plan.eve.is_active_in(1):
-        total = outcome.registers[n]
-        for i in range(n):
-            total = total ^ outcome.registers[i]
-        assert total == s, "distribution round broke its XOR constraint"
+        assert reduce(xor, registers) == s, (
+            "distribution round broke its XOR constraint"
+        )
 
     # One parallel round of n * n messages: the source and every agent j
     # send segment i to agent i, who XORs them into his own segment i.
+    mask = (1 << m) - 1
     inputs = []
     for i in range(n):
-        acc = a.segment(i) ^ bobs[i].segment(i)
+        acc = (registers[n] ^ registers[i]) >> (i * m) & mask
         for j in range(n):
             if j != i:
-                acc = acc ^ rogue_transform(
-                    plan.rogues, j, "lie_phase1_comms", bobs[j].segment(i), rng
+                acc ^= rogue_transform(
+                    plan.rogues, j, "lie_phase1_comms",
+                    registers[j] >> (i * m) & mask, m, rng,
                 )
         inputs.append(acc)
     transcript.add("phase1", "classical", n * n)
     return inputs, transcript, None, detection
 
 
-def phase2_verify(cfg: ProtocolConfig, agent_inputs, s: BitVector,
+def phase2_verify(cfg: ProtocolConfig, agent_inputs, s: int,
                   plan: AdversaryPlan, rng,
                   transcript: Transcript | None = None):
-    """Every agent phases his extended slice into a fresh batch; the source
-    checks the XOR chain against the original secret.
+    """Every agent phases his m-bit slice, shifted into his segment, into a
+    fresh batch; the source checks the XOR chain against the n*m-bit secret.
 
     Returns (verdict, transcript, abort, detection); an XOR mismatch is the
     verdict "abort", not an error.
@@ -307,9 +314,7 @@ def phase2_verify(cfg: ProtocolConfig, agent_inputs, s: BitVector,
     transcript = transcript if transcript is not None else Transcript()
     detection: list[dict] = []
 
-    phase_bits = {
-        i: extend_segment(agent_inputs[i], i, n) for i in range(n)
-    }
+    phase_bits = {i: agent_inputs[i] << (i * m) for i in range(n)}
     outcome, abort, sent = _run_quantum_round(
         cfg, plan, rng, phase=2, r=n + 1, p=n * m, encoders=tuple(range(n)),
         phase_bits=phase_bits, detection=detection,
@@ -321,17 +326,18 @@ def phase2_verify(cfg: ProtocolConfig, agent_inputs, s: BitVector,
     # One parallel round: every agent reports his outcome to the source.
     computed = outcome.registers[n]
     for i in range(n):
-        computed = computed ^ rogue_transform(
-            plan.rogues, i, "lie_phase2_report", outcome.registers[i], rng
+        computed ^= rogue_transform(
+            plan.rogues, i, "lie_phase2_report", outcome.registers[i], n * m,
+            rng,
         )
     transcript.add("phase2", "classical", n)
     if computed == s:
         return "proceed", transcript, None, detection
-    detection.append({"phase": "phase2", "kind": "xor_mismatch",
-                      "computed": str(computed), "expected": str(s)})
+    shown = {"computed": format(computed, f"0{n * m}b"),
+             "expected": format(s, f"0{n * m}b")}
+    detection.append({"phase": "phase2", "kind": "xor_mismatch", **shown})
     return "abort", transcript, AbortInfo(
-        "phase2", "verification_failed",
-        {"computed": str(computed), "expected": str(s)},
+        "phase2", "verification_failed", shown,
     ), detection
 
 
@@ -348,18 +354,18 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
 
     # What each agent embeds: honest agents their received slice, phase-3
     # oracle liars a falsified vector (fresh per pair in random mode).
-    measured: dict[tuple[int, int], BitVector] = {}
-    embedded: dict[tuple[int, int], BitVector] = {}
+    measured: dict[tuple[int, int], int] = {}
+    embedded: dict[tuple[int, int], int] = {}
     sent = 0
     for i in range(n):
         for j in range(i + 1, n):
             emb_i = agent_inputs[i]
             if plan.rogues.lies(i, "lie_phase3_oracle"):
-                emb_i = falsify(emb_i, plan.rogues.mode,
+                emb_i = falsify(emb_i, m, plan.rogues.mode,
                                 plan.rogues.fixed_value, rng)
             emb_j = agent_inputs[j]
             if plan.rogues.lies(j, "lie_phase3_oracle"):
-                emb_j = falsify(emb_j, plan.rogues.mode,
+                emb_j = falsify(emb_j, m, plan.rogues.mode,
                                 plan.rogues.fixed_value, rng)
             outcome, abort, pair_sent = _run_quantum_round(
                 cfg, plan, rng, phase=3, r=2, p=m, encoders=(0, 1),
@@ -377,12 +383,13 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
     transcript.add("phase3", "quantum", sent)
 
     # One parallel classical round carrying all n(n-1) directed reports.
-    reported: dict[tuple[int, int], BitVector] = {}
+    reported: dict[tuple[int, int], int] = {}
     for i in range(n):
         for j in range(n):
             if i != j:
                 reported[(i, j)] = rogue_transform(
-                    plan.rogues, i, "lie_phase3_report", measured[(i, j)], rng
+                    plan.rogues, i, "lie_phase3_report", measured[(i, j)], m,
+                    rng,
                 )
     transcript.add("phase3", "classical", n * (n - 1))
 
@@ -397,7 +404,7 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
                 vec = agent_inputs[i]
             else:
                 vec = measured[(i, j)] ^ reported[(j, i)] ^ embedded[(i, j)]
-            claimed.append(Share.from_bits(vec, j, cfg.w))
+            claimed.append(Share.from_bits(vec, m, j, cfg.w))
         res.claimed_shares = claimed
         try:
             decoded, support = robust_decode(claimed, cfg.split_config)
@@ -425,17 +432,15 @@ def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONES
     if rng is None:
         seed = cfg.seed if seed is None else seed
         rng = np.random.default_rng(seed)
-    plan.validate(cfg.n, cfg.k)
+    plan.validate(cfg)
+    secret_length(cfg, secret)
     elements = bytes_to_elements(secret, cfg.w)
-    if len(elements) != cfg.elements:
-        raise ValueError(
-            f"secret encodes {len(elements)} field elements, "
-            f"but m={cfg.m}, w={cfg.w} requires {cfg.elements}"
-        )
 
     shares = split(elements, cfg.split_config, rng)
-    s_vectors = [sh.to_bits() for sh in shares]
-    s = concat_segments(s_vectors)
+    # Share i is segment i of the aggregated n*m-bit secret.
+    s = 0
+    for i, share in enumerate(shares):
+        s |= share.to_bits() << (i * cfg.m)
 
     transcript = Transcript()
     agents = [
@@ -479,20 +484,37 @@ def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONES
     return report("proceed", None, detection, results)
 
 
-def _leakage_block(cfg: ProtocolConfig, plan: AdversaryPlan, s: BitVector):
+def _leakage_block(cfg: ProtocolConfig, plan: AdversaryPlan, s: int):
     """Exact view-distance audit of this run's secret against the zero secret."""
-    zero = BitVector.zeros(s.length)
+    secret = BitVector(s, cfg.n * cfg.m)
+    zero = BitVector.zeros(cfg.n * cfg.m)
     block: dict = {"reference": "zero-secret"}
     for phase in (1, 2, 3):
-        tv = leakage_audit(plan.eve, cfg, s, zero, phase=phase)
+        tv = leakage_audit(plan.eve, cfg, secret, zero, phase=phase)
         block[f"phase{phase}_tv"] = f"{tv.numerator}/{tv.denominator}"
     return block
 
 
-def random_secret(cfg: ProtocolConfig, rng) -> bytes:
-    """A uniformly random secret of the byte length cfg requires."""
+def secret_length(cfg: ProtocolConfig, secret: bytes | None = None) -> int:
+    """The byte length of a secret under cfg: m / w field elements, two to a
+    byte when w = 4.
+
+    Raises ValueError unless w | m, the nibble count is even, and `secret`,
+    if given, has exactly that many bytes.
+    """
     n_elements = cfg.elements
     if cfg.w == 4 and n_elements % 2:
         raise ValueError("nibble-width secrets need an even element count")
-    n_bytes = n_elements if cfg.w == 8 else n_elements // 2
+    n_bytes = n_elements * cfg.w // 8
+    if secret is not None and len(secret) != n_bytes:
+        raise ValueError(
+            f"secret has {len(secret)} bytes, but m={cfg.m}, w={cfg.w} "
+            f"requires {n_bytes}"
+        )
+    return n_bytes
+
+
+def random_secret(cfg: ProtocolConfig, rng) -> bytes:
+    """A uniformly random secret of the byte length cfg requires."""
+    n_bytes = secret_length(cfg)
     return BitVector.random(8 * n_bytes, rng).value.to_bytes(n_bytes, "little")

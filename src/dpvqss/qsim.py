@@ -157,12 +157,12 @@ class StateVector:
         self.amps /= norm
         return outcome
 
-    def measure_register(self, qubits: Sequence[int], rng) -> BitVector:
+    def measure_register(self, qubits: Sequence[int], rng) -> int:
         """Collapse the listed qubits; bit i of the result is qubits[i]."""
         value = 0
         for i, qb in enumerate(qubits):
             value |= self.measure_qubit(qb, rng) << i
-        return BitVector(value, len(qubits))
+        return value
 
     def measure_hadamard_basis(self, qubit: int, rng) -> int:
         """H then computational measurement: 0 for |+>, 1 for |->."""
@@ -213,13 +213,14 @@ def dense_state(
     r: int,
     p: int,
     taps: dict[int, ChannelTap] | None = None,
-    phase_bits: dict[int, BitVector] | None = None,
+    phase_bits: dict[int, int] | None = None,
     rng=None,
-) -> tuple[StateVector, dict[int, BitVector]]:
+) -> tuple[StateVector, dict[int, int]]:
     """Reference only: one round's circuit on a single dense statevector.
 
     Register i holds qubits i*p .. i*p+p-1, and position j of every register
-    belongs to GHZ tuple j.  Each tap then acts on every position of its
+    belongs to GHZ tuple j; phase bits and reads are p-bit ints, bit j for
+    position j.  Each tap then acts on every position of its
     channel, in channel order: a measuring tap reads it mid-circuit with
     `rng`, an entangling tap CNOTs it onto an ancilla of its own.  Given `phase_bits`, each encoder
     kicks its phases through a |-> target and every register and ancilla
@@ -247,20 +248,20 @@ def dense_state(
                 ancilla += 1
             continue
         # A random-basis X read forwards the collapsed eigenstate.
-        bits = []
-        for qubit in qubits:
+        eve[ch] = 0
+        for j, qubit in enumerate(qubits):
             if tap.random_basis and rng.integers(2):
-                bits.append(state.measure_hadamard_basis(qubit, rng))
+                eve[ch] |= state.measure_hadamard_basis(qubit, rng) << j
                 state.apply_h(qubit)
             else:
-                bits.append(state.measure_qubit(qubit, rng))
-        eve[ch] = BitVector.from_bits(bits)
+                eve[ch] |= state.measure_qubit(qubit, rng) << j
     if phase_bits is not None:
         for i, enc in enumerate(encoders):
             target = r * p + i
             state.prepare_basis("-", target)
             state.apply_phase_oracle(
-                phase_bits[enc], range(enc * p, (enc + 1) * p), target
+                BitVector(phase_bits[enc], p), range(enc * p, (enc + 1) * p),
+                target,
             )
         state.apply_h_register(range(r * p))
         state.apply_h_register(range(r * p + len(encoders), state.q))
@@ -270,7 +271,7 @@ def dense_state(
 def dense_outcomes(
     r: int,
     p: int,
-    phase_bits: dict[int, BitVector],
+    phase_bits: dict[int, int],
     shots: int,
     rng,
     taps: dict[int, ChannelTap] | None = None,
@@ -290,7 +291,6 @@ def dense_outcomes(
     while len(out) < shots:
         state, eve = dense_state(r, p, taps, phase_bits, rng)
         for raw in state.sample_register(qubits, per_state, rng):
-            vecs = [BitVector((int(raw) >> (i * p)) & mask, p)
-                    for i in range(r + len(ent))]
+            vecs = [(int(raw) >> (i * p)) & mask for i in range(r + len(ent))]
             out.append(RoundOutcome(vecs[:r], {**eve, **dict(zip(ent, vecs[r:]))}))
     return out

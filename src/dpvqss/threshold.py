@@ -3,7 +3,7 @@
 Shares are vectors of field elements; the share for agent i is the
 evaluation of per-element random polynomials at x = i + 1, so shares of
 one secret all have the same bit length m = w * element_count.  Element 0
-sits in the least significant w bits of the share's bit form.
+sits in the least significant w bits of the share's bit form, an m-bit int.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
-
-from .bitvec import BitVector
 
 # Published reduction polynomials: x^4+x+1 and x^8+x^4+x^3+x+1.
 REDUCTION_POLY = {4: 0x13, 8: 0x11B}
@@ -149,20 +147,21 @@ class Share:
     def bit_length(self) -> int:
         return self.width * len(self.value)
 
-    def to_bits(self) -> BitVector:
+    def to_bits(self) -> int:
+        """The elements packed into one bit_length-bit int."""
         acc = 0
         for e, v in enumerate(self.value):
             acc |= v << (e * self.width)
-        return BitVector(acc, self.bit_length)
+        return acc
 
     @classmethod
-    def from_bits(cls, bits: BitVector, agent_index: int, width: int) -> "Share":
-        if bits.length % width:
-            raise ValueError(f"bit length {bits.length} not a multiple of w={width}")
+    def from_bits(cls, bits: int, length: int, agent_index: int,
+                  width: int) -> "Share":
+        """Unpack a length-bit int into length / width elements."""
+        if length % width:
+            raise ValueError(f"bit length {length} not a multiple of w={width}")
         mask = (1 << width) - 1
-        value = tuple(
-            (bits.value >> (e * width)) & mask for e in range(bits.length // width)
-        )
+        value = tuple((bits >> (e * width)) & mask for e in range(length // width))
         return cls(agent_index, value, width)
 
     def token(self) -> str:

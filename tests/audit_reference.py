@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 from dpvqss.adversary import EveStrategy
-from dpvqss.bitvec import BitVector, CapacityError, SegmentedVector
+from dpvqss.bitvec import BitVector, CapacityError
 
 # The audit enumerates every free bit exactly; cap the exponent.
 AUDIT_BIT_BOUND = 20
@@ -71,15 +71,14 @@ def view_distribution(
     if phase == 3:
         width = m
         n_regs = 2
-        seg = SegmentedVector(s, n, m)
-        constraint_vec = seg.segment(0) ^ seg.segment(1)
+        constraint = (s.value ^ s.value >> m) & ((1 << m) - 1)
         channels = [0, 1]
     else:
         width = n * m
         n_regs = n + 1
         if s.length != width:
             raise ValueError(f"secret length {s.length} != n*m")
-        constraint_vec = s
+        constraint = s.value
         channels = list(range(n))
     if strategy.channel is not None:
         channels = [ch for ch in channels if ch == strategy.channel]
@@ -94,7 +93,7 @@ def view_distribution(
         constraint_arg = None
     else:
         widths = [width] * (n_regs + n_eve)
-        constraint_arg = constraint_vec.value
+        constraint_arg = constraint
 
     total_free = len(widths) - (1 if constraint_arg is not None else 0)
     dist: dict[tuple, Fraction] = {}

@@ -74,7 +74,7 @@ def test_c1_hadamard_entanglement_property_oracle():
         violations = 0
         for n, m in ORACLE_CASES:
             for _ in range(8):
-                s = BitVector.random(n * m, rng)
+                s = BitVector.random(n * m, rng).value
                 for out in dense_outcomes(n + 1, n * m, {n: s}, 2000, rng):
                     if xor_all(out.registers) != s:
                         violations += 1
@@ -99,9 +99,8 @@ def test_c3_verification_soundness():
 
         cfg = ProtocolConfig(n=5, k=3, m=16)
         for _ in range(1000):
-            s = BitVector.random(80, rng)
-            inputs = [BitVector((s.value >> (16 * i)) & 0xFFFF, 16)
-                      for i in range(5)]
+            s = BitVector.random(80, rng).value
+            inputs = [(s >> (16 * i)) & 0xFFFF for i in range(5)]
             verdict, _, _, _ = phase2_verify(cfg, inputs, s, HONEST, rng)
             assert verdict == "proceed"
 
@@ -109,8 +108,8 @@ def test_c3_verification_soundness():
         lie = AdversaryPlan(rogues=RogueBehavior(
             (2,), ("lie_phase2_report",), mode="random"))
         for _ in range(1000):
-            s = BitVector.random(16, rng)
-            inputs = [BitVector((s.value >> (4 * i)) & 0xF, 4) for i in range(4)]
+            s = BitVector.random(16, rng).value
+            inputs = [(s >> (4 * i)) & 0xF for i in range(4)]
             verdict, _, _, _ = phase2_verify(cfg16, inputs, s, lie, rng)
             assert verdict == "abort"
 
@@ -119,12 +118,9 @@ def test_c3_verification_soundness():
         for cfg_f, width in ((ProtocolConfig(n=2, k=2, m=1), 1),
                              (ProtocolConfig(n=5, k=3, m=16), 16)):
             for _ in range(500):
-                s = BitVector.random(cfg_f.n * width, rng)
-                inputs = [
-                    BitVector((s.value >> (width * i)) & ((1 << width) - 1),
-                              width)
-                    for i in range(cfg_f.n)
-                ]
+                s = BitVector.random(cfg_f.n * width, rng).value
+                inputs = [(s >> (width * i)) & ((1 << width) - 1)
+                          for i in range(cfg_f.n)]
                 verdict, _, _, _ = phase2_verify(cfg_f, inputs, s, flip, rng)
                 assert verdict == "abort"
 
@@ -225,8 +221,8 @@ def test_c7_entangle_measure_disruption():
         aborts = 0
         trials = 1000
         for _ in range(trials):
-            s = BitVector.random(16, rng)
-            inputs = [BitVector((s.value >> (8 * i)) & 0xFF, 8) for i in range(2)]
+            s = BitVector.random(16, rng).value
+            inputs = [(s >> (8 * i)) & 0xFF for i in range(2)]
             verdict, _, _, _ = phase2_verify(cfg, inputs, s, plan, rng)
             aborts += verdict == "abort"
         assert aborts / trials >= 1.0 - 2.0 ** -16

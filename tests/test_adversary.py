@@ -55,28 +55,69 @@ class TestEveStrategy:
 class TestRogues:
     def test_plan_size_validation(self):
         plan = AdversaryPlan(rogues=RogueBehavior((1, 2), ("lie_phase3_report",)))
-        plan.validate(n=5, k=3)
+        plan.validate(ProtocolConfig(n=5, k=3, m=8))
         with pytest.raises(ValueError):
-            plan.validate(n=5, k=4)
+            plan.validate(ProtocolConfig(n=5, k=4, m=8))
         with pytest.raises(ValueError):
             AdversaryPlan(
                 rogues=RogueBehavior((7,), ("lie_phase3_report",))
-            ).validate(n=5, k=3)
+            ).validate(ProtocolConfig(n=5, k=3, m=8))
+
+    @pytest.mark.parametrize("actions, width, ok", [
+        (("lie_phase2_report",), 24, True),
+        (("lie_phase2_report",), 8, False),
+        (("lie_phase1_comms",), 8, True),
+        (("lie_phase3_oracle",), 8, True),
+        (("lie_phase3_report",), 8, True),
+        (("lie_phase3_oracle",), 24, False),
+        # No one value fits both widths.
+        (("lie_phase2_report", "lie_phase3_report"), 8, False),
+        (("lie_phase2_report", "lie_phase3_report"), 24, False),
+    ])
+    def test_fixed_value_width_validated(self, actions, width, ok):
+        plan = AdversaryPlan(rogues=RogueBehavior(
+            (0,), actions, mode="fixed", fixed_value=BitVector(1, width)))
+        cfg = ProtocolConfig(n=3, k=2, m=8)
+        if ok:
+            plan.validate(cfg)
+        else:
+            with pytest.raises(ValueError, match="adversary.rogues.fixed"):
+                plan.validate(cfg)
+
+    @pytest.mark.parametrize("kind, phases, channel, source, ok", [
+        ("intercept_resend", (1, 2, 3), 9, "alice", False),
+        ("intercept_resend", (1, 2, 3), 2, "alice", True),
+        # Only a third-party source sends register n = 3.
+        ("intercept_resend", (1, 2), 3, "alice", False),
+        ("intercept_resend", (1, 2), 3, "third_party", True),
+        # Phase 3 sends the pair's two registers only.
+        ("measure_resend", (3,), 2, "alice", False),
+        ("measure_resend", (3,), 1, "alice", True),
+        ("none", (1, 2, 3), 9, "alice", True),
+    ])
+    def test_eve_channel_must_be_sent(self, kind, phases, channel, source, ok):
+        plan = AdversaryPlan(eve=EveStrategy(kind, phases=phases, channel=channel))
+        cfg = ProtocolConfig(n=3, k=2, m=8, source=source)
+        if ok:
+            plan.validate(cfg)
+        else:
+            with pytest.raises(ValueError, match="adversary.eve.channel"):
+                plan.validate(cfg)
 
     def test_honest_messages_untouched(self):
         rng = np.random.default_rng(70)
         behavior = RogueBehavior((2,), ("lie_phase2_report",))
-        msg = bv("1010")
-        assert rogue_transform(behavior, 1, "lie_phase2_report", msg, rng) == msg
-        assert rogue_transform(behavior, 2, "lie_phase1_comms", msg, rng) == msg
+        msg = bv("1010").value
+        assert rogue_transform(behavior, 1, "lie_phase2_report", msg, 4, rng) == msg
+        assert rogue_transform(behavior, 2, "lie_phase1_comms", msg, 4, rng) == msg
 
     def test_bit_flip_changes_exactly_one_bit(self):
         rng = np.random.default_rng(71)
         behavior = RogueBehavior((0,), ("lie_phase2_report",), mode="bit_flip")
         for _ in range(50):
-            msg = BitVector.random(12, rng)
-            out = rogue_transform(behavior, 0, "lie_phase2_report", msg, rng)
-            assert (out ^ msg).weight() == 1
+            msg = BitVector.random(12, rng).value
+            out = rogue_transform(behavior, 0, "lie_phase2_report", msg, 12, rng)
+            assert (out ^ msg).bit_count() == 1
 
     def test_fixed_mode(self):
         rng = np.random.default_rng(72)
@@ -84,17 +125,19 @@ class TestRogues:
         behavior = RogueBehavior(
             (0,), ("lie_phase3_report",), mode="fixed", fixed_value=fixed
         )
-        assert rogue_transform(behavior, 0, "lie_phase3_report", bv("1111"), rng) == fixed
+        assert rogue_transform(behavior, 0, "lie_phase3_report",
+                               bv("1111").value, 4, rng) == fixed.value
         with pytest.raises(ValueError):
-            rogue_transform(behavior, 0, "lie_phase3_report", bv("11"), rng)
+            rogue_transform(behavior, 0, "lie_phase3_report", bv("11").value,
+                            2, rng)
 
     def test_fixed_mode_requires_value(self):
         with pytest.raises(ValueError):
             RogueBehavior((0,), ("lie_phase2_report",), mode="fixed")
 
     def test_falsify_random_is_seeded(self):
-        a = falsify(bv("0000"), "random", None, np.random.default_rng(73))
-        b = falsify(bv("0000"), "random", None, np.random.default_rng(73))
+        a = falsify(bv("0000").value, 4, "random", None, np.random.default_rng(73))
+        b = falsify(bv("0000").value, 4, "random", None, np.random.default_rng(73))
         assert a == b
 
 
@@ -365,14 +408,13 @@ def dense_views(phase, s, shots, rng, sent):
     register bits and Eve's bits."""
     tap = ChannelTap("intercept_resend", "random")
     if phase == 3:
-        r, p, kicks, shown = 2, 1, {0: BitVector(s.bit(0), 1),
-                                    1: BitVector(s.bit(1), 1)}, (0, 1)
+        r, p, kicks, shown = 2, 1, {0: s.bit(0), 1: s.bit(1)}, (0, 1)
     else:
         # Phase 1 hides agent 0's own segment, position 0; in phase 2 each
         # agent kicks its own segment.
         r, p = 3, 2
-        kicks = {2: s} if phase == 1 else {i: BitVector(s.bit(i) << i, 2)
-                                           for i in range(2)}
+        kicks = {2: s.value} if phase == 1 else {i: s.bit(i) << i
+                                                 for i in range(2)}
         shown = (2, 1) if phase == 1 else (0, 1)
     taps = {ch: tap for ch in range(sent)}
     rec = _Recorder(rng)
@@ -383,8 +425,8 @@ def dense_views(phase, s, shots, rng, sent):
     for k, out in enumerate(outcomes):
         bases = rec.drawn[per_shot * k:per_shot * (k + 1):p]  # position 0 per channel
         views.append((tuple(bases),
-                      tuple(out.registers[reg].bit(0) for reg in shown),
-                      tuple(out.eve[ch].bit(0) for ch in range(sent))))
+                      tuple(out.registers[reg] & 1 for reg in shown),
+                      tuple(out.eve[ch] & 1 for ch in range(sent))))
     return views
 
 

@@ -5,10 +5,7 @@ from dpvqss.bitvec import (
     BitVector,
     CapacityError,
     DimensionError,
-    SegmentedVector,
     cip_census,
-    concat_segments,
-    extend_segment,
 )
 
 
@@ -22,7 +19,7 @@ class TestBitVector:
         assert str(v) == "1101"
         assert v.value == 0b1101
         assert len(v) == 4
-        assert v.bits() == [1, 0, 1, 1]
+        assert [v.bit(j) for j in range(4)] == [1, 0, 1, 1]
 
     def test_bit_indexing_is_lsb_first(self):
         v = bv("100")
@@ -90,67 +87,12 @@ class TestXor:
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = BitVector.random(16, rng)
-            assert (x ^ x).is_zero()
+            assert x ^ x == BitVector.zeros(16)
             assert x ^ BitVector.zeros(16) == x
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             bv("1") ^ bv("11")
-
-
-class TestSegments:
-    def test_segment_extraction(self):
-        v = SegmentedVector(bv("1101"), n=2, m=2)
-        assert v.segment(0) == bv("01")
-        assert v.segment(1) == bv("11")
-        with pytest.raises(IndexError):
-            v.segment(2)
-
-    def test_partition_property(self):
-        rng = np.random.default_rng(3)
-        for n, m in [(1, 5), (3, 2), (4, 4)]:
-            base = BitVector.random(n * m, rng)
-            v = SegmentedVector(base, n, m)
-            assert concat_segments(v.segments()) == base
-
-    def test_base_length_validated(self):
-        with pytest.raises(DimensionError):
-            SegmentedVector(bv("101"), n=2, m=2)
-
-    def test_extend_segment(self):
-        assert extend_segment(bv("11"), 0, 2) == bv("0011")
-        assert extend_segment(bv("11"), 1, 2) == bv("1100")
-        with pytest.raises(IndexError):
-            extend_segment(bv("11"), 2, 2)
-
-    def test_extend_xor_recomposes(self):
-        # XOR of all extended segments rebuilds the concatenation.
-        rng = np.random.default_rng(4)
-        for n, m in [(2, 3), (5, 2)]:
-            parts = [BitVector.random(m, rng) for _ in range(n)]
-            total = BitVector.zeros(n * m)
-            for i, part in enumerate(parts):
-                total = total ^ extend_segment(part, i, n)
-            assert total == concat_segments(parts)
-
-    def test_concat_layout_rule(self):
-        # With s1 = 10 and s0 = 01 the concatenation displays as 1001.
-        s1, s0 = bv("10"), bv("01")
-        assert concat_segments([s0, s1]) == bv("1001")
-        assert concat_segments([bv("11")]) == bv("11")
-
-    def test_concat_round_trip(self):
-        rng = np.random.default_rng(5)
-        for n in range(1, 9):
-            m = int(rng.integers(1, 17))
-            parts = [BitVector.random(m, rng) for _ in range(n)]
-            whole = SegmentedVector(concat_segments(parts), n, m)
-            for i in range(n):
-                assert whole.segment(i) == parts[i]
-
-    def test_concat_rejects_ragged(self):
-        with pytest.raises(DimensionError):
-            concat_segments([bv("10"), bv("011")])
 
 
 class TestCipCensus:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import logging
 
 import pytest
 
@@ -77,6 +79,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text(HONEST_CFG + "\nseed = 1\n")
 
+    @pytest.mark.parametrize("m, w, secret, match", [
+        # m = 16, w = 8 needs a 2-byte secret.
+        (16, 8, "beefee", "secret has 3 bytes"),
+        (16, 8, "be", "secret has 1 bytes"),
+        # One nibble fills no whole byte.
+        (4, 4, "be", "nibble"),
+    ])
+    def test_fixed_secret_shape_checked_at_parse(self, m, w, secret, match):
+        text = (f"protocol.n = 5\nprotocol.k = 3\nprotocol.m = {m}\n"
+                f"protocol.w = {w}\nsecret = {secret}\n")
+        with pytest.raises(ConfigError, match=match):
+            parse_config_text(text)
+
 
 class TestRun:
     def test_honest_run_exit_zero(self, tmp_path, capsys):
@@ -131,6 +146,25 @@ class TestRun:
         assert code == 1
         assert captured.out == ""
         assert "trials" in captured.err
+
+    @pytest.mark.parametrize("extra, key", [
+        ("adversary.rogues.agents = 0\n"
+         "adversary.rogues.actions = lie_phase2_report\n"
+         "adversary.rogues.mode = fixed\nadversary.rogues.fixed = 10110011\n",
+         "adversary.rogues.fixed"),
+        ("adversary.eve.kind = intercept_resend\nadversary.eve.channel = 9\n",
+         "adversary.eve.channel"),
+    ], ids=["fixed_lie_width", "unsent_eve_channel"])
+    def test_unrunnable_plan_rejected_at_parse(self, tmp_path, capsys, extra,
+                                               key):
+        text = "protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n" + extra
+        cfg = write(tmp_path, "plan.cfg", text)
+        code = main(["run", cfg])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert key in captured.err
+        assert "Traceback" not in captured.err
 
     def test_fixed_secret_from_config(self, tmp_path, capsys):
         cfg = write(tmp_path, "s.cfg", HONEST_CFG + "\nsecret = beef\n")
@@ -214,6 +248,27 @@ sweep.protocol.m = 4,6,8
         assert code == 0
         # m = 4 gives one nibble (no whole bytes); w = 4 does not divide 6.
         assert [r["cell.protocol.m"] for r in rows] == [8]
+
+    @pytest.mark.parametrize("extra, swept, kept", [
+        ("adversary.rogues.agents = 0\n"
+         "adversary.rogues.actions = lie_phase3_oracle\n"
+         "adversary.rogues.mode = fixed\nadversary.rogues.fixed = 10110011\n"
+         "sweep.protocol.m = 8,16\n", "cell.protocol.m", [8]),
+        ("adversary.eve.kind = intercept_resend\nadversary.eve.phases = 1\n"
+         "sweep.adversary.eve.channel = 0,9\n", "cell.adversary.eve.channel",
+         [0]),
+    ], ids=["fixed_lie_width", "unsent_eve_channel"])
+    def test_unrunnable_plan_cells_skipped(self, tmp_path, capsys, caplog,
+                                           extra, swept, kept):
+        text = ("protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n"
+                "trials = 2\nseed = 1\n" + extra)
+        cfg = write(tmp_path, "sweep.cfg", text)
+        with caplog.at_level(logging.WARNING, logger="dpvqss"):
+            code = main(["sweep", cfg])
+        rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines() if ln]
+        assert code == 0
+        assert [r[swept] for r in rows] == kept
+        assert any("skipping cell" in rec.getMessage() for rec in caplog.records)
 
     def test_trial_errors_are_not_skipped_cells(self, tmp_path, capsys,
                                                 monkeypatch):
@@ -325,3 +380,44 @@ class TestUsageErrors:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         capsys.readouterr()
+
+
+# The four benchmark workloads' config texts, inlined so that a change to
+# the benchmark does not move these pins.
+PINNED_CONFIGS = {
+    "honest": ("protocol.n = 5\nprotocol.k = 3\nprotocol.m = 16\n"
+               "protocol.w = 8\nprotocol.decoys = 16\n"),
+    "liar": ("protocol.n = 9\nprotocol.k = 5\nprotocol.m = 16\n"
+             "adversary.rogues.agents = 8\n"
+             "adversary.rogues.actions = lie_phase3_oracle,lie_phase3_report\n"
+             "adversary.rogues.mode = random\n"),
+    "eve_tap": ("protocol.n = 5\nprotocol.k = 3\nprotocol.m = 8\n"
+                "protocol.decoys = 0\n"
+                "adversary.eve.kind = entangle_measure\n"
+                "adversary.eve.phases = 1\nadversary.eve.channel = all\n"),
+    "eve_decoy": ("protocol.n = 5\nprotocol.k = 3\nprotocol.m = 16\n"
+                  "protocol.decoys = 16\n"
+                  "adversary.eve.kind = intercept_resend\n"
+                  "adversary.eve.basis = random\nadversary.eve.phases = 1,2,3\n"),
+}
+
+
+class TestPinnedReports:
+    """Same config and seed, same bytes: the first 16 hex digits of the
+    sha256 of `dpvqss run --seed 7 --trials 20` output at version 0.6.0.
+    A change that alters the random stream or the report on purpose bumps
+    the version and updates these pins."""
+
+    @pytest.mark.parametrize("name, digest", [
+        ("honest", "1038c302c699d960"),
+        ("liar", "7aa62a23296175c7"),
+        ("eve_tap", "074eb15425bfa31f"),
+        ("eve_decoy", "4cd53dd613d9c386"),
+    ])
+    def test_report_digest(self, tmp_path, name, digest):
+        cfg = write(tmp_path, f"{name}.cfg", PINNED_CONFIGS[name])
+        out = tmp_path / "runs.jsonl"
+        code = main(["run", cfg, "--seed", "7", "--trials", "20",
+                     "--out", str(out)])
+        assert code in (0, 2)
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest

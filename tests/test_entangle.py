@@ -1,12 +1,14 @@
 import copy
 import math
 from collections import Counter
+from functools import reduce
 from itertools import combinations, product
+from operator import xor
 
 import numpy as np
 import pytest
 
-from dpvqss.bitvec import BitVector, CapacityError
+from dpvqss.bitvec import CapacityError
 from dpvqss.entangle import (
     ChannelTap,
     Decoy,
@@ -27,26 +29,18 @@ SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 def bv(text):
-    return BitVector.from_string(text)
+    """The int that an MSB-first bit literal such as "1011" stands for."""
+    return int(text, 2)
 
 
 def xor_all(vectors):
-    acc = BitVector.zeros(vectors[0].length)
-    for v in vectors:
-        acc = acc ^ v
-    return acc
+    return reduce(xor, vectors)
 
 
-def outcome_key(outcome):
-    key = 0
-    width = 0
-    for reg in outcome.registers:
-        key |= reg.value << width
-        width += reg.length
-    for ch in sorted(outcome.eve):
-        key |= outcome.eve[ch].value << width
-        width += outcome.eve[ch].length
-    return key
+def outcome_key(outcome, p):
+    """Pack a round's p-bit registers, then Eve's reads in channel order."""
+    words = outcome.registers + [outcome.eve[ch] for ch in sorted(outcome.eve)]
+    return sum(word << (i * p) for i, word in enumerate(words))
 
 
 class TestDistributeOracle:
@@ -68,7 +62,7 @@ class TestDistributeOracle:
 
     def test_oracle_capacity_refusal(self):
         with pytest.raises(CapacityError):
-            dense_state(5, 8, phase_bits={4: BitVector.zeros(8)})
+            dense_state(5, 8, phase_bits={4: 0})
 
 
 class TestHonestSampler:
@@ -85,22 +79,23 @@ class TestHonestSampler:
         trials = 4000
         for _ in range(trials):
             out = sample_idpqc_outcomes(bv("1"), n=1, m=1, rng=rng)
-            counts[(out.registers[1].value, out.registers[0].value)] += 1
+            counts[(out.registers[1], out.registers[0])] += 1
         assert set(counts) == {(0, 1), (1, 0)}
         for c in counts.values():
             assert abs(c / trials - 0.5) < 0.05
 
     def test_zero_secret_restates_constraint(self):
         rng = np.random.default_rng(42)
-        s = BitVector.zeros(6)
+        s = 0
         for _ in range(200):
             out = sample_idpqc_outcomes(s, n=3, m=2, rng=rng)
             assert xor_all(out.registers[:3]) == out.registers[3]
 
 
-def sample_icpqc(s_i, s_j, rng):
-    """One honest pairwise-consolidation round: b_i XOR b_j = s_i XOR s_j."""
-    out = distribute(2, s_i.length, encoders=(0, 1)).encode_and_measure(
+def sample_icpqc(s_i, s_j, p, rng):
+    """One honest pairwise-consolidation round over p positions:
+    b_i XOR b_j = s_i XOR s_j."""
+    out = distribute(2, p, encoders=(0, 1)).encode_and_measure(
         {0: s_i, 1: s_j}, rng
     )
     return out.registers[0], out.registers[1]
@@ -111,22 +106,22 @@ class TestIcpqcSampler:
         rng = np.random.default_rng(43)
         counts = Counter()
         for _ in range(2000):
-            bi, bj = sample_icpqc(bv("0"), bv("1"), rng)
-            counts[(bi.value, bj.value)] += 1
+            bi, bj = sample_icpqc(bv("0"), bv("1"), 1, rng)
+            counts[(bi, bj)] += 1
         assert set(counts) == {(0, 1), (1, 0)}
 
     def test_equal_vectors_give_equal_outcomes(self):
         rng = np.random.default_rng(44)
         s = bv("1101")
         for _ in range(200):
-            bi, bj = sample_icpqc(s, s, rng)
+            bi, bj = sample_icpqc(s, s, 4, rng)
             assert bi == bj
 
     def test_xor_matches_in_every_draw(self):
         rng = np.random.default_rng(45)
         si, sj = bv("10110101"), bv("01110010")
         for _ in range(100_000):
-            bi, bj = sample_icpqc(si, sj, rng)
+            bi, bj = sample_icpqc(si, sj, 8, rng)
             assert bi ^ bj == si ^ sj
 
 
@@ -136,7 +131,7 @@ class TestSamplerOracleEquivalence:
         violations = sum(
             1 for o in outs if xor_all(o.registers) != s
         )
-        return Counter(outcome_key(o) for o in outs), violations
+        return Counter(outcome_key(o, n * m) for o in outs), violations
 
     def test_distributions_match(self):
         rng = np.random.default_rng(46)
@@ -147,7 +142,7 @@ class TestSamplerOracleEquivalence:
             sampler_counts = Counter()
             for _ in range(shots):
                 out = sample_idpqc_outcomes(s, n, m, rng)
-                sampler_counts[outcome_key(out)] += 1
+                sampler_counts[outcome_key(out, n * m)] += 1
             # Dense support must sit inside the sampler's constraint set.
             support = set(sampler_counts)
             assert set(dense_counts) <= support
@@ -177,7 +172,7 @@ class TestSamplerOracleEquivalence:
             counts = Counter()
             for _ in range(trials):
                 out = sample_idpqc_outcomes(s, n=1, m=2, rng=rng)
-                counts[out.registers[0].value] += 1
+                counts[out.registers[0]] += 1
             dists.append({k: v / trials for k, v in counts.items()})
         tv = sum(
             abs(dists[0].get(k, 0) - dists[1].get(k, 0))
@@ -198,12 +193,12 @@ class TestTapPhysics:
             )
             transmit(batch, insert_decoys(batch, 0, rng), rng)
             out = batch.encode_and_measure({n: s}, rng)
-            counts[outcome_key(out)] += 1
+            counts[outcome_key(out, n * m)] += 1
         return counts
 
     def dense_counts(self, taps, s, n, m, shots, rng):
         outs = dense_outcomes(n + 1, n * m, {n: s}, shots, rng, taps)
-        return Counter(outcome_key(o) for o in outs)
+        return Counter(outcome_key(o, n * m) for o in outs)
 
     @pytest.mark.parametrize(
         "tap",
@@ -274,7 +269,7 @@ class TestTapPhysics:
         # shared Z outcome, then the basis words, one per channel.
         raw = copy.deepcopy(rng).bit_generator.random_raw(r + 1 + len(chans))
         basis_words = [int(word) for word in raw[r + 1:]]
-        out = batch.encode_and_measure({r - 1: BitVector.zeros(p)}, rng)
+        out = batch.encode_and_measure({r - 1: 0}, rng)
         vectors = out.registers + [out.eve[ch] for ch in chans]
         for j in range(p):
             reads = tuple(
@@ -283,7 +278,7 @@ class TestTapPhysics:
             offset, basis = outcome_law(r, reads)
             point = offset
             for i, vec in enumerate(vectors):
-                point ^= vec.bit(j) << i
+                point ^= (vec >> j & 1) << i
             assert in_span(point, basis)
 
     def test_entangle_tap_extends_constraint(self):
@@ -303,7 +298,7 @@ class TestTapPhysics:
             out = batch.encode_and_measure({2: s}, rng)
             e = out.eve[0]
             assert xor_all(out.registers) ^ e == s
-            ones += e.weight()
+            ones += e.bit_count()
         freq = ones / (trials * 4)
         assert abs(freq - 0.5) < 0.02
 

@@ -211,7 +211,7 @@ class TestMeasurement:
             sv.prepare_ghz([0, 1, 2])
             first = sv.measure_qubit(0, rng)
             rest = sv.measure_register([1, 2], rng)
-            assert rest.value == (0b11 if first else 0)
+            assert rest == (0b11 if first else 0)
 
     def test_remeasurement_idempotent(self):
         rng = np.random.default_rng(28)

@@ -227,12 +227,12 @@ class TestShareEncoding:
     def test_bits_round_trip(self):
         share = Share(2, (0xAB, 0x01, 0xFF), 8)
         bits = share.to_bits()
-        assert bits.length == 24
-        assert Share.from_bits(bits, 2, 8) == share
+        assert bits.bit_length() == 24
+        assert Share.from_bits(bits, 24, 2, 8) == share
 
     def test_element_zero_least_significant(self):
         share = Share(0, (0x1, 0x2), 4)
-        assert str(share.to_bits()) == "00100001"
+        assert share.to_bits() == 0b00100001
 
     def test_token_format(self):
         assert Share(1, (0xAB, 0x01), 8).token() == "1:01ab"
