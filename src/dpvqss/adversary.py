@@ -87,6 +87,18 @@ class RogueBehavior:
         return agent in self.agents and action in self.actions
 
 
+def sent_channels(phase: int, n: int, source: str) -> range:
+    """The registers a round of `phase` sends, and so the channels Eve can tap.
+
+    Phases 1 and 2 send every agent's register 0..n-1, and the source's
+    register n too unless the source is Alice herself; phase 3 sends the
+    pair's two registers.
+    """
+    if phase == 3:
+        return range(2)
+    return range(n + (source == "third_party"))
+
+
 @dataclass(frozen=True)
 class AdversaryPlan:
     eve: EveStrategy = EveStrategy()
@@ -115,18 +127,27 @@ class AdversaryPlan:
                         f"adversary.rogues.fixed has {fixed.length} bits, but "
                         f"{action} needs {need}"
                     )
-        channel = self.eve.channel
-        if self.eve.kind != "none" and channel is not None:
-            # Each phase sends channels 0 .. c-1: phases 1 and 2 every
-            # agent's register, and the source's too unless the source is
-            # Alice herself; phase 3 the pair's two registers.
-            sent = max((2 if phase == 3 else n + (cfg.source == "third_party")
-                        for phase in self.eve.phases), default=0)
-            if not 0 <= channel < sent:
-                raise ValueError(
-                    f"adversary.eve.channel {channel} is not sent in any of "
-                    f"phases {list(self.eve.phases)}"
-                )
+        eve = self.eve
+        if eve.kind == "none":
+            return
+        if not eve.phases:
+            raise ValueError(
+                f"adversary.eve.phases is empty, so adversary.eve.kind = "
+                f"{eve.kind} acts in no phase"
+            )
+        if eve.basis == "random" and eve.kind != "intercept_resend":
+            raise ValueError(
+                f"adversary.eve.basis = random needs adversary.eve.kind = "
+                f"intercept_resend, got {eve.kind}"
+            )
+        if eve.channel is not None and not any(
+            eve.channel in sent_channels(phase, n, cfg.source)
+            for phase in eve.phases
+        ):
+            raise ValueError(
+                f"adversary.eve.channel {eve.channel} is not sent in any of "
+                f"phases {list(eve.phases)}"
+            )
 
 
 HONEST_PLAN = AdversaryPlan()
@@ -250,14 +271,7 @@ def leakage_audit(
     if s.length != n * m:
         raise ValueError(f"secret length {s.length} != n*m")
     r = 2 if phase == 3 else n + 1
-    # As in the protocol's rounds: phases 1 and 2 send every agent's
-    # register, and the source's too unless the source is Alice herself.
-    if phase == 3:
-        transmitted = range(2)
-    elif getattr(cfg, "source", "alice") == "third_party":
-        transmitted = range(n + 1)
-    else:
-        transmitted = range(n)
+    transmitted = sent_channels(phase, n, getattr(cfg, "source", "alice"))
     taps = strategy.taps_for(phase, transmitted)
     groups = Counter(_positions(n, m, (s ^ s_prime).value, phase))
     if any(tap.random_basis for tap in taps.values()):

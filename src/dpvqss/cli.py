@@ -68,6 +68,13 @@ def _parse_trials(text):
     return trials
 
 
+def _parse_seed(text):
+    seed = int(text, 0)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _parse_int_list(text):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -104,7 +111,7 @@ CONFIG_KEYS = {
     "adversary.rogues.actions": (_parse_str_list, ()),
     "adversary.rogues.mode": (str, "random"),
     "adversary.rogues.fixed": (_parse_bits, None),
-    "seed": (_parse_int, 0),
+    "seed": (_parse_seed, 0),
     "trials": (_parse_trials, 1),
     "secret": (_parse_hex, None),
     "out": (str, None),
@@ -184,25 +191,21 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
             raise ConfigError(f"{path}: key 'audit' is not supported in sweeps")
         return RunConfig(values, sweep, None, None)
     try:
-        protocol = _build_protocol(values)
-        plan = _build_plan(values)
-        plan.validate(protocol)
-        secret_length(protocol, values["secret"])
+        protocol, plan = _build_run(values)
     except (ValueError, TypeError) as err:
         raise ConfigError(f"{path}: {err}") from None
     return RunConfig(values, {}, protocol, plan)
 
 
-def _build_protocol(values) -> ProtocolConfig:
-    return ProtocolConfig(
+def _build_run(values) -> tuple[ProtocolConfig, AdversaryPlan]:
+    """The validated config and plan of a run or sweep cell; raises
+    ValueError before any trial runs if they cannot run."""
+    cfg = ProtocolConfig(
         n=values["protocol.n"], k=values["protocol.k"], m=values["protocol.m"],
         w=values["protocol.w"], decoys=values["protocol.decoys"],
         source=values["protocol.source"],
     )
-
-
-def _build_plan(values) -> AdversaryPlan:
-    return AdversaryPlan(
+    plan = AdversaryPlan(
         eve=EveStrategy(
             kind=values["adversary.eve.kind"],
             basis=values["adversary.eve.basis"],
@@ -216,6 +219,9 @@ def _build_plan(values) -> AdversaryPlan:
             fixed_value=values["adversary.rogues.fixed"],
         ),
     )
+    plan.validate(cfg)
+    secret_length(cfg, values["secret"])
+    return cfg, plan
 
 
 def parse_config(path: str) -> RunConfig:
@@ -230,7 +236,6 @@ def _trial_rng(seed: int, *indices: int):
 def _run_trials(cfg: ProtocolConfig, plan: AdversaryPlan, trials: int,
                 seed: int, secret: bytes | None, cell: int = 0,
                 audit: bool = False):
-    plan.validate(cfg)
     reports = []
     for trial in range(trials):
         rng = _trial_rng(seed, cell, trial)
@@ -253,12 +258,8 @@ def cmd_run(args) -> int:
         return EXIT_ERROR
     seed = args.seed if args.seed is not None else rc.seed
     trials = args.trials if args.trials is not None else rc.trials
-    try:
-        reports = _run_trials(rc.protocol, rc.plan, trials, seed, rc.secret,
-                              audit=rc.values["audit"])
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+    reports = _run_trials(rc.protocol, rc.plan, trials, seed, rc.secret,
+                          audit=rc.values["audit"])
     out_path = args.out or rc.out
     lines = "".join(canonical_json(r) + "\n" for r in reports)
     if out_path:
@@ -350,10 +351,7 @@ def cmd_sweep(args) -> int:
         values = dict(rc.values)
         values.update(cell)
         try:
-            cfg = _build_protocol(values)
-            plan = _build_plan(values)
-            plan.validate(cfg)
-            secret_length(cfg, values["secret"])
+            cfg, plan = _build_run(values)
         except ValueError as err:
             log.warning("skipping cell %s: %s", cell, err)
             continue
@@ -458,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute trials from a config file")
     p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=_parse_seed, default=None)
     p_run.add_argument("--trials", type=_parse_trials, default=None)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=cmd_run)
@@ -471,14 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_oc.add_argument("--m", type=int, required=True)
     p_oc.add_argument("--shots", type=int, default=20_000)
     p_oc.add_argument("--secrets", type=int, default=4)
-    p_oc.add_argument("--seed", type=int, default=0)
+    p_oc.add_argument("--seed", type=_parse_seed, default=0)
     p_oc.add_argument("--dump", action="store_true",
                       help="print the pre-measurement state of the first case")
     p_oc.set_defaults(func=cmd_check_oracle)
 
     p_sw = sub.add_parser("sweep", help="run a parameter grid")
     p_sw.add_argument("config")
-    p_sw.add_argument("--seed", type=int, default=None)
+    p_sw.add_argument("--seed", type=_parse_seed, default=None)
     p_sw.add_argument("--trials", type=_parse_trials, default=None)
     p_sw.add_argument("--out", default=None)
     p_sw.add_argument("--format", choices=("json", "csv"), default="json")

@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bitvec import DimensionError
+from .bitvec import DimensionError, random_bits
 
 TAP_KINDS = ("measure_resend", "intercept_resend", "entangle_measure")
 BASIS_LABELS = ("0", "1", "+", "-")  # decoy preparation states
@@ -148,16 +148,11 @@ class EntangledBatch:
             ch for ch in channels if self.taps[ch].kind == "entangle_measure"
         ]
         count = r + len(entangling) + 1 + len(random_chs)
-        # Whole 64-bit words per draw, straight from the bit generator:
-        # `Generator.bytes` goes through `Generator.integers` and costs more
-        # than the rest of a small round.
-        nbytes = 8 * ((p + 63) // 64)
-        raw = rng.bit_generator.random_raw(count * nbytes // 8).tobytes()
+        # One draw of `count` whole-word strides, one p-bit word from each.
+        stride = 64 * ((p + 63) // 64)
+        word = random_bits(count * stride, rng)
         full = (1 << p) - 1
-        draws = [
-            int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") & full
-            for i in range(count)
-        ]
+        draws = [word >> (i * stride) & full for i in range(count)]
         x_reads = dict(zip(random_chs, draws[count - len(random_chs):]))
         reads = [
             (ch, None if ch in entangling else x_reads.get(ch, 0))

@@ -24,6 +24,15 @@ only as its phase, its kind and how many messages it carried; every agent
 XORs what it receives as it arrives.  All randomness flows through one
 injected generator, so a (config, secret, plan, seed) tuple reproduces a
 byte-identical report.
+
+A run stops in one of two ways.  Either every phase returns what the
+agents hold after it (phase 1 the slices, phase 2 nothing, phase 3 the
+agents' results), or a decoy check or the phase-2 XOR check catches a
+mismatch and the phase raises `Aborted`.  Each phase appends its rounds to
+the transcript and its detection records to the list it is handed, so an
+aborted run keeps every row up to the abort; `run_protocol` catches
+`Aborted` once and keeps only its `AbortInfo`.  Which registers a round
+sends, and so which channels Eve can tap, is `adversary.sent_channels`.
 """
 
 from __future__ import annotations
@@ -37,7 +46,14 @@ from operator import xor
 import numpy as np
 
 from . import __version__
-from .adversary import AdversaryPlan, HONEST_PLAN, falsify, leakage_audit, rogue_transform
+from .adversary import (
+    AdversaryPlan,
+    HONEST_PLAN,
+    falsify,
+    leakage_audit,
+    rogue_transform,
+    sent_channels,
+)
 from .bitvec import BitVector
 from .entangle import distribute, insert_decoys, transmit, verify_decoys
 from .metrics import efficiency_report
@@ -59,7 +75,6 @@ class ProtocolConfig:
     w: int = 8
     decoys: int = 16
     source: str = "alice"
-    seed: int | None = None
 
     def __post_init__(self):
         SplitConfig(self.k, self.n, self.w)  # reuse the k > n/2 etc. checks
@@ -96,8 +111,10 @@ class Transcript:
 
     rounds: list[dict] = field(default_factory=list)
 
-    def add(self, phase: str, kind: str, count: int):
-        self.rounds.append({"phase": phase, "kind": kind, "messages": count})
+    def add(self, phase: str, kind: str, count: int) -> dict:
+        row = {"phase": phase, "kind": kind, "messages": count}
+        self.rounds.append(row)
+        return row
 
     def summary(self) -> list[dict]:
         return [dict(row) for row in self.rounds]
@@ -111,6 +128,14 @@ class AbortInfo:
 
     def to_dict(self) -> dict:
         return {"phase": self.phase, "cause": self.cause, "detail": self.detail}
+
+
+class Aborted(Exception):
+    """A decoy check or the phase-2 XOR check caught a mismatch."""
+
+    def __init__(self, info: AbortInfo):
+        super().__init__(f"{info.phase}: {info.cause}")
+        self.info = info
 
 
 def elements_to_hex(elements, w: int) -> str:
@@ -221,16 +246,14 @@ def config_hash(cfg: ProtocolConfig, plan: AdversaryPlan) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _run_quantum_round(cfg, plan, rng, *, phase, r, p, encoders, phase_bits,
-                       detection, pair=None):
+def _run_quantum_round(cfg, plan, rng, detection, *, phase, r, p, encoders,
+                       phase_bits, pair=None):
     """Distribute, interleave decoys, transmit through taps, verify, measure.
 
-    Returns (RoundOutcome, AbortInfo | None, number of transmitted registers).
+    Returns the RoundOutcome; raises Aborted when the decoys catch a tap.
+    `pair` only labels a phase-3 round's detection records.
     """
-    if cfg.source == "alice" and pair is None:
-        transmitted = tuple(range(r - 1))  # the source keeps her own register
-    else:
-        transmitted = tuple(range(r))
+    transmitted = sent_channels(phase, cfg.n, cfg.source)
     taps = plan.eve.taps_for(phase, transmitted)
     batch = distribute(r, p, taps=taps, transmitted=transmitted,
                        encoders=encoders)
@@ -239,44 +262,36 @@ def _run_quantum_round(cfg, plan, rng, *, phase, r, p, encoders, phase_bits,
         dplan = insert_decoys(batch, cfg.decoys, rng)
         transmit(batch, dplan, rng)
         mismatches, verdict = verify_decoys(dplan, dplan.records, rng)
+        where = {"pair": list(pair) if pair else None}
         if mismatches:
             detection.append({
                 "phase": f"phase{phase}", "kind": "decoy_mismatch",
-                "count": mismatches, "pair": list(pair) if pair else None,
+                "count": mismatches, **where,
             })
         if verdict == "abort":
-            abort = AbortInfo(
-                f"phase{phase}", "decoy_mismatch",
-                {"mismatches": mismatches, "pair": list(pair) if pair else None},
-            )
-            return None, abort, len(transmitted)
+            raise Aborted(AbortInfo(f"phase{phase}", "decoy_mismatch",
+                                    {"mismatches": mismatches, **where}))
     # Untapped rounds skip decoy bookkeeping entirely: an untouched
     # eigenstate can never mismatch, so the statistics are unchanged.
-    return batch.encode_and_measure(phase_bits, rng), None, len(transmitted)
+    return batch.encode_and_measure(phase_bits, rng)
 
 
 def phase1_distribute(cfg: ProtocolConfig, s: int, plan: AdversaryPlan,
-                      rng, transcript: Transcript | None = None):
+                      rng, transcript: Transcript, detection: list[dict]):
     """Run the distribution circuit plus its one parallel classical round.
 
-    `s` is the n*m-bit aggregated secret.  Returns (per-agent received m-bit
-    slices | None, transcript, abort, detection).
+    `s` is the n*m-bit aggregated secret.  Returns the per-agent received
+    m-bit slices.
     """
     n, m = cfg.n, cfg.m
     if not 0 <= s < 1 << (n * m):
         raise ValueError(f"secret {s:#x} does not fit in n*m = {n * m} bits")
-    transcript = transcript if transcript is not None else Transcript()
-    detection: list[dict] = []
 
-    outcome, abort, sent = _run_quantum_round(
-        cfg, plan, rng, phase=1, r=n + 1, p=n * m, encoders=(n,),
-        phase_bits={n: s}, detection=detection,
-    )
-    transcript.add("phase1", "quantum", sent)
-    if abort:
-        return None, transcript, abort, detection
-
-    registers = outcome.registers
+    transcript.add("phase1", "quantum", len(sent_channels(1, n, cfg.source)))
+    registers = _run_quantum_round(
+        cfg, plan, rng, detection, phase=1, r=n + 1, p=n * m,
+        encoders=(n,), phase_bits={n: s},
+    ).registers
     if not plan.eve.is_active_in(1):
         assert reduce(xor, registers) == s, (
             "distribution round broke its XOR constraint"
@@ -296,67 +311,57 @@ def phase1_distribute(cfg: ProtocolConfig, s: int, plan: AdversaryPlan,
                 )
         inputs.append(acc)
     transcript.add("phase1", "classical", n * n)
-    return inputs, transcript, None, detection
+    return inputs
 
 
 def phase2_verify(cfg: ProtocolConfig, agent_inputs, s: int,
-                  plan: AdversaryPlan, rng,
-                  transcript: Transcript | None = None):
+                  plan: AdversaryPlan, rng, transcript: Transcript,
+                  detection: list[dict]) -> None:
     """Every agent phases his m-bit slice, shifted into his segment, into a
     fresh batch; the source checks the XOR chain against the n*m-bit secret.
 
-    Returns (verdict, transcript, abort, detection); an XOR mismatch is the
-    verdict "abort", not an error.
+    Raises Aborted on an XOR mismatch.
     """
     n, m = cfg.n, cfg.m
     if len(agent_inputs) != n:
         raise ValueError(f"need one input vector per agent, got {len(agent_inputs)}")
-    transcript = transcript if transcript is not None else Transcript()
-    detection: list[dict] = []
 
-    phase_bits = {i: agent_inputs[i] << (i * m) for i in range(n)}
-    outcome, abort, sent = _run_quantum_round(
-        cfg, plan, rng, phase=2, r=n + 1, p=n * m, encoders=tuple(range(n)),
-        phase_bits=phase_bits, detection=detection,
-    )
-    transcript.add("phase2", "quantum", sent)
-    if abort:
-        return "abort", transcript, abort, detection
+    transcript.add("phase2", "quantum", len(sent_channels(2, n, cfg.source)))
+    registers = _run_quantum_round(
+        cfg, plan, rng, detection, phase=2, r=n + 1, p=n * m,
+        encoders=tuple(range(n)),
+        phase_bits={i: agent_inputs[i] << (i * m) for i in range(n)},
+    ).registers
 
     # One parallel round: every agent reports his outcome to the source.
-    computed = outcome.registers[n]
+    computed = registers[n]
     for i in range(n):
         computed ^= rogue_transform(
-            plan.rogues, i, "lie_phase2_report", outcome.registers[i], n * m,
-            rng,
+            plan.rogues, i, "lie_phase2_report", registers[i], n * m, rng,
         )
     transcript.add("phase2", "classical", n)
-    if computed == s:
-        return "proceed", transcript, None, detection
-    shown = {"computed": format(computed, f"0{n * m}b"),
-             "expected": format(s, f"0{n * m}b")}
-    detection.append({"phase": "phase2", "kind": "xor_mismatch", **shown})
-    return "abort", transcript, AbortInfo(
-        "phase2", "verification_failed", shown,
-    ), detection
+    if computed != s:
+        shown = {"computed": format(computed, f"0{n * m}b"),
+                 "expected": format(s, f"0{n * m}b")}
+        detection.append({"phase": "phase2", "kind": "xor_mismatch", **shown})
+        raise Aborted(AbortInfo("phase2", "verification_failed", shown))
 
 
 def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
-                       rng, transcript: Transcript | None = None):
+                       rng, transcript: Transcript, detection: list[dict]):
     """All pairwise exchanges plus one parallel round of n(n-1) reports,
     then per-agent robust decoding.
 
-    Returns (agent results | None, transcript, abort, detection).
+    Returns the agent results.
     """
     n, m = cfg.n, cfg.m
-    transcript = transcript if transcript is not None else Transcript()
-    detection: list[dict] = []
 
     # What each agent embeds: honest agents their received slice, phase-3
-    # oracle liars a falsified vector (fresh per pair in random mode).
+    # oracle liars a falsified vector (fresh per pair in random mode).  The
+    # quantum row counts every pair round started, an aborted one too.
     measured: dict[tuple[int, int], int] = {}
     embedded: dict[tuple[int, int], int] = {}
-    sent = 0
+    row = transcript.add("phase3", "quantum", 0)
     for i in range(n):
         for j in range(i + 1, n):
             emb_i = agent_inputs[i]
@@ -367,20 +372,15 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
             if plan.rogues.lies(j, "lie_phase3_oracle"):
                 emb_j = falsify(emb_j, m, plan.rogues.mode,
                                 plan.rogues.fixed_value, rng)
-            outcome, abort, pair_sent = _run_quantum_round(
-                cfg, plan, rng, phase=3, r=2, p=m, encoders=(0, 1),
-                phase_bits={0: emb_i, 1: emb_j},
-                detection=detection, pair=(i, j),
+            row["messages"] += len(sent_channels(3, n, cfg.source))
+            outcome = _run_quantum_round(
+                cfg, plan, rng, detection, phase=3, r=2, p=m, encoders=(0, 1),
+                phase_bits={0: emb_i, 1: emb_j}, pair=(i, j),
             )
-            sent += pair_sent
-            if abort:
-                transcript.add("phase3", "quantum", sent)
-                return None, transcript, abort, detection
             measured[(i, j)] = outcome.registers[0]
             measured[(j, i)] = outcome.registers[1]
             embedded[(i, j)] = emb_i
             embedded[(j, i)] = emb_j
-    transcript.add("phase3", "quantum", sent)
 
     # One parallel classical round carrying all n(n-1) directed reports.
     reported: dict[tuple[int, int], int] = {}
@@ -416,7 +416,7 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
             detection.append({"phase": "phase3", "kind": "ambiguous_decode",
                               "agent": i, "support": err.support})
         results.append(res)
-    return results, transcript, None, detection
+    return results
 
 
 def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONEST_PLAN,
@@ -430,7 +430,6 @@ def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONES
     secret and the all-zero reference secret.
     """
     if rng is None:
-        seed = cfg.seed if seed is None else seed
         rng = np.random.default_rng(seed)
     plan.validate(cfg)
     secret_length(cfg, secret)
@@ -443,45 +442,29 @@ def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONES
         s |= share.to_bits() << (i * cfg.m)
 
     transcript = Transcript()
+    detection: list[dict] = []
     agents = [
         AgentResult(i, i not in plan.rogues.agents) for i in range(cfg.n)
     ]
     leakage = _leakage_block(cfg, plan, s) if audit else None
-
-    def report(verdict, abort, detection, results=None):
-        if results is not None:
-            final_agents = results
-        else:
-            final_agents = agents
-        return RunReport(
-            config=cfg, plan=plan, secret_elements=tuple(elements),
-            verdict=verdict, abort=abort, agents=final_agents,
-            detection_events=detection, transcript=transcript,
-            seed=seed, trial=trial, leakage=leakage,
-        )
-
-    inputs, transcript, abort, det1 = phase1_distribute(
-        cfg, s, plan, rng, transcript
+    abort = None
+    try:
+        inputs = phase1_distribute(cfg, s, plan, rng, transcript, detection)
+        for agent, vec in zip(agents, inputs):
+            agent.s_i = vec
+        phase2_verify(cfg, inputs, s, plan, rng, transcript, detection)
+        agents = phase3_consolidate(cfg, inputs, plan, rng, transcript,
+                                    detection)
+    except Aborted as err:
+        # Keep the info only: a stored exception's traceback would hold
+        # this frame, which holds the exception, until the cycle collector.
+        abort = err.info
+    return RunReport(
+        config=cfg, plan=plan, secret_elements=tuple(elements),
+        verdict="proceed" if abort is None else "abort", abort=abort,
+        agents=agents, detection_events=detection, transcript=transcript,
+        seed=seed, trial=trial, leakage=leakage,
     )
-    if abort:
-        return report("abort", abort, det1)
-    for agent, vec in zip(agents, inputs):
-        agent.s_i = vec
-
-    verdict, transcript, abort, det2 = phase2_verify(
-        cfg, inputs, s, plan, rng, transcript
-    )
-    detection = det1 + det2
-    if verdict != "proceed":
-        return report("abort", abort, detection)
-
-    results, transcript, abort, det3 = phase3_consolidate(
-        cfg, inputs, plan, rng, transcript
-    )
-    detection += det3
-    if abort:
-        return report("abort", abort, detection)
-    return report("proceed", None, detection, results)
 
 
 def _leakage_block(cfg: ProtocolConfig, plan: AdversaryPlan, s: int):

@@ -32,7 +32,9 @@ from dpvqss.entangle import (
 )
 from dpvqss.metrics import eta1, eta2, eta3, wilson_interval
 from dpvqss.protocol import (
+    Aborted,
     ProtocolConfig,
+    Transcript,
     phase2_verify,
     random_secret,
     run_protocol,
@@ -101,8 +103,7 @@ def test_c3_verification_soundness():
         for _ in range(1000):
             s = BitVector.random(80, rng).value
             inputs = [(s >> (16 * i)) & 0xFFFF for i in range(5)]
-            verdict, _, _, _ = phase2_verify(cfg, inputs, s, HONEST, rng)
-            assert verdict == "proceed"
+            phase2_verify(cfg, inputs, s, HONEST, rng, Transcript(), [])
 
         cfg16 = ProtocolConfig(n=4, k=3, m=4)  # n*m = 16
         lie = AdversaryPlan(rogues=RogueBehavior(
@@ -110,8 +111,8 @@ def test_c3_verification_soundness():
         for _ in range(1000):
             s = BitVector.random(16, rng).value
             inputs = [(s >> (4 * i)) & 0xF for i in range(4)]
-            verdict, _, _, _ = phase2_verify(cfg16, inputs, s, lie, rng)
-            assert verdict == "abort"
+            with pytest.raises(Aborted):
+                phase2_verify(cfg16, inputs, s, lie, rng, Transcript(), [])
 
         flip = AdversaryPlan(rogues=RogueBehavior(
             (0,), ("lie_phase2_report",), mode="bit_flip"))
@@ -121,8 +122,8 @@ def test_c3_verification_soundness():
                 s = BitVector.random(cfg_f.n * width, rng).value
                 inputs = [(s >> (width * i)) & ((1 << width) - 1)
                           for i in range(cfg_f.n)]
-                verdict, _, _, _ = phase2_verify(cfg_f, inputs, s, flip, rng)
-                assert verdict == "abort"
+                with pytest.raises(Aborted):
+                    phase2_verify(cfg_f, inputs, s, flip, rng, Transcript(), [])
 
 
 def test_c4_threshold_secrecy_exhaustive():
@@ -223,8 +224,10 @@ def test_c7_entangle_measure_disruption():
         for _ in range(trials):
             s = BitVector.random(16, rng).value
             inputs = [(s >> (8 * i)) & 0xFF for i in range(2)]
-            verdict, _, _, _ = phase2_verify(cfg, inputs, s, plan, rng)
-            aborts += verdict == "abort"
+            try:
+                phase2_verify(cfg, inputs, s, plan, rng, Transcript(), [])
+            except Aborted:
+                aborts += 1
         assert aborts / trials >= 1.0 - 2.0 ** -16
 
 

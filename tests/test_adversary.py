@@ -16,6 +16,7 @@ from dpvqss.adversary import (
     falsify,
     leakage_audit,
     rogue_transform,
+    sent_channels,
 )
 from dpvqss.adversary import _separating_share
 from dpvqss.bitvec import BitVector
@@ -41,6 +42,11 @@ class TestEveStrategy:
         picky = EveStrategy("measure_resend", phases=(1,), channel=1)
         assert set(picky.taps_for(1, [0, 1, 2])) == {1}
         assert picky.taps_for(1, [0]) == {}
+
+    def test_sent_channels(self):
+        assert sent_channels(1, 3, "alice") == range(3)
+        assert sent_channels(2, 3, "third_party") == range(4)
+        assert sent_channels(3, 3, "third_party") == range(2)
 
     def test_none_is_inactive(self):
         assert EveStrategy().taps_for(1, [0, 1]) == {}
@@ -102,6 +108,25 @@ class TestRogues:
             plan.validate(cfg)
         else:
             with pytest.raises(ValueError, match="adversary.eve.channel"):
+                plan.validate(cfg)
+
+    @pytest.mark.parametrize("kind, basis, phases, key", [
+        ("intercept_resend", "computational", (), "adversary.eve.phases"),
+        ("pns", "computational", (), "adversary.eve.phases"),
+        ("none", "computational", (), None),
+        ("intercept_resend", "random", (1, 2, 3), None),
+        ("none", "random", (1, 2, 3), None),
+        ("measure_resend", "random", (1,), "adversary.eve.basis"),
+        ("entangle_measure", "random", (2,), "adversary.eve.basis"),
+        ("pns", "random", (3,), "adversary.eve.basis"),
+    ])
+    def test_eve_must_act_as_configured(self, kind, basis, phases, key):
+        plan = AdversaryPlan(eve=EveStrategy(kind, basis, phases=phases))
+        cfg = ProtocolConfig(n=3, k=2, m=8)
+        if key is None:
+            plan.validate(cfg)
+        else:
+            with pytest.raises(ValueError, match=key):
                 plan.validate(cfg)
 
     def test_honest_messages_untouched(self):

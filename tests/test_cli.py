@@ -154,7 +154,12 @@ class TestRun:
          "adversary.rogues.fixed"),
         ("adversary.eve.kind = intercept_resend\nadversary.eve.channel = 9\n",
          "adversary.eve.channel"),
-    ], ids=["fixed_lie_width", "unsent_eve_channel"])
+        ("adversary.eve.kind = intercept_resend\nadversary.eve.phases =\n",
+         "adversary.eve.phases"),
+        ("adversary.eve.kind = entangle_measure\nadversary.eve.basis = random\n",
+         "adversary.eve.basis"),
+    ], ids=["fixed_lie_width", "unsent_eve_channel", "eve_in_no_phase",
+            "random_basis_entangle"])
     def test_unrunnable_plan_rejected_at_parse(self, tmp_path, capsys, extra,
                                                key):
         text = "protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n" + extra
@@ -165,6 +170,28 @@ class TestRun:
         assert captured.out == ""
         assert key in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text, flag", [
+        ("seed = -1", []), ("", ["--seed", "-1"]),
+    ], ids=["key", "flag"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, text, flag):
+        cfg = write(tmp_path, "s.cfg", HONEST_CFG.replace("seed = 42", text))
+        code = main(["run", cfg, *flag])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "seed" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_trial_errors_propagate(self, tmp_path, capsys, monkeypatch):
+        def broken_decode(claimed, cfg):
+            raise ValueError("decoder defect")
+
+        monkeypatch.setattr("dpvqss.protocol.robust_decode", broken_decode)
+        cfg = write(tmp_path, "honest.cfg", HONEST_CFG)
+        with pytest.raises(ValueError, match="decoder defect"):
+            main(["run", cfg, "--trials", "2"])
+        assert capsys.readouterr().out == ""
 
     def test_fixed_secret_from_config(self, tmp_path, capsys):
         cfg = write(tmp_path, "s.cfg", HONEST_CFG + "\nsecret = beef\n")
@@ -181,6 +208,14 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out
+
+    def test_negative_seed_rejected(self, capsys):
+        code = main(["oracle-check", "--n", "2", "--m", "1", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "seed" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_capacity_refusal(self, capsys):
         code = main(["oracle-check", "--n", "4", "--m", "2"])
@@ -257,7 +292,14 @@ sweep.protocol.m = 4,6,8
         ("adversary.eve.kind = intercept_resend\nadversary.eve.phases = 1\n"
          "sweep.adversary.eve.channel = 0,9\n", "cell.adversary.eve.channel",
          [0]),
-    ], ids=["fixed_lie_width", "unsent_eve_channel"])
+        ("adversary.eve.phases =\n"
+         "sweep.adversary.eve.kind = none,intercept_resend\n",
+         "cell.adversary.eve.kind", ["none"]),
+        ("adversary.eve.basis = random\nsweep.adversary.eve.kind = "
+         "none,intercept_resend,measure_resend,entangle_measure,pns\n",
+         "cell.adversary.eve.kind", ["none", "intercept_resend"]),
+    ], ids=["fixed_lie_width", "unsent_eve_channel", "eve_in_no_phase",
+            "random_basis_non_intercept"])
     def test_unrunnable_plan_cells_skipped(self, tmp_path, capsys, caplog,
                                            extra, swept, kept):
         text = ("protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n"
@@ -327,6 +369,18 @@ sweep.protocol.m = 8,16
         assert code == 1
         assert captured.out == ""
         assert "trials" in captured.err
+
+    @pytest.mark.parametrize("text, flag", [
+        ("seed = -1", []), ("seed = 7", ["--seed", "-1"]),
+    ], ids=["key", "flag"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, text, flag):
+        cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG.replace("seed = 7", text))
+        code = main(["sweep", cfg, *flag])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "seed" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_csv_format(self, tmp_path, capsys):
         cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG.replace("trials = 200",

@@ -1,3 +1,4 @@
+import gc
 import time
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from dpvqss.adversary import AdversaryPlan, EveStrategy, RogueBehavior
 from dpvqss.bitvec import BitVector
 from dpvqss.protocol import (
+    Aborted,
     ProtocolConfig,
+    Transcript,
     phase1_distribute,
     phase2_verify,
     phase3_consolidate,
@@ -41,15 +44,13 @@ class TestPhase1:
         rng = np.random.default_rng(80)
         for _ in range(300):
             s = BitVector.random(cfg.n * cfg.m, rng).value
-            inputs, _, abort, _ = phase1_distribute(cfg, s, HONEST, rng)
-            assert abort is None
+            inputs = phase1_distribute(cfg, s, HONEST, rng, Transcript(), [])
             assert inputs == segments_of(s, cfg.n, cfg.m)
 
     def test_zero_secret(self):
         cfg = ProtocolConfig(n=3, k=2, m=4)
         rng = np.random.default_rng(82)
-        inputs, _, abort, _ = phase1_distribute(cfg, 0, HONEST, rng)
-        assert abort is None
+        inputs = phase1_distribute(cfg, 0, HONEST, rng, Transcript(), [])
         assert inputs == [0, 0, 0]
 
     def test_eve_intercept_caught_by_decoys(self):
@@ -59,15 +60,18 @@ class TestPhase1:
         aborts = 0
         for _ in range(100):
             s = BitVector.random(12, rng).value
-            _, _, abort, _ = phase1_distribute(cfg, s, plan, rng)
-            aborts += abort is not None
+            try:
+                phase1_distribute(cfg, s, plan, rng, Transcript(), [])
+            except Aborted:
+                aborts += 1
         assert aborts >= 98
 
     def test_round_structure(self):
         cfg = ProtocolConfig(n=4, k=3, m=8)
         rng = np.random.default_rng(84)
         s = BitVector.random(32, rng).value
-        _, transcript, _, _ = phase1_distribute(cfg, s, HONEST, rng)
+        transcript = Transcript()
+        phase1_distribute(cfg, s, HONEST, rng, transcript, [])
         kinds = [(r["kind"], r["messages"]) for r in transcript.summary()]
         assert kinds == [("quantum", 4), ("classical", 4 + 4 * 3)]
 
@@ -83,8 +87,8 @@ class TestPhase2:
             cfg = ProtocolConfig(n=n, k=n // 2 + 1, m=m)
             for _ in range(50):
                 s, inputs = self.make_inputs(cfg, rng)
-                verdict, _, abort, _ = phase2_verify(cfg, inputs, s, HONEST, rng)
-                assert (verdict, abort) == ("proceed", None)
+                assert phase2_verify(cfg, inputs, s, HONEST, rng,
+                                     Transcript(), []) is None
 
     def test_bit_flip_rogue_always_aborts(self):
         rng = np.random.default_rng(86)
@@ -95,9 +99,9 @@ class TestPhase2:
             )
             for _ in range(60):
                 s, inputs = self.make_inputs(cfg, rng)
-                verdict, _, abort, _ = phase2_verify(cfg, inputs, s, plan, rng)
-                assert verdict == "abort"
-                assert abort.cause == "verification_failed"
+                with pytest.raises(Aborted) as caught:
+                    phase2_verify(cfg, inputs, s, plan, rng, Transcript(), [])
+                assert caught.value.info.cause == "verification_failed"
 
     def test_random_vector_rogue_aborts(self):
         cfg = ProtocolConfig(n=4, k=3, m=4)  # n*m = 16
@@ -107,8 +111,8 @@ class TestPhase2:
         rng = np.random.default_rng(87)
         for _ in range(300):
             s, inputs = self.make_inputs(cfg, rng)
-            verdict, _, _, _ = phase2_verify(cfg, inputs, s, plan, rng)
-            assert verdict == "abort"
+            with pytest.raises(Aborted):
+                phase2_verify(cfg, inputs, s, plan, rng, Transcript(), [])
 
     def test_corrupted_input_detected(self):
         # A wrong slice received in phase 1 surfaces here.
@@ -116,8 +120,8 @@ class TestPhase2:
         rng = np.random.default_rng(88)
         s, inputs = self.make_inputs(cfg, rng)
         inputs[1] ^= 1
-        verdict, _, _, _ = phase2_verify(cfg, inputs, s, HONEST, rng)
-        assert verdict == "abort"
+        with pytest.raises(Aborted):
+            phase2_verify(cfg, inputs, s, HONEST, rng, Transcript(), [])
 
     def test_xor_cancelling_corruption_passes(self):
         # The aggregate check has a known blind spot: report corruptions
@@ -144,7 +148,8 @@ class TestPhase2:
         cfg = ProtocolConfig(n=3, k=2, m=2)
         rng = np.random.default_rng(90)
         s, inputs = self.make_inputs(cfg, rng)
-        _, transcript, _, _ = phase2_verify(cfg, inputs, s, HONEST, rng)
+        transcript = Transcript()
+        phase2_verify(cfg, inputs, s, HONEST, rng, transcript, [])
         kinds = [(r["kind"], r["messages"]) for r in transcript.summary()]
         assert kinds == [("quantum", 3), ("classical", 3)]
 
@@ -162,8 +167,8 @@ class TestPhase3:
         from dpvqss.threshold import bytes_to_elements
         for _ in range(50):
             secret, inputs = self.split_inputs(cfg, rng)
-            results, _, abort, _ = phase3_consolidate(cfg, inputs, HONEST, rng)
-            assert abort is None
+            results = phase3_consolidate(cfg, inputs, HONEST, rng,
+                                         Transcript(), [])
             expect = bytes_to_elements(secret, cfg.w)
             for res in results:
                 assert res.reconstructed == expect
@@ -180,8 +185,8 @@ class TestPhase3:
         from dpvqss.threshold import bytes_to_elements
         for _ in range(50):
             secret, inputs = self.split_inputs(cfg, rng)
-            results, _, abort, _ = phase3_consolidate(cfg, inputs, plan, rng)
-            assert abort is None
+            results = phase3_consolidate(cfg, inputs, plan, rng,
+                                         Transcript(), [])
             expect = bytes_to_elements(secret, cfg.w)
             for res in results:
                 if res.loyal:
@@ -197,7 +202,8 @@ class TestPhase3:
         from dpvqss.threshold import bytes_to_elements
         for _ in range(50):
             secret, inputs = self.split_inputs(cfg, rng)
-            results, _, _, _ = phase3_consolidate(cfg, inputs, plan, rng)
+            results = phase3_consolidate(cfg, inputs, plan, rng,
+                                         Transcript(), [])
             expect = bytes_to_elements(secret, cfg.w)
             for res in results:
                 if res.loyal:
@@ -207,7 +213,8 @@ class TestPhase3:
         cfg = ProtocolConfig(n=4, k=3, m=8)
         rng = np.random.default_rng(94)
         _, inputs = self.split_inputs(cfg, rng)
-        _, transcript, _, _ = phase3_consolidate(cfg, inputs, HONEST, rng)
+        transcript = Transcript()
+        phase3_consolidate(cfg, inputs, HONEST, rng, transcript, [])
         classical = [r for r in transcript.summary() if r["kind"] == "classical"]
         assert len(classical) == 1
         assert classical[0]["messages"] == 4 * 3
@@ -350,6 +357,23 @@ class TestRunProtocol:
         rows, abort = rounds(tapped, plan, 13)
         assert abort["detail"]["pair"] == [1, 2]
         assert rows == honest[:4] + [("phase3", "quantum", 8)]
+
+    @pytest.mark.parametrize("phase", [1, 3])
+    def test_aborted_trial_leaves_no_reference_cycle(self, phase):
+        # The report keeps the AbortInfo, not the exception: a kept
+        # traceback would hold run_protocol's frame, which holds it.
+        cfg = ProtocolConfig(n=3, k=2, m=8)
+        plan = AdversaryPlan(eve=EveStrategy("intercept_resend", phases=(phase,)))
+        run_protocol(cfg, bytes([5]), plan, rng=np.random.default_rng(1))
+        gc.collect()
+        gc.disable()
+        try:
+            rep = run_protocol(cfg, bytes([5]), plan, rng=np.random.default_rng(1))
+            assert rep.abort.phase == f"phase{phase}"
+            del rep
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_report_carries_abort_phase_and_cause(self):
         cfg = ProtocolConfig(n=3, k=2, m=8, decoys=16)
