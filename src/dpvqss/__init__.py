@@ -15,7 +15,7 @@ Library layout:
 - cli        experiment driver (run / sweep / oracle-check / metrics / report)
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .bitvec import BitVector  # noqa: F401
 from .threshold import Share, SplitConfig, reconstruct, robust_decode, split  # noqa: F401

@@ -75,6 +75,17 @@ def _parse_seed(text):
     return seed
 
 
+def _flag(parse):
+    """A config-key parser as an argparse type, so that a bad flag value
+    prints the parser's reason rather than its function name."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return convert
+
+
 def _parse_int_list(text):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -456,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute trials from a config file")
     p_run.add_argument("config")
-    p_run.add_argument("--seed", type=_parse_seed, default=None)
-    p_run.add_argument("--trials", type=_parse_trials, default=None)
+    p_run.add_argument("--seed", type=_flag(_parse_seed), default=None)
+    p_run.add_argument("--trials", type=_flag(_parse_trials), default=None)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=cmd_run)
 
@@ -469,15 +480,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_oc.add_argument("--m", type=int, required=True)
     p_oc.add_argument("--shots", type=int, default=20_000)
     p_oc.add_argument("--secrets", type=int, default=4)
-    p_oc.add_argument("--seed", type=_parse_seed, default=0)
+    p_oc.add_argument("--seed", type=_flag(_parse_seed), default=0)
     p_oc.add_argument("--dump", action="store_true",
                       help="print the pre-measurement state of the first case")
     p_oc.set_defaults(func=cmd_check_oracle)
 
     p_sw = sub.add_parser("sweep", help="run a parameter grid")
     p_sw.add_argument("config")
-    p_sw.add_argument("--seed", type=_parse_seed, default=None)
-    p_sw.add_argument("--trials", type=_parse_trials, default=None)
+    p_sw.add_argument("--seed", type=_flag(_parse_seed), default=None)
+    p_sw.add_argument("--trials", type=_flag(_parse_trials), default=None)
     p_sw.add_argument("--out", default=None)
     p_sw.add_argument("--format", choices=("json", "csv"), default="json")
     p_sw.set_defaults(func=cmd_sweep)

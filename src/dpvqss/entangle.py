@@ -121,10 +121,8 @@ class EntangledBatch:
     def _mark_consumed(self):
         if self.consumed:
             raise RuntimeError("batch already measured")
-        if not self.sealed:
-            if self.taps:
-                raise RuntimeError("taps registered but batch never transmitted")
-            self.sealed = True
+        if self.taps and not self.sealed:
+            raise RuntimeError("taps registered but batch never transmitted")
         self.consumed = True
 
     def encode_and_measure(self, phase_bits: dict[int, int], rng) -> RoundOutcome:
@@ -246,10 +244,9 @@ def transmit(batch: EntangledBatch, plan: TransmissionPlan, rng):
     """Send every channel through its (possibly tapped) route and seal the batch.
 
     Each decoy on a tapped channel records how the tap read it; payload taps
-    take effect when the outcomes are drawn.
+    take effect when the outcomes are drawn.  A batch that carries several
+    rounds is transmitted once per round's decoy check.
     """
-    if batch.sealed:
-        raise RuntimeError("batch already transmitted")
     for ch, tap in sorted(batch.taps.items()):
         decoys = [decoy for decoy in plan.decoys if decoy.channel == ch]
         x_basis = [False] * len(decoys)

@@ -12,9 +12,11 @@ collects all reported outcomes in one parallel round and checks that the
 XOR chain reproduces the original secret.  Any discrepancy aborts.
 
 Phase 3 (consolidation): every unordered pair of agents runs an
-independent Bell-pair exchange; a single parallel round carries all
-n(n-1) directed reports, after which each agent robustly decodes his n
-collected shares.
+independent Bell-pair exchange.  The n(n-1)/2 exchanges are one batch of
+n(n-1)/2 * m positions, drawn at once, with a decoy check per pair; a
+single parallel round carries all n(n-1) directed reports, after which
+each agent robustly decodes his n collected shares; agents who collected
+the same shares share one decode.
 
 Registers, slices and reports are plain ints: the aggregated secret and
 every register are n*m bits wide, segment i being bits i*m .. i*m+m-1, and
@@ -41,6 +43,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import combinations
 from operator import xor
 
 import numpy as np
@@ -149,7 +152,7 @@ class AgentResult:
     index: int
     loyal: bool
     s_i: int | None = None  # the m-bit slice received in phase 1
-    claimed_shares: list[Share] = field(default_factory=list)
+    claimed_shares: tuple[Share, ...] = ()
     reconstructed: tuple[int, ...] | None = None
     support: int | None = None
     ambiguous: bool = False
@@ -246,19 +249,29 @@ def config_hash(cfg: ProtocolConfig, plan: AdversaryPlan) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _run_quantum_round(cfg, plan, rng, detection, *, phase, r, p, encoders,
-                       phase_bits, pair=None):
-    """Distribute, interleave decoys, transmit through taps, verify, measure.
+def _run_quantum_round(cfg, plan, rng, transcript, detection, *, phase, r,
+                       p, encoders, phase_bits, pairs=(None,)):
+    """Distribute one batch for len(pairs) rounds of p positions, check each
+    round's decoys, then draw every position at once.
 
-    Returns the RoundOutcome; raises Aborted when the decoys catch a tap.
-    `pair` only labels a phase-3 round's detection records.
+    Round q holds bits q*p .. q*p+p-1 of every phase word and register.
+    Each round started adds the registers it sends to the phase's quantum
+    row.  A tapped round interleaves d decoys into each sent channel and
+    checks them; the first mismatch raises Aborted, labelled with its entry
+    of `pairs`.  `_read_law` treats each position on its own, so the one
+    draw follows the law of the separate rounds.  Returns the RoundOutcome.
     """
     transmitted = sent_channels(phase, cfg.n, cfg.source)
     taps = plan.eve.taps_for(phase, transmitted)
-    batch = distribute(r, p, taps=taps, transmitted=transmitted,
+    batch = distribute(r, p * len(pairs), taps=taps, transmitted=transmitted,
                        encoders=encoders)
-
-    if taps:
+    row = transcript.add(f"phase{phase}", "quantum", 0)
+    for pair in pairs:
+        row["messages"] += len(transmitted)
+        # Untapped rounds skip decoy bookkeeping entirely: an untouched
+        # eigenstate can never mismatch, so the statistics are unchanged.
+        if not taps:
+            continue
         dplan = insert_decoys(batch, cfg.decoys, rng)
         transmit(batch, dplan, rng)
         mismatches, verdict = verify_decoys(dplan, dplan.records, rng)
@@ -271,8 +284,6 @@ def _run_quantum_round(cfg, plan, rng, detection, *, phase, r, p, encoders,
         if verdict == "abort":
             raise Aborted(AbortInfo(f"phase{phase}", "decoy_mismatch",
                                     {"mismatches": mismatches, **where}))
-    # Untapped rounds skip decoy bookkeeping entirely: an untouched
-    # eigenstate can never mismatch, so the statistics are unchanged.
     return batch.encode_and_measure(phase_bits, rng)
 
 
@@ -287,9 +298,8 @@ def phase1_distribute(cfg: ProtocolConfig, s: int, plan: AdversaryPlan,
     if not 0 <= s < 1 << (n * m):
         raise ValueError(f"secret {s:#x} does not fit in n*m = {n * m} bits")
 
-    transcript.add("phase1", "quantum", len(sent_channels(1, n, cfg.source)))
     registers = _run_quantum_round(
-        cfg, plan, rng, detection, phase=1, r=n + 1, p=n * m,
+        cfg, plan, rng, transcript, detection, phase=1, r=n + 1, p=n * m,
         encoders=(n,), phase_bits={n: s},
     ).registers
     if not plan.eve.is_active_in(1):
@@ -326,9 +336,8 @@ def phase2_verify(cfg: ProtocolConfig, agent_inputs, s: int,
     if len(agent_inputs) != n:
         raise ValueError(f"need one input vector per agent, got {len(agent_inputs)}")
 
-    transcript.add("phase2", "quantum", len(sent_channels(2, n, cfg.source)))
     registers = _run_quantum_round(
-        cfg, plan, rng, detection, phase=2, r=n + 1, p=n * m,
+        cfg, plan, rng, transcript, detection, phase=2, r=n + 1, p=n * m,
         encoders=tuple(range(n)),
         phase_bits={i: agent_inputs[i] << (i * m) for i in range(n)},
     ).registers
@@ -349,72 +358,72 @@ def phase2_verify(cfg: ProtocolConfig, agent_inputs, s: int,
 
 def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
                        rng, transcript: Transcript, detection: list[dict]):
-    """All pairwise exchanges plus one parallel round of n(n-1) reports,
-    then per-agent robust decoding.
+    """All n(n-1)/2 pairwise exchanges as one draw, one parallel round of
+    n(n-1) reports, then robust decoding once per distinct view.
 
     Returns the agent results.
     """
     n, m = cfg.n, cfg.m
+    pairs = list(combinations(range(n), 2))
 
     # What each agent embeds: honest agents their received slice, phase-3
-    # oracle liars a falsified vector (fresh per pair in random mode).  The
-    # quantum row counts every pair round started, an aborted one too.
-    measured: dict[tuple[int, int], int] = {}
-    embedded: dict[tuple[int, int], int] = {}
-    row = transcript.add("phase3", "quantum", 0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            emb_i = agent_inputs[i]
-            if plan.rogues.lies(i, "lie_phase3_oracle"):
-                emb_i = falsify(emb_i, m, plan.rogues.mode,
-                                plan.rogues.fixed_value, rng)
-            emb_j = agent_inputs[j]
-            if plan.rogues.lies(j, "lie_phase3_oracle"):
-                emb_j = falsify(emb_j, m, plan.rogues.mode,
-                                plan.rogues.fixed_value, rng)
-            row["messages"] += len(sent_channels(3, n, cfg.source))
-            outcome = _run_quantum_round(
-                cfg, plan, rng, detection, phase=3, r=2, p=m, encoders=(0, 1),
-                phase_bits={0: emb_i, 1: emb_j}, pair=(i, j),
-            )
-            measured[(i, j)] = outcome.registers[0]
-            measured[(j, i)] = outcome.registers[1]
-            embedded[(i, j)] = emb_i
-            embedded[(j, i)] = emb_j
+    # oracle liars a falsified vector (fresh per pair in random mode).
+    # Pair q's two embeddings are bits q*m .. q*m+m-1 of the phase words.
+    words = [0, 0]
+    for q, pair in enumerate(pairs):
+        for side, agent in enumerate(pair):
+            vec = agent_inputs[agent]
+            if plan.rogues.lies(agent, "lie_phase3_oracle"):
+                vec = falsify(vec, m, plan.rogues.mode,
+                              plan.rogues.fixed_value, rng)
+            words[side] |= vec << (q * m)
+    registers = _run_quantum_round(
+        cfg, plan, rng, transcript, detection, phase=3, r=2, p=m,
+        encoders=(0, 1), phase_bits={0: words[0], 1: words[1]}, pairs=pairs,
+    ).registers
 
     # One parallel classical round carrying all n(n-1) directed reports.
-    reported: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                reported[(i, j)] = rogue_transform(
-                    plan.rogues, i, "lie_phase3_report", measured[(i, j)], m,
-                    rng,
-                )
+    # views[i][j] is the share agent i claims for j: his outcome in the
+    # exchange with j, XOR j's report of j's outcome, XOR his own embedding;
+    # for j = i his own slice (a liar still privately knows what he
+    # embedded).
+    mask = (1 << m) - 1
+    views = [list(agent_inputs) for _ in range(n)]
+    for q, (i, j) in enumerate(pairs):
+        shift = q * m
+        out_i = registers[0] >> shift & mask
+        out_j = registers[1] >> shift & mask
+        report_i = rogue_transform(plan.rogues, i, "lie_phase3_report", out_i,
+                                   m, rng)
+        report_j = rogue_transform(plan.rogues, j, "lie_phase3_report", out_j,
+                                   m, rng)
+        views[i][j] = out_i ^ report_j ^ (words[0] >> shift & mask)
+        views[j][i] = out_j ^ report_i ^ (words[1] >> shift & mask)
     transcript.add("phase3", "classical", n * (n - 1))
 
+    # Agents with one view share its decode.
+    decoded: dict[tuple[int, ...], tuple] = {}
     results = []
     for i in range(n):
-        loyal = i not in plan.rogues.agents
-        res = AgentResult(i, loyal, s_i=agent_inputs[i])
-        claimed = []
-        for j in range(n):
-            if j == i:
-                # His own slice; a liar still privately knows what he embedded.
-                vec = agent_inputs[i]
-            else:
-                vec = measured[(i, j)] ^ reported[(j, i)] ^ embedded[(i, j)]
-            claimed.append(Share.from_bits(vec, m, j, cfg.w))
-        res.claimed_shares = claimed
-        try:
-            decoded, support = robust_decode(claimed, cfg.split_config)
-            res.reconstructed = decoded
-            res.support = support
-        except AmbiguousDecodeError as err:
-            res.ambiguous = True
-            res.support = err.support
+        view = tuple(views[i])
+        if view not in decoded:
+            shares = tuple(
+                Share.from_bits(vec, m, j, cfg.w) for j, vec in enumerate(view)
+            )
+            try:
+                decoded[view] = (shares,
+                                 *robust_decode(shares, cfg.split_config))
+            except AmbiguousDecodeError as err:
+                # Keep the support only: a kept exception would hold this
+                # frame through its traceback.
+                decoded[view] = shares, None, err.support
+        shares, secret, support = decoded[view]
+        res = AgentResult(i, i not in plan.rogues.agents, s_i=agent_inputs[i],
+                          claimed_shares=shares, reconstructed=secret,
+                          support=support, ambiguous=secret is None)
+        if res.ambiguous:
             detection.append({"phase": "phase3", "kind": "ambiguous_decode",
-                              "agent": i, "support": err.support})
+                              "agent": i, "support": support})
         results.append(res)
     return results
 

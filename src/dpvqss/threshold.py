@@ -165,10 +165,14 @@ class Share:
         return cls(agent_index, value, width)
 
     def token(self) -> str:
-        """Serialized form "index:hex-value" used in JSON reports."""
+        """Serialized form "index:hex-value" used in JSON reports.
+
+        Each element fills whole hex digits (w is 4 or 8), so the bit form in
+        hex reads element 0 rightmost.
+        """
         digits = (self.width + 3) // 4
-        return f"{self.agent_index}:" + "".join(
-            format(v, f"0{digits}x") for v in reversed(self.value)
+        return f"{self.agent_index}:" + format(
+            self.to_bits(), f"0{digits * len(self.value)}x"
         )
 
 

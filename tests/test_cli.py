@@ -435,6 +435,28 @@ class TestUsageErrors:
         assert main(["--version"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, flag, reason", [
+        ("run", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+        ("run", ["--trials", "0"], "trials must be at least 1, got 0"),
+        ("sweep", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+        ("sweep", ["--trials", "-2"], "trials must be at least 1, got -2"),
+        ("oracle-check", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+    ], ids=["run_seed", "run_trials", "sweep_seed", "sweep_trials",
+            "oracle_check_seed"])
+    def test_bad_flag_prints_its_reason(self, tmp_path, capsys, command, flag,
+                                        reason):
+        if command == "oracle-check":
+            argv = ["oracle-check", "--n", "2", "--m", "1", *flag]
+        else:
+            cfg = SWEEP_CFG if command == "sweep" else HONEST_CFG
+            argv = [command, write(tmp_path, "c.cfg", cfg), *flag]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag[0]}: {reason}" in captured.err
+        assert "_parse_" not in captured.err
+        assert "Traceback" not in captured.err
+
 
 # The four benchmark workloads' config texts, inlined so that a change to
 # the benchmark does not move these pins.
@@ -458,16 +480,16 @@ PINNED_CONFIGS = {
 
 class TestPinnedReports:
     """Same config and seed, same bytes: the first 16 hex digits of the
-    sha256 of `dpvqss run --seed 7 --trials 20` output at version 0.6.0.
+    sha256 of `dpvqss run --seed 7 --trials 20` output at version 0.7.0.
     A change that alters the random stream or the report on purpose bumps
     the version and updates these pins."""
 
     @pytest.mark.parametrize("name, digest", [
-        ("honest", "1038c302c699d960"),
-        ("liar", "7aa62a23296175c7"),
-        ("eve_tap", "074eb15425bfa31f"),
-        ("eve_decoy", "4cd53dd613d9c386"),
-    ])
+        ("honest", "83ae40af9832e5cb"),
+        ("liar", "3d5f67c1be65e0dc"),
+        ("eve_tap", "6dd76227c4897baa"),
+        ("eve_decoy", "a10259ba71c30dc0"),
+    ], ids=["honest", "liar", "eve_tap", "eve_decoy"])
     def test_report_digest(self, tmp_path, name, digest):
         cfg = write(tmp_path, f"{name}.cfg", PINNED_CONFIGS[name])
         out = tmp_path / "runs.jsonl"

@@ -609,6 +609,21 @@ class TestBatchLifecycle:
         with pytest.raises(RuntimeError):
             batch.encode_and_measure({1: bv("10")}, rng)
 
+    def test_one_transmit_per_decoy_check(self):
+        # A batch carrying several rounds checks each round's decoys.
+        rng = np.random.default_rng(64)
+        batch = distribute(
+            2, 6, taps={0: ChannelTap("measure_resend")},
+            transmitted=(0,), encoders=(1,),
+        )
+        for _ in range(3):
+            plan = insert_decoys(batch, 2, rng)
+            transmit(batch, plan, rng)
+            assert [d.state for d in plan.decoys] == ["z", "z"]
+        batch.encode_and_measure({1: bv("101")}, rng)
+        with pytest.raises(RuntimeError):
+            batch.encode_and_measure({1: bv("101")}, rng)
+
     def test_tap_on_untransmitted_channel_rejected(self):
         with pytest.raises(ValueError):
             distribute(

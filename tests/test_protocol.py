@@ -1,9 +1,12 @@
 import gc
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+from dpvqss import protocol
 from dpvqss.adversary import AdversaryPlan, EveStrategy, RogueBehavior
 from dpvqss.bitvec import BitVector
 from dpvqss.protocol import (
@@ -16,9 +19,10 @@ from dpvqss.protocol import (
     random_secret,
     run_protocol,
 )
-from dpvqss.threshold import split
+from dpvqss.threshold import AmbiguousDecodeError, robust_decode, split
 
 HONEST = AdversaryPlan()
+PAIRS_4 = list(combinations(range(4), 2))
 
 
 def segments_of(s, n, m):
@@ -209,6 +213,94 @@ class TestPhase3:
                 if res.loyal:
                     assert res.reconstructed == expect
 
+    def test_untapped_claims_are_exact(self):
+        cfg = ProtocolConfig(n=4, k=3, m=8, decoys=0)
+        rng = np.random.default_rng(99)
+        for _ in range(50):
+            _, inputs = self.split_inputs(cfg, rng)
+            results = phase3_consolidate(cfg, inputs, HONEST, rng,
+                                         Transcript(), [])
+            for res in results:
+                assert [sh.to_bits() for sh in res.claimed_shares] == inputs
+
+    @pytest.mark.parametrize("kind, basis, channel, rate", [
+        ("intercept_resend", "random", 0, 1 / 4),
+        ("intercept_resend", "random", None, 3 / 8),
+        ("intercept_resend", "computational", 0, 1 / 2),
+        ("entangle_measure", "computational", 0, 1 / 2),
+    ], ids=["random_one_channel", "random_both_channels", "z_intercept",
+            "entangle_measure"])
+    def test_tapped_claim_error_law(self, kind, basis, channel, rate):
+        # A claimed bit from pair (i, j) is off where the pair's registers
+        # break their XOR constraint: an X read keeps it, a Z read or an
+        # entangling tap leaves it uniform.  Both agents see the same error.
+        cfg = ProtocolConfig(n=4, k=3, m=8, decoys=0)
+        plan = AdversaryPlan(
+            eve=EveStrategy(kind, basis, phases=(3,), channel=channel)
+        )
+        rng = np.random.default_rng(100)
+        trials = 400
+        errors = np.zeros((len(PAIRS_4), cfg.m))
+        for _ in range(trials):
+            _, inputs = self.split_inputs(cfg, rng)
+            results = phase3_consolidate(cfg, inputs, plan, rng,
+                                         Transcript(), [])
+            for q, (i, j) in enumerate(PAIRS_4):
+                off = results[i].claimed_shares[j].to_bits() ^ inputs[j]
+                assert results[j].claimed_shares[i].to_bits() ^ inputs[i] == off
+                errors[q] += [off >> b & 1 for b in range(cfg.m)]
+        # One binomial(trials, rate) count per (pair, position) cell.
+        stat = ((errors - trials * rate) ** 2
+                / (trials * rate * (1 - rate))).sum()
+        assert chi2.sf(stat, errors.size) > 0.001
+
+    @pytest.mark.parametrize("failing", [0, 3, 5])
+    def test_first_failing_pair_aborts(self, monkeypatch, failing):
+        # Pair `failing` is the first whose decoys mismatch: the abort names
+        # it, later pairs are never checked, and every pair started counts
+        # its two registers.
+        checks = []
+
+        def scripted(plan, records, rng):
+            checks.append(plan)
+            return (2, "abort") if len(checks) > failing else (0, "proceed")
+
+        monkeypatch.setattr(protocol, "verify_decoys", scripted)
+        cfg = ProtocolConfig(n=4, k=3, m=8, decoys=2)
+        plan = AdversaryPlan(eve=EveStrategy("measure_resend", phases=(3,)))
+        rng = np.random.default_rng(101)
+        _, inputs = self.split_inputs(cfg, rng)
+        transcript, detection = Transcript(), []
+        with pytest.raises(Aborted) as caught:
+            phase3_consolidate(cfg, inputs, plan, rng, transcript, detection)
+        pair = list(PAIRS_4[failing])
+        assert caught.value.info.detail == {"mismatches": 2, "pair": pair}
+        assert len(checks) == failing + 1
+        assert transcript.summary() == [
+            {"phase": "phase3", "kind": "quantum", "messages": 2 * (failing + 1)}
+        ]
+        assert detection == [{"phase": "phase3", "kind": "decoy_mismatch",
+                              "count": 2, "pair": pair}]
+
+    def test_tapped_abort_counts_pairs_started(self):
+        cfg = ProtocolConfig(n=5, k=3, m=8, decoys=1)
+        plan = AdversaryPlan(eve=EveStrategy("intercept_resend", phases=(3,)))
+        pairs = list(combinations(range(5), 2))
+        seen = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            _, inputs = self.split_inputs(cfg, rng)
+            transcript, detection = Transcript(), []
+            with pytest.raises(Aborted) as caught:
+                phase3_consolidate(cfg, inputs, plan, rng, transcript,
+                                   detection)
+            pair = caught.value.info.detail["pair"]
+            assert [e["pair"] for e in detection] == [pair]
+            started = pairs.index(tuple(pair)) + 1
+            assert transcript.summary()[0]["messages"] == 2 * started
+            seen.add(started)
+        assert len(seen) > 1
+
     def test_single_round_of_pair_messages(self):
         cfg = ProtocolConfig(n=4, k=3, m=8)
         rng = np.random.default_rng(94)
@@ -218,6 +310,91 @@ class TestPhase3:
         classical = [r for r in transcript.summary() if r["kind"] == "classical"]
         assert len(classical) == 1
         assert classical[0]["messages"] == 4 * 3
+
+
+DECODE_GRID = {
+    "one_liar": (ProtocolConfig(n=9, k=5, m=16), AdversaryPlan(
+        rogues=RogueBehavior((8,), ("lie_phase3_oracle", "lie_phase3_report"))
+    )),
+    "colluding_fixed_liars": (ProtocolConfig(n=5, k=3, m=8), AdversaryPlan(
+        rogues=RogueBehavior((3, 4), ("lie_phase3_oracle",), mode="fixed",
+                             fixed_value=BitVector.from_string("10110011"))
+    )),
+    "report_lies_only": (ProtocolConfig(n=5, k=3, m=16), AdversaryPlan(
+        rogues=RogueBehavior((0,), ("lie_phase3_report",))
+    )),
+}
+
+
+class TestDecodeOncePerView:
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        decode = protocol.robust_decode
+
+        def counted(claimed, cfg):
+            calls.append(claimed)
+            return decode(claimed, cfg)
+
+        monkeypatch.setattr(protocol, "robust_decode", counted)
+        return calls
+
+    def test_honest_trial_decodes_once(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        cfg = ProtocolConfig(n=5, k=3, m=16)
+        rng = np.random.default_rng(102)
+        rep = run_protocol(cfg, random_secret(cfg, rng), HONEST, rng=rng)
+        assert rep.verdict == "proceed"
+        assert len(calls) == 1
+
+    @staticmethod
+    def check_views(rep, plan):
+        # A claim of an honest agent's share is that share; a claim of a
+        # fixed liar's is the fixed lie; claims of a random liar's differ
+        # from agent to agent.
+        rogues = plan.rogues
+        for a in rep.agents:
+            for j, share in enumerate(a.claimed_shares):
+                if j == a.index or j not in rogues.agents:
+                    assert share.to_bits() == rep.agents[j].s_i
+                elif rogues.mode == "fixed":
+                    assert share.to_bits() == rogues.fixed_value.value
+        if rogues.mode == "random":
+            for j in rogues.agents:
+                claims = [a.claimed_shares[j] for a in rep.agents if a.index != j]
+                assert len(set(claims)) == len(claims)
+
+    @pytest.mark.parametrize("name", sorted(DECODE_GRID))
+    def test_matches_decoding_each_view(self, monkeypatch, name):
+        # The reference decodes every agent's own claimed shares.
+        calls = self.counting(monkeypatch)
+        cfg, plan = DECODE_GRID[name]
+        ambiguous = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            del calls[:]
+            rep = run_protocol(cfg, random_secret(cfg, rng), plan, rng=rng)
+            views = {tuple(a.claimed_shares) for a in rep.agents}
+            assert len(calls) == len(views)
+            self.check_views(rep, plan)
+            events = []
+            for a in rep.agents:
+                expect = {"reconstructed": None, "support": None,
+                          "ambiguous": False}
+                try:
+                    expect["reconstructed"], expect["support"] = robust_decode(
+                        list(a.claimed_shares), cfg.split_config)
+                except AmbiguousDecodeError as err:
+                    expect.update(support=err.support, ambiguous=True)
+                    events.append({"phase": "phase3",
+                                   "kind": "ambiguous_decode",
+                                   "agent": a.index, "support": err.support})
+                got = {key: getattr(a, key) for key in expect}
+                assert got == expect
+            assert rep.detection_events == events
+            ambiguous += bool(events)
+        if name == "colluding_fixed_liars":
+            assert ambiguous
 
 
 class TestRunProtocol:
@@ -351,12 +528,14 @@ class TestRunProtocol:
         rows, _ = rounds(third, HONEST, 19)
         assert rows == ([("phase1", "quantum", 5)] + honest[1:2]
                         + [("phase2", "quantum", 5)] + honest[3:])
-        # The fourth pair, (1, 2), aborts: its two registers still count.
+        # A later pair aborts: every pair started, the aborted one too,
+        # counts its two registers.
         tapped = ProtocolConfig(n=4, k=3, m=8, decoys=1)
         plan = AdversaryPlan(eve=EveStrategy("measure_resend", phases=(3,)))
         rows, abort = rounds(tapped, plan, 13)
-        assert abort["detail"]["pair"] == [1, 2]
-        assert rows == honest[:4] + [("phase3", "quantum", 8)]
+        started = PAIRS_4.index(tuple(abort["detail"]["pair"])) + 1
+        assert started > 1
+        assert rows == honest[:4] + [("phase3", "quantum", 2 * started)]
 
     @pytest.mark.parametrize("phase", [1, 3])
     def test_aborted_trial_leaves_no_reference_cycle(self, phase):

@@ -238,6 +238,18 @@ class TestShareEncoding:
         assert Share(1, (0xAB, 0x01), 8).token() == "1:01ab"
         assert Share(0, (0xA,), 4).token() == "0:a"
 
+    @pytest.mark.parametrize("w", [4, 8])
+    def test_token_matches_element_join(self, w):
+        # The token renders the bit form; this is its per-element reference.
+        rng = np.random.default_rng(20 + w)
+        for _ in range(200):
+            elements = int(rng.integers(1, 9))
+            value = tuple(int(v) for v in rng.integers(0, 1 << w, size=elements))
+            share = Share(int(rng.integers(0, 16)), value, w)
+            digits = (w + 3) // 4
+            joined = "".join(format(v, f"0{digits}x") for v in reversed(value))
+            assert share.token() == f"{share.agent_index}:{joined}"
+
     def test_bytes_helpers(self):
         data = bytes([0xDE, 0xAD])
         for w in (4, 8):
