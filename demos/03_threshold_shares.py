@@ -19,7 +19,9 @@ rng = np.random.default_rng(3)
 
 print("== (2, 3) split of the nibble 0xA ==")
 cfg = SplitConfig(2, 3, 4)
-shares = split([0xA], cfg, rng)
+# split returns each agent's share as a packed int; Share labels it.
+shares = [Share.from_bits(claim, 4, i, 4)
+          for i, claim in enumerate(split([0xA], cfg, rng))]
 for sh in shares:
     print(f"  agent {sh.agent_index} holds {sh.token()}")
 print(f"any two reconstruct: {reconstruct(shares[:2], cfg)} "
@@ -38,9 +40,9 @@ print(f"agent 0's value {observed:#x} is consistent with "
 print()
 print("== Robust decoding at (3, 5) ==")
 cfg5 = SplitConfig(3, 5, 4)
-shares5 = split([0x7], cfg5, rng)
-shares5[2] = Share(2, (shares5[2].value[0] ^ 0x5,), 4)  # one liar
-secret, support = robust_decode(shares5, cfg5)
+shares5 = split([0x7], cfg5, rng)  # one 4-bit claim per agent
+shares5[2] ^= 0x5  # one liar
+secret, support = robust_decode(shares5, cfg5, 4)
 print(f"one forged share: decoded {secret} with support {support}/5")
 
 print()
@@ -49,9 +51,9 @@ cfg4 = SplitConfig(3, 4, 4)
 shares4 = split([0x7], cfg4, rng)
 fake_poly = [0x2, 0x9, 0x4]
 for liar in (0, 1):
-    shares4[liar] = Share(liar, (gf.poly_eval(fake_poly, liar + 1),), 4)
+    shares4[liar] = gf.poly_eval(fake_poly, liar + 1)
 try:
-    robust_decode(shares4, cfg4)
+    robust_decode(shares4, cfg4, 4)
 except AmbiguousDecodeError as err:
     print(f"ambiguity surfaced: {len(err.candidates)} candidates tied "
           f"at support {err.support} -- the decoder refuses to guess")

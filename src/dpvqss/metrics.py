@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,10 +99,48 @@ def chi_square_homogeneity(
     dof = used_cells - 1
     if dof <= 0:
         return 1.0
-    # Imported here: scipy.stats is most of the cost of `import dpvqss`.
-    from scipy.stats import chi2
+    return chi2_sf(stat, dof)
 
-    return float(chi2.sf(stat, dof))
+
+def chi2_sf(stat: float, dof: int) -> float:
+    """Chi-square survival function: the regularised upper incomplete gamma
+    function Q(dof/2, stat/2).
+
+    Below x = a + 1 it sums the series for P = 1 - Q (Q stays above 0.08
+    there, so the subtraction loses little); above, it evaluates the
+    continued fraction for Q by the modified Lentz method (Numerical
+    Recipes, section 6.2).
+    """
+    if dof < 1:
+        raise ValueError(f"need dof >= 1, got {dof}")
+    if stat <= 0:
+        return 1.0
+    a, x = dof / 2, stat / 2
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1:
+        term = total = 1 / a
+        denom = a
+        while term > total * 1e-17:
+            denom += 1
+            term *= x / denom
+            total += term
+        return 1.0 - front * total
+    tiny = 1e-300
+    b = x + 1 - a
+    c, d = 1 / tiny, 1 / b
+    h = d
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2
+        d = an * d + b
+        d = 1 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        step = d * c
+        h *= step
+        if abs(step - 1) < 1e-16:
+            break
+    return front * h
 
 
 # Statistic fields aggregated out of RunReport dictionaries.

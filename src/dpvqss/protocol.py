@@ -16,14 +16,15 @@ independent Bell-pair exchange.  The n(n-1)/2 exchanges are one batch of
 n(n-1)/2 * m positions, drawn at once, with a decoy check per pair; a
 single parallel round carries all n(n-1) directed reports, after which
 each agent robustly decodes his n collected shares; agents who collected
-the same shares share one decode.
+the same shares share one decode and, in the report, one rendering.
 
-Registers, slices and reports are plain ints: the aggregated secret and
-every register are n*m bits wide, segment i being bits i*m .. i*m+m-1, and
-each slice is m bits wide, so the phases cut and place segments with
-shifts and masks.  The transcript records each quantum or classical round
-only as its phase, its kind and how many messages it carried; every agent
-XORs what it receives as it arrives.  All randomness flows through one
+Registers, slices, reports and shares are plain ints: the aggregated
+secret and every register are n*m bits wide, segment i being bits
+i*m .. i*m+m-1, and each slice and claimed share is m bits wide, so the
+phases cut and place segments with shifts and masks.  The transcript
+records each quantum or classical round only as its phase, its kind and
+how many messages it carried; every agent XORs what it receives as it
+arrives.  All randomness flows through one
 injected generator, so a (config, secret, plan, seed) tuple reproduces a
 byte-identical report.
 
@@ -62,10 +63,10 @@ from .entangle import distribute, insert_decoys, transmit, verify_decoys
 from .metrics import efficiency_report
 from .threshold import (
     AmbiguousDecodeError,
-    Share,
     SplitConfig,
     bytes_to_elements,
     robust_decode,
+    share_token,
     split,
 )
 
@@ -152,12 +153,15 @@ class AgentResult:
     index: int
     loyal: bool
     s_i: int | None = None  # the m-bit slice received in phase 1
-    claimed_shares: tuple[Share, ...] = ()
+    # The agent's view: claim j is the m-bit share it holds for agent j.
+    claimed_shares: tuple[int, ...] = ()
     reconstructed: tuple[int, ...] | None = None
     support: int | None = None
     ambiguous: bool = False
 
-    def to_dict(self, true_elements, cfg: ProtocolConfig) -> dict:
+    def to_dict(self, true_elements, cfg: ProtocolConfig,
+                tokens: list[str]) -> dict:
+        """The agent's report entry; `tokens` renders claimed_shares."""
         recovered = (
             self.reconstructed is not None
             and tuple(self.reconstructed) == tuple(true_elements)
@@ -167,7 +171,7 @@ class AgentResult:
             "s_i": (
                 format(self.s_i, f"0{cfg.m}b") if self.s_i is not None else None
             ),
-            "claimed_shares": [sh.token() for sh in self.claimed_shares],
+            "claimed_shares": tokens,
             "reconstructed": (
                 elements_to_hex(self.reconstructed, cfg.w)
                 if self.reconstructed is not None else None
@@ -194,6 +198,16 @@ class RunReport:
 
     def to_dict(self) -> dict:
         cfg = self.config
+        # Agents with one view share its tokens, rendered once.
+        tokens: dict[tuple[int, ...], list[str]] = {}
+        agents = {}
+        for a in self.agents:
+            view = a.claimed_shares
+            if view not in tokens:
+                tokens[view] = [share_token(j, claim, cfg.m)
+                                for j, claim in enumerate(view)]
+            agents[str(a.index)] = a.to_dict(self.secret_elements, cfg,
+                                             tokens[view])
         return {
             "schema": "dpvqss.run.v1",
             "version": __version__,
@@ -206,10 +220,7 @@ class RunReport:
             "verdict": self.verdict,
             "abort": self.abort.to_dict() if self.abort else None,
             "detection_events": self.detection_events,
-            "agents": {
-                str(a.index): a.to_dict(self.secret_elements, cfg)
-                for a in self.agents
-            },
+            "agents": agents,
             "rounds": self.transcript.summary(),
             "metrics": efficiency_report(cfg.n, cfg.m).to_dict(),
             "leakage": self.leakage,
@@ -401,25 +412,22 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
         views[j][i] = out_j ^ report_i ^ (words[1] >> shift & mask)
     transcript.add("phase3", "classical", n * (n - 1))
 
-    # Agents with one view share its decode.
+    # Agents with one view share its decode and its tuple.
+    split_cfg = cfg.split_config
     decoded: dict[tuple[int, ...], tuple] = {}
     results = []
     for i in range(n):
         view = tuple(views[i])
         if view not in decoded:
-            shares = tuple(
-                Share.from_bits(vec, m, j, cfg.w) for j, vec in enumerate(view)
-            )
             try:
-                decoded[view] = (shares,
-                                 *robust_decode(shares, cfg.split_config))
+                decoded[view] = (view, *robust_decode(view, split_cfg, m))
             except AmbiguousDecodeError as err:
                 # Keep the support only: a kept exception would hold this
                 # frame through its traceback.
-                decoded[view] = shares, None, err.support
-        shares, secret, support = decoded[view]
+                decoded[view] = view, None, err.support
+        view, secret, support = decoded[view]
         res = AgentResult(i, i not in plan.rogues.agents, s_i=agent_inputs[i],
-                          claimed_shares=shares, reconstructed=secret,
+                          claimed_shares=view, reconstructed=secret,
                           support=support, ambiguous=secret is None)
         if res.ambiguous:
             detection.append({"phase": "phase3", "kind": "ambiguous_decode",
@@ -448,7 +456,7 @@ def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONES
     # Share i is segment i of the aggregated n*m-bit secret.
     s = 0
     for i, share in enumerate(shares):
-        s |= share.to_bits() << (i * cfg.m)
+        s |= share << (i * cfg.m)
 
     transcript = Transcript()
     detection: list[dict] = []

@@ -1,9 +1,18 @@
 """(k, n) threshold sharing over GF(2^w) with robust majority decoding.
 
-Shares are vectors of field elements; the share for agent i is the
-evaluation of per-element random polynomials at x = i + 1, so shares of
-one secret all have the same bit length m = w * element_count.  Element 0
-sits in the least significant w bits of the share's bit form, an m-bit int.
+A share is a vector of field elements; agent i's is the evaluation of
+per-element random polynomials at x = i + 1, so shares of one secret all
+have the same bit length m = w * element_count.  Inside the library a share
+is a claim: an m-bit int with element 0 in its least significant w bits.
+`split` returns the n claims and `robust_decode` takes them, one per agent
+in agent order.  `Share` labels one claim with its agent and width; it is
+the API edge (`reconstruct` from any k shares, demos, tests) and the
+renderer of report tokens.
+
+Every interpolation is `GF.combine`: multiplying each w-bit element of a
+claim by one field constant maps each byte through a 256-entry table, so
+one term of a Lagrange or polynomial sum over a whole claim is one
+`bytes.translate`.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ class GF:
             x = self._slow_mul(x, g)
         for i in range(self.order - 1, 2 * (self.order - 1)):
             self.exp[i] = self.exp[i - (self.order - 1)]
+        self.tables = _ScaleTables(self)
 
     def _slow_mul(self, a: int, b: int) -> int:
         acc = 0
@@ -95,6 +105,70 @@ class GF:
         for c in reversed(coeffs):
             acc = self.mul(acc, x) ^ c
         return acc
+
+    def combine(self, rows: Sequence[Sequence[int]],
+                packed: Sequence[int]) -> list[int]:
+        """Per row of weights, the XOR over i of row[i] times every w-bit
+        element of packed[i].
+
+        Elements never straddle a byte (w is 4 or 8), so scaling a packed
+        int by a constant maps each of its bytes through one table.
+        """
+        size = (max(packed).bit_length() + 7) >> 3
+        blocks = [p.to_bytes(size, "little") for p in packed]
+        tables = self.tables
+        out = []
+        for row in rows:
+            acc = 0
+            for c, block in zip(row, blocks):
+                acc ^= int.from_bytes(block.translate(tables[c]), "little")
+            out.append(acc)
+        return out
+
+
+class _ScaleTables(dict):
+    """Per field constant c, the 256-byte map that multiplies each w-bit
+    element of a byte by c; built on first use."""
+
+    def __init__(self, gf: GF):
+        super().__init__()
+        self.gf = gf
+
+    def __missing__(self, c: int) -> bytes:
+        exp, log = self.gf.exp, self.gf.log
+        row = [0] * self.gf.order
+        if c:
+            row[1:] = [exp[log[c] + log[v]] for v in range(1, self.gf.order)]
+        if self.gf.width == 8:
+            table = bytes(row)
+        else:
+            table = bytes([row[b & 15] | row[b >> 4] << 4 for b in range(256)])
+        self[c] = table
+        return table
+
+
+def pack(elements: Sequence[int], w: int) -> int:
+    """Field elements as one int, element e in bits e*w .. e*w+w-1."""
+    acc = 0
+    for e, v in enumerate(elements):
+        acc |= v << (e * w)
+    return acc
+
+
+def unpack(bits: int, m: int, w: int) -> tuple[int, ...]:
+    """The m / w field elements of an m-bit int, element 0 first."""
+    mask = (1 << w) - 1
+    return tuple(bits >> shift & mask for shift in range(0, m, w))
+
+
+def share_token(index: int, bits: int, m: int) -> str:
+    """Serialized form "index:hex-value" of agent index's m-bit claim, used
+    in JSON reports.
+
+    Each element fills whole hex digits (w is 4 or 8), so the hex form reads
+    element 0 rightmost.
+    """
+    return f"{index}:{bits:0{m // 4}x}"
 
 
 FIELDS = {w: GF(w, poly) for w, poly in REDUCTION_POLY.items()}
@@ -149,10 +223,7 @@ class Share:
 
     def to_bits(self) -> int:
         """The elements packed into one bit_length-bit int."""
-        acc = 0
-        for e, v in enumerate(self.value):
-            acc |= v << (e * self.width)
-        return acc
+        return pack(self.value, self.width)
 
     @classmethod
     def from_bits(cls, bits: int, length: int, agent_index: int,
@@ -160,37 +231,39 @@ class Share:
         """Unpack a length-bit int into length / width elements."""
         if length % width:
             raise ValueError(f"bit length {length} not a multiple of w={width}")
-        mask = (1 << width) - 1
-        value = tuple((bits >> (e * width)) & mask for e in range(length // width))
-        return cls(agent_index, value, width)
+        return cls(agent_index, unpack(bits, length, width), width)
 
     def token(self) -> str:
-        """Serialized form "index:hex-value" used in JSON reports.
-
-        Each element fills whole hex digits (w is 4 or 8), so the bit form in
-        hex reads element 0 rightmost.
-        """
-        digits = (self.width + 3) // 4
-        return f"{self.agent_index}:" + format(
-            self.to_bits(), f"0{digits * len(self.value)}x"
-        )
+        """Serialized form "index:hex-value" used in JSON reports."""
+        return share_token(self.agent_index, self.to_bits(), self.bit_length)
 
 
-def split(secret: Sequence[int], cfg: SplitConfig, rng) -> list[Share]:
-    """Split per-element with uniformly random degree-(k-1) polynomials."""
+def split(secret: Sequence[int], cfg: SplitConfig, rng) -> list[int]:
+    """Split per-element with uniformly random degree-(k-1) polynomials.
+
+    Returns the n claims: agent i's share as a w*len(secret)-bit int.
+    """
     if not secret:
         raise ValueError("secret must be nonempty")
     gf = cfg.field
     if any(not 0 <= e < gf.order for e in secret):
         raise ValueError(f"secret elements must lie in [0, {gf.order})")
-    polys = [
-        [e] + [int(c) for c in rng.integers(0, gf.order, size=cfg.k - 1)]
-        for e in secret
-    ]
-    return [
-        Share(i, tuple(gf.poly_eval(p, i + 1) for p in polys), cfg.w)
-        for i in range(cfg.n)
-    ]
+    # Row e holds element e's coefficients of degree 1 .. k-1: one draw,
+    # the same stream as one draw per element.
+    coeffs = rng.integers(0, gf.order, size=(len(secret), cfg.k - 1))
+    # Term d packs coefficient d of every element's polynomial.
+    terms = [pack(secret, cfg.w)] + [pack(col, cfg.w) for col in coeffs.T.tolist()]
+    return gf.combine(_vandermonde(cfg.w, cfg.n, cfg.k), terms)
+
+
+@lru_cache(maxsize=None)
+def _vandermonde(w: int, n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Row x - 1 holds x^0 .. x^(k-1) in GF(2^w), for x = 1 .. n."""
+    gf = FIELDS[w]
+    return tuple(
+        tuple(gf.exp[gf.log[x] * d % (gf.order - 1)] for d in range(k))
+        for x in range(1, n + 1)
+    )
 
 
 def _lagrange_weights(xs: Sequence[int], x_target: int, gf: GF) -> list[int]:
@@ -207,18 +280,22 @@ def _lagrange_weights(xs: Sequence[int], x_target: int, gf: GF) -> list[int]:
 
 
 @lru_cache(maxsize=8192)
-def _cached_weights(w: int, xs: tuple[int, ...], x_target: int) -> tuple[int, ...]:
-    return tuple(_lagrange_weights(xs, x_target, FIELDS[w]))
+def _lagrange_rows(w: int, xs: tuple[int, ...],
+                   targets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per target, the weights that interpolate at it from the nodes xs."""
+    return tuple(tuple(_lagrange_weights(xs, x, FIELDS[w])) for x in targets)
 
 
-def _check_distinct(shares: Sequence[Share]):
+def _check_distinct(shares: Sequence[Share], cfg: SplitConfig):
     indices = [s.agent_index for s in shares]
     if len(set(indices)) != len(indices):
         raise ShareIntegrityError(f"duplicate agent indices in {sorted(indices)}")
     widths = {s.width for s in shares}
     counts = {len(s.value) for s in shares}
-    if len(widths) != 1 or len(counts) != 1:
-        raise ShareIntegrityError("shares disagree on width or element count")
+    if widths != {cfg.w} or len(counts) != 1:
+        raise ShareIntegrityError(
+            f"shares need width w={cfg.w} and one element count"
+        )
 
 
 def reconstruct(shares: Sequence[Share], cfg: SplitConfig) -> tuple[int, ...]:
@@ -227,100 +304,83 @@ def reconstruct(shares: Sequence[Share], cfg: SplitConfig) -> tuple[int, ...]:
         raise InsufficientSharesError(
             f"got {len(shares)} shares, need at least k={cfg.k}"
         )
-    _check_distinct(shares)
+    _check_distinct(shares, cfg)
     used = sorted(shares, key=lambda s: s.agent_index)[: cfg.k]
-    gf = cfg.field
-    weights = _cached_weights(cfg.w, tuple(s.x for s in used), 0)
-    n_elems = len(used[0].value)
-    secret = []
-    for e in range(n_elems):
-        acc = 0
-        for w_i, s in zip(weights, used):
-            acc ^= gf.mul(w_i, s.value[e])
-        secret.append(acc)
-    return tuple(secret)
+    rows = _lagrange_rows(cfg.w, tuple(s.x for s in used), (0,))
+    (secret,) = cfg.field.combine(rows, [s.to_bits() for s in used])
+    return unpack(secret, used[0].bit_length, cfg.w)
 
 
-def _roster(claimed: Sequence[Share], cfg: SplitConfig) -> list[Share]:
-    """Check that there is exactly one share per agent; return them in index order."""
-    if len(claimed) != cfg.n:
+def _check_claims(claims: Sequence[int], cfg: SplitConfig, m: int):
+    """Check that there is exactly one m-bit claim per agent."""
+    if len(claims) != cfg.n:
         raise ShareIntegrityError(
-            f"expected exactly one share per agent ({cfg.n}), got {len(claimed)}"
+            f"expected exactly one claim per agent ({cfg.n}), got {len(claims)}"
         )
-    _check_distinct(claimed)
-    if sorted(s.agent_index for s in claimed) != list(range(cfg.n)):
-        raise ShareIntegrityError("agent indices must cover 0..n-1")
-    return sorted(claimed, key=lambda s: s.agent_index)
+    if m < 1 or m % cfg.w:
+        raise ShareIntegrityError(
+            f"claim width m={m} is not a positive multiple of w={cfg.w}"
+        )
+    if min(claims) < 0 or max(claims) >> m:
+        raise ShareIntegrityError(f"claims must be {m}-bit ints")
 
 
 def robust_decode(
-    claimed: Sequence[Share], cfg: SplitConfig
+    claims: Sequence[int], cfg: SplitConfig, m: int
 ) -> tuple[tuple[int, ...], int]:
-    """Decode n claimed shares by the maximal-consistency rule.
+    """Decode n claimed m-bit shares, claim j agent j's, by the
+    maximal-consistency rule.
 
     Every k-subset defines a candidate polynomial vector; the winner is the
-    candidate consistent with the most claimed shares (its support).  Unique
-    and correct whenever the number of false shares t satisfies
+    candidate consistent with the most claims (its support).  Unique and
+    correct whenever the number of false claims t satisfies
     t <= floor((n-k)/2).  Ties between distinct candidate secrets raise
-    AmbiguousDecodeError.
+    AmbiguousDecodeError.  Returns the secret's m / w elements and the
+    support.
 
     The result equals that of the exhaustive search over all C(n, k)
     subsets, which runs only as the last of three steps.  With
-    r = floor((n-k)/2), two distinct candidates agree on at most k-1 shares,
+    r = floor((n-k)/2), two distinct candidates agree on at most k-1 claims,
     so a candidate with support >= n - r beats every other one:
 
-    1. Interpolate from the first k shares; return if the support is at
+    1. Interpolate from the first k claims; return if the support is at
        least n - r.
     2. Otherwise decode each field element by Berlekamp-Welch with r errors
        (a linear solve and one polynomial division).  If the decoded
-       polynomials miss at most r shares in all, return them with support
+       polynomials miss at most r claims in all, return them with support
        n minus the missed count.
     3. Otherwise run the exhaustive search.
     """
-    ordered = _roster(claimed, cfg)
-    n, k, gf = cfg.n, cfg.k, cfg.field
+    _check_claims(claims, cfg, m)
+    n, k, w, gf = cfg.n, cfg.k, cfg.w, cfg.field
     radius = (n - k) // 2
-    n_elems = len(ordered[0].value)
-    mul = gf.mul
+    # The first k claims are the interpolation nodes, so they always agree;
+    # the last row interpolates the secret.
+    rows = _lagrange_rows(w, tuple(range(1, k + 1)), (*range(k + 1, n + 1), 0))
+    *predicted, secret = gf.combine(rows, claims[:k])
+    misses = sum(p != c for p, c in zip(predicted, claims[k:]))
+    if misses <= radius:
+        return unpack(secret, m, w), n - misses
 
-    xs = tuple(s.x for s in ordered[:k])
-    first_values = [s.value for s in ordered[:k]]
-
-    def value_at(weights, e):
-        acc = 0
-        for w_i, vals in zip(weights, first_values):
-            acc ^= mul(w_i, vals[e])
-        return acc
-
-    # The first k shares are the interpolation nodes, so they always agree.
-    misses = 0
-    for share in ordered[k:]:
-        weights = _cached_weights(cfg.w, xs, share.x)
-        if any(value_at(weights, e) != share.value[e] for e in range(n_elems)):
-            misses += 1
-            if misses > radius:
-                break
-    else:
-        weights = _cached_weights(cfg.w, xs, 0)
-        return tuple(value_at(weights, e) for e in range(n_elems)), n - misses
-
-    all_xs = [s.x for s in ordered]
-    secret = []
+    xs = range(1, n + 1)
+    columns = [unpack(c, m, w) for c in claims]
+    elements = []
     missed: set[int] = set()
-    for e in range(n_elems):
-        poly = _berlekamp_welch(all_xs, [s.value[e] for s in ordered], k, radius, gf)
+    for e in range(m // w):
+        ys = [col[e] for col in columns]
+        poly = _berlekamp_welch(xs, ys, k, radius, gf)
         if poly is None:
             break
         missed.update(
-            i for i, s in enumerate(ordered) if gf.poly_eval(poly, s.x) != s.value[e]
+            i for i, y in enumerate(ys) if gf.poly_eval(poly, i + 1) != y
         )
         if len(missed) > radius:
             break
-        secret.append(poly[0])
+        elements.append(poly[0])
     else:
-        return tuple(secret), n - len(missed)
+        return tuple(elements), n - len(missed)
 
-    return _exhaustive_decode(ordered, cfg)
+    return _exhaustive_decode(claims, cfg, m)
 
 
 def _berlekamp_welch(
@@ -392,50 +452,35 @@ def _solve(rows: list[list[int]], cols: int, gf: GF) -> list[int] | None:
 
 
 def _exhaustive_decode(
-    claimed: Sequence[Share], cfg: SplitConfig
+    claims: Sequence[int], cfg: SplitConfig, m: int
 ) -> tuple[tuple[int, ...], int]:
-    """Maximal-consistency decoding by trying every k-subset of the shares.
-
-    The fallback of `robust_decode` past the unique-decoding radius, and the
-    reference that its fast steps are tested against.
-    """
-    ordered = _roster(claimed, cfg)
-    gf = cfg.field
-    n_elems = len(ordered[0].value)
-    all_xs = [s.x for s in ordered]
-
+    """Maximal-consistency decoding by trying every k-subset of the claims:
+    the fallback of `robust_decode` past the unique-decoding radius."""
+    n, k, w, gf = cfg.n, cfg.k, cfg.w, cfg.field
     best_support = -1
-    best_secrets: dict[tuple[int, ...], int] = {}
-    mul = gf.mul
-    for subset in combinations(range(cfg.n), cfg.k):
-        xs = tuple(all_xs[i] for i in subset)
-        subset_values = [ordered[i].value for i in subset]
-
-        def value_at(x, e):
-            acc = 0
-            for w_i, vals in zip(_cached_weights(cfg.w, xs, x), subset_values):
-                acc ^= mul(w_i, vals[e])
-            return acc
-
-        support = 0
-        for share in ordered:
-            if all(value_at(share.x, e) == share.value[e] for e in range(n_elems)):
-                support += 1
-        secret = tuple(value_at(0, e) for e in range(n_elems))
-        if support == cfg.n:
-            # Consistent with every claimed share: nothing can beat it, and
-            # any other full-support subset interpolates the same polynomial.
-            return secret, support
+    best_secrets: set[int] = set()
+    for subset in combinations(range(n), k):
+        # The subset's own claims are its interpolation nodes; the others
+        # are checked against it, and the last row interpolates the secret.
+        others = [j for j in range(n) if j not in subset]
+        rows = _lagrange_rows(w, tuple(i + 1 for i in subset),
+                              (*(j + 1 for j in others), 0))
+        *predicted, secret = gf.combine(rows, [claims[i] for i in subset])
+        support = k + sum(p == claims[j] for p, j in zip(predicted, others))
+        if support == n:
+            # Consistent with every claim: nothing can beat it, and any
+            # other full-support subset interpolates the same polynomial.
+            return unpack(secret, m, w), support
         if support > best_support:
             best_support = support
-            best_secrets = {secret: support}
+            best_secrets = {secret}
         elif support == best_support:
-            best_secrets.setdefault(secret, support)
+            best_secrets.add(secret)
 
-    if len(best_secrets) > 1:
-        raise AmbiguousDecodeError(best_support, sorted(best_secrets))
-    (secret,) = best_secrets
-    return secret, best_support
+    candidates = sorted(unpack(s, m, w) for s in best_secrets)
+    if len(candidates) > 1:
+        raise AmbiguousDecodeError(best_support, candidates)
+    return candidates[0], best_support
 
 
 def bytes_to_elements(data: bytes, w: int) -> tuple[int, ...]:

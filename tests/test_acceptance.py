@@ -180,9 +180,9 @@ def test_c5_loyal_recovery_at_sound_radius():
         shares = split([0x5], cfg2, rng)
         fake = [0xC, 0x1, 0x9]
         for liar in (1, 3):
-            shares[liar] = Share(liar, (gf.poly_eval(fake, liar + 1),), 4)
+            shares[liar] = gf.poly_eval(fake, liar + 1)
         with pytest.raises(AmbiguousDecodeError):
-            robust_decode(shares, cfg2)
+            robust_decode(shares, cfg2, 4)
 
 
 def _decoy_detection_rate(d, trials, seed):

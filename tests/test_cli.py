@@ -184,7 +184,7 @@ class TestRun:
         assert "Traceback" not in captured.err
 
     def test_trial_errors_propagate(self, tmp_path, capsys, monkeypatch):
-        def broken_decode(claimed, cfg):
+        def broken_decode(claims, cfg, m):
             raise ValueError("decoder defect")
 
         monkeypatch.setattr("dpvqss.protocol.robust_decode", broken_decode)
@@ -314,7 +314,7 @@ sweep.protocol.m = 4,6,8
 
     def test_trial_errors_are_not_skipped_cells(self, tmp_path, capsys,
                                                 monkeypatch):
-        def broken_decode(claimed, cfg):
+        def broken_decode(claims, cfg, m):
             raise ValueError("decoder defect")
 
         monkeypatch.setattr("dpvqss.protocol.robust_decode", broken_decode)

@@ -19,7 +19,7 @@ from dpvqss.protocol import (
     random_secret,
     run_protocol,
 )
-from dpvqss.threshold import AmbiguousDecodeError, robust_decode, split
+from dpvqss.threshold import AmbiguousDecodeError, Share, robust_decode, split
 
 HONEST = AdversaryPlan()
 PAIRS_4 = list(combinations(range(4), 2))
@@ -162,8 +162,8 @@ class TestPhase3:
     def split_inputs(self, cfg, rng):
         secret = random_secret(cfg, rng)
         from dpvqss.threshold import bytes_to_elements
-        shares = split(bytes_to_elements(secret, cfg.w), cfg.split_config, rng)
-        return secret, [sh.to_bits() for sh in shares]
+        return secret, split(bytes_to_elements(secret, cfg.w),
+                             cfg.split_config, rng)
 
     def test_all_honest_reconstruct(self):
         cfg = ProtocolConfig(n=5, k=3, m=16)
@@ -221,7 +221,7 @@ class TestPhase3:
             results = phase3_consolidate(cfg, inputs, HONEST, rng,
                                          Transcript(), [])
             for res in results:
-                assert [sh.to_bits() for sh in res.claimed_shares] == inputs
+                assert list(res.claimed_shares) == inputs
 
     @pytest.mark.parametrize("kind, basis, channel, rate", [
         ("intercept_resend", "random", 0, 1 / 4),
@@ -246,8 +246,8 @@ class TestPhase3:
             results = phase3_consolidate(cfg, inputs, plan, rng,
                                          Transcript(), [])
             for q, (i, j) in enumerate(PAIRS_4):
-                off = results[i].claimed_shares[j].to_bits() ^ inputs[j]
-                assert results[j].claimed_shares[i].to_bits() ^ inputs[i] == off
+                off = results[i].claimed_shares[j] ^ inputs[j]
+                assert results[j].claimed_shares[i] ^ inputs[i] == off
                 errors[q] += [off >> b & 1 for b in range(cfg.m)]
         # One binomial(trials, rate) count per (pair, position) cell.
         stat = ((errors - trials * rate) ** 2
@@ -332,9 +332,9 @@ class TestDecodeOncePerView:
         calls = []
         decode = protocol.robust_decode
 
-        def counted(claimed, cfg):
-            calls.append(claimed)
-            return decode(claimed, cfg)
+        def counted(claims, cfg, m):
+            calls.append(claims)
+            return decode(claims, cfg, m)
 
         monkeypatch.setattr(protocol, "robust_decode", counted)
         return calls
@@ -354,11 +354,11 @@ class TestDecodeOncePerView:
         # from agent to agent.
         rogues = plan.rogues
         for a in rep.agents:
-            for j, share in enumerate(a.claimed_shares):
+            for j, claim in enumerate(a.claimed_shares):
                 if j == a.index or j not in rogues.agents:
-                    assert share.to_bits() == rep.agents[j].s_i
+                    assert claim == rep.agents[j].s_i
                 elif rogues.mode == "fixed":
-                    assert share.to_bits() == rogues.fixed_value.value
+                    assert claim == rogues.fixed_value.value
         if rogues.mode == "random":
             for j in rogues.agents:
                 claims = [a.claimed_shares[j] for a in rep.agents if a.index != j]
@@ -383,7 +383,7 @@ class TestDecodeOncePerView:
                           "ambiguous": False}
                 try:
                     expect["reconstructed"], expect["support"] = robust_decode(
-                        list(a.claimed_shares), cfg.split_config)
+                        list(a.claimed_shares), cfg.split_config, cfg.m)
                 except AmbiguousDecodeError as err:
                     expect.update(support=err.support, ambiguous=True)
                     events.append({"phase": "phase3",
@@ -395,6 +395,46 @@ class TestDecodeOncePerView:
             ambiguous += bool(events)
         if name == "colluding_fixed_liars":
             assert ambiguous
+
+
+class TestClaimTokens:
+    @pytest.mark.parametrize("name", ["honest", *sorted(DECODE_GRID)])
+    def test_tokens_render_claims_without_shares(self, monkeypatch, name):
+        # No Share is built while a trial runs or its report renders, each
+        # distinct view renders its n tokens once (n on an honest trial, not
+        # n^2), and every token equals the one Share.token gives.
+        cfg, plan = ((ProtocolConfig(n=5, k=3, m=16), HONEST)
+                     if name == "honest" else DECODE_GRID[name])
+        built, rendered = [], []
+        init, render = Share.__init__, protocol.share_token
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        def counted_render(index, bits, m):
+            rendered.append(index)
+            return render(index, bits, m)
+
+        monkeypatch.setattr(Share, "__init__", counted_init)
+        monkeypatch.setattr(protocol, "share_token", counted_render)
+        ambiguous = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            del built[:], rendered[:]
+            rep = run_protocol(cfg, random_secret(cfg, rng), plan, rng=rng)
+            agents = rep.to_dict()["agents"]
+            assert built == []
+            views = {a.claimed_shares for a in rep.agents}
+            assert len(rendered) == cfg.n * len(views)
+            assert len(views) == 1 or name != "honest"
+            for a in rep.agents:
+                expect = [Share.from_bits(claim, cfg.m, j, cfg.w).token()
+                          for j, claim in enumerate(a.claimed_shares)]
+                assert agents[str(a.index)]["claimed_shares"] == expect
+            assert len(built) == cfg.n * cfg.n
+            ambiguous += any(a.ambiguous for a in rep.agents)
+        assert bool(ambiguous) == (name == "colluding_fixed_liars")
 
 
 class TestRunProtocol:

@@ -13,13 +13,20 @@ from dpvqss.threshold import (
     SplitConfig,
     bytes_to_elements,
     elements_to_bytes,
+    pack,
     reconstruct,
     robust_decode,
     split,
 )
+from threshold_reference import split_reference
 
 GF16 = FIELDS[4]
 GF256 = FIELDS[8]
+
+
+def labelled(claims, m, w):
+    """The claims as Shares, claim i agent i's."""
+    return [Share.from_bits(c, m, i, w) for i, c in enumerate(claims)]
 
 
 class TestField:
@@ -55,6 +62,57 @@ class TestField:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             GF16.inv(0)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("w", [4, 8])
+    def test_tables_match_per_element_multiply(self, w):
+        gf = FIELDS[w]
+        mask = (1 << w) - 1
+        for c in range(gf.order):
+            table = gf.tables[c]
+            assert len(table) == 256
+            for b in range(256):
+                expect = 0
+                for shift in range(0, 8, w):
+                    expect |= gf.mul(c, b >> shift & mask) << shift
+                assert table[b] == expect, (c, b)
+
+    @pytest.mark.parametrize("w", [4, 8])
+    def test_combine_matches_per_element_sum(self, w):
+        gf = FIELDS[w]
+        rng = np.random.default_rng(30 + w)
+        for _ in range(300):
+            outputs, terms, count = (int(v) for v in rng.integers(1, 6, size=3))
+            rows = rng.integers(0, gf.order, size=(outputs, terms)).tolist()
+            values = rng.integers(0, gf.order, size=(terms, count)).tolist()
+            expect = []
+            for weights in rows:
+                elements = []
+                for e in range(count):
+                    acc = 0
+                    for c, row in zip(weights, values):
+                        acc ^= gf.mul(c, row[e])
+                    elements.append(acc)
+                expect.append(pack(elements, w))
+            assert gf.combine(rows, [pack(row, w) for row in values]) == expect
+
+    def test_split_matches_per_element_reference(self):
+        # Same shares and the same generator state afterwards, so runs that
+        # go on drawing see the same stream.
+        for n, k in ((2, 2), (3, 2), (5, 3), (7, 4), (9, 5), (15, 8)):
+            for w in (4, 8):
+                for elements in (1, 2, 3, 4, 16):
+                    seed = [n, k, w, elements]
+                    secret = [int(e) for e in np.random.default_rng(seed)
+                              .integers(0, 1 << w, size=elements)]
+                    cfg = SplitConfig(k, n, w)
+                    rng, ref_rng = (np.random.default_rng(seed) for _ in "ab")
+                    claims = split(secret, cfg, rng)
+                    ref = split_reference(secret, cfg, ref_rng)
+                    assert claims == [s.to_bits() for s in ref]
+                    assert (rng.bit_generator.state
+                            == ref_rng.bit_generator.state)
 
 
 class TestSplitConfig:
@@ -101,7 +159,7 @@ class TestSplitReconstruct:
     def test_threshold_boundary_k_equals_n(self):
         cfg = SplitConfig(2, 2, 4)
         rng = np.random.default_rng(12)
-        shares = split([0x7], cfg, rng)
+        shares = labelled(split([0x7], cfg, rng), 4, 4)
         assert reconstruct(shares, cfg) == (0x7,)
         with pytest.raises(InsufficientSharesError):
             reconstruct(shares[:1], cfg)
@@ -116,7 +174,7 @@ class TestSplitReconstruct:
                     cfg = SplitConfig(k, n, w)
                     for _ in range(25):
                         secret = [int(e) for e in rng.integers(0, 1 << w, size=3)]
-                        shares = split(secret, cfg, rng)
+                        shares = labelled(split(secret, cfg, rng), 3 * w, w)
                         assert len(shares) == n
                         assert len({s.bit_length for s in shares}) == 1
                         chosen = list(rng.choice(n, size=k, replace=False))
@@ -126,9 +184,16 @@ class TestSplitReconstruct:
     def test_duplicate_indices_rejected(self):
         cfg = SplitConfig(2, 3, 4)
         rng = np.random.default_rng(14)
-        shares = split([1], cfg, rng)
+        shares = labelled(split([1], cfg, rng), 4, 4)
         with pytest.raises(ShareIntegrityError):
             reconstruct([shares[0], shares[0]], cfg)
+
+    def test_width_must_match_field(self):
+        # The kernel scales with GF(2^w)'s tables, so a byte-wide share under
+        # w = 4 would be read as two nibbles.
+        shares = [Share(0, (0x12,), 8), Share(1, (0x34,), 8)]
+        with pytest.raises(ShareIntegrityError):
+            reconstruct(shares, SplitConfig(2, 3, 4))
 
 
 class TestRobustDecode:
@@ -137,7 +202,7 @@ class TestRobustDecode:
         rng = np.random.default_rng(15)
         secret = [10, 20, 30]
         shares = split(secret, cfg, rng)
-        decoded, support = robust_decode(shares, cfg)
+        decoded, support = robust_decode(shares, cfg, 24)
         assert decoded == tuple(secret)
         assert support == 5
 
@@ -150,8 +215,8 @@ class TestRobustDecode:
             shares = split(secret, cfg, rng)
             liar = int(rng.integers(0, 5))
             forged = tuple(int(e) for e in rng.integers(0, 256, size=2))
-            shares[liar] = Share(liar, forged, 8)
-            decoded, support = robust_decode(shares, cfg)
+            shares[liar] = pack(forged, 8)
+            decoded, support = robust_decode(shares, cfg, 16)
             assert decoded == tuple(secret)
             assert support >= 4
 
@@ -164,9 +229,9 @@ class TestRobustDecode:
         shares = split(secret, cfg, rng)
         fake_poly = [0xB, 0x2, 0x7]  # distinct constant term
         for liar in (2, 3):
-            shares[liar] = Share(liar, (GF16.poly_eval(fake_poly, liar + 1),), 4)
+            shares[liar] = GF16.poly_eval(fake_poly, liar + 1)
         with pytest.raises(AmbiguousDecodeError) as err:
-            robust_decode(shares, cfg)
+            robust_decode(shares, cfg, 4)
         assert err.value.support >= 3
 
     def test_agrees_with_reconstruct_when_unambiguous(self):
@@ -175,8 +240,8 @@ class TestRobustDecode:
         for _ in range(200):
             secret = [int(e) for e in rng.integers(0, 16, size=2)]
             shares = split(secret, cfg, rng)
-            decoded, _ = robust_decode(shares, cfg)
-            assert decoded == reconstruct(shares[: cfg.k], cfg)
+            decoded, _ = robust_decode(shares, cfg, 8)
+            assert decoded == reconstruct(labelled(shares, 8, 4)[: cfg.k], cfg)
 
     def test_false_first_share_decodes_without_exhaustive_search(self, monkeypatch):
         # The lie at index 0 spoils the interpolation from the first k
@@ -185,13 +250,13 @@ class TestRobustDecode:
         rng = np.random.default_rng(20)
         secret = [0x42, 0x17, 0xC3]
         shares = split(secret, cfg, rng)
-        shares[0] = Share(0, tuple(v ^ 0x5A for v in shares[0].value), 8)
+        shares[0] ^= 0x5A5A5A
 
-        def refuse(claimed, cfg):
+        def refuse(claims, cfg, m):
             raise AssertionError("exhaustive search entered")
 
         monkeypatch.setattr(threshold, "_exhaustive_decode", refuse)
-        assert robust_decode(shares, cfg) == (tuple(secret), 14)
+        assert robust_decode(shares, cfg, 24) == (tuple(secret), 14)
 
     def test_errors_spread_over_elements_fall_back(self, monkeypatch):
         # Each element has one error, within the radius of 2, but the three
@@ -201,18 +266,16 @@ class TestRobustDecode:
         secret = [0x11, 0x22, 0x33]
         shares = split(secret, cfg, rng)
         for liar, e in ((6, 0), (7, 1), (8, 2)):
-            value = list(shares[liar].value)
-            value[e] ^= 0xFF
-            shares[liar] = Share(liar, tuple(value), 8)
+            shares[liar] ^= 0xFF << (8 * e)
         fallbacks = []
 
-        def spy(claimed, cfg):
+        def spy(claims, cfg, m):
             fallbacks.append(cfg)
-            return exhaustive(claimed, cfg)
+            return exhaustive(claims, cfg, m)
 
         exhaustive = threshold._exhaustive_decode
         monkeypatch.setattr(threshold, "_exhaustive_decode", spy)
-        assert robust_decode(shares, cfg) == (tuple(secret), 6)
+        assert robust_decode(shares, cfg, 24) == (tuple(secret), 6)
         assert len(fallbacks) == 1
 
     def test_requires_full_roster(self):
@@ -220,7 +283,18 @@ class TestRobustDecode:
         rng = np.random.default_rng(19)
         shares = split([1, 2], cfg, rng)
         with pytest.raises(ShareIntegrityError):
-            robust_decode(shares[:4], cfg)
+            robust_decode(shares[:4], cfg, 16)
+
+    def test_rejects_claims_wider_than_m(self):
+        cfg = SplitConfig(3, 5, 8)
+        shares = split([1, 2], cfg, np.random.default_rng(19))
+        for bad in (1 << 16, -1):
+            claims = list(shares)
+            claims[2] = bad
+            with pytest.raises(ShareIntegrityError):
+                robust_decode(claims, cfg, 16)
+        with pytest.raises(ShareIntegrityError):
+            robust_decode(shares, cfg, 12)  # not a multiple of w
 
 
 class TestShareEncoding:

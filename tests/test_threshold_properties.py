@@ -9,12 +9,12 @@ from dpvqss.threshold import (
     AmbiguousDecodeError,
     Share,
     SplitConfig,
-    _exhaustive_decode,
     bytes_to_elements,
     elements_to_bytes,
     reconstruct,
     robust_decode,
 )
+from threshold_reference import exhaustive_decode
 
 widths = st.sampled_from(sorted(FIELDS))
 
@@ -78,9 +78,9 @@ def claimed_share_sets(draw):
     return [shares[i] for i in order], cfg
 
 
-def decode_outcome(decode, shares, cfg):
+def decode_outcome(decode, *args):
     try:
-        return decode(shares, cfg)
+        return decode(*args)
     except AmbiguousDecodeError as err:
         return "ambiguous", err.support, err.candidates
 
@@ -136,6 +136,9 @@ class TestDecoderEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(claimed_share_sets())
     def test_matches_exhaustive_search(self, case):
+        # The decoder takes claim j as agent j's m-bit int; the reference
+        # takes the labelled shares in their drawn order.
         shares, cfg = case
-        assert (decode_outcome(robust_decode, shares, cfg)
-                == decode_outcome(_exhaustive_decode, shares, cfg))
+        claims = [s.to_bits() for s in sorted(shares, key=lambda s: s.agent_index)]
+        assert (decode_outcome(robust_decode, claims, cfg, shares[0].bit_length)
+                == decode_outcome(exhaustive_decode, shares, cfg))
