@@ -19,13 +19,14 @@ rng = np.random.default_rng(3)
 
 print("== (2, 3) split of the nibble 0xA ==")
 cfg = SplitConfig(2, 3, 4)
-# split returns each agent's share as a packed int; Share labels it.
+# split takes the secret and returns each agent's share as a packed m-bit
+# int; Share labels a share with its agent.
 shares = [Share.from_bits(claim, 4, i, 4)
-          for i, claim in enumerate(split([0xA], cfg, rng))]
+          for i, claim in enumerate(split(0xA, cfg, 4, rng))]
 for sh in shares:
     print(f"  agent {sh.agent_index} holds {sh.token()}")
-print(f"any two reconstruct: {reconstruct(shares[:2], cfg)} "
-      f"== {reconstruct(shares[1:], cfg)}")
+print(f"any two reconstruct: {reconstruct(shares[:2], cfg):#x} "
+      f"== {reconstruct(shares[1:], cfg):#x}")
 
 print()
 print("== One share says nothing ==")
@@ -40,15 +41,15 @@ print(f"agent 0's value {observed:#x} is consistent with "
 print()
 print("== Robust decoding at (3, 5) ==")
 cfg5 = SplitConfig(3, 5, 4)
-shares5 = split([0x7], cfg5, rng)  # one 4-bit claim per agent
+shares5 = split(0x7, cfg5, 4, rng)  # one 4-bit claim per agent
 shares5[2] ^= 0x5  # one liar
 secret, support = robust_decode(shares5, cfg5, 4)
-print(f"one forged share: decoded {secret} with support {support}/5")
+print(f"one forged share: decoded {secret:#x} with support {support}/5")
 
 print()
 print("== Beyond the radius: colluding liars force a visible tie ==")
 cfg4 = SplitConfig(3, 4, 4)
-shares4 = split([0x7], cfg4, rng)
+shares4 = split(0x7, cfg4, 4, rng)
 fake_poly = [0x2, 0x9, 0x4]
 for liar in (0, 1):
     shares4[liar] = gf.poly_eval(fake_poly, liar + 1)

@@ -168,16 +168,6 @@ def falsify(payload: int, length: int, mode: str, fixed_value, rng) -> int:
     raise ValueError(f"unknown lie mode {mode!r}")
 
 
-def rogue_transform(
-    behavior: RogueBehavior, sender: int, action: str, payload: int,
-    length: int, rng,
-) -> int:
-    """Replace a length-bit payload if the sender is rogue for this action."""
-    if not behavior.lies(sender, action):
-        return payload
-    return falsify(payload, length, behavior.mode, behavior.fixed_value, rng)
-
-
 # -- leakage auditing ---------------------------------------------------------
 
 

@@ -75,6 +75,15 @@ def _parse_seed(text):
     return seed
 
 
+def _parse_bool(text):
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}")
+
+
 def _flag(parse):
     """A config-key parser as an argparse type, so that a bad flag value
     prints the parser's reason rather than its function name."""
@@ -126,7 +135,7 @@ CONFIG_KEYS = {
     "trials": (_parse_trials, 1),
     "secret": (_parse_hex, None),
     "out": (str, None),
-    "audit": (lambda v: v.lower() in ("1", "true", "yes"), False),
+    "audit": (_parse_bool, False),
 }
 
 REQUIRED_KEYS = ("protocol.n", "protocol.k", "protocol.m")

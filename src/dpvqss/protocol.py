@@ -18,10 +18,11 @@ single parallel round carries all n(n-1) directed reports, after which
 each agent robustly decodes his n collected shares; agents who collected
 the same shares share one decode and, in the report, one rendering.
 
-Registers, slices, reports and shares are plain ints: the aggregated
-secret and every register are n*m bits wide, segment i being bits
-i*m .. i*m+m-1, and each slice and claimed share is m bits wide, so the
-phases cut and place segments with shifts and masks.  The transcript
+The secret, registers, slices, reports and shares are plain ints from
+the input bytes to the report: the aggregated secret and every register
+are n*m bits wide, segment i being bits i*m .. i*m+m-1, and the secret,
+each slice, each claimed share and each decoded secret is m bits wide, so
+the phases cut and place segments with shifts and masks.  The transcript
 records each quantum or classical round only as its phase, its kind and
 how many messages it carried; every agent XORs what it receives as it
 arrives.  All randomness flows through one
@@ -53,9 +54,9 @@ from . import __version__
 from .adversary import (
     AdversaryPlan,
     HONEST_PLAN,
+    RogueBehavior,
     falsify,
     leakage_audit,
-    rogue_transform,
     sent_channels,
 )
 from .bitvec import BitVector
@@ -64,7 +65,7 @@ from .metrics import efficiency_report
 from .threshold import (
     AmbiguousDecodeError,
     SplitConfig,
-    bytes_to_elements,
+    pack,
     robust_decode,
     share_token,
     split,
@@ -142,12 +143,6 @@ class Aborted(Exception):
         self.info = info
 
 
-def elements_to_hex(elements, w: int) -> str:
-    """Hex rendering of a field-element vector, element 0 rightmost."""
-    digits = (w + 3) // 4
-    return "".join(format(e, f"0{digits}x") for e in reversed(elements))
-
-
 @dataclass
 class AgentResult:
     index: int
@@ -155,17 +150,13 @@ class AgentResult:
     s_i: int | None = None  # the m-bit slice received in phase 1
     # The agent's view: claim j is the m-bit share it holds for agent j.
     claimed_shares: tuple[int, ...] = ()
-    reconstructed: tuple[int, ...] | None = None
+    reconstructed: int | None = None  # the decoded m-bit secret
     support: int | None = None
     ambiguous: bool = False
 
-    def to_dict(self, true_elements, cfg: ProtocolConfig,
+    def to_dict(self, secret: int, cfg: ProtocolConfig,
                 tokens: list[str]) -> dict:
         """The agent's report entry; `tokens` renders claimed_shares."""
-        recovered = (
-            self.reconstructed is not None
-            and tuple(self.reconstructed) == tuple(true_elements)
-        )
         return {
             "loyal": self.loyal,
             "s_i": (
@@ -173,12 +164,12 @@ class AgentResult:
             ),
             "claimed_shares": tokens,
             "reconstructed": (
-                elements_to_hex(self.reconstructed, cfg.w)
+                f"{self.reconstructed:0{cfg.m // 4}x}"
                 if self.reconstructed is not None else None
             ),
             "support": self.support,
             "ambiguous": self.ambiguous,
-            "recovered_secret": recovered,
+            "recovered_secret": self.reconstructed == secret,
         }
 
 
@@ -186,7 +177,7 @@ class AgentResult:
 class RunReport:
     config: ProtocolConfig
     plan: AdversaryPlan
-    secret_elements: tuple[int, ...]
+    secret: int  # m bits; hex digits render w-bit elements, element 0 last
     verdict: str
     abort: AbortInfo | None
     agents: list[AgentResult]
@@ -206,8 +197,7 @@ class RunReport:
             if view not in tokens:
                 tokens[view] = [share_token(j, claim, cfg.m)
                                 for j, claim in enumerate(view)]
-            agents[str(a.index)] = a.to_dict(self.secret_elements, cfg,
-                                             tokens[view])
+            agents[str(a.index)] = a.to_dict(self.secret, cfg, tokens[view])
         return {
             "schema": "dpvqss.run.v1",
             "version": __version__,
@@ -216,7 +206,7 @@ class RunReport:
             "config": cfg.to_dict(),
             "config_hash": config_hash(cfg, self.plan),
             "adversary": plan_to_dict(self.plan),
-            "secret": elements_to_hex(self.secret_elements, cfg.w),
+            "secret": f"{self.secret:0{cfg.m // 4}x}",
             "verdict": self.verdict,
             "abort": self.abort.to_dict() if self.abort else None,
             "detection_events": self.detection_events,
@@ -313,24 +303,22 @@ def phase1_distribute(cfg: ProtocolConfig, s: int, plan: AdversaryPlan,
         cfg, plan, rng, transcript, detection, phase=1, r=n + 1, p=n * m,
         encoders=(n,), phase_bits={n: s},
     ).registers
-    if not plan.eve.is_active_in(1):
-        assert reduce(xor, registers) == s, (
-            "distribution round broke its XOR constraint"
-        )
 
     # One parallel round of n * n messages: the source and every agent j
-    # send segment i to agent i, who XORs them into his own segment i.
+    # send segment i to agent i, who XORs them into his own segment i, so
+    # honest slices are the segments of the XOR of every register.  A liar
+    # j's lie to agent i replaces his segment i.
     mask = (1 << m) - 1
-    inputs = []
+    total = reduce(xor, registers)
+    if not plan.eve.is_active_in(1):
+        assert total == s, "distribution round broke its XOR constraint"
+    inputs = [total >> (i * m) & mask for i in range(n)]
+    liars = _liars(plan.rogues, "lie_phase1_comms")
     for i in range(n):
-        acc = (registers[n] ^ registers[i]) >> (i * m) & mask
-        for j in range(n):
+        for j in liars:
             if j != i:
-                acc ^= rogue_transform(
-                    plan.rogues, j, "lie_phase1_comms",
-                    registers[j] >> (i * m) & mask, m, rng,
-                )
-        inputs.append(acc)
+                seg = registers[j] >> (i * m) & mask
+                inputs[i] ^= _lie_delta(plan.rogues, seg, m, rng)
     transcript.add("phase1", "classical", n * n)
     return inputs
 
@@ -354,11 +342,9 @@ def phase2_verify(cfg: ProtocolConfig, agent_inputs, s: int,
     ).registers
 
     # One parallel round: every agent reports his outcome to the source.
-    computed = registers[n]
-    for i in range(n):
-        computed ^= rogue_transform(
-            plan.rogues, i, "lie_phase2_report", registers[i], n * m, rng,
-        )
+    computed = reduce(xor, registers)
+    for i in _liars(plan.rogues, "lie_phase2_report"):
+        computed ^= _lie_delta(plan.rogues, registers[i], n * m, rng)
     transcript.add("phase2", "classical", n)
     if computed != s:
         shown = {"computed": format(computed, f"0{n * m}b"),
@@ -385,8 +371,7 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
         for side, agent in enumerate(pair):
             vec = agent_inputs[agent]
             if plan.rogues.lies(agent, "lie_phase3_oracle"):
-                vec = falsify(vec, m, plan.rogues.mode,
-                              plan.rogues.fixed_value, rng)
+                vec ^= _lie_delta(plan.rogues, vec, m, rng)
             words[side] |= vec << (q * m)
     registers = _run_quantum_round(
         cfg, plan, rng, transcript, detection, phase=3, r=2, p=m,
@@ -397,22 +382,26 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
     # views[i][j] is the share agent i claims for j: his outcome in the
     # exchange with j, XOR j's report of j's outcome, XOR his own embedding;
     # for j = i his own slice (a liar still privately knows what he
-    # embedded).
+    # embedded).  With honest reports that is segment q of both outcomes
+    # XORed, XOR his embedding; a liar's lie replaces his report.
     mask = (1 << m) - 1
+    outcomes = registers[0] ^ registers[1]
+    to_first, to_second = outcomes ^ words[0], outcomes ^ words[1]
+    liars = _liars(plan.rogues, "lie_phase3_report")
     views = [list(agent_inputs) for _ in range(n)]
     for q, (i, j) in enumerate(pairs):
         shift = q * m
-        out_i = registers[0] >> shift & mask
-        out_j = registers[1] >> shift & mask
-        report_i = rogue_transform(plan.rogues, i, "lie_phase3_report", out_i,
-                                   m, rng)
-        report_j = rogue_transform(plan.rogues, j, "lie_phase3_report", out_j,
-                                   m, rng)
-        views[i][j] = out_i ^ report_j ^ (words[0] >> shift & mask)
-        views[j][i] = out_j ^ report_i ^ (words[1] >> shift & mask)
+        views[i][j] = to_first >> shift & mask
+        views[j][i] = to_second >> shift & mask
+        if i in liars:
+            out_i = registers[0] >> shift & mask
+            views[j][i] ^= _lie_delta(plan.rogues, out_i, m, rng)
+        if j in liars:
+            out_j = registers[1] >> shift & mask
+            views[i][j] ^= _lie_delta(plan.rogues, out_j, m, rng)
     transcript.add("phase3", "classical", n * (n - 1))
 
-    # Agents with one view share its decode and its tuple.
+    # Agents with one view share its decode.
     split_cfg = cfg.split_config
     decoded: dict[tuple[int, ...], tuple] = {}
     results = []
@@ -436,6 +425,16 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
     return results
 
 
+def _liars(rogues: RogueBehavior, action: str) -> list[int]:
+    """The agents who lie in `action`, in agent order."""
+    return sorted(set(rogues.agents)) if action in rogues.actions else []
+
+
+def _lie_delta(rogues: RogueBehavior, payload: int, length: int, rng) -> int:
+    """What a liar's lie XORs into his honest length-bit payload."""
+    return payload ^ falsify(payload, length, rogues.mode, rogues.fixed_value, rng)
+
+
 def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONEST_PLAN,
                  rng=None, seed: int | None = None,
                  trial: int | None = None, audit: bool = False) -> RunReport:
@@ -450,13 +449,11 @@ def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONES
         rng = np.random.default_rng(seed)
     plan.validate(cfg)
     secret_length(cfg, secret)
-    elements = bytes_to_elements(secret, cfg.w)
+    # Read big-endian, the bytes are the packed elements, element 0 last.
+    secret_bits = int.from_bytes(secret, "big")
 
-    shares = split(elements, cfg.split_config, rng)
     # Share i is segment i of the aggregated n*m-bit secret.
-    s = 0
-    for i, share in enumerate(shares):
-        s |= share << (i * cfg.m)
+    s = pack(split(secret_bits, cfg.split_config, cfg.m, rng), cfg.m)
 
     transcript = Transcript()
     detection: list[dict] = []
@@ -477,7 +474,7 @@ def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONES
         # this frame, which holds the exception, until the cycle collector.
         abort = err.info
     return RunReport(
-        config=cfg, plan=plan, secret_elements=tuple(elements),
+        config=cfg, plan=plan, secret=secret_bits,
         verdict="proceed" if abort is None else "abort", abort=abort,
         agents=agents, detection_events=detection, transcript=transcript,
         seed=seed, trial=trial, leakage=leakage,

@@ -1,13 +1,13 @@
 """(k, n) threshold sharing over GF(2^w) with robust majority decoding.
 
-A share is a vector of field elements; agent i's is the evaluation of
-per-element random polynomials at x = i + 1, so shares of one secret all
-have the same bit length m = w * element_count.  Inside the library a share
-is a claim: an m-bit int with element 0 in its least significant w bits.
-`split` returns the n claims and `robust_decode` takes them, one per agent
-in agent order.  `Share` labels one claim with its agent and width; it is
-the API edge (`reconstruct` from any k shares, demos, tests) and the
-renderer of report tokens.
+The secret and every share are m-bit strings, vectors of m / w field
+elements; agent i's share evaluates per-element random polynomials at
+x = i + 1.  Each is one packed int, element 0 in its least significant w
+bits, so a secret's bytes read big-endian are already packed.  `split`
+returns the n shares; `robust_decode` takes the n claimed shares (claims),
+one per agent in agent order, and it and `reconstruct` return the secret.
+`Share` labels one claim with its agent and width at the API edge only
+(`reconstruct` from any k shares, demos, tests).
 
 Every interpolation is `GF.combine`: multiplying each w-bit element of a
 claim by one field constant maps each byte through a 256-entry table, so
@@ -37,7 +37,7 @@ class ShareIntegrityError(ValueError):
 class AmbiguousDecodeError(Exception):
     """Maximal-consistency decoding found a tie between distinct secrets."""
 
-    def __init__(self, support: int, candidates: list[tuple[int, ...]]):
+    def __init__(self, support: int, candidates: list[int]):
         self.support = support
         self.candidates = candidates
         super().__init__(
@@ -238,21 +238,24 @@ class Share:
         return share_token(self.agent_index, self.to_bits(), self.bit_length)
 
 
-def split(secret: Sequence[int], cfg: SplitConfig, rng) -> list[int]:
-    """Split per-element with uniformly random degree-(k-1) polynomials.
+def split(secret: int, cfg: SplitConfig, m: int, rng) -> list[int]:
+    """Split an m-bit secret with one uniformly random degree-(k-1)
+    polynomial per w-bit element.
 
-    Returns the n claims: agent i's share as a w*len(secret)-bit int.
+    Returns the n claims: agent i's share as an m-bit int.
     """
-    if not secret:
-        raise ValueError("secret must be nonempty")
+    if m < 1 or m % cfg.w:
+        raise ValueError(
+            f"secret width m={m} is not a positive multiple of w={cfg.w}"
+        )
+    if not 0 <= secret < 1 << m:
+        raise ValueError(f"secret must be an {m}-bit int")
     gf = cfg.field
-    if any(not 0 <= e < gf.order for e in secret):
-        raise ValueError(f"secret elements must lie in [0, {gf.order})")
     # Row e holds element e's coefficients of degree 1 .. k-1: one draw,
     # the same stream as one draw per element.
-    coeffs = rng.integers(0, gf.order, size=(len(secret), cfg.k - 1))
+    coeffs = rng.integers(0, gf.order, size=(m // cfg.w, cfg.k - 1))
     # Term d packs coefficient d of every element's polynomial.
-    terms = [pack(secret, cfg.w)] + [pack(col, cfg.w) for col in coeffs.T.tolist()]
+    terms = [secret] + [pack(col, cfg.w) for col in coeffs.T.tolist()]
     return gf.combine(_vandermonde(cfg.w, cfg.n, cfg.k), terms)
 
 
@@ -298,8 +301,9 @@ def _check_distinct(shares: Sequence[Share], cfg: SplitConfig):
         )
 
 
-def reconstruct(shares: Sequence[Share], cfg: SplitConfig) -> tuple[int, ...]:
-    """Lagrange-interpolate each element at x = 0 from any k shares."""
+def reconstruct(shares: Sequence[Share], cfg: SplitConfig) -> int:
+    """Lagrange-interpolate each element at x = 0 from any k shares; returns
+    the packed secret."""
     if len(shares) < cfg.k:
         raise InsufficientSharesError(
             f"got {len(shares)} shares, need at least k={cfg.k}"
@@ -308,7 +312,7 @@ def reconstruct(shares: Sequence[Share], cfg: SplitConfig) -> tuple[int, ...]:
     used = sorted(shares, key=lambda s: s.agent_index)[: cfg.k]
     rows = _lagrange_rows(cfg.w, tuple(s.x for s in used), (0,))
     (secret,) = cfg.field.combine(rows, [s.to_bits() for s in used])
-    return unpack(secret, used[0].bit_length, cfg.w)
+    return secret
 
 
 def _check_claims(claims: Sequence[int], cfg: SplitConfig, m: int):
@@ -327,7 +331,7 @@ def _check_claims(claims: Sequence[int], cfg: SplitConfig, m: int):
 
 def robust_decode(
     claims: Sequence[int], cfg: SplitConfig, m: int
-) -> tuple[tuple[int, ...], int]:
+) -> tuple[int, int]:
     """Decode n claimed m-bit shares, claim j agent j's, by the
     maximal-consistency rule.
 
@@ -335,8 +339,7 @@ def robust_decode(
     candidate consistent with the most claims (its support).  Unique and
     correct whenever the number of false claims t satisfies
     t <= floor((n-k)/2).  Ties between distinct candidate secrets raise
-    AmbiguousDecodeError.  Returns the secret's m / w elements and the
-    support.
+    AmbiguousDecodeError.  Returns the m-bit secret and the support.
 
     The result equals that of the exhaustive search over all C(n, k)
     subsets, which runs only as the last of three steps.  With
@@ -354,13 +357,9 @@ def robust_decode(
     _check_claims(claims, cfg, m)
     n, k, w, gf = cfg.n, cfg.k, cfg.w, cfg.field
     radius = (n - k) // 2
-    # The first k claims are the interpolation nodes, so they always agree;
-    # the last row interpolates the secret.
-    rows = _lagrange_rows(w, tuple(range(1, k + 1)), (*range(k + 1, n + 1), 0))
-    *predicted, secret = gf.combine(rows, claims[:k])
-    misses = sum(p != c for p, c in zip(predicted, claims[k:]))
-    if misses <= radius:
-        return unpack(secret, m, w), n - misses
+    secret, support = _candidate(claims, range(k), cfg)
+    if support >= n - radius:
+        return secret, support
 
     xs = range(1, n + 1)
     columns = [unpack(c, m, w) for c in claims]
@@ -378,9 +377,9 @@ def robust_decode(
             break
         elements.append(poly[0])
     else:
-        return tuple(elements), n - len(missed)
+        return pack(elements, w), n - len(missed)
 
-    return _exhaustive_decode(claims, cfg, m)
+    return _exhaustive_decode(claims, cfg)
 
 
 def _berlekamp_welch(
@@ -451,63 +450,37 @@ def _solve(rows: list[list[int]], cols: int, gf: GF) -> list[int] | None:
     return solution
 
 
-def _exhaustive_decode(
-    claims: Sequence[int], cfg: SplitConfig, m: int
-) -> tuple[tuple[int, ...], int]:
+def _candidate(claims: Sequence[int], subset: Sequence[int],
+               cfg: SplitConfig) -> tuple[int, int]:
+    """Interpolate from the claims of the agents in `subset` (k of them);
+    returns the secret and the number of claims the polynomials fit."""
+    # The subset's own claims are its interpolation nodes, so they always
+    # agree; the others are checked, and the last row interpolates the secret.
+    others = [j for j in range(cfg.n) if j not in subset]
+    rows = _lagrange_rows(cfg.w, tuple(i + 1 for i in subset),
+                          (*(j + 1 for j in others), 0))
+    *predicted, secret = cfg.field.combine(rows, [claims[i] for i in subset])
+    return secret, cfg.k + sum(p == claims[j] for p, j in zip(predicted, others))
+
+
+def _exhaustive_decode(claims: Sequence[int], cfg: SplitConfig) -> tuple[int, int]:
     """Maximal-consistency decoding by trying every k-subset of the claims:
     the fallback of `robust_decode` past the unique-decoding radius."""
-    n, k, w, gf = cfg.n, cfg.k, cfg.w, cfg.field
     best_support = -1
     best_secrets: set[int] = set()
-    for subset in combinations(range(n), k):
-        # The subset's own claims are its interpolation nodes; the others
-        # are checked against it, and the last row interpolates the secret.
-        others = [j for j in range(n) if j not in subset]
-        rows = _lagrange_rows(w, tuple(i + 1 for i in subset),
-                              (*(j + 1 for j in others), 0))
-        *predicted, secret = gf.combine(rows, [claims[i] for i in subset])
-        support = k + sum(p == claims[j] for p, j in zip(predicted, others))
-        if support == n:
+    for subset in combinations(range(cfg.n), cfg.k):
+        secret, support = _candidate(claims, subset, cfg)
+        if support == cfg.n:
             # Consistent with every claim: nothing can beat it, and any
             # other full-support subset interpolates the same polynomial.
-            return unpack(secret, m, w), support
+            return secret, support
         if support > best_support:
             best_support = support
             best_secrets = {secret}
         elif support == best_support:
             best_secrets.add(secret)
 
-    candidates = sorted(unpack(s, m, w) for s in best_secrets)
+    candidates = sorted(best_secrets)
     if len(candidates) > 1:
         raise AmbiguousDecodeError(best_support, candidates)
     return candidates[0], best_support
-
-
-def bytes_to_elements(data: bytes, w: int) -> tuple[int, ...]:
-    """Encode a byte string as field elements, element 0 least significant.
-
-    The byte string is read big-endian (data[0] most significant), matching
-    the usual hex rendering of secrets.
-    """
-    if w == 8:
-        return tuple(reversed(data))
-    if w == 4:
-        out = []
-        for byte in reversed(data):
-            out.append(byte & 0xF)
-            out.append(byte >> 4)
-        return tuple(out)
-    raise ValueError(f"unsupported width {w}")
-
-
-def elements_to_bytes(elements: Sequence[int], w: int) -> bytes:
-    if w == 8:
-        return bytes(reversed(elements))
-    if w == 4:
-        if len(elements) % 2:
-            raise ValueError("odd nibble count cannot round-trip to bytes")
-        return bytes(
-            elements[i] | (elements[i + 1] << 4)
-            for i in range(len(elements) - 2, -1, -2)
-        )
-    raise ValueError(f"unsupported width {w}")

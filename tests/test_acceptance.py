@@ -146,7 +146,7 @@ def test_c4_threshold_secrecy_exhaustive():
                 for subset in combinations(range(n), k):
                     sub_shares = [Share(i, (shares[i],), 4) for i in subset]
                     from dpvqss.threshold import reconstruct
-                    assert reconstruct(sub_shares, cfg) == (secret,)
+                    assert reconstruct(sub_shares, cfg) == secret
             for (subset, observed), bucket in counts.items():
                 # Every candidate secret explains the observation in exactly
                 # one way: the view carries no information about it.
@@ -177,7 +177,7 @@ def test_c5_loyal_recovery_at_sound_radius():
         cfg2 = SplitConfig(3, 4, 4)
         rng = np.random.default_rng(2024_55)
         from dpvqss.threshold import split
-        shares = split([0x5], cfg2, rng)
+        shares = split(0x5, cfg2, 4, rng)
         fake = [0xC, 0x1, 0x9]
         for liar in (1, 3):
             shares[liar] = gf.poly_eval(fake, liar + 1)

@@ -15,7 +15,6 @@ from dpvqss.adversary import (
     RogueBehavior,
     falsify,
     leakage_audit,
-    rogue_transform,
     sent_channels,
 )
 from dpvqss.adversary import _separating_share
@@ -130,31 +129,26 @@ class TestRogues:
                 plan.validate(cfg)
 
     def test_honest_messages_untouched(self):
-        rng = np.random.default_rng(70)
+        # A run falsifies exactly the messages of (agent, action) pairs that
+        # `lies` names.
         behavior = RogueBehavior((2,), ("lie_phase2_report",))
-        msg = bv("1010").value
-        assert rogue_transform(behavior, 1, "lie_phase2_report", msg, 4, rng) == msg
-        assert rogue_transform(behavior, 2, "lie_phase1_comms", msg, 4, rng) == msg
+        assert behavior.lies(2, "lie_phase2_report")
+        assert not behavior.lies(1, "lie_phase2_report")
+        assert not behavior.lies(2, "lie_phase1_comms")
 
     def test_bit_flip_changes_exactly_one_bit(self):
         rng = np.random.default_rng(71)
-        behavior = RogueBehavior((0,), ("lie_phase2_report",), mode="bit_flip")
         for _ in range(50):
             msg = BitVector.random(12, rng).value
-            out = rogue_transform(behavior, 0, "lie_phase2_report", msg, 12, rng)
+            out = falsify(msg, 12, "bit_flip", None, rng)
             assert (out ^ msg).bit_count() == 1
 
     def test_fixed_mode(self):
         rng = np.random.default_rng(72)
         fixed = bv("0110")
-        behavior = RogueBehavior(
-            (0,), ("lie_phase3_report",), mode="fixed", fixed_value=fixed
-        )
-        assert rogue_transform(behavior, 0, "lie_phase3_report",
-                               bv("1111").value, 4, rng) == fixed.value
+        assert falsify(bv("1111").value, 4, "fixed", fixed, rng) == fixed.value
         with pytest.raises(ValueError):
-            rogue_transform(behavior, 0, "lie_phase3_report", bv("11").value,
-                            2, rng)
+            falsify(bv("11").value, 2, "fixed", fixed, rng)
 
     def test_fixed_mode_requires_value(self):
         with pytest.raises(ValueError):

@@ -183,6 +183,26 @@ class TestRun:
         assert "seed" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("value, audited", [
+        ("1", True), ("TRUE", True), ("Yes", True),
+        ("0", False), ("False", False), ("no", False),
+    ])
+    def test_audit_values(self, value, audited):
+        text = "protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n"
+        assert parse_config_text(text + f"audit = {value}\n").values["audit"] is audited
+
+    @pytest.mark.parametrize("value", ["on", "ture", "enable", ""])
+    def test_unknown_audit_value_rejected(self, tmp_path, capsys, value):
+        # Read as false, these ran unaudited with "leakage": null.
+        text = "protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n"
+        cfg = write(tmp_path, "a.cfg", text + f"audit = {value}\n")
+        code = main(["run", cfg])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "audit" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_trial_errors_propagate(self, tmp_path, capsys, monkeypatch):
         def broken_decode(claims, cfg, m):
             raise ValueError("decoder defect")

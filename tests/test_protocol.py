@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import time
 from itertools import combinations
 
@@ -160,22 +161,18 @@ class TestPhase2:
 
 class TestPhase3:
     def split_inputs(self, cfg, rng):
-        secret = random_secret(cfg, rng)
-        from dpvqss.threshold import bytes_to_elements
-        return secret, split(bytes_to_elements(secret, cfg.w),
-                             cfg.split_config, rng)
+        secret = int.from_bytes(random_secret(cfg, rng), "big")
+        return secret, split(secret, cfg.split_config, cfg.m, rng)
 
     def test_all_honest_reconstruct(self):
         cfg = ProtocolConfig(n=5, k=3, m=16)
         rng = np.random.default_rng(91)
-        from dpvqss.threshold import bytes_to_elements
         for _ in range(50):
             secret, inputs = self.split_inputs(cfg, rng)
             results = phase3_consolidate(cfg, inputs, HONEST, rng,
                                          Transcript(), [])
-            expect = bytes_to_elements(secret, cfg.w)
             for res in results:
-                assert res.reconstructed == expect
+                assert res.reconstructed == secret
                 assert res.support == 5
 
     def test_rogue_fixed_share_tolerated(self):
@@ -186,15 +183,13 @@ class TestPhase3:
                                  fixed_value=fake)
         )
         rng = np.random.default_rng(92)
-        from dpvqss.threshold import bytes_to_elements
         for _ in range(50):
             secret, inputs = self.split_inputs(cfg, rng)
             results = phase3_consolidate(cfg, inputs, plan, rng,
                                          Transcript(), [])
-            expect = bytes_to_elements(secret, cfg.w)
             for res in results:
                 if res.loyal:
-                    assert res.reconstructed == expect
+                    assert res.reconstructed == secret
                     assert res.support >= 4
 
     def test_rogue_report_lies_tolerated(self):
@@ -203,15 +198,13 @@ class TestPhase3:
             rogues=RogueBehavior((0,), ("lie_phase3_report",), mode="random")
         )
         rng = np.random.default_rng(93)
-        from dpvqss.threshold import bytes_to_elements
         for _ in range(50):
             secret, inputs = self.split_inputs(cfg, rng)
             results = phase3_consolidate(cfg, inputs, plan, rng,
                                          Transcript(), [])
-            expect = bytes_to_elements(secret, cfg.w)
             for res in results:
                 if res.loyal:
-                    assert res.reconstructed == expect
+                    assert res.reconstructed == secret
 
     def test_untapped_claims_are_exact(self):
         cfg = ProtocolConfig(n=4, k=3, m=8, decoys=0)
@@ -435,6 +428,42 @@ class TestClaimTokens:
             assert len(built) == cfg.n * cfg.n
             ambiguous += any(a.ambiguous for a in rep.agents)
         assert bool(ambiguous) == (name == "colluding_fixed_liars")
+
+
+class TestLies:
+    """Liars at low and high indices in every action.  The first 16 hex
+    digits of the sha256 of 20 reports pin which messages are falsified,
+    and in what order, at version 0.7.0; a trial calls `falsify` once per
+    lie and never for an honest message."""
+
+    @pytest.mark.parametrize("agents, actions, mode, digest, calls", [
+        ((0, 3), ("lie_phase1_comms",), "random", "0826174f82c96ec9", 8),
+        ((0, 4), ("lie_phase2_report",), "bit_flip", "d33d6c32c049db4f", 2),
+        ((0, 4), ("lie_phase3_oracle", "lie_phase3_report"), "random",
+         "7353f0cfbfd44b12", 16),
+        ((1, 3), ("lie_phase1_comms", "lie_phase2_report", "lie_phase3_oracle",
+                  "lie_phase3_report"), "bit_flip", "4c6cddb0a6aaf7d1", None),
+    ], ids=["phase1", "phase2", "phase3", "every"])
+    def test_lies_pinned(self, monkeypatch, agents, actions, mode, digest,
+                         calls):
+        lies = []
+        falsify = protocol.falsify
+
+        def counted(*args):
+            lies.append(args)
+            return falsify(*args)
+
+        monkeypatch.setattr(protocol, "falsify", counted)
+        cfg = ProtocolConfig(n=5, k=3, m=8, w=4, decoys=0)
+        plan = AdversaryPlan(rogues=RogueBehavior(agents, actions, mode))
+        h = hashlib.sha256()
+        for t in range(20):
+            rng = np.random.default_rng([5, t])
+            del lies[:]
+            rep = run_protocol(cfg, random_secret(cfg, rng), plan, rng=rng)
+            h.update(rep.to_json_line().encode())
+            assert calls is None or len(lies) == calls
+        assert h.hexdigest()[:16] == digest
 
 
 class TestRunProtocol:

@@ -11,13 +11,13 @@ from dpvqss.threshold import (
     Share,
     ShareIntegrityError,
     SplitConfig,
-    bytes_to_elements,
-    elements_to_bytes,
     pack,
     reconstruct,
     robust_decode,
     split,
+    unpack,
 )
+from dpvqss.protocol import ProtocolConfig, run_protocol
 from threshold_reference import split_reference
 
 GF16 = FIELDS[4]
@@ -108,7 +108,7 @@ class TestKernel:
                               .integers(0, 1 << w, size=elements)]
                     cfg = SplitConfig(k, n, w)
                     rng, ref_rng = (np.random.default_rng(seed) for _ in "ab")
-                    claims = split(secret, cfg, rng)
+                    claims = split(pack(secret, w), cfg, elements * w, rng)
                     ref = split_reference(secret, cfg, ref_rng)
                     assert claims == [s.to_bits() for s in ref]
                     assert (rng.bit_generator.state
@@ -138,7 +138,7 @@ class TestSplitReconstruct:
         cfg = SplitConfig(2, 3, 4)
         shares = [Share(i, (y,), 4) for i, y in enumerate([0x9, 0xC, 0xF])]
         for pair in itertools.combinations(shares, 2):
-            assert reconstruct(list(pair), cfg) == (0xA,)
+            assert reconstruct(list(pair), cfg) == 0xA
 
     def test_single_share_reveals_nothing(self):
         # Every value of a lone share is produced by exactly one polynomial
@@ -159,8 +159,8 @@ class TestSplitReconstruct:
     def test_threshold_boundary_k_equals_n(self):
         cfg = SplitConfig(2, 2, 4)
         rng = np.random.default_rng(12)
-        shares = labelled(split([0x7], cfg, rng), 4, 4)
-        assert reconstruct(shares, cfg) == (0x7,)
+        shares = labelled(split(0x7, cfg, 4, rng), 4, 4)
+        assert reconstruct(shares, cfg) == 0x7
         with pytest.raises(InsufficientSharesError):
             reconstruct(shares[:1], cfg)
 
@@ -173,18 +173,25 @@ class TestSplitReconstruct:
                         continue
                     cfg = SplitConfig(k, n, w)
                     for _ in range(25):
-                        secret = [int(e) for e in rng.integers(0, 1 << w, size=3)]
-                        shares = labelled(split(secret, cfg, rng), 3 * w, w)
+                        secret = pack(rng.integers(0, 1 << w, size=3).tolist(), w)
+                        shares = labelled(split(secret, cfg, 3 * w, rng), 3 * w, w)
                         assert len(shares) == n
                         assert len({s.bit_length for s in shares}) == 1
                         chosen = list(rng.choice(n, size=k, replace=False))
                         subset = [shares[i] for i in chosen]
-                        assert reconstruct(subset, cfg) == tuple(secret)
+                        assert reconstruct(subset, cfg) == secret
+
+    def test_split_rejects_bad_width_or_range(self):
+        cfg = SplitConfig(2, 3, 4)
+        rng = np.random.default_rng(14)
+        for secret, m in ((1 << 8, 8), (-1, 8), (1, 6), (0, 0)):
+            with pytest.raises(ValueError):
+                split(secret, cfg, m, rng)
 
     def test_duplicate_indices_rejected(self):
         cfg = SplitConfig(2, 3, 4)
         rng = np.random.default_rng(14)
-        shares = labelled(split([1], cfg, rng), 4, 4)
+        shares = labelled(split(1, cfg, 4, rng), 4, 4)
         with pytest.raises(ShareIntegrityError):
             reconstruct([shares[0], shares[0]], cfg)
 
@@ -200,10 +207,10 @@ class TestRobustDecode:
     def test_all_honest(self):
         cfg = SplitConfig(3, 5, 8)
         rng = np.random.default_rng(15)
-        secret = [10, 20, 30]
-        shares = split(secret, cfg, rng)
+        secret = pack([10, 20, 30], 8)
+        shares = split(secret, cfg, 24, rng)
         decoded, support = robust_decode(shares, cfg, 24)
-        assert decoded == tuple(secret)
+        assert decoded == secret
         assert support == 5
 
     def test_one_false_share_within_radius(self):
@@ -211,13 +218,13 @@ class TestRobustDecode:
         cfg = SplitConfig(3, 5, 8)
         rng = np.random.default_rng(16)
         for _ in range(1000):
-            secret = [int(e) for e in rng.integers(0, 256, size=2)]
-            shares = split(secret, cfg, rng)
+            secret = pack(rng.integers(0, 256, size=2).tolist(), 8)
+            shares = split(secret, cfg, 16, rng)
             liar = int(rng.integers(0, 5))
             forged = tuple(int(e) for e in rng.integers(0, 256, size=2))
             shares[liar] = pack(forged, 8)
             decoded, support = robust_decode(shares, cfg, 16)
-            assert decoded == tuple(secret)
+            assert decoded == secret
             assert support >= 4
 
     def test_colluding_pair_forces_ambiguity(self):
@@ -225,8 +232,7 @@ class TestRobustDecode:
         # floor((n-k)/2) radius; the tie must surface, not be guessed away.
         cfg = SplitConfig(3, 4, 4)
         rng = np.random.default_rng(17)
-        secret = [0x5]
-        shares = split(secret, cfg, rng)
+        shares = split(0x5, cfg, 4, rng)
         fake_poly = [0xB, 0x2, 0x7]  # distinct constant term
         for liar in (2, 3):
             shares[liar] = GF16.poly_eval(fake_poly, liar + 1)
@@ -238,8 +244,8 @@ class TestRobustDecode:
         cfg = SplitConfig(3, 5, 4)
         rng = np.random.default_rng(18)
         for _ in range(200):
-            secret = [int(e) for e in rng.integers(0, 16, size=2)]
-            shares = split(secret, cfg, rng)
+            secret = pack(rng.integers(0, 16, size=2).tolist(), 4)
+            shares = split(secret, cfg, 8, rng)
             decoded, _ = robust_decode(shares, cfg, 8)
             assert decoded == reconstruct(labelled(shares, 8, 4)[: cfg.k], cfg)
 
@@ -248,46 +254,46 @@ class TestRobustDecode:
         # shares, so the answer has to come from Berlekamp-Welch.
         cfg = SplitConfig(8, 15, 8)
         rng = np.random.default_rng(20)
-        secret = [0x42, 0x17, 0xC3]
-        shares = split(secret, cfg, rng)
+        secret = pack([0x42, 0x17, 0xC3], 8)
+        shares = split(secret, cfg, 24, rng)
         shares[0] ^= 0x5A5A5A
 
-        def refuse(claims, cfg, m):
+        def refuse(claims, cfg):
             raise AssertionError("exhaustive search entered")
 
         monkeypatch.setattr(threshold, "_exhaustive_decode", refuse)
-        assert robust_decode(shares, cfg, 24) == (tuple(secret), 14)
+        assert robust_decode(shares, cfg, 24) == (secret, 14)
 
     def test_errors_spread_over_elements_fall_back(self, monkeypatch):
         # Each element has one error, within the radius of 2, but the three
         # false shares together exceed it: only the search may answer.
         cfg = SplitConfig(5, 9, 8)
         rng = np.random.default_rng(21)
-        secret = [0x11, 0x22, 0x33]
-        shares = split(secret, cfg, rng)
+        secret = pack([0x11, 0x22, 0x33], 8)
+        shares = split(secret, cfg, 24, rng)
         for liar, e in ((6, 0), (7, 1), (8, 2)):
             shares[liar] ^= 0xFF << (8 * e)
         fallbacks = []
 
-        def spy(claims, cfg, m):
+        def spy(claims, cfg):
             fallbacks.append(cfg)
-            return exhaustive(claims, cfg, m)
+            return exhaustive(claims, cfg)
 
         exhaustive = threshold._exhaustive_decode
         monkeypatch.setattr(threshold, "_exhaustive_decode", spy)
-        assert robust_decode(shares, cfg, 24) == (tuple(secret), 6)
+        assert robust_decode(shares, cfg, 24) == (secret, 6)
         assert len(fallbacks) == 1
 
     def test_requires_full_roster(self):
         cfg = SplitConfig(3, 5, 8)
         rng = np.random.default_rng(19)
-        shares = split([1, 2], cfg, rng)
+        shares = split(pack([1, 2], 8), cfg, 16, rng)
         with pytest.raises(ShareIntegrityError):
             robust_decode(shares[:4], cfg, 16)
 
     def test_rejects_claims_wider_than_m(self):
         cfg = SplitConfig(3, 5, 8)
-        shares = split([1, 2], cfg, np.random.default_rng(19))
+        shares = split(pack([1, 2], 8), cfg, 16, np.random.default_rng(19))
         for bad in (1 << 16, -1):
             claims = list(shares)
             claims[2] = bad
@@ -324,12 +330,24 @@ class TestShareEncoding:
             joined = "".join(format(v, f"0{digits}x") for v in reversed(value))
             assert share.token() == f"{share.agent_index}:{joined}"
 
-    def test_bytes_helpers(self):
-        data = bytes([0xDE, 0xAD])
-        for w in (4, 8):
-            els = bytes_to_elements(data, w)
-            assert elements_to_bytes(els, w) == data
-        # Big-endian reading: element 0 is the least significant unit.
-        assert bytes_to_elements(bytes([0xA3]), 4) == (0x3, 0xA)
-        assert bytes_to_elements(bytes([0xBE, 0xEF]), 8) == (0xEF, 0xBE)
-        assert bytes_to_elements(bytes([0xBE, 0xEF]), 4) == (0xF, 0xE, 0xE, 0xB)
+
+class TestByteOrder:
+    @pytest.mark.parametrize("hexed, w, elements", [
+        ("a3", 4, (0x3, 0xA)),
+        ("beef", 4, (0xF, 0xE, 0xE, 0xB)),
+        ("beef", 8, (0xEF, 0xBE)),
+    ], ids=["a3-w4", "beef-w4", "beef-w8"])
+    def test_secret_bytes_read_big_endian(self, hexed, w, elements):
+        # A secret's bytes, read big-endian, are its packed elements with
+        # element 0 least significant; the report renders them back as the
+        # same hex, and every agent decodes the same int.
+        secret = bytes.fromhex(hexed)
+        bits = int.from_bytes(secret, "big")
+        assert unpack(bits, 8 * len(secret), w) == elements
+        cfg = ProtocolConfig(n=3, k=2, m=8 * len(secret), w=w)
+        report = run_protocol(cfg, secret, seed=5)
+        assert report.verdict == "proceed"
+        assert report.to_dict()["secret"] == hexed
+        for agent in report.agents:
+            assert agent.loyal
+            assert agent.reconstructed == bits

@@ -9,8 +9,7 @@ from dpvqss.threshold import (
     AmbiguousDecodeError,
     Share,
     SplitConfig,
-    bytes_to_elements,
-    elements_to_bytes,
+    pack,
     reconstruct,
     robust_decode,
 )
@@ -79,10 +78,20 @@ def claimed_share_sets(draw):
 
 
 def decode_outcome(decode, *args):
+    # Candidates compare as sets: sorted ints and sorted tuples order
+    # differently.
     try:
         return decode(*args)
     except AmbiguousDecodeError as err:
-        return "ambiguous", err.support, err.candidates
+        return "ambiguous", err.support, set(err.candidates)
+
+
+def reference_outcome(shares, cfg):
+    """The reference search's outcome with its element tuples packed."""
+    outcome = decode_outcome(exhaustive_decode, shares, cfg)
+    if outcome[0] == "ambiguous":
+        return "ambiguous", outcome[1], {pack(c, cfg.w) for c in outcome[2]}
+    return pack(outcome[0], cfg.w), outcome[1]
 
 
 class TestFieldAxioms:
@@ -116,20 +125,7 @@ class TestSharing:
         shares = [evaluate(cfg, polys, i) for i in range(cfg.n)]
         subset = data.draw(st.lists(st.sampled_from(shares), unique=True,
                                     min_size=cfg.k, max_size=cfg.k))
-        assert reconstruct(subset, cfg) == tuple(p[0] for p in polys)
-
-    @given(widths, st.binary(max_size=32))
-    def test_bytes_round_trip(self, w, data):
-        els = bytes_to_elements(data, w)
-        assert len(els) == len(data) * 8 // w
-        assert elements_to_bytes(els, w) == data
-
-    @given(st.data())
-    def test_elements_round_trip(self, data):
-        w = data.draw(widths)
-        count = data.draw(st.integers(0, 16)) * (8 // w)
-        els = tuple(data.draw(elements(w, min_size=count, max_size=count)))
-        assert bytes_to_elements(elements_to_bytes(els, w), w) == els
+        assert reconstruct(subset, cfg) == pack([p[0] for p in polys], cfg.w)
 
 
 class TestDecoderEquivalence:
@@ -137,8 +133,9 @@ class TestDecoderEquivalence:
     @given(claimed_share_sets())
     def test_matches_exhaustive_search(self, case):
         # The decoder takes claim j as agent j's m-bit int; the reference
-        # takes the labelled shares in their drawn order.
+        # takes the labelled shares in their drawn order and answers in
+        # element tuples, packed here.
         shares, cfg = case
         claims = [s.to_bits() for s in sorted(shares, key=lambda s: s.agent_index)]
         assert (decode_outcome(robust_decode, claims, cfg, shares[0].bit_length)
-                == decode_outcome(exhaustive_decode, shares, cfg))
+                == reference_outcome(shares, cfg))
