@@ -10,7 +10,8 @@ Config files are flat key=value text with dotted sections::
 
 Unknown keys are rejected by name.  Sweeps add `sweep.<key> = v1,v2,...`
 entries whose cross-product defines the grid; seed, trials, out and audit
-cannot be swept, and a sweep config cannot set audit.  Every subcommand is
+cannot be swept, and a sweep config cannot set audit.  A cell that fails
+validation becomes a `skipped` row naming the error.  Every subcommand is
 deterministic under a fixed --seed; exit codes are 0 (success), 1 (error),
 and 2 (a protocol abort was observed by `run`).
 """
@@ -21,10 +22,9 @@ import argparse
 import csv
 import io
 import json
-import logging
-import os
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
@@ -38,6 +38,7 @@ from .bitvec import BitVector, CapacityError
 from .entangle import sample_idpqc_outcomes
 from .metrics import chi_square_homogeneity, efficiency_report, empirical_stats
 from .protocol import (
+    RUN_SCHEMA,
     ProtocolConfig,
     canonical_json,
     random_secret,
@@ -45,8 +46,6 @@ from .protocol import (
     secret_length,
 )
 from .qsim import dense_outcomes, dense_state
-
-log = logging.getLogger("dpvqss")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -159,14 +158,6 @@ class RunConfig:
     def seed(self) -> int:
         return self.values["seed"]
 
-    @property
-    def secret(self) -> bytes | None:
-        return self.values["secret"]
-
-    @property
-    def out(self) -> str | None:
-        return self.values["out"]
-
 
 def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
     raw: dict[str, object] = {}
@@ -179,28 +170,21 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key.startswith("sweep."):
-            base_key = key[len("sweep."):]
-            if base_key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown sweep key {base_key!r}")
-            if base_key in UNSWEPT_KEYS:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} cannot be swept")
-            conv = CONFIG_KEYS[base_key][0]
-            try:
-                sweep[base_key] = tuple(conv(tok.strip()) for tok in value.split(","))
-            except (ValueError, TypeError) as err:
-                raise ConfigError(f"{path}:{lineno}: key {key!r}: {err}") from None
-            continue
-        if key not in CONFIG_KEYS:
+        swept = key.startswith("sweep.")
+        base = key.removeprefix("sweep.")
+        target = sweep if swept else raw
+        if base not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in raw:
+        if swept and base in UNSWEPT_KEYS:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} cannot be swept")
+        if base in target:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        conv = CONFIG_KEYS[key][0]
+        tokens = value.split(",") if swept else [value]
         try:
-            raw[key] = conv(value)
+            parsed = tuple(CONFIG_KEYS[base][0](tok.strip()) for tok in tokens)
         except (ValueError, TypeError) as err:
             raise ConfigError(f"{path}:{lineno}: key {key!r}: {err}") from None
+        target[base] = parsed if swept else parsed[0]
 
     for key in REQUIRED_KEYS:
         if key not in raw and key not in sweep:
@@ -244,21 +228,12 @@ def _build_run(values) -> tuple[ProtocolConfig, AdversaryPlan]:
     return cfg, plan
 
 
-def parse_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), path)
-
-
-def _trial_rng(seed: int, *indices: int):
-    return np.random.default_rng([seed] + list(indices))
-
-
 def _run_trials(cfg: ProtocolConfig, plan: AdversaryPlan, trials: int,
                 seed: int, secret: bytes | None, cell: int = 0,
                 audit: bool = False):
     reports = []
     for trial in range(trials):
-        rng = _trial_rng(seed, cell, trial)
+        rng = np.random.default_rng([seed, cell, trial])
         trial_secret = secret if secret is not None else random_secret(cfg, rng)
         rep = run_protocol(cfg, trial_secret, plan, rng=rng, seed=seed,
                            trial=trial, audit=audit)
@@ -266,27 +241,38 @@ def _run_trials(cfg: ProtocolConfig, plan: AdversaryPlan, trials: int,
     return reports
 
 
+def _error(err) -> int:
+    print(f"error: {err}", file=sys.stderr)
+    return EXIT_ERROR
+
+
+def _load(args, sweep: bool):
+    """The config, seed, trial count and open output (stdout, left open, if
+    no path is given) of `run` (sweep=False) or `sweep`; raises ConfigError
+    or OSError before any trial runs."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        rc = parse_config_text(fh.read(), args.config)
+    if sweep and not rc.sweep:
+        raise ConfigError("no sweep.* keys in config")
+    if rc.sweep and not sweep:
+        raise ConfigError("config contains sweep keys; use the sweep subcommand")
+    seed = rc.seed if args.seed is None else args.seed
+    trials = rc.trials if args.trials is None else args.trials
+    out_path = args.out or rc.values["out"]
+    out = (open(out_path, "w", encoding="utf-8") if out_path
+           else nullcontext(sys.stdout))
+    return rc, seed, trials, out
+
+
 def cmd_run(args) -> int:
     try:
-        rc = parse_config(args.config)
+        rc, seed, trials, out = _load(args, sweep=False)
     except (ConfigError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    if rc.sweep:
-        print("error: config contains sweep keys; use the sweep subcommand",
-              file=sys.stderr)
-        return EXIT_ERROR
-    seed = args.seed if args.seed is not None else rc.seed
-    trials = args.trials if args.trials is not None else rc.trials
-    reports = _run_trials(rc.protocol, rc.plan, trials, seed, rc.secret,
-                          audit=rc.values["audit"])
-    out_path = args.out or rc.out
-    lines = "".join(canonical_json(r) + "\n" for r in reports)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(lines)
-    else:
-        sys.stdout.write(lines)
+        return _error(err)
+    with out as fh:
+        reports = _run_trials(rc.protocol, rc.plan, trials, seed,
+                              rc.values["secret"], audit=rc.values["audit"])
+        fh.write(_render_rows(reports, "json"))
     any_abort = any(r["verdict"] == "abort" for r in reports)
     return EXIT_ABORT_OBSERVED if any_abort else EXIT_OK
 
@@ -333,8 +319,7 @@ def cmd_check_oracle(args) -> int:
         results = oracle_check_case(args.n, args.m, args.shots,
                                     args.secrets, args.seed, dump=args.dump)
     except CapacityError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+        return _error(err)
     ok = True
     for res in results:
         passed = res["violations"] == 0 and res["p_value"] > 0.001
@@ -354,113 +339,95 @@ def _sweep_cells(rc: RunConfig):
         yield dict(zip(keys, combo))
 
 
+RATES = ("abort", "decoy_abort", "detection", "recovery", "ambiguity")
+
+
+def _rates(stats) -> dict:
+    """The trial count and rate columns of a sweep row or `report` CSV."""
+    return {"trials": stats["trials"],
+            **{f"{name}_rate": stats[name]["rate"] for name in RATES}}
+
+
+def _etas(n: int, m: int, decimal: bool = False) -> dict:
+    """The exact eta1..eta3 columns, each followed by its `_decimal` twin
+    if asked."""
+    cols = {}
+    for name, eta in efficiency_report(n, m).to_dict().items():
+        cols[name] = f"{eta['num']}/{eta['den']}"
+        if decimal:
+            cols[f"{name}_decimal"] = eta["decimal"]
+    return cols
+
+
 def cmd_sweep(args) -> int:
     try:
-        rc = parse_config(args.config)
+        rc, seed, trials, out = _load(args, sweep=True)
     except (ConfigError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    if not rc.sweep:
-        print("error: no sweep.* keys in config", file=sys.stderr)
-        return EXIT_ERROR
-    seed = args.seed if args.seed is not None else rc.seed
-    trials = args.trials if args.trials is not None else rc.trials
-
+        return _error(err)
     rows = []
-    for cell_idx, cell in enumerate(_sweep_cells(rc)):
-        values = dict(rc.values)
-        values.update(cell)
-        try:
-            cfg, plan = _build_run(values)
-        except ValueError as err:
-            log.warning("skipping cell %s: %s", cell, err)
-            continue
-        reports = _run_trials(cfg, plan, trials, seed, values["secret"],
-                              cell=cell_idx)
-        stats = empirical_stats(reports)
-        eff = efficiency_report(cfg.n, cfg.m).to_dict()
-        row = {f"cell.{k}": v for k, v in sorted(cell.items())}
-        row.update({
-            "trials": trials,
-            "abort_rate": stats["abort"]["rate"],
-            "decoy_abort_rate": stats["decoy_abort"]["rate"],
-            "detection_rate": stats["detection"]["rate"],
-            "recovery_rate": stats["recovery"]["rate"],
-            "ambiguity_rate": stats["ambiguity"]["rate"],
-            "eta1": f"{eff['eta1']['num']}/{eff['eta1']['den']}",
-            "eta2": f"{eff['eta2']['num']}/{eff['eta2']['den']}",
-            "eta3": f"{eff['eta3']['num']}/{eff['eta3']['den']}",
-        })
-        rows.append(row)
-
-    text_out = _render_rows(rows, args.format)
-    out_path = args.out or rc.out
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text_out)
-    else:
-        sys.stdout.write(text_out)
+    with out as fh:
+        for cell_idx, cell in enumerate(_sweep_cells(rc)):
+            row = {f"cell.{k}": v for k, v in sorted(cell.items())}
+            values = {**rc.values, **cell}
+            try:
+                cfg, plan = _build_run(values)
+            except ValueError as err:
+                print(f"warning: skipping cell {cell}: {err}", file=sys.stderr)
+                rows.append({**row, "skipped": str(err)})
+                continue
+            reports = _run_trials(cfg, plan, trials, seed, values["secret"],
+                                  cell=cell_idx)
+            rows.append({**row, **_rates(empirical_stats(reports)),
+                         **_etas(cfg.n, cfg.m)})
+        fh.write(_render_rows(rows, args.format))
     return EXIT_OK
 
 
 def _render_rows(rows, fmt) -> str:
     if fmt == "json":
         return "".join(canonical_json(r) + "\n" for r in rows)
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = dict.fromkeys(key for row in rows for key in row)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns)
+    writer = csv.DictWriter(buf, fieldnames=list(columns))
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
 
 
 def cmd_metrics(args) -> int:
-    rows = []
-    for n in args.n:
-        for m in args.m:
-            eff = efficiency_report(n, m).to_dict()
-            rows.append({
-                "n": n, "m": m,
-                "eta1": f"{eff['eta1']['num']}/{eff['eta1']['den']}",
-                "eta1_decimal": eff["eta1"]["decimal"],
-                "eta2": f"{eff['eta2']['num']}/{eff['eta2']['den']}",
-                "eta2_decimal": eff["eta2"]["decimal"],
-                "eta3": f"{eff['eta3']['num']}/{eff['eta3']['den']}",
-                "eta3_decimal": eff["eta3"]["decimal"],
-            })
+    rows = [{"n": n, "m": m, **_etas(n, m, decimal=True)}
+            for n in args.n for m in args.m]
     sys.stdout.write(_render_rows(rows, args.format))
     return EXIT_OK
 
 
+def _read_reports(path: str) -> list[dict]:
+    """The run reports of a JSON-lines file; raises ValueError naming the
+    first line that is not one."""
+    reports = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rep = json.loads(line)
+            except ValueError:
+                rep = None
+            if not isinstance(rep, dict) or rep.get("schema") != RUN_SCHEMA:
+                raise ValueError(f"{path}:{lineno}: not a {RUN_SCHEMA} report")
+            reports.append(rep)
+    if not reports:
+        raise ValueError("no reports in file")
+    return reports
+
+
 def cmd_report(args) -> int:
     try:
-        with open(args.reports, "r", encoding="utf-8") as fh:
-            reports = [json.loads(line) for line in fh if line.strip()]
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    if not reports:
-        print("error: no reports in file", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        stats = empirical_stats(reports)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+        stats = empirical_stats(_read_reports(args.reports))
+    except (OSError, ValueError) as err:
+        return _error(err)
     if args.format == "csv":
-        flat = {
-            "trials": stats["trials"],
-            "abort_rate": stats["abort"]["rate"],
-            "decoy_abort_rate": stats["decoy_abort"]["rate"],
-            "detection_rate": stats["detection"]["rate"],
-            "recovery_rate": stats["recovery"]["rate"],
-            "ambiguity_rate": stats["ambiguity"]["rate"],
-        }
-        sys.stdout.write(_render_rows([flat], "csv"))
+        sys.stdout.write(_render_rows([_rates(stats)], "csv"))
     else:
         sys.stdout.write(canonical_json(stats) + "\n")
     return EXIT_OK
@@ -516,10 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("QSS_LOG_LEVEL", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

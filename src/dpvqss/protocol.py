@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import xor
 
@@ -71,6 +71,8 @@ from .threshold import (
     split,
 )
 
+RUN_SCHEMA = "dpvqss.run.v1"
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -82,7 +84,7 @@ class ProtocolConfig:
     source: str = "alice"
 
     def __post_init__(self):
-        SplitConfig(self.k, self.n, self.w)  # reuse the k > n/2 etc. checks
+        self.split_config  # reuse the k > n/2 etc. checks
         if self.m < 1:
             raise ValueError(f"need m >= 1, got m={self.m}")
         if self.source not in ("alice", "third_party"):
@@ -90,17 +92,9 @@ class ProtocolConfig:
         if self.decoys < 0:
             raise ValueError("decoy count must be nonnegative")
 
-    @property
+    @cached_property
     def split_config(self) -> SplitConfig:
         return SplitConfig(self.k, self.n, self.w)
-
-    @property
-    def elements(self) -> int:
-        if self.m % self.w:
-            raise ValueError(
-                f"share-backed runs need w | m, got m={self.m}, w={self.w}"
-            )
-        return self.m // self.w
 
     def to_dict(self) -> dict:
         return {
@@ -199,7 +193,7 @@ class RunReport:
                                 for j, claim in enumerate(view)]
             agents[str(a.index)] = a.to_dict(self.secret, cfg, tokens[view])
         return {
-            "schema": "dpvqss.run.v1",
+            "schema": RUN_SCHEMA,
             "version": __version__,
             "seed": self.seed,
             "trial": self.trial,
@@ -493,16 +487,16 @@ def _leakage_block(cfg: ProtocolConfig, plan: AdversaryPlan, s: int):
 
 
 def secret_length(cfg: ProtocolConfig, secret: bytes | None = None) -> int:
-    """The byte length of a secret under cfg: m / w field elements, two to a
-    byte when w = 4.
+    """The byte length of a secret under cfg, m / 8: w is 4 or 8, so a
+    secret of whole bytes is a whole number of field elements.
 
-    Raises ValueError unless w | m, the nibble count is even, and `secret`,
-    if given, has exactly that many bytes.
+    Raises ValueError unless 8 | m and `secret`, if given, has exactly that
+    many bytes.
     """
-    n_elements = cfg.elements
-    if cfg.w == 4 and n_elements % 2:
-        raise ValueError("nibble-width secrets need an even element count")
-    n_bytes = n_elements * cfg.w // 8
+    if cfg.m % 8:
+        raise ValueError(f"secrets are whole bytes, so m must be a multiple "
+                         f"of 8, got m={cfg.m}")
+    n_bytes = cfg.m // 8
     if secret is not None and len(secret) != n_bytes:
         raise ValueError(
             f"secret has {len(secret)} bytes, but m={cfg.m}, w={cfg.w} "

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import logging
 
 import pytest
 
@@ -49,6 +48,31 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def sweep_with_skips(capsys, cfg):
+    """Run `dpvqss sweep cfg`; returns its kept rows, its skipped rows and
+    its stderr warning lines."""
+    code = main(["sweep", cfg])
+    captured = capsys.readouterr()
+    assert code == 0
+    rows = [json.loads(ln) for ln in captured.out.splitlines() if ln]
+    warnings = [ln for ln in captured.err.splitlines()
+                if ln.startswith("warning: skipping cell")]
+    return ([r for r in rows if "skipped" not in r],
+            [r for r in rows if "skipped" in r], warnings)
+
+
+def assert_skipped(skipped, warnings, column, reasons):
+    """One skipped row, holding only its cell column and the error, and one
+    warning line per dropped cell value, each naming its reason."""
+    assert [r[column] for r in skipped] == list(reasons)
+    assert len(warnings) == len(reasons)
+    for row, warning, (value, reason) in zip(skipped, warnings,
+                                             reasons.items()):
+        assert set(row) == {column, "skipped"}
+        assert reason in row["skipped"]
+        assert reason in warning and repr(value) in warning
+
+
 class TestConfigParsing:
     def test_full_round_trip(self):
         rc = parse_config_text(HONEST_CFG)
@@ -79,12 +103,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text(HONEST_CFG + "\nseed = 1\n")
 
+    def test_duplicate_sweep_key_rejected(self):
+        # The second line used to win silently: one decoys = 4 cell.
+        text = (HONEST_CFG + "sweep.protocol.decoys = 0,1\n"
+                "sweep.protocol.decoys = 4\n")
+        with pytest.raises(ConfigError,
+                           match="duplicate key 'sweep.protocol.decoys'"):
+            parse_config_text(text)
+
     @pytest.mark.parametrize("m, w, secret, match", [
         # m = 16, w = 8 needs a 2-byte secret.
         (16, 8, "beefee", "secret has 3 bytes"),
         (16, 8, "be", "secret has 1 bytes"),
         # One nibble fills no whole byte.
-        (4, 4, "be", "nibble"),
+        (4, 4, "be", "multiple of 8"),
     ])
     def test_fixed_secret_shape_checked_at_parse(self, m, w, secret, match):
         text = (f"protocol.n = 5\nprotocol.k = 3\nprotocol.m = {m}\n"
@@ -213,6 +245,20 @@ class TestRun:
             main(["run", cfg, "--trials", "2"])
         assert capsys.readouterr().out == ""
 
+    def test_unwritable_out_fails_before_any_trial(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("dpvqss.cli.run_protocol", no_trials)
+        cfg = write(tmp_path, "honest.cfg", HONEST_CFG)
+        out = str(tmp_path / "missing" / "x.jsonl")
+        code = main(["run", cfg, "--out", out])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and out in captured.err
+
     def test_fixed_secret_from_config(self, tmp_path, capsys):
         cfg = write(tmp_path, "s.cfg", HONEST_CFG + "\nsecret = beef\n")
         main(["run", cfg, "--trials", "2"])
@@ -270,7 +316,7 @@ class TestSweep:
         assert main(["sweep", cfg, "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_invalid_cells_skipped(self, tmp_path, capsys, caplog):
+    def test_invalid_cells_skipped(self, tmp_path, capsys):
         text = """
 protocol.n = 4
 protocol.k = 3
@@ -280,12 +326,11 @@ seed = 1
 sweep.protocol.k = 1,2,3
 """
         cfg = write(tmp_path, "sweep.cfg", text)
-        code = main(["sweep", cfg])
-        out = capsys.readouterr().out
-        rows = [json.loads(ln) for ln in out.splitlines() if ln]
-        assert code == 0
+        kept, skipped, warnings = sweep_with_skips(capsys, cfg)
         # k = 1 and k = 2 violate the majority threshold and are skipped.
-        assert [r["cell.protocol.k"] for r in rows] == [3]
+        assert [r["cell.protocol.k"] for r in kept] == [3]
+        assert_skipped(skipped, warnings, "cell.protocol.k",
+                       {1: "need 2 <= k <= n", 2: "need k > n/2"})
 
     def test_unsplittable_secret_cells_skipped(self, tmp_path, capsys):
         text = """
@@ -298,39 +343,67 @@ seed = 1
 sweep.protocol.m = 4,6,8
 """
         cfg = write(tmp_path, "sweep.cfg", text)
-        code = main(["sweep", cfg])
-        rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines() if ln]
-        assert code == 0
-        # m = 4 gives one nibble (no whole bytes); w = 4 does not divide 6.
-        assert [r["cell.protocol.m"] for r in rows] == [8]
+        kept, skipped, warnings = sweep_with_skips(capsys, cfg)
+        # m = 4 gives one nibble and m = 6 a nibble and a half: no whole bytes.
+        assert [r["cell.protocol.m"] for r in kept] == [8]
+        assert_skipped(skipped, warnings, "cell.protocol.m",
+                       {4: "multiple of 8, got m=4", 6: "multiple of 8, got m=6"})
 
-    @pytest.mark.parametrize("extra, swept, kept", [
+    @pytest.mark.parametrize("extra, swept, kept, reasons", [
         ("adversary.rogues.agents = 0\n"
          "adversary.rogues.actions = lie_phase3_oracle\n"
          "adversary.rogues.mode = fixed\nadversary.rogues.fixed = 10110011\n"
-         "sweep.protocol.m = 8,16\n", "cell.protocol.m", [8]),
+         "sweep.protocol.m = 8,16\n", "cell.protocol.m", [8],
+         {16: "adversary.rogues.fixed has 8 bits"}),
         ("adversary.eve.kind = intercept_resend\nadversary.eve.phases = 1\n"
          "sweep.adversary.eve.channel = 0,9\n", "cell.adversary.eve.channel",
-         [0]),
+         [0], {9: "adversary.eve.channel 9 is not sent"}),
         ("adversary.eve.phases =\n"
          "sweep.adversary.eve.kind = none,intercept_resend\n",
-         "cell.adversary.eve.kind", ["none"]),
+         "cell.adversary.eve.kind", ["none"],
+         {"intercept_resend": "adversary.eve.phases is empty"}),
         ("adversary.eve.basis = random\nsweep.adversary.eve.kind = "
          "none,intercept_resend,measure_resend,entangle_measure,pns\n",
-         "cell.adversary.eve.kind", ["none", "intercept_resend"]),
+         "cell.adversary.eve.kind", ["none", "intercept_resend"],
+         {kind: f"adversary.eve.basis = random needs adversary.eve.kind = "
+                f"intercept_resend, got {kind}"
+          for kind in ("measure_resend", "entangle_measure", "pns")}),
     ], ids=["fixed_lie_width", "unsent_eve_channel", "eve_in_no_phase",
             "random_basis_non_intercept"])
-    def test_unrunnable_plan_cells_skipped(self, tmp_path, capsys, caplog,
-                                           extra, swept, kept):
+    def test_unrunnable_plan_cells_skipped(self, tmp_path, capsys, extra,
+                                           swept, kept, reasons):
         text = ("protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n"
                 "trials = 2\nseed = 1\n" + extra)
         cfg = write(tmp_path, "sweep.cfg", text)
-        with caplog.at_level(logging.WARNING, logger="dpvqss"):
-            code = main(["sweep", cfg])
-        rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines() if ln]
-        assert code == 0
-        assert [r[swept] for r in rows] == kept
-        assert any("skipping cell" in rec.getMessage() for rec in caplog.records)
+        kept_rows, skipped, warnings = sweep_with_skips(capsys, cfg)
+        assert [r[swept] for r in kept_rows] == kept
+        assert_skipped(skipped, warnings, swept, reasons)
+
+    def test_skipped_cells_keep_the_csv_columns(self, tmp_path, capsys):
+        text = ("protocol.n = 4\nprotocol.k = 3\nprotocol.m = 8\n"
+                "trials = 2\nseed = 1\nsweep.protocol.k = 2,3\n")
+        cfg = write(tmp_path, "sweep.cfg", text)
+        assert main(["sweep", cfg, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("cell.protocol.k,skipped,trials,abort_rate,"
+                            "decoy_abort_rate,detection_rate,recovery_rate,"
+                            "ambiguity_rate,eta1,eta2,eta3")
+        assert lines[1] == '2,"need k > n/2, got k=2, n=4",,,,,,,,,'
+        assert lines[2].startswith("3,,2,")
+
+    def test_unwritable_out_fails_before_any_cell(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("dpvqss.cli.run_protocol", no_trials)
+        cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG)
+        out = str(tmp_path / "missing" / "x.json")
+        code = main(["sweep", cfg, "--out", out])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and out in captured.err
 
     def test_trial_errors_are_not_skipped_cells(self, tmp_path, capsys,
                                                 monkeypatch):
@@ -444,6 +517,33 @@ class TestMetricsAndReport:
     def test_report_missing_file(self, capsys):
         code = main(["report", "/nonexistent/file.jsonl"])
         assert code == 1
+
+    @pytest.mark.parametrize("bad", [
+        "[1,2]", '"text"', "{not json", '{"schema": "dpvqss.sweep"}',
+        '{"trials": 2}',
+    ], ids=["list", "string", "not_json", "wrong_schema", "no_schema"])
+    def test_report_rejects_lines_that_are_not_run_reports(self, tmp_path,
+                                                           capsys, bad):
+        cfg = write(tmp_path, "honest.cfg", HONEST_CFG)
+        jsonl = tmp_path / "runs.jsonl"
+        main(["run", cfg, "--trials", "2", "--out", str(jsonl)])
+        with jsonl.open("a") as fh:
+            fh.write("\n" + bad + "\n")
+        code = main(["report", str(jsonl)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"{jsonl}:4: not a dpvqss.run.v1 report" in captured.err
+
+    def test_report_rejects_sweep_output(self, tmp_path, capsys):
+        cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG.replace("trials = 200",
+                                                             "trials = 2"))
+        rows = tmp_path / "sweep.json"
+        assert main(["sweep", cfg, "--out", str(rows)]) == 0
+        code = main(["report", str(rows)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"{rows}:1: not a dpvqss.run.v1 report" in captured.err
 
 
 class TestUsageErrors:

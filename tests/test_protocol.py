@@ -19,6 +19,7 @@ from dpvqss.protocol import (
     phase3_consolidate,
     random_secret,
     run_protocol,
+    secret_length,
 )
 from dpvqss.threshold import AmbiguousDecodeError, Share, robust_decode, split
 
@@ -36,11 +37,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(n=4, k=2, m=8)  # k <= n/2
 
-    def test_elements_requires_alignment(self):
-        cfg = ProtocolConfig(n=2, k=2, m=3)
-        with pytest.raises(ValueError):
-            _ = cfg.elements
-        assert ProtocolConfig(n=2, k=2, m=16).elements == 2
+    @pytest.mark.parametrize("m, w, n_bytes", [
+        (8, 4, 1), (16, 4, 2), (8, 8, 1), (16, 8, 2),
+        (12, 4, None), (4, 4, None), (3, 8, None), (12, 8, None),
+    ])
+    def test_secret_length_needs_whole_bytes(self, m, w, n_bytes):
+        # w is 4 or 8, so whole field elements in whole bytes means 8 | m.
+        cfg = ProtocolConfig(n=3, k=2, m=m, w=w)
+        if n_bytes is None:
+            with pytest.raises(ValueError, match="multiple of 8"):
+                secret_length(cfg)
+        else:
+            assert secret_length(cfg) == n_bytes
+            assert secret_length(cfg, bytes(n_bytes)) == n_bytes
 
 
 class TestPhase1:
