@@ -6,10 +6,11 @@ Library layout:
 - qsim       exact statevector simulator and dense round reference
              (tests and oracle-check only; no protocol module imports it)
 - threshold  (k, n) Shamir sharing over GF(2^w) with robust decoding
-- entangle   entanglement distribution, decoys (closed-form read law),
-             exact outcome sampler (closed-form GHZ read law, every round)
-- adversary  eavesdropper strategies, rogue agents, exact leakage audits
-             read off the sampler's read law, at any size
+- entangle   entanglement distribution, the tap reads (z / random /
+             entangle), decoys and the exact outcome sampler (closed-form
+             GHZ read law, every round)
+- adversary  eavesdropper strategies (one read per tapped channel), rogue
+             agents, closed-form exact leakage audits at any size
 - protocol   the three protocol phases and the run orchestrator
 - metrics    qubit-efficiency ratios and empirical statistics
 - cli        experiment driver (run / sweep / oracle-check / metrics / report)

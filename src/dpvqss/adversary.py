@@ -1,16 +1,17 @@
 """Eavesdropper strategies, rogue-agent behaviours, and exact leakage audits.
 
-The eavesdropper ("Eve") acts on quantum channels through `ChannelTap`s; rogue
+The eavesdropper ("Eve") taps quantum channels: `EveStrategy.taps_for` maps
+her kind and basis to one read per tapped channel (`entangle.READS`).  Rogue
 agents act on classical messages by replacing payloads, ints of a width the
 protocol config fixes.  The leakage audit returns the exact total variation
 distance, as a Fraction, between Eve's complete views (Eve's own outcomes
-plus every public classical payload) under two candidate secrets.  It reads
-the sampler's own law (`entangle._read_law`): each position's outcome is
-uniform over a subspace, shifted by the secret's phase kicks, and Eve sees a
-projection of it.  With fixed reads two views are then equal or disjoint, one
-rank test per kind of position; with random-basis reads each position
-separates them with an exact probability.  The cost grows with n*m, not with
-the number of outcomes.
+plus every public classical payload) under two candidate secrets.  Every
+position is its own tuple, so the distance is one minus the product, over
+positions, of the chance that the views there do not separate.  A Z read
+collapses the tuple and leaves every register uniform, so nothing
+separates; an X read shows one register's bit; with no Z read the registers
+(and any entangling ancilla) XOR to 0 before the secret's phase kicks.  The
+cost grows with n*m, not with the number of outcomes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitvec import BitVector, random_bits
-from .entangle import ChannelTap, _read_law
 
 EVE_KINDS = ("none", "measure_resend", "intercept_resend", "entangle_measure", "pns")
 ROGUE_ACTIONS = (
@@ -49,23 +49,24 @@ class EveStrategy:
         if any(ph not in (1, 2, 3) for ph in self.phases):
             raise ValueError(f"phases must be among 1, 2, 3: {self.phases}")
 
-    @property
-    def effective_kind(self) -> str:
-        # Photon-number splitting keeps a perfect extra entangled copy, which
-        # behaves exactly like the entangle-and-measure tap.
-        return "entangle_measure" if self.kind == "pns" else self.kind
-
     def is_active_in(self, phase: int) -> bool:
         return self.kind != "none" and phase in self.phases
 
-    def taps_for(self, phase: int, channels) -> dict[int, ChannelTap]:
+    def taps_for(self, phase: int, channels) -> dict[int, str]:
+        """The read (`entangle.READS`) of every channel Eve taps in `phase`."""
         if not self.is_active_in(phase):
             return {}
-        tap = ChannelTap(self.effective_kind, self.basis)
+        if self.kind in ("entangle_measure", "pns"):
+            # Photon-number splitting keeps a perfect extra entangled copy.
+            read = "entangle"
+        elif (self.kind, self.basis) == ("intercept_resend", "random"):
+            read = "random"
+        else:
+            read = "z"
         selected = channels if self.channel is None else (
             [self.channel] if self.channel in channels else []
         )
-        return {ch: tap for ch in selected}
+        return {ch: read for ch in selected}
 
 
 @dataclass(frozen=True)
@@ -193,47 +194,16 @@ def _positions(n: int, m: int, diff: int, phase: int):
             yield bit << (j // m), everyone >> 1
 
 
-def _outcome_span(r: int, taps: dict[int, ChannelTap]) -> list[int]:
-    """Spanning vectors of one position's outcomes under fixed reads.
-
-    Each packs the r register bits, then one bit per tap in channel order.
-    The sampler's read law is linear in its draws, so each unit draw gives
-    one spanning vector.
-    """
-    reads = [
-        (ch, None if tap.kind == "entangle_measure" else 0)
-        for ch, tap in sorted(taps.items())
-    ]
-    count = r + sum(x is None for _, x in reads) + 1
-
-    def point(draws):
-        outputs = _read_law(r, 1, reads, iter(draws))
-        return sum(bit << i for i, bit in enumerate(outputs))
-
-    zero = point([0] * count)
-    return [point([int(i == k) for i in range(count)]) ^ zero for k in range(count)]
-
-
-def _in_span(vector: int, vectors) -> bool:
-    basis: list[int] = []  # distinct leading bits, highest first
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis = sorted(basis + [v], reverse=True)
-    for b in basis:
-        vector = min(vector, vector ^ b)
-    return vector == 0
-
-
 def _separating_share(kick: int, visible: int, tapped: int, everyone: int) -> Fraction:
-    """Share of random Z/X read patterns at one position that separate.
+    """Share of random Z/X read patterns of `tapped` at one position that separate.
 
     An X read gives Eve the register's bit before the kick, so a visible
     register read in X shows its kick.  Any Z read leaves every register
     not read in X uniform, so otherwise only the all-X pattern separates:
     the registers then XOR to 0 before the kicks, which Eve reads whole when
-    every register is visible or tapped.
+    every register is visible or tapped.  With tapped = 0 that one pattern
+    reads nothing: the views separate exactly when Eve sees every register
+    and the kicks have odd parity.
     """
     exposed = kick & visible & tapped
     if exposed:
@@ -263,17 +233,14 @@ def leakage_audit(
     r = 2 if phase == 3 else n + 1
     transmitted = sent_channels(phase, n, getattr(cfg, "source", "alice"))
     taps = strategy.taps_for(phase, transmitted)
+    if "z" in taps.values():
+        # A Z read collapses every tuple, so every register goes uniform.
+        return Fraction(0)
+    # Only a random read can show a register's bit; an entangling read's
+    # ancilla just joins the registers' XOR, and Eve sees it.
+    tapped = sum(1 << ch for ch, read in taps.items() if read == "random")
     groups = Counter(_positions(n, m, (s ^ s_prime).value, phase))
-    if any(tap.random_basis for tap in taps.values()):
-        tapped = sum(1 << ch for ch in taps)
-        kept = Fraction(1)
-        for (kick, visible), count in groups.items():
-            share = _separating_share(kick, visible, tapped, (1 << r) - 1)
-            kept *= (1 - share) ** count
-        return 1 - kept
-    span = _outcome_span(r, taps)
-    eve = ((1 << len(taps)) - 1) << r
-    return Fraction(any(
-        kick and not _in_span(kick & visible, (v & (visible | eve) for v in span))
-        for kick, visible in groups
-    ))
+    kept = Fraction(1)
+    for (kick, visible), count in groups.items():
+        kept *= (1 - _separating_share(kick, visible, tapped, (1 << r) - 1)) ** count
+    return 1 - kept

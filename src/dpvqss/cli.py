@@ -172,18 +172,19 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
         key = key.strip()
         swept = key.startswith("sweep.")
         base = key.removeprefix("sweep.")
-        target = sweep if swept else raw
         if base not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if swept and base in UNSWEPT_KEYS:
             raise ConfigError(f"{path}:{lineno}: key {key!r} cannot be swept")
-        if base in target:
+        # A plain key and a sweep of it would leave the plain line dead.
+        if base in raw or base in sweep:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         tokens = value.split(",") if swept else [value]
         try:
             parsed = tuple(CONFIG_KEYS[base][0](tok.strip()) for tok in tokens)
         except (ValueError, TypeError) as err:
             raise ConfigError(f"{path}:{lineno}: key {key!r}: {err}") from None
+        target = sweep if swept else raw
         target[base] = parsed if swept else parsed[0]
 
     for key in REQUIRED_KEYS:
@@ -359,6 +360,16 @@ def _etas(n: int, m: int, decimal: bool = False) -> dict:
     return cols
 
 
+def _cell_value(value):
+    """A swept value as the report renders it: a secret in hex, a fixed lie
+    as its MSB-first bit string."""
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, BitVector):
+        return str(value)
+    return value
+
+
 def cmd_sweep(args) -> int:
     try:
         rc, seed, trials, out = _load(args, sweep=True)
@@ -367,7 +378,7 @@ def cmd_sweep(args) -> int:
     rows = []
     with out as fh:
         for cell_idx, cell in enumerate(_sweep_cells(rc)):
-            row = {f"cell.{k}": v for k, v in sorted(cell.items())}
+            row = {f"cell.{k}": _cell_value(v) for k, v in sorted(cell.items())}
             values = {**rc.values, **cell}
             try:
                 cfg, plan = _build_run(values)

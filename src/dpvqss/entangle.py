@@ -2,10 +2,12 @@
 
 A batch models r parties holding p-qubit registers whose j-th qubits form one
 GHZ_r tuple (a Bell pair when r = 2).  Phase bits, register outcomes and
-Eve's reads are p-bit ints, bit j belonging to tuple j.  Every round, tapped
-or not, is an H/CNOT circuit, so each tuple's joint outcome is uniform over
-an affine subspace of GF(2)^(r+t) for t tapped channels (Aaronson &
-Gottesman 2004).
+Eve's reads are p-bit ints, bit j belonging to tuple j.  A batch's taps map
+each tapped channel to its read, one of `READS`: every qubit in Z, each in
+Z or X at random, or each CNOTed onto an ancilla of Eve's.  Every round,
+tapped or not, is an H/CNOT circuit, so each tuple's joint outcome is
+uniform over an affine subspace of GF(2)^(r+t) for t tapped channels
+(Aaronson & Gottesman 2004).
 The round only prepares GHZ tuples, reads them channel by channel and
 applies a Hadamard layer, so that subspace has a closed form, `_read_law`,
 which draws all p positions at once as p-bit words, whatever each position's
@@ -34,7 +36,7 @@ import numpy as np
 
 from .bitvec import DimensionError, random_bits
 
-TAP_KINDS = ("measure_resend", "intercept_resend", "entangle_measure")
+READS = ("z", "random", "entangle")
 BASIS_LABELS = ("0", "1", "+", "-")  # decoy preparation states
 
 
@@ -42,31 +44,12 @@ class IntegrityError(ValueError):
     """Transmission plan and source records disagree."""
 
 
-@dataclass(frozen=True)
-class ChannelTap:
-    """An eavesdropper action applied to every qubit crossing one channel."""
-
-    kind: str
-    basis: str = "computational"  # intercept_resend only: computational | random
-
-    def __post_init__(self):
-        if self.kind not in TAP_KINDS:
-            raise ValueError(f"unknown tap kind {self.kind!r}")
-        if self.basis not in ("computational", "random"):
-            raise ValueError(f"unknown interception basis {self.basis!r}")
-
-    @property
-    def random_basis(self) -> bool:
-        """Whether the tap reads each qubit in a uniformly random Z or X basis."""
-        return self.kind == "intercept_resend" and self.basis == "random"
-
-
 @dataclass
 class Decoy:
     channel: int
     slot: int
     label: str
-    # How a tap read the decoy ("z", "x" or "entangle"); None if untouched.
+    # The basis a tap read the decoy in ("z" or "x"); None if untouched.
     state: str | None = None
 
 
@@ -100,9 +83,11 @@ class EntangledBatch:
         self.taps = dict(taps)
         self.transmitted = tuple(transmitted)
         self.encoders = tuple(encoders)
-        for ch in self.taps:
+        for ch, read in self.taps.items():
             if ch not in self.transmitted:
                 raise ValueError(f"tap on channel {ch} which is never transmitted")
+            if read not in READS:
+                raise ValueError(f"unknown read {read!r} on channel {ch}")
         self.sealed = False
         self.consumed = False
 
@@ -135,16 +120,14 @@ class EntangledBatch:
         """Draw every tuple position at once from the read law.
 
         The draws are uniform p-bit words: r for the registers, one per
-        entangling tap, one shared Z outcome, then one basis word per
-        random-basis tap, whose set bits are the positions it reads in the
-        X basis.
+        "entangle" read, one shared Z outcome, then one basis word per
+        "random" read, whose set bits are the positions it reads in the X
+        basis.
         """
         p, r = self.p, self.r
         channels = sorted(self.taps)
-        random_chs = [ch for ch in channels if self.taps[ch].random_basis]
-        entangling = [
-            ch for ch in channels if self.taps[ch].kind == "entangle_measure"
-        ]
+        random_chs = [ch for ch in channels if self.taps[ch] == "random"]
+        entangling = [ch for ch in channels if self.taps[ch] == "entangle"]
         count = r + len(entangling) + 1 + len(random_chs)
         # One draw of `count` whole-word strides, one p-bit word from each.
         stride = 64 * ((p + 63) // 64)
@@ -165,13 +148,6 @@ class EntangledBatch:
                 xor, phase_bits.values(), 0
             ), "sampler violated its own XOR constraint"
         return RoundOutcome(outputs[:r], dict(zip(channels, outputs[r:])))
-
-
-def _read(tap: ChannelTap, x_basis: bool) -> str:
-    """How a tap reads one tuple qubit: "entangle", or a "z"/"x" measurement."""
-    if tap.kind == "entangle_measure":
-        return "entangle"
-    return "x" if x_basis else "z"
 
 
 def _read_law(
@@ -207,14 +183,15 @@ def _read_law(
 def distribute(
     r: int,
     p: int,
-    taps: dict[int, ChannelTap] | None = None,
+    taps: dict[int, str] | None = None,
     transmitted: Sequence[int] | None = None,
     encoders: Sequence[int] | None = None,
 ) -> EntangledBatch:
     """Prepare a batch of p GHZ_r tuples (Bell pairs at r = 2).
 
     `transmitted` lists the registers that traverse a channel (and may be
-    tapped); `encoders` lists the registers that will apply a phase oracle.
+    tapped); `taps` maps a tapped channel to its read, one of `READS`;
+    `encoders` lists the registers that will apply a phase oracle.
     """
     if transmitted is None:
         transmitted = range(r)
@@ -243,17 +220,18 @@ def insert_decoys(batch: EntangledBatch, d: int, rng) -> TransmissionPlan:
 def transmit(batch: EntangledBatch, plan: TransmissionPlan, rng):
     """Send every channel through its (possibly tapped) route and seal the batch.
 
-    Each decoy on a tapped channel records how the tap read it; payload taps
-    take effect when the outcomes are drawn.  A batch that carries several
-    rounds is transmitted once per round's decoy check.
+    Each decoy on a tapped channel records the basis the tap read it in (an
+    entangling CNOT reads like Z); payload taps take effect when the
+    outcomes are drawn.  A batch that carries several rounds is transmitted
+    once per round's decoy check.
     """
-    for ch, tap in sorted(batch.taps.items()):
+    for ch, read in sorted(batch.taps.items()):
         decoys = [decoy for decoy in plan.decoys if decoy.channel == ch]
         x_basis = [False] * len(decoys)
-        if tap.random_basis:
+        if read == "random":
             x_basis = rng.integers(0, 2, size=len(decoys))
         for decoy, x in zip(decoys, x_basis):
-            decoy.state = _read(tap, x)
+            decoy.state = "x" if x else "z"
     batch.sealed = True
 
 

@@ -5,7 +5,8 @@ from a closed-form GHZ read law and checks its decoys against another
 closed-form read law (see `entangle`), and no protocol module imports this
 one.  `dense_state` and `dense_outcomes` run whole rounds on a statevector:
 they are the exact reference that tests and `oracle-check` compare the
-sampler against.
+sampler against, and they take the sampler's taps: one read string per
+tapped channel.
 
 Conventions:
 
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitvec import BitVector, CapacityError
-from .entangle import BASIS_LABELS, ChannelTap, RoundOutcome
+from .entangle import BASIS_LABELS, RoundOutcome
 
 MAX_QUBITS = 22
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -212,7 +213,7 @@ class StateVector:
 def dense_state(
     r: int,
     p: int,
-    taps: dict[int, ChannelTap] | None = None,
+    taps: dict[int, str] | None = None,
     phase_bits: dict[int, int] | None = None,
     rng=None,
 ) -> tuple[StateVector, dict[int, int]]:
@@ -220,10 +221,11 @@ def dense_state(
 
     Register i holds qubits i*p .. i*p+p-1, and position j of every register
     belongs to GHZ tuple j; phase bits and reads are p-bit ints, bit j for
-    position j.  Each tap then acts on every position of its
-    channel, in channel order: a measuring tap reads it mid-circuit with
-    `rng`, an entangling tap CNOTs it onto an ancilla of its own.  Given `phase_bits`, each encoder
-    kicks its phases through a |-> target and every register and ancilla
+    position j.  `taps` maps channels to reads (`entangle.READS`), applied
+    to every position of the channel in channel order: "z" measures it
+    mid-circuit with `rng`, "random" measures it in Z or X as `rng` picks,
+    and "entangle" CNOTs it onto an ancilla of its own.  Given
+    `phase_bits`, each encoder kicks its phases through a |-> target and every register and ancilla
     gets a Hadamard, so the state is the one the final measurement reads.
     The targets follow the registers in sorted encoder order, then p ancillas
     per entangling tap in channel order.
@@ -234,15 +236,14 @@ def dense_state(
     taps = taps or {}
     encoders = sorted(phase_bits) if phase_bits is not None else []
     ancilla = r * p + len(encoders)
-    ent = [ch for ch in sorted(taps) if taps[ch].kind == "entangle_measure"]
+    ent = [ch for ch in sorted(taps) if taps[ch] == "entangle"]
     state = StateVector(ancilla + len(ent) * p)
     for j in range(p):
         state.prepare_ghz([i * p + j for i in range(r)])
     eve = {}
-    for ch in sorted(taps):
-        tap = taps[ch]
+    for ch, read in sorted(taps.items()):
         qubits = range(ch * p, (ch + 1) * p)
-        if tap.kind == "entangle_measure":
+        if read == "entangle":
             for qubit in qubits:
                 state.apply_cnot(qubit, ancilla)
                 ancilla += 1
@@ -250,7 +251,7 @@ def dense_state(
         # A random-basis X read forwards the collapsed eigenstate.
         eve[ch] = 0
         for j, qubit in enumerate(qubits):
-            if tap.random_basis and rng.integers(2):
+            if read == "random" and rng.integers(2):
                 eve[ch] |= state.measure_hadamard_basis(qubit, rng) << j
                 state.apply_h(qubit)
             else:
@@ -274,7 +275,7 @@ def dense_outcomes(
     phase_bits: dict[int, int],
     shots: int,
     rng,
-    taps: dict[int, ChannelTap] | None = None,
+    taps: dict[int, str] | None = None,
 ) -> list[RoundOutcome]:
     """Reference only: Born-sample `shots` final measurements of one round.
 
@@ -282,7 +283,7 @@ def dense_outcomes(
     measuring tap the state is rebuilt for every shot.
     """
     taps = taps or {}
-    ent = [ch for ch in sorted(taps) if taps[ch].kind == "entangle_measure"]
+    ent = [ch for ch in sorted(taps) if taps[ch] == "entangle"]
     first_ancilla = r * p + len(phase_bits)
     qubits = [*range(r * p), *range(first_ancilla, first_ancilla + len(ent) * p)]
     per_state = shots if len(ent) == len(taps) else 1

@@ -64,7 +64,9 @@ def view_distribution(
     """
     if phase not in (1, 2, 3):
         raise ValueError(f"unknown phase {phase}")
-    kind = strategy.effective_kind if strategy.is_active_in(phase) else "none"
+    kind = strategy.kind if strategy.is_active_in(phase) else "none"
+    if kind == "pns":  # a perfect extra entangled copy
+        kind = "entangle_measure"
     if kind == "intercept_resend" and strategy.basis == "random":
         raise ValueError("exact audit does not model random-basis interception")
 

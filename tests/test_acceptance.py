@@ -24,7 +24,6 @@ from dpvqss.adversary import (
 from dpvqss.bitvec import BitVector
 from dpvqss.cli import main, oracle_check_case
 from dpvqss.entangle import (
-    ChannelTap,
     distribute,
     insert_decoys,
     transmit,
@@ -187,10 +186,9 @@ def test_c5_loyal_recovery_at_sound_radius():
 
 def _decoy_detection_rate(d, trials, seed):
     rng = np.random.default_rng(seed)
-    tap = ChannelTap("intercept_resend")
     aborts = 0
     for _ in range(trials):
-        batch = distribute(2, 4, taps={0: tap},
+        batch = distribute(2, 4, taps={0: "z"},
                            transmitted=(0,), encoders=(1,))
         plan = insert_decoys(batch, d, rng)
         transmit(batch, plan, rng)

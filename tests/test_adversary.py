@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpvqss.adversary import (
+    EVE_KINDS,
     AdversaryPlan,
     AuditSize,
     EveStrategy,
@@ -19,7 +20,7 @@ from dpvqss.adversary import (
 )
 from dpvqss.adversary import _separating_share
 from dpvqss.bitvec import BitVector
-from dpvqss.entangle import ChannelTap, _read_law
+from dpvqss.entangle import _read_law
 from dpvqss.protocol import ProtocolConfig, random_secret, run_protocol
 from dpvqss.qsim import dense_outcomes
 from audit_reference import reference_audit, view_distribution
@@ -31,8 +32,25 @@ def bv(text):
 
 
 class TestEveStrategy:
-    def test_pns_aliases_entangle(self):
-        assert EveStrategy("pns").effective_kind == "entangle_measure"
+    def test_taps_for_maps_kind_and_basis_to_read(self):
+        # PNS keeps a perfect extra entangled copy, and only intercept-resend
+        # reads in a random basis.
+        reads = {
+            ("measure_resend", "computational"): "z",
+            ("measure_resend", "random"): "z",
+            ("intercept_resend", "computational"): "z",
+            ("intercept_resend", "random"): "random",
+            ("entangle_measure", "computational"): "entangle",
+            ("entangle_measure", "random"): "entangle",
+            ("pns", "computational"): "entangle",
+            ("pns", "random"): "entangle",
+            ("none", "computational"): None,
+            ("none", "random"): None,
+        }
+        assert {kind for kind, _ in reads} == set(EVE_KINDS)
+        for (kind, basis), read in reads.items():
+            taps = EveStrategy(kind, basis).taps_for(1, [0, 2])
+            assert taps == ({} if read is None else {0: read, 2: read})
 
     def test_taps_channel_selection(self):
         eve = EveStrategy("measure_resend", phases=(1,))
@@ -252,6 +270,7 @@ SourcedSize = namedtuple("SourcedSize", "n m source")
 FIXED_KINDS = ("none", "measure_resend", "intercept_resend", "entangle_measure",
                "pns")
 RANDOM_BASIS = EveStrategy("intercept_resend", basis="random")
+PATTERN_SIZES = [(2, 1), (2, 2), (3, 2), (4, 1), (5, 2), (6, 1)]
 
 
 @st.composite
@@ -299,10 +318,11 @@ class TestAuditMatchesEnumerator:
 def read_law_span(r, reads):
     """Spanning vectors of one position's outcomes under the sampler's law.
 
-    `reads` pairs each tapped channel with 1 (X read) or 0 (Z read); the
-    vectors pack the r register bits, then Eve's bit per read.
+    `reads` pairs each tapped channel with 1 (X read), 0 (Z read) or None
+    (entangling read, one more draw); the vectors pack the r register bits,
+    then Eve's bit per read.
     """
-    count = r + 1
+    count = r + 1 + sum(x is None for _, x in reads)
 
     def point(draws):
         return sum(bit << i for i, bit in enumerate(_read_law(r, 1, reads, iter(draws))))
@@ -312,18 +332,25 @@ def read_law_span(r, reads):
             for k in range(count)]
 
 
-def pattern_share(kick, visible, tapped, r):
-    """Share of Z/X read patterns whose view separates, one rank test each."""
+def pattern_share(kick, visible, tapped, r, read="random"):
+    """Share of the tapped channels' read patterns whose view separates, one
+    rank test each: every Z/X pattern for a "random" read, else the one
+    all-Z or all-entangling pattern."""
     channels = [ch for ch in range(r) if tapped >> ch & 1]
     seen = visible | ((1 << len(channels)) - 1) << r
+    patterns = {
+        "random": list(product((0, 1), repeat=len(channels))),
+        "z": [(0,) * len(channels)],
+        "entangle": [(None,) * len(channels)],
+    }[read]
     hits = 0
-    for xs in product((0, 1), repeat=len(channels)):
+    for xs in patterns:
         span = read_law_span(r, list(zip(channels, xs)))
         hits += not in_span(kick & visible, [v & seen for v in span])
-    return Fraction(hits, 1 << len(channels))
+    return Fraction(hits, len(patterns))
 
 
-def random_basis_positions(n, m, diff, phase):
+def register_positions(n, m, diff, phase):
     """(kick, visible, count) of every position, stated register by register."""
     rows = Counter()
     if phase == 3:
@@ -341,8 +368,9 @@ def random_basis_positions(n, m, diff, phase):
 
 
 class TestRandomBasisAudit:
-    """Random-basis interception: the closed form against per-pattern rank
-    tests on the sampler's read law, and against the dense statevector."""
+    """The closed form against per-pattern rank tests on the sampler's read
+    law for every read, and random-basis interception against the dense
+    statevector."""
 
     def test_share_rule_exhaustive_to_three_registers(self):
         for r in (2, 3):
@@ -360,20 +388,24 @@ class TestRandomBasisAudit:
         assert _separating_share(kick, visible, tapped, (1 << r) - 1) \
             == pattern_share(kick, visible, tapped, r)
 
-    @settings(max_examples=100, deadline=None)
-    @given(audit_cases([(2, 1), (2, 2), (3, 2), (4, 1), (5, 2), (6, 1)],
-                       ("intercept_resend",), (None, 0, 1, 2, 5), "random"),
+    # Half the draws are random-basis interception, half the fixed reads.
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(*(audit_cases(PATTERN_SIZES, kinds, (None, 0, 1, 2, 5), basis)
+                       for kinds, basis in [(("intercept_resend",), "random"),
+                                            (FIXED_KINDS, "computational")])),
            st.sampled_from(("alice", "third_party")))
     def test_audit_matches_pattern_rank_tests(self, case, source):
         strategy, size, s, s2, phase = case
         size = SourcedSize(size.n, size.m, source)
         r = 2 if phase == 3 else size.n + 1
         sent = 2 if phase == 3 else size.n + (source == "third_party")
-        tapped = sum(1 << ch for ch in strategy.taps_for(phase, range(sent)))
-        rows = random_basis_positions(size.n, size.m, (s ^ s2).value, phase)
+        taps = strategy.taps_for(phase, range(sent))
+        tapped = sum(1 << ch for ch in taps)
+        read = next(iter(taps.values()), "z")  # one read for every tap
+        rows = register_positions(size.n, size.m, (s ^ s2).value, phase)
         kept = Fraction(1)
         for (kick, visible), count in rows.items():
-            kept *= (1 - pattern_share(kick, visible, tapped, r)) ** count
+            kept *= (1 - pattern_share(kick, visible, tapped, r, read)) ** count
         assert leakage_audit(strategy, size, s, s2, phase) == 1 - kept
 
     @pytest.mark.parametrize("source, phase, expected", [
@@ -425,7 +457,6 @@ def dense_views(phase, s, shots, rng, sent):
     """Eve's view at position 0 of `shots` dense n = 2, m = 1 rounds, with
     random-basis taps on the first `sent` channels: Eve's bases, the public
     register bits and Eve's bits."""
-    tap = ChannelTap("intercept_resend", "random")
     if phase == 3:
         r, p, kicks, shown = 2, 1, {0: s.bit(0), 1: s.bit(1)}, (0, 1)
     else:
@@ -435,7 +466,7 @@ def dense_views(phase, s, shots, rng, sent):
         kicks = {2: s.value} if phase == 1 else {i: s.bit(i) << i
                                                  for i in range(2)}
         shown = (2, 1) if phase == 1 else (0, 1)
-    taps = {ch: tap for ch in range(sent)}
+    taps = dict.fromkeys(range(sent), "random")
     rec = _Recorder(rng)
     outcomes = dense_outcomes(r, p, kicks, shots, rec, taps)
     per_shot = sent * p

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -104,12 +106,13 @@ class TestConfigParsing:
             parse_config_text(HONEST_CFG + "\nseed = 1\n")
 
     def test_duplicate_sweep_key_rejected(self):
-        # The second line used to win silently: one decoys = 4 cell.
-        text = (HONEST_CFG + "sweep.protocol.decoys = 0,1\n"
-                "sweep.protocol.decoys = 4\n")
-        with pytest.raises(ConfigError,
-                           match="duplicate key 'sweep.protocol.decoys'"):
-            parse_config_text(text)
+        # The second line used to win silently: one decoys = 4 cell.  A plain
+        # key and a sweep of it left the plain line dead.
+        for lines in ("sweep.protocol.decoys = 0,1\nsweep.protocol.decoys = 4\n",
+                      "protocol.decoys = 4\nsweep.protocol.decoys = 0,1\n"):
+            with pytest.raises(ConfigError,
+                               match="duplicate key 'sweep.protocol.decoys'"):
+                parse_config_text(HONEST_CFG + lines)
 
     @pytest.mark.parametrize("m, w, secret, match", [
         # m = 16, w = 8 needs a 2-byte secret.
@@ -319,7 +322,6 @@ class TestSweep:
     def test_invalid_cells_skipped(self, tmp_path, capsys):
         text = """
 protocol.n = 4
-protocol.k = 3
 protocol.m = 8
 trials = 2
 seed = 1
@@ -336,7 +338,6 @@ sweep.protocol.k = 1,2,3
         text = """
 protocol.n = 3
 protocol.k = 2
-protocol.m = 8
 protocol.w = 4
 trials = 2
 seed = 1
@@ -355,14 +356,16 @@ sweep.protocol.m = 4,6,8
          "adversary.rogues.mode = fixed\nadversary.rogues.fixed = 10110011\n"
          "sweep.protocol.m = 8,16\n", "cell.protocol.m", [8],
          {16: "adversary.rogues.fixed has 8 bits"}),
-        ("adversary.eve.kind = intercept_resend\nadversary.eve.phases = 1\n"
-         "sweep.adversary.eve.channel = 0,9\n", "cell.adversary.eve.channel",
-         [0], {9: "adversary.eve.channel 9 is not sent"}),
-        ("adversary.eve.phases =\n"
+        ("protocol.m = 8\nadversary.eve.kind = intercept_resend\n"
+         "adversary.eve.phases = 1\nsweep.adversary.eve.channel = 0,9\n",
+         "cell.adversary.eve.channel", [0],
+         {9: "adversary.eve.channel 9 is not sent"}),
+        ("protocol.m = 8\nadversary.eve.phases =\n"
          "sweep.adversary.eve.kind = none,intercept_resend\n",
          "cell.adversary.eve.kind", ["none"],
          {"intercept_resend": "adversary.eve.phases is empty"}),
-        ("adversary.eve.basis = random\nsweep.adversary.eve.kind = "
+        ("protocol.m = 8\nadversary.eve.basis = random\n"
+         "sweep.adversary.eve.kind = "
          "none,intercept_resend,measure_resend,entangle_measure,pns\n",
          "cell.adversary.eve.kind", ["none", "intercept_resend"],
          {kind: f"adversary.eve.basis = random needs adversary.eve.kind = "
@@ -372,15 +375,14 @@ sweep.protocol.m = 4,6,8
             "random_basis_non_intercept"])
     def test_unrunnable_plan_cells_skipped(self, tmp_path, capsys, extra,
                                            swept, kept, reasons):
-        text = ("protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n"
-                "trials = 2\nseed = 1\n" + extra)
+        text = "protocol.n = 3\nprotocol.k = 2\ntrials = 2\nseed = 1\n" + extra
         cfg = write(tmp_path, "sweep.cfg", text)
         kept_rows, skipped, warnings = sweep_with_skips(capsys, cfg)
         assert [r[swept] for r in kept_rows] == kept
         assert_skipped(skipped, warnings, swept, reasons)
 
     def test_skipped_cells_keep_the_csv_columns(self, tmp_path, capsys):
-        text = ("protocol.n = 4\nprotocol.k = 3\nprotocol.m = 8\n"
+        text = ("protocol.n = 4\nprotocol.m = 8\n"
                 "trials = 2\nseed = 1\nsweep.protocol.k = 2,3\n")
         cfg = write(tmp_path, "sweep.cfg", text)
         assert main(["sweep", cfg, "--format", "csv"]) == 0
@@ -428,7 +430,6 @@ sweep.protocol.decoys = 0,1
         text = """
 protocol.n = 3
 protocol.k = 2
-protocol.m = 8
 trials = 2
 seed = 1
 sweep.protocol.m = 8,16
@@ -483,6 +484,30 @@ sweep.protocol.m = 8,16
         header = out.splitlines()[0]
         assert header.startswith("cell.protocol.decoys,")
 
+
+    @pytest.mark.parametrize("line, column, values", [
+        ("sweep.secret = aa,bb", "cell.secret", ["aa", "bb"]),
+        ("adversary.rogues.agents = 0\n"
+         "adversary.rogues.actions = lie_phase3_report\n"
+         "adversary.rogues.mode = fixed\n"
+         "sweep.adversary.rogues.fixed = 00000001,10000000",
+         "cell.adversary.rogues.fixed", ["00000001", "10000000"]),
+    ], ids=["secret", "fixed_lie"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_swept_values_render_as_the_report_does(self, tmp_path, capsys,
+                                                    line, column, values, fmt):
+        # A secret reads as hex, a fixed lie as its MSB-first bits; both
+        # used to die in JSON and read b'\xaa' in CSV.
+        text = ("protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n"
+                f"trials = 2\n{line}\n")
+        cfg = write(tmp_path, "sweep.cfg", text)
+        assert main(["sweep", cfg, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            rows = [json.loads(ln) for ln in out.splitlines()]
+        else:
+            rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row[column] for row in rows] == values
 
 class TestMetricsAndReport:
     def test_metrics_table(self, capsys):

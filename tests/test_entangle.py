@@ -8,9 +8,9 @@ from operator import xor
 import numpy as np
 import pytest
 
+from dpvqss.adversary import EveStrategy
 from dpvqss.bitvec import CapacityError
 from dpvqss.entangle import (
-    ChannelTap,
     Decoy,
     IntegrityError,
     TransmissionPlan,
@@ -203,35 +203,33 @@ class TestTapPhysics:
     @pytest.mark.parametrize(
         "tap",
         [
-            ChannelTap("measure_resend"),
-            ChannelTap("intercept_resend", "computational"),
-            ChannelTap("intercept_resend", "random"),
+            EveStrategy("measure_resend"),
+            EveStrategy("intercept_resend", "computational"),
+            EveStrategy("intercept_resend", "random"),
         ],
     )
     def test_measuring_taps_match_oracle(self, tap):
         rng = np.random.default_rng(48)
         s, n, m, shots = bv("10"), 1, 2, 6000
-        dense = self.dense_counts({0: tap}, s, n, m, shots, rng)
-        sampler = self.joint_counts({0: tap}, s, n, m, shots, rng)
+        taps = tap.taps_for(1, [0])
+        dense = self.dense_counts(taps, s, n, m, shots, rng)
+        sampler = self.joint_counts(taps, s, n, m, shots, rng)
         assert chi_square_homogeneity(dense, sampler) > 0.001
 
     def test_entangle_tap_matches_oracle(self):
         rng = np.random.default_rng(49)
-        tap = ChannelTap("entangle_measure")
         s, n, m, shots = bv("10"), 2, 1, 8000
-        dense = self.dense_counts({0: tap}, s, n, m, shots, rng)
-        sampler = self.joint_counts({0: tap}, s, n, m, shots, rng)
+        dense = self.dense_counts({0: "entangle"}, s, n, m, shots, rng)
+        sampler = self.joint_counts({0: "entangle"}, s, n, m, shots, rng)
         assert chi_square_homogeneity(dense, sampler) > 0.001
 
     @pytest.mark.parametrize(
         "taps",
         [
-            {0: ChannelTap("measure_resend"), 1: ChannelTap("measure_resend")},
-            {0: ChannelTap("intercept_resend", "random"),
-             1: ChannelTap("intercept_resend", "random")},
-            {0: ChannelTap("entangle_measure"), 1: ChannelTap("entangle_measure")},
-            {0: ChannelTap("entangle_measure"),
-             1: ChannelTap("intercept_resend", "random")},
+            {0: "z", 1: "z"},
+            {0: "random", 1: "random"},
+            {0: "entangle", 1: "entangle"},
+            {0: "entangle", 1: "random"},
         ],
         ids=["measure", "random_intercept", "entangle", "mixed"],
     )
@@ -247,9 +245,9 @@ class TestTapPhysics:
         # The first Z measurement collapses the GHZ tuple, so every tapped
         # channel reads the same vector.
         rng = np.random.default_rng(64)
-        tap = ChannelTap(kind)
+        taps = EveStrategy(kind).taps_for(1, (0, 1))
         for _ in range(500):
-            batch = distribute(3, 2, taps={0: tap, 1: tap},
+            batch = distribute(3, 2, taps=taps,
                                transmitted=(0, 1), encoders=(2,))
             transmit(batch, insert_decoys(batch, 0, rng), rng)
             out = batch.encode_and_measure({2: bv("01")}, rng)
@@ -260,8 +258,7 @@ class TestTapPhysics:
         # the law for its own basis pattern.
         r, p = 67, 4
         chans = range(r - 1)
-        tap = ChannelTap("intercept_resend", "random")
-        batch = distribute(r, p, taps={ch: tap for ch in chans},
+        batch = distribute(r, p, taps=dict.fromkeys(chans, "random"),
                            transmitted=chans, encoders=(r - 1,))
         rng = np.random.default_rng(65)
         transmit(batch, insert_decoys(batch, 0, rng), rng)
@@ -291,7 +288,7 @@ class TestTapPhysics:
         for _ in range(trials):
             batch = distribute(
                 3, 4,
-                taps={0: ChannelTap("entangle_measure")},
+                taps={0: "entangle"},
                 transmitted=(0, 1), encoders=(2,),
             )
             transmit(batch, insert_decoys(batch, 0, rng), rng)
@@ -484,7 +481,7 @@ class TestDecoys:
     def test_decoys_follow_their_channel(self):
         # Only the tapped channel's decoys record a read.
         rng = np.random.default_rng(67)
-        batch = distribute(4, 5, taps={2: ChannelTap("measure_resend")},
+        batch = distribute(4, 5, taps={2: "z"},
                            transmitted=(0, 2, 3), encoders=(1,))
         plan = insert_decoys(batch, 3, rng)
         assert [d.channel for d in plan.decoys] == [0] * 3 + [2] * 3 + [3] * 3
@@ -492,6 +489,16 @@ class TestDecoys:
         assert [d.state is not None for d in plan.decoys] == (
             [False] * 3 + [True] * 3 + [False] * 3
         )
+
+    def test_decoys_record_the_basis_they_were_read_in(self):
+        # An entangling CNOT reads a decoy like Z; a random read picks Z or X.
+        rng = np.random.default_rng(68)
+        for read, states in [("z", {"z"}), ("entangle", {"z"}),
+                             ("random", {"z", "x"})]:
+            batch = self.make_batch(taps={0: read})
+            plan = insert_decoys(batch, 32, rng)
+            transmit(batch, plan, rng)
+            assert {d.state for d in plan.decoys} == states
 
     def test_untouched_channel_never_mismatches(self):
         rng = np.random.default_rng(55)
@@ -502,11 +509,11 @@ class TestDecoys:
             mismatches, verdict = verify_decoys(plan, plan.records, rng)
             assert (mismatches, verdict) == (0, "proceed")
 
-    def detection_rate(self, tap, d, trials, seed):
+    def detection_rate(self, read, d, trials, seed):
         rng = np.random.default_rng(seed)
         aborts = 0
         for _ in range(trials):
-            batch = self.make_batch(taps={0: tap})
+            batch = self.make_batch(taps={0: read})
             plan = insert_decoys(batch, d, rng)
             transmit(batch, plan, rng)
             _, verdict = verify_decoys(plan, plan.records, rng)
@@ -515,9 +522,8 @@ class TestDecoys:
 
     @pytest.mark.parametrize("basis", ["computational", "random"])
     def test_intercept_resend_detection(self, basis):
-        rate = self.detection_rate(
-            ChannelTap("intercept_resend", basis), 16, 1000, 56
-        )
+        read = EveStrategy("intercept_resend", basis).taps_for(1, [0])[0]
+        rate = self.detection_rate(read, 16, 1000, 56)
         assert rate >= 0.98
 
     @staticmethod
@@ -558,10 +564,12 @@ class TestDecoys:
             assert abs(p_mismatch - (0.5 if disturbed else 0.0)) < 1e-12
         assert abs(seen - 1.0) < 1e-12
 
-        # verify_decoys draws from the same law.
+        # verify_decoys draws from the same law; transmit records an
+        # entangling read as a Z read.
         d = 400
+        state = "z" if read == "entangle" else read
         plan = TransmissionPlan(
-            [Decoy(0, i, label, read) for i in range(d)],
+            [Decoy(0, i, label, state) for i in range(d)],
             [(0, i, label) for i in range(d)],
         )
         mismatches, _ = verify_decoys(plan, plan.records,
@@ -571,14 +579,8 @@ class TestDecoys:
         else:
             assert mismatches == 0
 
-    def test_measure_resend_matches_intercept_z(self):
-        a = self.detection_rate(ChannelTap("measure_resend"), 8, 800, 57)
-        b = self.detection_rate(ChannelTap("intercept_resend"), 8, 800, 58)
-        # Same physics: both collapse decoys in the computational basis.
-        assert abs(a - b) < 0.05
-
     def test_entangle_tap_detected_at_same_rate(self):
-        rate = self.detection_rate(ChannelTap("entangle_measure"), 16, 500, 59)
+        rate = self.detection_rate("entangle", 16, 500, 59)
         assert rate >= 0.98
 
     def test_record_mismatch_raises(self):
@@ -603,7 +605,7 @@ class TestBatchLifecycle:
     def test_tapped_batch_requires_transmission(self):
         rng = np.random.default_rng(62)
         batch = distribute(
-            2, 2, taps={0: ChannelTap("measure_resend")},
+            2, 2, taps={0: "z"},
             transmitted=(0,), encoders=(1,),
         )
         with pytest.raises(RuntimeError):
@@ -613,7 +615,7 @@ class TestBatchLifecycle:
         # A batch carrying several rounds checks each round's decoys.
         rng = np.random.default_rng(64)
         batch = distribute(
-            2, 6, taps={0: ChannelTap("measure_resend")},
+            2, 6, taps={0: "z"},
             transmitted=(0,), encoders=(1,),
         )
         for _ in range(3):
@@ -627,6 +629,10 @@ class TestBatchLifecycle:
     def test_tap_on_untransmitted_channel_rejected(self):
         with pytest.raises(ValueError):
             distribute(
-                2, 2, taps={1: ChannelTap("measure_resend")},
+                2, 2, taps={1: "z"},
                 transmitted=(0,), encoders=(1,),
             )
+
+    def test_unknown_read_rejected(self):
+        with pytest.raises(ValueError, match="unknown read 'x' on channel 0"):
+            distribute(2, 2, taps={0: "x"}, transmitted=(0,), encoders=(1,))
