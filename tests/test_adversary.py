@@ -52,6 +52,14 @@ class TestEveStrategy:
             taps = EveStrategy(kind, basis).taps_for(1, [0, 2])
             assert taps == ({} if read is None else {0: read, 2: read})
 
+    def test_pns_aliases_entangle(self):
+        for basis in ("computational", "random"):
+            for phase in (1, 2, 3):
+                pns = EveStrategy("pns", basis).taps_for(phase, [0, 1, 2])
+                ent = EveStrategy("entangle_measure", basis).taps_for(
+                    phase, [0, 1, 2])
+                assert pns == ent
+
     def test_taps_channel_selection(self):
         eve = EveStrategy("measure_resend", phases=(1,))
         assert set(eve.taps_for(1, [0, 1, 2])) == {0, 1, 2}

@@ -579,6 +579,14 @@ class TestDecoys:
         else:
             assert mismatches == 0
 
+    def test_measure_resend_matches_intercept_z(self):
+        # Same physics: both collapse decoys in the computational basis.
+        reads = [EveStrategy(kind).taps_for(1, [0])[0]
+                 for kind in ("measure_resend", "intercept_resend")]
+        a = self.detection_rate(reads[0], 8, 800, 57)
+        b = self.detection_rate(reads[1], 8, 800, 58)
+        assert abs(a - b) < 0.05
+
     def test_entangle_tap_detected_at_same_rate(self):
         rate = self.detection_rate("entangle", 16, 500, 59)
         assert rate >= 0.98
