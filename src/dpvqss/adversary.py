@@ -84,9 +84,6 @@ class RogueBehavior:
         if self.mode == "fixed" and self.actions and self.fixed_value is None:
             raise ValueError("fixed lie mode needs a fixed_value")
 
-    def lies(self, agent: int, action: str) -> bool:
-        return agent in self.agents and action in self.actions
-
 
 def sent_channels(phase: int, n: int, source: str) -> range:
     """The registers a round of `phase` sends, and so the channels Eve can tap.

@@ -362,11 +362,13 @@ def _etas(n: int, m: int, decimal: bool = False) -> dict:
 
 def _cell_value(value):
     """A swept value as the report renders it: a secret in hex, a fixed lie
-    as its MSB-first bit string."""
+    as its MSB-first bit string, a tuple as a list."""
     if isinstance(value, bytes):
         return value.hex()
     if isinstance(value, BitVector):
         return str(value)
+    if isinstance(value, tuple):
+        return list(value)
     return value
 
 
@@ -378,12 +380,13 @@ def cmd_sweep(args) -> int:
     rows = []
     with out as fh:
         for cell_idx, cell in enumerate(_sweep_cells(rc)):
-            row = {f"cell.{k}": _cell_value(v) for k, v in sorted(cell.items())}
+            shown = {k: _cell_value(v) for k, v in sorted(cell.items())}
+            row = {f"cell.{k}": v for k, v in shown.items()}
             values = {**rc.values, **cell}
             try:
                 cfg, plan = _build_run(values)
             except ValueError as err:
-                print(f"warning: skipping cell {cell}: {err}", file=sys.stderr)
+                print(f"warning: skipping cell {shown}: {err}", file=sys.stderr)
                 rows.append({**row, "skipped": str(err)})
                 continue
             reports = _run_trials(cfg, plan, trials, seed, values["secret"],

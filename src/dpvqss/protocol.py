@@ -15,8 +15,9 @@ Phase 3 (consolidation): every unordered pair of agents runs an
 independent Bell-pair exchange.  The n(n-1)/2 exchanges are one batch of
 n(n-1)/2 * m positions, drawn at once, with a decoy check per pair; a
 single parallel round carries all n(n-1) directed reports, after which
-each agent robustly decodes his n collected shares; agents who collected
-the same shares share one decode and, in the report, one rendering.
+each agent robustly decodes his n collected shares, his view: one
+`decode_views` call decodes the distinct views, sharing one interpolation,
+and the report renders each distinct (agent, claim) token once.
 
 The secret, registers, slices, reports and shares are plain ints from
 the input bytes to the report: the aggregated secret and every register
@@ -44,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import xor
 
@@ -63,10 +64,10 @@ from .bitvec import BitVector
 from .entangle import distribute, insert_decoys, transmit, verify_decoys
 from .metrics import efficiency_report
 from .threshold import (
-    AmbiguousDecodeError,
     SplitConfig,
+    decode_views,
     pack,
-    robust_decode,
+    robust_decode,  # noqa: F401  benchmarks/tracing.py wraps it here
     share_token,
     split,
 )
@@ -183,13 +184,14 @@ class RunReport:
 
     def to_dict(self) -> dict:
         cfg = self.config
-        # Agents with one view share its tokens, rendered once.
+        # Each distinct view and each distinct (agent, claim) token render once.
+        render = cache(share_token)
         tokens: dict[tuple[int, ...], list[str]] = {}
         agents = {}
         for a in self.agents:
             view = a.claimed_shares
             if view not in tokens:
-                tokens[view] = [share_token(j, claim, cfg.m)
+                tokens[view] = [render(j, claim, cfg.m)
                                 for j, claim in enumerate(view)]
             agents[str(a.index)] = a.to_dict(self.secret, cfg, tokens[view])
         return {
@@ -206,12 +208,18 @@ class RunReport:
             "detection_events": self.detection_events,
             "agents": agents,
             "rounds": self.transcript.summary(),
-            "metrics": efficiency_report(cfg.n, cfg.m).to_dict(),
+            "metrics": _metrics_block(cfg.n, cfg.m),
             "leakage": self.leakage,
         }
 
     def to_json_line(self) -> str:
         return canonical_json(self.to_dict())
+
+
+@lru_cache(maxsize=1024)
+def _metrics_block(n: int, m: int) -> dict:
+    """The "metrics" block every report of size (n, m) shares, unmutated."""
+    return efficiency_report(n, m).to_dict()
 
 
 def canonical_json(obj) -> str:
@@ -350,7 +358,7 @@ def phase2_verify(cfg: ProtocolConfig, agent_inputs, s: int,
 def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
                        rng, transcript: Transcript, detection: list[dict]):
     """All n(n-1)/2 pairwise exchanges as one draw, one parallel round of
-    n(n-1) reports, then robust decoding once per distinct view.
+    n(n-1) reports, then one `decode_views` call on the distinct views.
 
     Returns the agent results.
     """
@@ -361,10 +369,11 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
     # oracle liars a falsified vector (fresh per pair in random mode).
     # Pair q's two embeddings are bits q*m .. q*m+m-1 of the phase words.
     words = [0, 0]
+    oracle_liars = _liars(plan.rogues, "lie_phase3_oracle")
     for q, pair in enumerate(pairs):
         for side, agent in enumerate(pair):
             vec = agent_inputs[agent]
-            if plan.rogues.lies(agent, "lie_phase3_oracle"):
+            if agent in oracle_liars:
                 vec ^= _lie_delta(plan.rogues, vec, m, rng)
             words[side] |= vec << (q * m)
     registers = _run_quantum_round(
@@ -395,20 +404,11 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
             views[i][j] ^= _lie_delta(plan.rogues, out_j, m, rng)
     transcript.add("phase3", "classical", n * (n - 1))
 
-    # Agents with one view share its decode.
-    split_cfg = cfg.split_config
-    decoded: dict[tuple[int, ...], tuple] = {}
+    views = [tuple(view) for view in views]
+    decoded = decode_views(list(dict.fromkeys(views)), cfg.split_config, m)
     results = []
-    for i in range(n):
-        view = tuple(views[i])
-        if view not in decoded:
-            try:
-                decoded[view] = (view, *robust_decode(view, split_cfg, m))
-            except AmbiguousDecodeError as err:
-                # Keep the support only: a kept exception would hold this
-                # frame through its traceback.
-                decoded[view] = view, None, err.support
-        view, secret, support = decoded[view]
+    for i, view in enumerate(views):
+        secret, support = decoded[view]
         res = AgentResult(i, i not in plan.rogues.agents, s_i=agent_inputs[i],
                           claimed_shares=view, reconstructed=secret,
                           support=support, ambiguous=secret is None)

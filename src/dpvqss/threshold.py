@@ -5,9 +5,10 @@ elements; agent i's share evaluates per-element random polynomials at
 x = i + 1.  Each is one packed int, element 0 in its least significant w
 bits, so a secret's bytes read big-endian are already packed.  `split`
 returns the n shares; `robust_decode` takes the n claimed shares (claims),
-one per agent in agent order, and it and `reconstruct` return the secret.
-`Share` labels one claim with its agent and width at the API edge only
-(`reconstruct` from any k shares, demos, tests).
+one per agent in agent order, and it and `reconstruct` return the secret;
+`decode_views` decodes many claim lists (views) at once.  `Share` labels
+one claim with its agent and width at the API edge only (`reconstruct`
+from any k shares, demos, tests).
 
 Every interpolation is `GF.combine`: multiplying each w-bit element of a
 claim by one field constant maps each byte through a 256-entry table, so
@@ -357,7 +358,7 @@ def robust_decode(
     _check_claims(claims, cfg, m)
     n, k, w, gf = cfg.n, cfg.k, cfg.w, cfg.field
     radius = (n - k) // 2
-    secret, support = _candidate(claims, range(k), cfg)
+    secret, (support,) = _candidate((claims,), range(k), cfg)
     if support >= n - radius:
         return secret, support
 
@@ -380,6 +381,33 @@ def robust_decode(
         return pack(elements, w), n - len(missed)
 
     return _exhaustive_decode(claims, cfg)
+
+
+def decode_views(views: Sequence[tuple[int, ...]], cfg: SplitConfig,
+                 m: int) -> dict[tuple[int, ...], tuple[int | None, int]]:
+    """`robust_decode` of each view (n claims), keyed by the view; an
+    ambiguous view maps to (None, its tied support).  A candidate with
+    support >= n - r is what `robust_decode` returns, whichever k claims it
+    came from (see there), so one interpolation from the first k positions
+    alike in every view decodes each view it fits that well; only the
+    others decode alone.
+    """
+    for view in views:
+        _check_claims(view, cfg, m)
+    decoded = {}
+    agreed = [j for j, column in enumerate(zip(*views)) if len(set(column)) == 1]
+    if len(agreed) >= cfg.k:
+        secret, supports = _candidate(views, agreed[:cfg.k], cfg)
+        for view, support in zip(views, supports):
+            if support >= cfg.n - (cfg.n - cfg.k) // 2:
+                decoded[view] = secret, support
+    for view in views:
+        if view not in decoded:
+            try:
+                decoded[view] = robust_decode(view, cfg, m)
+            except AmbiguousDecodeError as err:
+                decoded[view] = None, err.support
+    return decoded
 
 
 def _berlekamp_welch(
@@ -450,17 +478,19 @@ def _solve(rows: list[list[int]], cols: int, gf: GF) -> list[int] | None:
     return solution
 
 
-def _candidate(claims: Sequence[int], subset: Sequence[int],
-               cfg: SplitConfig) -> tuple[int, int]:
-    """Interpolate from the claims of the agents in `subset` (k of them);
-    returns the secret and the number of claims the polynomials fit."""
+def _candidate(views: Sequence[Sequence[int]], subset: Sequence[int],
+               cfg: SplitConfig) -> tuple[int, list[int]]:
+    """Interpolate from the claims of the agents in `subset` (k of them,
+    alike in every view); returns the secret and, per view, the number of
+    its claims the polynomials fit."""
     # The subset's own claims are its interpolation nodes, so they always
     # agree; the others are checked, and the last row interpolates the secret.
     others = [j for j in range(cfg.n) if j not in subset]
     rows = _lagrange_rows(cfg.w, tuple(i + 1 for i in subset),
                           (*(j + 1 for j in others), 0))
-    *predicted, secret = cfg.field.combine(rows, [claims[i] for i in subset])
-    return secret, cfg.k + sum(p == claims[j] for p, j in zip(predicted, others))
+    *predicted, secret = cfg.field.combine(rows, [views[0][i] for i in subset])
+    return secret, [cfg.k + sum(p == view[j] for p, j in zip(predicted, others))
+                    for view in views]
 
 
 def _exhaustive_decode(claims: Sequence[int], cfg: SplitConfig) -> tuple[int, int]:
@@ -469,7 +499,7 @@ def _exhaustive_decode(claims: Sequence[int], cfg: SplitConfig) -> tuple[int, in
     best_support = -1
     best_secrets: set[int] = set()
     for subset in combinations(range(cfg.n), cfg.k):
-        secret, support = _candidate(claims, subset, cfg)
+        secret, (support,) = _candidate((claims,), subset, cfg)
         if support == cfg.n:
             # Consistent with every claim: nothing can beat it, and any
             # other full-support subset interpolates the same polynomial.

@@ -21,7 +21,7 @@ from dpvqss.adversary import (
 from dpvqss.adversary import _separating_share
 from dpvqss.bitvec import BitVector
 from dpvqss.entangle import _read_law
-from dpvqss.protocol import ProtocolConfig, random_secret, run_protocol
+from dpvqss.protocol import ProtocolConfig, _liars, random_secret, run_protocol
 from dpvqss.qsim import dense_outcomes
 from audit_reference import reference_audit, view_distribution
 from stabilizer_reference import in_span
@@ -155,12 +155,11 @@ class TestRogues:
                 plan.validate(cfg)
 
     def test_honest_messages_untouched(self):
-        # A run falsifies exactly the messages of (agent, action) pairs that
-        # `lies` names.
+        # A run falsifies exactly the messages of the agents that `_liars`
+        # names for an action.
         behavior = RogueBehavior((2,), ("lie_phase2_report",))
-        assert behavior.lies(2, "lie_phase2_report")
-        assert not behavior.lies(1, "lie_phase2_report")
-        assert not behavior.lies(2, "lie_phase1_comms")
+        assert _liars(behavior, "lie_phase2_report") == [2]
+        assert _liars(behavior, "lie_phase1_comms") == []
 
     def test_bit_flip_changes_exactly_one_bit(self):
         rng = np.random.default_rng(71)

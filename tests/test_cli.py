@@ -239,10 +239,10 @@ class TestRun:
         assert "Traceback" not in captured.err
 
     def test_trial_errors_propagate(self, tmp_path, capsys, monkeypatch):
-        def broken_decode(claims, cfg, m):
+        def broken_decode(views, cfg, m):
             raise ValueError("decoder defect")
 
-        monkeypatch.setattr("dpvqss.protocol.robust_decode", broken_decode)
+        monkeypatch.setattr("dpvqss.protocol.decode_views", broken_decode)
         cfg = write(tmp_path, "honest.cfg", HONEST_CFG)
         with pytest.raises(ValueError, match="decoder defect"):
             main(["run", cfg, "--trials", "2"])
@@ -409,10 +409,10 @@ sweep.protocol.m = 4,6,8
 
     def test_trial_errors_are_not_skipped_cells(self, tmp_path, capsys,
                                                 monkeypatch):
-        def broken_decode(claims, cfg, m):
+        def broken_decode(views, cfg, m):
             raise ValueError("decoder defect")
 
-        monkeypatch.setattr("dpvqss.protocol.robust_decode", broken_decode)
+        monkeypatch.setattr("dpvqss.protocol.decode_views", broken_decode)
         text = """
 protocol.n = 3
 protocol.k = 2
@@ -508,6 +508,35 @@ sweep.protocol.m = 8,16
         else:
             rows = list(csv.DictReader(io.StringIO(out)))
         assert [row[column] for row in rows] == values
+
+    @pytest.mark.parametrize("fmt, values", [
+        ("json", [[1], [3]]), ("csv", ["[1]", "[3]"]),
+    ])
+    def test_swept_tuples_render_as_lists(self, tmp_path, capsys, fmt,
+                                          values):
+        # CSV read "(1,)", Python's repr of the parsed tuple.
+        text = ("protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n"
+                "trials = 2\nadversary.eve.kind = measure_resend\n"
+                "sweep.adversary.eve.phases = 1,3\n")
+        cfg = write(tmp_path, "sweep.cfg", text)
+        assert main(["sweep", cfg, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            rows = [json.loads(ln) for ln in out.splitlines()]
+        else:
+            rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["cell.adversary.eve.phases"] for row in rows] == values
+
+    def test_skip_warning_shows_rendered_values(self, tmp_path, capsys):
+        # The warning read {'secret': b'\xaa\xbb'} while the row read aabb.
+        text = ("protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n"
+                "trials = 2\nsweep.secret = aa,aabb\n")
+        cfg = write(tmp_path, "sweep.cfg", text)
+        kept, skipped, warnings = sweep_with_skips(capsys, cfg)
+        assert [r["cell.secret"] for r in kept] == ["aa"]
+        assert [r["cell.secret"] for r in skipped] == ["aabb"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: skipping cell {'secret': 'aabb'}: ")
 
 class TestMetricsAndReport:
     def test_metrics_table(self, capsys):
@@ -620,6 +649,12 @@ PINNED_CONFIGS = {
                   "protocol.decoys = 16\n"
                   "adversary.eve.kind = intercept_resend\n"
                   "adversary.eve.basis = random\nadversary.eve.phases = 1,2,3\n"),
+    # A liar at agent 0 spoils every view's first k claims.
+    "liar_first": ("protocol.n = 15\nprotocol.k = 8\nprotocol.m = 16\n"
+                   "adversary.rogues.agents = 0\n"
+                   "adversary.rogues.actions = "
+                   "lie_phase3_oracle,lie_phase3_report\n"
+                   "adversary.rogues.mode = random\n"),
 }
 
 
@@ -634,7 +669,8 @@ class TestPinnedReports:
         ("liar", "3d5f67c1be65e0dc"),
         ("eve_tap", "6dd76227c4897baa"),
         ("eve_decoy", "a10259ba71c30dc0"),
-    ], ids=["honest", "liar", "eve_tap", "eve_decoy"])
+        ("liar_first", "c083b5d08ab057e9"),
+    ], ids=["honest", "liar", "eve_tap", "eve_decoy", "liar_first"])
     def test_report_digest(self, tmp_path, name, digest):
         cfg = write(tmp_path, f"{name}.cfg", PINNED_CONFIGS[name])
         out = tmp_path / "runs.jsonl"

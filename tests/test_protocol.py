@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from dpvqss import protocol
+from dpvqss import protocol, threshold
 from dpvqss.adversary import AdversaryPlan, EveStrategy, RogueBehavior
 from dpvqss.bitvec import BitVector
 from dpvqss.protocol import (
@@ -332,13 +332,13 @@ class TestDecodeOncePerView:
     @staticmethod
     def counting(monkeypatch):
         calls = []
-        decode = protocol.robust_decode
+        decode = protocol.decode_views
 
-        def counted(claims, cfg, m):
-            calls.append(claims)
-            return decode(claims, cfg, m)
+        def counted(views, cfg, m):
+            calls.append(list(views))
+            return decode(views, cfg, m)
 
-        monkeypatch.setattr(protocol, "robust_decode", counted)
+        monkeypatch.setattr(protocol, "decode_views", counted)
         return calls
 
     def test_honest_trial_decodes_once(self, monkeypatch):
@@ -347,7 +347,31 @@ class TestDecodeOncePerView:
         rng = np.random.default_rng(102)
         rep = run_protocol(cfg, random_secret(cfg, rng), HONEST, rng=rng)
         assert rep.verdict == "proceed"
-        assert len(calls) == 1
+        assert calls == [[rep.agents[0].claimed_shares]]
+
+    @pytest.mark.parametrize("liar", [0, 14])
+    def test_one_liar_at_n15_needs_no_berlekamp_welch(self, monkeypatch,
+                                                      liar):
+        # A liar at agent 0 spoils every view's first k claims.  At either
+        # end, one interpolation from the first k positions alike in every
+        # view decodes every view: no element goes through Berlekamp-Welch.
+        solves = []
+        solve = threshold._berlekamp_welch
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(threshold, "_berlekamp_welch", counted)
+        cfg = ProtocolConfig(n=15, k=8, m=16)
+        plan = AdversaryPlan(rogues=RogueBehavior(
+            (liar,), ("lie_phase3_oracle", "lie_phase3_report")))
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            rep = run_protocol(cfg, random_secret(cfg, rng), plan, rng=rng)
+            assert all(a.reconstructed == rep.secret
+                       for a in rep.agents if a.loyal)
+        assert solves == []
 
     @staticmethod
     def check_views(rep, plan):
@@ -376,8 +400,9 @@ class TestDecodeOncePerView:
             rng = np.random.default_rng(seed)
             del calls[:]
             rep = run_protocol(cfg, random_secret(cfg, rng), plan, rng=rng)
-            views = {tuple(a.claimed_shares) for a in rep.agents}
-            assert len(calls) == len(views)
+            # One call per trial, each distinct view once, in agent order.
+            views = dict.fromkeys(a.claimed_shares for a in rep.agents)
+            assert calls == [list(views)]
             self.check_views(rep, plan)
             events = []
             for a in rep.agents:
@@ -403,8 +428,9 @@ class TestClaimTokens:
     @pytest.mark.parametrize("name", ["honest", *sorted(DECODE_GRID)])
     def test_tokens_render_claims_without_shares(self, monkeypatch, name):
         # No Share is built while a trial runs or its report renders, each
-        # distinct view renders its n tokens once (n on an honest trial, not
-        # n^2), and every token equals the one Share.token gives.
+        # distinct (agent, claim) token renders once across the views (n on
+        # an honest trial, not n^2), and every token equals the one
+        # Share.token gives.
         cfg, plan = ((ProtocolConfig(n=5, k=3, m=16), HONEST)
                      if name == "honest" else DECODE_GRID[name])
         built, rendered = [], []
@@ -415,7 +441,7 @@ class TestClaimTokens:
             init(self, *args, **kwargs)
 
         def counted_render(index, bits, m):
-            rendered.append(index)
+            rendered.append((index, bits))
             return render(index, bits, m)
 
         monkeypatch.setattr(Share, "__init__", counted_init)
@@ -428,8 +454,11 @@ class TestClaimTokens:
             agents = rep.to_dict()["agents"]
             assert built == []
             views = {a.claimed_shares for a in rep.agents}
-            assert len(rendered) == cfg.n * len(views)
+            claims = {(j, claim) for view in views
+                      for j, claim in enumerate(view)}
+            assert sorted(rendered) == sorted(claims)
             assert len(views) == 1 or name != "honest"
+            assert len(rendered) == cfg.n or name != "honest"
             for a in rep.agents:
                 expect = [Share.from_bits(claim, cfg.m, j, cfg.w).token()
                           for j, claim in enumerate(a.claimed_shares)]

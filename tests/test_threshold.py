@@ -11,6 +11,7 @@ from dpvqss.threshold import (
     Share,
     ShareIntegrityError,
     SplitConfig,
+    decode_views,
     pack,
     reconstruct,
     robust_decode,
@@ -301,6 +302,113 @@ class TestRobustDecode:
                 robust_decode(claims, cfg, 16)
         with pytest.raises(ShareIntegrityError):
             robust_decode(shares, cfg, 12)  # not a multiple of w
+
+
+# Every (n, k) that SplitConfig accepts with n <= 9.
+SIZES = [(n, k) for n in range(2, 10) for k in range(n // 2 + 1, n + 1)]
+
+
+class TestDecodeViews:
+    """`decode_views` returns, per view, what `robust_decode` returns on it:
+    (secret, support), or (None, support) where it raises
+    AmbiguousDecodeError."""
+
+    @staticmethod
+    def check(views, cfg, m):
+        views = list(dict.fromkeys(views))
+        expect = {}
+        for view in views:
+            try:
+                expect[view] = robust_decode(view, cfg, m)
+            except AmbiguousDecodeError as err:
+                expect[view] = None, err.support
+        assert decode_views(views, cfg, m) == expect
+        return expect
+
+    @staticmethod
+    def shares(cfg, m, rng):
+        return split(int(rng.integers(0, 1 << m)), cfg, m, rng)
+
+    @pytest.mark.parametrize("n, k", SIZES)
+    def test_one_random_liar_at_each_index(self, n, k):
+        # As in phase 3: every other agent holds a fresh lie for the liar's
+        # claim, and the liar holds every true share.
+        cfg, m = SplitConfig(k, n, 4), 8
+        rng = np.random.default_rng([40, n, k])
+        for liar in range(n):
+            claims = self.shares(cfg, m, rng)
+            views = []
+            for i in range(n):
+                view = list(claims)
+                if i != liar:
+                    view[liar] = int(rng.integers(0, 1 << m))
+                views.append(tuple(view))
+            self.check(views, cfg, m)
+
+    @pytest.mark.parametrize("n, k", SIZES)
+    def test_fixed_colluders_at_the_tie_and_past_the_radius(self, n, k):
+        # t = r + 1 and r + 2 colluders, first or last, claim one fake
+        # polynomial that meets the true one on `a` honest positions; the
+        # loyal agents hold those claims, each colluder every true share.
+        # With a = n - 2t the two polynomials tie at support n - t.
+        cfg, m = SplitConfig(k, n, 4), 8
+        gf, radius = cfg.field, (n - k) // 2
+        rng = np.random.default_rng([41, n, k])
+        ties = 0
+        for t in range(radius + 1, min(radius + 2, n - 1) + 1):
+            for colluders in (range(t), range(n - t, n)):
+                honest = [j for j in range(n) if j not in colluders]
+                for a in range(max(0, k - t), min(k - 1, len(honest)) + 1):
+                    claims = self.shares(cfg, m, rng)
+                    nodes = honest[:a] + list(colluders)[:k - a]
+                    values = [claims[j] if j in honest else
+                              int(rng.integers(0, 1 << m)) for j in nodes]
+                    rows = threshold._lagrange_rows(
+                        4, tuple(j + 1 for j in nodes),
+                        tuple(j + 1 for j in colluders))
+                    fake = dict(zip(colluders, gf.combine(rows, values)))
+                    loyal = tuple(fake.get(j, c) for j, c in enumerate(claims))
+                    got = self.check([loyal, tuple(claims)], cfg, m)
+                    if a == n - 2 * t and any(fake[j] != claims[j]
+                                              for j in colluders):
+                        assert got[loyal] == (None, n - t)
+                        ties += 1
+        assert ties or n == k
+
+    @pytest.mark.parametrize("n, k", SIZES)
+    def test_views_agreeing_on_fewer_than_k_positions(self, n, k):
+        # View i falsifies the e claims from position i on, for the first
+        # v views: every position is falsified somewhere (v = n), or only
+        # the last k - 1 positions are alike in all views (v = n - k + 1).
+        cfg, m = SplitConfig(k, n, 4), 8
+        rng = np.random.default_rng([42, n, k])
+        for e in (1, (n - k) // 2 + 1):
+            for v in (n, n - k + 1):
+                claims = self.shares(cfg, m, rng)
+                views = []
+                for i in range(v):
+                    view = list(claims)
+                    for j in range(i, i + e):
+                        view[j % n] ^= int(rng.integers(1, 1 << m))
+                    views.append(tuple(view))
+                self.check(views, cfg, m)
+
+    def test_agreed_prediction_decodes_without_robust_decode(self,
+                                                             monkeypatch):
+        # One liar at agent 0 of n = 9 spoils each view's first k claims;
+        # the k claims alike in every view decode them all.
+        cfg, m = SplitConfig(5, 9, 8), 16
+        rng = np.random.default_rng(43)
+        claims = split(0xBEEF, cfg, m, rng)
+        views = [(claims[0],) + tuple(claims[1:])]
+        views += [(claims[0] ^ (i + 1),) + tuple(claims[1:]) for i in range(8)]
+
+        def refuse(claims, cfg, m):
+            raise AssertionError("a view decoded alone")
+
+        monkeypatch.setattr(threshold, "robust_decode", refuse)
+        assert decode_views(views, cfg, m) == {
+            view: (0xBEEF, 9 - (view[0] != claims[0])) for view in views}
 
 
 class TestShareEncoding:
