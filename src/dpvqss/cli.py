@@ -11,9 +11,11 @@ Config files are flat key=value text with dotted sections::
 Unknown keys are rejected by name.  Sweeps add `sweep.<key> = v1,v2,...`
 entries whose cross-product defines the grid; seed, trials, out and audit
 cannot be swept, and a sweep config cannot set audit.  A cell that fails
-validation becomes a `skipped` row naming the error.  Every subcommand is
-deterministic under a fixed --seed; exit codes are 0 (success), 1 (error),
-and 2 (a protocol abort was observed by `run`).
+validation becomes a `skipped` row naming the error.  `oracle-check`
+compares the sampler's exact outcome law of an honest round with the dense
+reference's Born probabilities, entry by entry, and draws no samples.
+Every subcommand is deterministic under a fixed --seed; exit codes are 0
+(success), 1 (error), and 2 (a protocol abort was observed by `run`).
 """
 
 from __future__ import annotations
@@ -23,20 +25,16 @@ import csv
 import io
 import json
 import sys
-from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
-from operator import xor
 
 import numpy as np
 
-from . import __version__
+from . import __version__, entangle
 from .adversary import AdversaryPlan, EveStrategy, RogueBehavior
 from .bitvec import BitVector, CapacityError
-from .entangle import sample_idpqc_outcomes
-from .metrics import chi_square_homogeneity, efficiency_report, empirical_stats
+from .metrics import efficiency_report, empirical_stats
 from .protocol import (
     RUN_SCHEMA,
     ProtocolConfig,
@@ -45,11 +43,13 @@ from .protocol import (
     run_protocol,
     secret_length,
 )
-from .qsim import dense_outcomes, dense_state
+from .qsim import dense_state
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_ABORT_OBSERVED = 2
+# Largest gap oracle-check allows between two exact probabilities.
+ORACLE_TOLERANCE = 1e-12
 
 
 class ConfigError(ValueError):
@@ -60,11 +60,16 @@ def _parse_int(text):
     return int(text, 0)
 
 
-def _parse_trials(text):
-    trials = int(text, 0)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    return trials
+def _at_least_one(name):
+    def parse(text):
+        value = int(text, 0)
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+        return value
+    return parse
+
+
+_parse_trials = _at_least_one("trials")
 
 
 def _parse_seed(text):
@@ -278,59 +283,63 @@ def cmd_run(args) -> int:
     return EXIT_ABORT_OBSERVED if any_abort else EXIT_OK
 
 
-def _pack_outcome(registers, p: int) -> int:
-    return sum(reg << (i * p) for i, reg in enumerate(registers))
+def _sampler_law(n: int, p: int, s: int) -> np.ndarray:
+    """The sampler's exact law of an honest distribution round, indexed as
+    the dense reference packs its registers (register i at bits i*p ..).
 
-
-def oracle_check_case(n, m, shots, secrets, seed, dump=False):
-    """Compare dense-reference and sampler outcome distributions for honest
-    rounds.
-
-    The violation count is the number of dense shots whose register XOR
-    misses the secret (the sampler's support is that constraint set by
-    construction, so any nonzero count is a support violation).
+    One position's support is the image of `_read_law` over every draw; the
+    law is XOR-linear in the draws, so it is uniform on that image.  The
+    positions draw independently, and the secret's bit at each position
+    flips register n there.
     """
+    r = n + 1
+    support = np.zeros(1 << r)
+    for draws in product((0, 1), repeat=r + 1):
+        registers = entangle._read_law(r, 1, [], iter(draws))
+        support[sum(bit << i for i, bit in enumerate(registers))] = 1
+    support /= support.sum()
+    index = np.arange(1 << (r * p))
+    law = np.ones(len(index))
+    for j in range(p):
+        pattern = sum(((index >> (i * p + j)) & 1) << i for i in range(r))
+        law *= support[pattern ^ ((s >> j & 1) << n)]
+    return law
+
+
+def oracle_check_case(n, m, secrets, seed, dump=False):
+    """The largest gap, per secret, between the dense reference's Born
+    probabilities of an honest distribution round's registers (summed over
+    the |-> target) and the sampler's exact law; raises CapacityError past
+    the dense bound."""
     rng = np.random.default_rng([seed, n, m])
     results = []
     p = n * m
     for idx in range(secrets):
         secret = BitVector.random(p, rng)
-        s = secret.value
+        state, _ = dense_state(n + 1, p, phase_bits={n: secret.value})
         if dump and idx == 0:
-            print(dense_state(n + 1, p, phase_bits={n: s})[0].dump())
-        oracle_counts: Counter = Counter()
-        violations = 0
-        for out in dense_outcomes(n + 1, p, {n: s}, shots, rng):
-            if reduce(xor, out.registers) != s:
-                violations += 1
-            oracle_counts[_pack_outcome(out.registers, p)] += 1
-        sampler_counts: Counter = Counter()
-        for _ in range(shots):
-            out = sample_idpqc_outcomes(s, n, m, rng)
-            sampler_counts[_pack_outcome(out.registers, p)] += 1
-        p_value = chi_square_homogeneity(oracle_counts, sampler_counts)
-        results.append({
-            "secret": str(secret), "violations": violations, "p_value": p_value,
-        })
+            print(state.dump())
+        # The |-> target is the top qubit: summing it out adds the two halves.
+        born = (np.abs(state.amps) ** 2).reshape(2, -1).sum(axis=0)
+        law = _sampler_law(n, p, secret.value)
+        results.append({"secret": str(secret),
+                        "max_deviation": float(np.max(np.abs(born - law)))})
     return results
 
 
 def cmd_check_oracle(args) -> int:
     try:
-        results = oracle_check_case(args.n, args.m, args.shots,
-                                    args.secrets, args.seed, dump=args.dump)
+        results = oracle_check_case(args.n, args.m, args.secrets, args.seed,
+                                    dump=args.dump)
     except CapacityError as err:
         return _error(err)
     ok = True
     for res in results:
-        passed = res["violations"] == 0 and res["p_value"] > 0.001
+        passed = res["max_deviation"] <= ORACLE_TOLERANCE
         ok = ok and passed
-        print(
-            f"secret={res['secret']} violations={res['violations']} "
-            f"p={res['p_value']:.6f} {'PASS' if passed else 'FAIL'}"
-        )
-    print(f"oracle-check n={args.n} m={args.m} shots={args.shots}: "
-          f"{'PASS' if ok else 'FAIL'}")
+        print(f"secret={res['secret']} max_deviation={res['max_deviation']:.3e} "
+              f"{'PASS' if passed else 'FAIL'}")
+    print(f"oracle-check n={args.n} m={args.m}: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_ERROR
 
 
@@ -466,10 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-check",
         help="certify the sampler against the dense statevector reference",
     )
-    p_oc.add_argument("--n", type=int, required=True)
-    p_oc.add_argument("--m", type=int, required=True)
-    p_oc.add_argument("--shots", type=int, default=20_000)
-    p_oc.add_argument("--secrets", type=int, default=4)
+    p_oc.add_argument("--n", type=_flag(_at_least_one("n")), required=True)
+    p_oc.add_argument("--m", type=_flag(_at_least_one("m")), required=True)
+    p_oc.add_argument("--secrets", type=_flag(_at_least_one("secrets")),
+                      default=4)
     p_oc.add_argument("--seed", type=_flag(_parse_seed), default=0)
     p_oc.add_argument("--dump", action="store_true",
                       help="print the pre-measurement state of the first case")

@@ -253,10 +253,3 @@ def verify_decoys(
     mismatches = int(rng.binomial(disturbed, 0.5))
     return mismatches, ("abort" if mismatches else "proceed")
 
-
-def sample_idpqc_outcomes(s: int, n: int, m: int, rng) -> RoundOutcome:
-    """One honest information-distribution round: registers b_0..b_{n-1}, then
-    a, uniform over all tuples with a XOR b_{n-1} XOR ... XOR b_0 = s; every
-    proper subset is marginally uniform."""
-    batch = distribute(n + 1, n * m, transmitted=range(n), encoders=(n,))
-    return batch.encode_and_measure({n: s}, rng)

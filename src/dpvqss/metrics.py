@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 def eta1(n: int, m: int) -> Fraction:
@@ -70,80 +69,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def chi_square_homogeneity(
-    counts_a: Mapping[int, int], counts_b: Mapping[int, int]
-) -> float:
-    """Two-sample chi-square test that two count tables share a distribution.
-
-    Returns the p-value; cells are pooled across both samples.
-    """
-    cells = set(counts_a) | set(counts_b)
-    total_a = sum(counts_a.values())
-    total_b = sum(counts_b.values())
-    if total_a == 0 or total_b == 0:
-        raise ValueError("both samples must be nonempty")
-    grand = total_a + total_b
-    stat = 0.0
-    used_cells = 0
-    for cell in cells:
-        oa = counts_a.get(cell, 0)
-        ob = counts_b.get(cell, 0)
-        pooled = (oa + ob) / grand
-        ea = pooled * total_a
-        eb = pooled * total_b
-        if ea > 0:
-            stat += (oa - ea) ** 2 / ea
-        if eb > 0:
-            stat += (ob - eb) ** 2 / eb
-        used_cells += 1
-    dof = used_cells - 1
-    if dof <= 0:
-        return 1.0
-    return chi2_sf(stat, dof)
-
-
-def chi2_sf(stat: float, dof: int) -> float:
-    """Chi-square survival function: the regularised upper incomplete gamma
-    function Q(dof/2, stat/2).
-
-    Below x = a + 1 it sums the series for P = 1 - Q (Q stays above 0.08
-    there, so the subtraction loses little); above, it evaluates the
-    continued fraction for Q by the modified Lentz method (Numerical
-    Recipes, section 6.2).
-    """
-    if dof < 1:
-        raise ValueError(f"need dof >= 1, got {dof}")
-    if stat <= 0:
-        return 1.0
-    a, x = dof / 2, stat / 2
-    front = math.exp(a * math.log(x) - x - math.lgamma(a))
-    if x < a + 1:
-        term = total = 1 / a
-        denom = a
-        while term > total * 1e-17:
-            denom += 1
-            term *= x / denom
-            total += term
-        return 1.0 - front * total
-    tiny = 1e-300
-    b = x + 1 - a
-    c, d = 1 / tiny, 1 / b
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (i - a)
-        b += 2
-        d = an * d + b
-        d = 1 / (d if abs(d) > tiny else tiny)
-        c = b + an / c
-        c = c if abs(c) > tiny else tiny
-        step = d * c
-        h *= step
-        if abs(step - 1) < 1e-16:
-            break
-    return front * h
-
-
-# Statistic fields aggregated out of RunReport dictionaries.
 class MixedConfigError(ValueError):
     """empirical_stats refuses batches that mix configurations."""
 

@@ -3,10 +3,11 @@
 The protocol never builds a statevector: it samples its entangled rounds
 from a closed-form GHZ read law and checks its decoys against another
 closed-form read law (see `entangle`), and no protocol module imports this
-one.  `dense_state` and `dense_outcomes` run whole rounds on a statevector:
-they are the exact reference that tests and `oracle-check` compare the
-sampler against, and they take the sampler's taps: one read string per
-tapped channel.
+one.  `dense_state` and `dense_outcomes` run whole rounds on a statevector
+and take the sampler's taps: one read string per tapped channel.  They are
+the exact reference the sampler is checked against: `oracle-check` compares
+`dense_state`'s Born probabilities with the sampler's exact law, and tests
+and demos also Born-sample it through `dense_outcomes`.
 
 Conventions:
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from dpvqss import entangle
 from dpvqss.cli import (
     ConfigError,
     main,
@@ -273,9 +274,10 @@ class TestRun:
 class TestOracleCheck:
     def test_small_cases_pass(self, capsys):
         code = main(["oracle-check", "--n", "2", "--m", "1",
-                     "--shots", "4000", "--secrets", "2", "--seed", "3"])
+                     "--secrets", "2", "--seed", "3"])
         out = capsys.readouterr().out
         assert code == 0
+        assert out.count("max_deviation=") == 2
         assert "PASS" in out
 
     def test_negative_seed_rejected(self, capsys):
@@ -292,10 +294,26 @@ class TestOracleCheck:
         assert code == 1
         assert "bound" in err
 
-    def test_case_function_reports_violations_and_p(self):
-        results = oracle_check_case(2, 1, 2000, 1, seed=5)
-        assert results[0]["violations"] == 0
-        assert results[0]["p_value"] > 0.001
+    def test_case_function_reports_max_deviation(self):
+        results = oracle_check_case(2, 1, 1, seed=5)
+        assert len(results) == 1
+        assert results[0]["max_deviation"] <= 1e-12
+
+    def test_a_wrong_law_fails_the_check(self, monkeypatch, capsys):
+        def without_xor_fixup(r, p, reads, draws):
+            # The read law with no taps, minus its fix-up of the last
+            # register: every register uniform and independent.
+            registers = [next(draws) for _ in range(r)]
+            next(draws)
+            return registers
+
+        monkeypatch.setattr(entangle, "_read_law", without_xor_fixup)
+        results = oracle_check_case(2, 1, 2, seed=5)
+        assert all(res["max_deviation"] > 1e-12 for res in results)
+        code = main(["oracle-check", "--n", "2", "--m", "1", "--secrets", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.splitlines()[-1].endswith("FAIL")
 
 
 class TestSweep:
@@ -615,11 +633,18 @@ class TestUsageErrors:
         ("sweep", ["--seed", "-1"], "seed must be nonnegative, got -1"),
         ("sweep", ["--trials", "-2"], "trials must be at least 1, got -2"),
         ("oracle-check", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+        ("oracle-check", ["--n", "0"], "n must be at least 1, got 0"),
+        ("oracle-check", ["--n", "-1"], "n must be at least 1, got -1"),
+        ("oracle-check", ["--m", "0"], "m must be at least 1, got 0"),
+        ("oracle-check", ["--secrets", "0"],
+         "secrets must be at least 1, got 0"),
     ], ids=["run_seed", "run_trials", "sweep_seed", "sweep_trials",
-            "oracle_check_seed"])
+            "oracle_check_seed", "oracle_check_n", "oracle_check_negative_n",
+            "oracle_check_m", "oracle_check_secrets"])
     def test_bad_flag_prints_its_reason(self, tmp_path, capsys, command, flag,
                                         reason):
         if command == "oracle-check":
+            # A later flag overrides the default --n or --m.
             argv = ["oracle-check", "--n", "2", "--m", "1", *flag]
         else:
             cfg = SWEEP_CFG if command == "sweep" else HONEST_CFG

@@ -17,12 +17,11 @@ from dpvqss.entangle import (
     _read_law,
     distribute,
     insert_decoys,
-    sample_idpqc_outcomes,
     transmit,
     verify_decoys,
 )
-from dpvqss.metrics import chi_square_homogeneity
 from dpvqss.qsim import StateVector, dense_outcomes, dense_state
+from chi_square import homogeneity_p
 from stabilizer_reference import echelon, in_span, outcome_law, uniform_law
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -65,12 +64,19 @@ class TestDistributeOracle:
             dense_state(5, 8, phase_bits={4: 0})
 
 
+def sample_idpqc(s, n, m, rng):
+    """One honest information-distribution round: registers b_0..b_{n-1},
+    then a, uniform over all tuples with a XOR b_{n-1} XOR ... XOR b_0 = s."""
+    batch = distribute(n + 1, n * m, transmitted=range(n), encoders=(n,))
+    return batch.encode_and_measure({n: s}, rng)
+
+
 class TestHonestSampler:
     def test_constraint_holds_in_every_draw(self):
         rng = np.random.default_rng(40)
         s = bv("1011")
         for _ in range(100_000):
-            out = sample_idpqc_outcomes(s, n=2, m=2, rng=rng)
+            out = sample_idpqc(s, n=2, m=2, rng=rng)
             assert xor_all(out.registers) == s
 
     def test_small_case_uniform_support(self):
@@ -78,7 +84,7 @@ class TestHonestSampler:
         counts = Counter()
         trials = 4000
         for _ in range(trials):
-            out = sample_idpqc_outcomes(bv("1"), n=1, m=1, rng=rng)
+            out = sample_idpqc(bv("1"), n=1, m=1, rng=rng)
             counts[(out.registers[1], out.registers[0])] += 1
         assert set(counts) == {(0, 1), (1, 0)}
         for c in counts.values():
@@ -88,7 +94,7 @@ class TestHonestSampler:
         rng = np.random.default_rng(42)
         s = 0
         for _ in range(200):
-            out = sample_idpqc_outcomes(s, n=3, m=2, rng=rng)
+            out = sample_idpqc(s, n=3, m=2, rng=rng)
             assert xor_all(out.registers[:3]) == out.registers[3]
 
 
@@ -141,12 +147,12 @@ class TestSamplerOracleEquivalence:
             assert violations == 0
             sampler_counts = Counter()
             for _ in range(shots):
-                out = sample_idpqc_outcomes(s, n, m, rng)
+                out = sample_idpqc(s, n, m, rng)
                 sampler_counts[outcome_key(out, n * m)] += 1
             # Dense support must sit inside the sampler's constraint set.
             support = set(sampler_counts)
             assert set(dense_counts) <= support
-            p = chi_square_homogeneity(dense_counts, sampler_counts)
+            p = homogeneity_p(dense_counts, sampler_counts)
             assert p > 0.001
 
     def test_subset_marginals_exactly_uniform(self):
@@ -171,7 +177,7 @@ class TestSamplerOracleEquivalence:
         for s in (bv("00"), bv("11")):
             counts = Counter()
             for _ in range(trials):
-                out = sample_idpqc_outcomes(s, n=1, m=2, rng=rng)
+                out = sample_idpqc(s, n=1, m=2, rng=rng)
                 counts[out.registers[0]] += 1
             dists.append({k: v / trials for k, v in counts.items()})
         tv = sum(
@@ -214,14 +220,14 @@ class TestTapPhysics:
         taps = tap.taps_for(1, [0])
         dense = self.dense_counts(taps, s, n, m, shots, rng)
         sampler = self.joint_counts(taps, s, n, m, shots, rng)
-        assert chi_square_homogeneity(dense, sampler) > 0.001
+        assert homogeneity_p(dense, sampler) > 0.001
 
     def test_entangle_tap_matches_oracle(self):
         rng = np.random.default_rng(49)
         s, n, m, shots = bv("10"), 2, 1, 8000
         dense = self.dense_counts({0: "entangle"}, s, n, m, shots, rng)
         sampler = self.joint_counts({0: "entangle"}, s, n, m, shots, rng)
-        assert chi_square_homogeneity(dense, sampler) > 0.001
+        assert homogeneity_p(dense, sampler) > 0.001
 
     @pytest.mark.parametrize(
         "taps",
@@ -238,7 +244,7 @@ class TestTapPhysics:
         s, n, m, shots = bv("10"), 2, 1, 4000
         dense = self.dense_counts(taps, s, n, m, shots, rng)
         sampler = self.joint_counts(taps, s, n, m, shots, rng)
-        assert chi_square_homogeneity(dense, sampler) > 0.001
+        assert homogeneity_p(dense, sampler) > 0.001
 
     @pytest.mark.parametrize("kind", ["measure_resend", "intercept_resend"])
     def test_measuring_taps_read_one_shared_vector(self, kind):
