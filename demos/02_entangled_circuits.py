@@ -22,7 +22,7 @@ print("onto the register, flipping |+> to |->:")
 sv = StateVector(2)
 sv.prepare_basis("+", 0)
 sv.prepare_basis("-", 1)
-sv.apply_phase_oracle(BitVector.from_string("1"), [0], 1)
+sv.apply_phase_oracle(1, [0], 1)
 print(sv.dump())
 print(f"register measured in the Hadamard basis: "
       f"{sv.measure_hadamard_basis(0, rng)}  (1 = |->)")

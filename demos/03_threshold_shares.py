@@ -7,10 +7,10 @@ import numpy as np
 from dpvqss.threshold import (
     AmbiguousDecodeError,
     FIELDS,
-    Share,
     SplitConfig,
     reconstruct,
     robust_decode,
+    share_token,
     split,
 )
 
@@ -20,17 +20,17 @@ rng = np.random.default_rng(3)
 print("== (2, 3) split of the nibble 0xA ==")
 cfg = SplitConfig(2, 3, 4)
 # split takes the secret and returns each agent's share as a packed m-bit
-# int; Share labels a share with its agent.
-shares = [Share.from_bits(claim, 4, i, 4)
-          for i, claim in enumerate(split(0xA, cfg, 4, rng))]
-for sh in shares:
-    print(f"  agent {sh.agent_index} holds {sh.token()}")
-print(f"any two reconstruct: {reconstruct(shares[:2], cfg):#x} "
-      f"== {reconstruct(shares[1:], cfg):#x}")
+# int; reconstruct takes any k of them keyed by agent.
+shares = split(0xA, cfg, 4, rng)
+for i, share in enumerate(shares):
+    print(f"  agent {i} holds {share_token(i, share, 4)}")
+first, last = {0: shares[0], 1: shares[1]}, {1: shares[1], 2: shares[2]}
+print(f"any two reconstruct: {reconstruct(first, cfg, 4):#x} "
+      f"== {reconstruct(last, cfg, 4):#x}")
 
 print()
 print("== One share says nothing ==")
-observed = shares[0].value[0]
+observed = shares[0]
 consistent = [
     sec for sec in range(16)
     if any(gf.poly_eval([sec, c1], 1) == observed for c1 in range(16))

@@ -11,7 +11,7 @@ from dpvqss.adversary import (
     RogueBehavior,
     leakage_audit,
 )
-from dpvqss.bitvec import BitVector
+from dpvqss.bitvec import random_bits
 from dpvqss.protocol import ProtocolConfig, random_secret, run_protocol
 
 
@@ -60,15 +60,13 @@ print(f"  all 4 loyal agents recovered the secret in {ok}/{trials} runs")
 print()
 print("== Exact leakage audits (total variation of Eve's view) ==")
 size = AuditSize(2, 1)
-s, s2 = BitVector.from_string("10"), BitVector.from_string("01")
+s, s2 = 0b10, 0b01
 for kind in ("none", "measure_resend", "entangle_measure"):
     tv = leakage_audit(EveStrategy(kind), size, s, s2, phase=1)
     print(f"  phase 1, {kind:<17}: TV = {tv}")
 size3 = AuditSize(2, 2)
-same = leakage_audit(EveStrategy(), size3, BitVector.from_string("1001"),
-                     BitVector.from_string("0110"), phase=3)
-diff = leakage_audit(EveStrategy(), size3, BitVector.from_string("1001"),
-                     BitVector.from_string("1111"), phase=3)
+same = leakage_audit(EveStrategy(), size3, 0b1001, 0b0110, phase=3)
+diff = leakage_audit(EveStrategy(), size3, 0b1001, 0b1111, phase=3)
 print(f"  phase 3, equal pair-XOR secrets : TV = {same}")
 print(f"  phase 3, different pair-XOR     : TV = {diff}  "
       "(the exchange reveals exactly the XOR, nothing else)")
@@ -76,14 +74,14 @@ print(f"  phase 3, different pair-XOR     : TV = {diff}  "
 print()
 print("== Random-basis interception leaks: the decoys must catch it ==")
 random_eve = EveStrategy("intercept_resend", basis="random")
-s0, s1 = BitVector.from_string("00"), BitVector.from_string("01")
+s0, s1 = 0b00, 0b01
 for phase, why in ((1, "all taps read the differing position in X"),
                    (2, "the owner's tap reads it in X")):
     tv = leakage_audit(random_eve, size, s0, s1, phase=phase)
     print(f"  phase {phase}, secrets 00 vs 01: TV = {tv}  ({why})")
 big = AuditSize(15, 16)
 rng = np.random.default_rng(80)
-s, zero = BitVector.random(240, rng), BitVector.zeros(240)
-tvs = [leakage_audit(random_eve, big, s, zero, phase=ph) for ph in (1, 2)]
+s = random_bits(240, rng)
+tvs = [leakage_audit(random_eve, big, s, 0, phase=ph) for ph in (1, 2)]
 print(f"  n = 15, m = 16, a random secret vs zero: phase 1 TV = "
       f"{float(tvs[0]):.4f}, phase 2 TV = 1 - {float(1 - tvs[1]):.1e}")

@@ -1,11 +1,13 @@
 """Distributed, parallel, verifiable (k, n)-threshold quantum secret sharing.
 
-Library layout:
+Shares, secrets and fixed lies cross the API as plain ints, or as the
+MSB-first bit strings a config writes.  Library layout:
 
-- bitvec     bit vectors at the API edge; rounds and phases use plain ints
+- bitvec     the uniform bit draw, and bit vectors for demos and tests
 - qsim       exact statevector simulator and dense round reference
              (tests and oracle-check only; no protocol module imports it)
-- threshold  (k, n) Shamir sharing over GF(2^w) with robust decoding
+- threshold  (k, n) Shamir sharing over GF(2^w) with robust decoding, one
+             packed m-bit int per share
 - entangle   entanglement distribution, the tap reads (z / random /
              entangle), decoys and the exact outcome sampler (closed-form
              GHZ read law, every round)
@@ -19,7 +21,7 @@ Library layout:
 __version__ = "0.7.0"
 
 from .bitvec import BitVector  # noqa: F401
-from .threshold import Share, SplitConfig, reconstruct, robust_decode, split  # noqa: F401
+from .threshold import SplitConfig, reconstruct, robust_decode, split  # noqa: F401
 from .adversary import AdversaryPlan, EveStrategy, RogueBehavior, leakage_audit  # noqa: F401
 from .protocol import ProtocolConfig, RunReport, run_protocol  # noqa: F401
 from .metrics import efficiency_report, empirical_stats  # noqa: F401

@@ -3,15 +3,16 @@
 The eavesdropper ("Eve") taps quantum channels: `EveStrategy.taps_for` maps
 her kind and basis to one read per tapped channel (`entangle.READS`).  Rogue
 agents act on classical messages by replacing payloads, ints of a width the
-protocol config fixes.  The leakage audit returns the exact total variation
+protocol config fixes; a fixed lie is the MSB-first bit string as the
+config writes it.  The leakage audit returns the exact total variation
 distance, as a Fraction, between Eve's complete views (Eve's own outcomes
-plus every public classical payload) under two candidate secrets.  Every
-position is its own tuple, so the distance is one minus the product, over
-positions, of the chance that the views there do not separate.  A Z read
-collapses the tuple and leaves every register uniform, so nothing
-separates; an X read shows one register's bit; with no Z read the registers
-(and any entangling ancilla) XOR to 0 before the secret's phase kicks.  The
-cost grows with n*m, not with the number of outcomes.
+plus every public classical payload) under two candidate secrets, each an
+n*m-bit int.  Every position is its own tuple, so the distance is one minus
+the product, over positions, of the chance that the views there do not
+separate.  A Z read collapses the tuple and leaves every register uniform,
+so nothing separates; an X read shows one register's bit; with no Z read
+the registers (and any entangling ancilla) XOR to 0 before the secret's
+phase kicks.  The cost grows with n*m, not with the number of outcomes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitvec import BitVector, random_bits
+from .bitvec import random_bits
 
 EVE_KINDS = ("none", "measure_resend", "intercept_resend", "entangle_measure", "pns")
 ROGUE_ACTIONS = (
@@ -74,7 +75,7 @@ class RogueBehavior:
     agents: tuple[int, ...] = ()
     actions: tuple[str, ...] = ()
     mode: str = "random"
-    fixed_value: BitVector | None = None
+    fixed_value: str | None = None  # MSB-first bits, e.g. "10110011"
 
     def __post_init__(self):
         if any(a not in ROGUE_ACTIONS for a in self.actions):
@@ -83,6 +84,8 @@ class RogueBehavior:
             raise ValueError(f"unknown lie mode {self.mode!r}")
         if self.mode == "fixed" and self.actions and self.fixed_value is None:
             raise ValueError("fixed lie mode needs a fixed_value")
+        if self.fixed_value and self.fixed_value.strip("01"):
+            raise ValueError(f"fixed_value is not a bit string: {self.fixed_value!r}")
 
 
 def sent_channels(phase: int, n: int, source: str) -> range:
@@ -120,9 +123,9 @@ class AdversaryPlan:
         if self.rogues.mode == "fixed" and fixed is not None:
             for action in self.rogues.actions:
                 need = n * m if action == "lie_phase2_report" else m
-                if fixed.length != need:
+                if len(fixed) != need:
                     raise ValueError(
-                        f"adversary.rogues.fixed has {fixed.length} bits, but "
+                        f"adversary.rogues.fixed has {len(fixed)} bits, but "
                         f"{action} needs {need}"
                     )
         eve = self.eve
@@ -158,11 +161,11 @@ def falsify(payload: int, length: int, mode: str, fixed_value, rng) -> int:
     if mode == "random":
         return random_bits(length, rng)
     if mode == "fixed":
-        if fixed_value is None or fixed_value.length != length:
+        if fixed_value is None or len(fixed_value) != length:
             raise ValueError(
                 f"fixed lie value missing or of wrong length (need {length})"
             )
-        return fixed_value.value
+        return int(fixed_value, 2)
     raise ValueError(f"unknown lie mode {mode!r}")
 
 
@@ -192,7 +195,7 @@ def _positions(n: int, m: int, diff: int, phase: int):
 
 
 def _separating_share(kick: int, visible: int, tapped: int, everyone: int) -> Fraction:
-    """Share of random Z/X read patterns of `tapped` at one position that separate.
+    """Fraction of random Z/X read patterns of `tapped` at one position that separate.
 
     An X read gives Eve the register's bit before the kick, so a visible
     register read in X shows its kick.  Any Z read leaves every register
@@ -211,7 +214,7 @@ def _separating_share(kick: int, visible: int, tapped: int, everyone: int) -> Fr
 
 
 def leakage_audit(
-    strategy: EveStrategy, cfg, s: BitVector, s_prime: BitVector, phase: int
+    strategy: EveStrategy, cfg, s: int, s_prime: int, phase: int
 ) -> Fraction:
     """Exact total variation distance between Eve's views under two secrets.
 
@@ -220,13 +223,12 @@ def leakage_audit(
     tapped, too.  A result of 0 means the strategy reveals nothing that
     distinguishes the two secrets.
     """
-    if s.length != s_prime.length:
-        raise ValueError("candidate secrets must have equal length")
     if phase not in (1, 2, 3):
         raise ValueError(f"unknown phase {phase}")
     n, m = cfg.n, cfg.m
-    if s.length != n * m:
-        raise ValueError(f"secret length {s.length} != n*m")
+    for secret in (s, s_prime):
+        if not 0 <= secret < 1 << (n * m):
+            raise ValueError(f"secret {secret:#x} does not fit in n*m = {n * m} bits")
     r = 2 if phase == 3 else n + 1
     transmitted = sent_channels(phase, n, getattr(cfg, "source", "alice"))
     taps = strategy.taps_for(phase, transmitted)
@@ -236,7 +238,7 @@ def leakage_audit(
     # Only a random read can show a register's bit; an entangling read's
     # ancilla just joins the registers' XOR, and Eve sees it.
     tapped = sum(1 << ch for ch, read in taps.items() if read == "random")
-    groups = Counter(_positions(n, m, (s ^ s_prime).value, phase))
+    groups = Counter(_positions(n, m, s ^ s_prime, phase))
     kept = Fraction(1)
     for (kick, visible), count in groups.items():
         kept *= (1 - _separating_share(kick, visible, tapped, (1 << r) - 1)) ** count

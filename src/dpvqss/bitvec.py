@@ -1,13 +1,13 @@
-"""Bit vectors at the library's edge, and the uniform bit draw.
+"""The uniform bit draw, and bit vectors for the demos and tests.
 
-Inside a round or a phase every register, slice and report is a plain
-Python int whose width the config fixes; bit j is the j-th least
+Every register, slice, report, share, fixed lie and audited secret is a
+plain Python int whose width the config fixes; bit j is the j-th least
 significant bit, and segment i of an n*m-bit word occupies bit positions
 i*m .. i*m+m-1, segment 0 being least significant.  A BitVector carries its
-width with its value, for the values that cross the public edge with no
-width beside them: fixed lie values, audited secrets, demo vectors.  Its
-textual form is written most-significant bit first, so "1101" has bit 0 = 1
-and bit 2 = 1.
+width with its value; the library builds one only in
+`protocol.random_secret`.  Its textual form, like a fixed lie's in a
+config, is written most-significant bit first, so "1101" has bit 0 = 1 and
+bit 2 = 1.
 """
 
 from __future__ import annotations

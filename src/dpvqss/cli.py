@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__, entangle
 from .adversary import AdversaryPlan, EveStrategy, RogueBehavior
-from .bitvec import BitVector, CapacityError
+from .bitvec import CapacityError, random_bits
 from .metrics import efficiency_report, empirical_stats
 from .protocol import (
     RUN_SCHEMA,
@@ -60,16 +60,26 @@ def _parse_int(text):
     return int(text, 0)
 
 
-def _at_least_one(name):
+def _at_least(name, least=1):
     def parse(text):
         value = int(text, 0)
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
         return value
     return parse
 
 
-_parse_trials = _at_least_one("trials")
+def _list_at_least(name, least):
+    item = _at_least(name, least)
+    def parse(text):
+        values = tuple(item(tok) for tok in text.split(",") if tok.strip())
+        if not values:
+            raise ValueError(f"{name} needs at least one value, got {text!r}")
+        return values
+    return parse
+
+
+_parse_trials = _at_least("trials")
 
 
 def _parse_seed(text):
@@ -116,7 +126,10 @@ def _parse_hex(text):
 
 
 def _parse_bits(text):
-    return BitVector.from_string(text)
+    """An MSB-first bit-string literal, e.g. "1101", kept as written."""
+    if not text or text.strip("01"):
+        raise ValueError(f"not a bit-vector literal: {text!r}")
+    return text
 
 
 # key -> (converter, default)
@@ -315,14 +328,14 @@ def oracle_check_case(n, m, secrets, seed, dump=False):
     results = []
     p = n * m
     for idx in range(secrets):
-        secret = BitVector.random(p, rng)
-        state, _ = dense_state(n + 1, p, phase_bits={n: secret.value})
+        secret = random_bits(p, rng)
+        state, _ = dense_state(n + 1, p, phase_bits={n: secret})
         if dump and idx == 0:
             print(state.dump())
         # The |-> target is the top qubit: summing it out adds the two halves.
         born = (np.abs(state.amps) ** 2).reshape(2, -1).sum(axis=0)
-        law = _sampler_law(n, p, secret.value)
-        results.append({"secret": str(secret),
+        law = _sampler_law(n, p, secret)
+        results.append({"secret": format(secret, f"0{p}b"),
                         "max_deviation": float(np.max(np.abs(born - law)))})
     return results
 
@@ -362,7 +375,7 @@ def _etas(n: int, m: int, decimal: bool = False) -> dict:
     """The exact eta1..eta3 columns, each followed by its `_decimal` twin
     if asked."""
     cols = {}
-    for name, eta in efficiency_report(n, m).to_dict().items():
+    for name, eta in efficiency_report(n, m).items():
         cols[name] = f"{eta['num']}/{eta['den']}"
         if decimal:
             cols[f"{name}_decimal"] = eta["decimal"]
@@ -370,12 +383,10 @@ def _etas(n: int, m: int, decimal: bool = False) -> dict:
 
 
 def _cell_value(value):
-    """A swept value as the report renders it: a secret in hex, a fixed lie
-    as its MSB-first bit string, a tuple as a list."""
+    """A swept value as the report renders it: a secret in hex, a tuple as a
+    list; a fixed lie is already its MSB-first bit string."""
     if isinstance(value, bytes):
         return value.hex()
-    if isinstance(value, BitVector):
-        return str(value)
     if isinstance(value, tuple):
         return list(value)
     return value
@@ -475,9 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-check",
         help="certify the sampler against the dense statevector reference",
     )
-    p_oc.add_argument("--n", type=_flag(_at_least_one("n")), required=True)
-    p_oc.add_argument("--m", type=_flag(_at_least_one("m")), required=True)
-    p_oc.add_argument("--secrets", type=_flag(_at_least_one("secrets")),
+    p_oc.add_argument("--n", type=_flag(_at_least("n")), required=True)
+    p_oc.add_argument("--m", type=_flag(_at_least("m")), required=True)
+    p_oc.add_argument("--secrets", type=_flag(_at_least("secrets")),
                       default=4)
     p_oc.add_argument("--seed", type=_flag(_parse_seed), default=0)
     p_oc.add_argument("--dump", action="store_true",
@@ -493,8 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.set_defaults(func=cmd_sweep)
 
     p_me = sub.add_parser("metrics", help="efficiency table for an (n, m) grid")
-    p_me.add_argument("--n", type=_parse_int_list, default=(2, 3, 5))
-    p_me.add_argument("--m", type=_parse_int_list, default=(1, 4, 16))
+    p_me.add_argument("--n", type=_flag(_list_at_least("n", 2)),
+                      default=(2, 3, 5))
+    p_me.add_argument("--m", type=_flag(_list_at_least("m", 1)),
+                      default=(1, 4, 16))
     p_me.add_argument("--format", choices=("json", "csv"), default="csv")
     p_me.set_defaults(func=cmd_metrics)
 

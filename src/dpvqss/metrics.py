@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 
@@ -35,27 +33,15 @@ def _check_sizes(n: int, m: int):
         raise ValueError(f"need m >= 1, got {m}")
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
-    eta1: Fraction
-    eta2: Fraction
-    eta3: Fraction
+def efficiency_report(n: int, m: int) -> dict:
+    """eta1..eta3 of size (n, m), each rendered as {"num", "den",
+    "decimal"}; a fresh dict per call."""
+    def render(f: Fraction) -> dict:
+        return {"num": f.numerator, "den": f.denominator,
+                "decimal": f"{float(f):.6f}"}
 
-    def to_dict(self) -> dict:
-        def render(f: Fraction) -> dict:
-            return {
-                "num": f.numerator,
-                "den": f.denominator,
-                "decimal": f"{float(f):.6f}",
-            }
-
-        return {"eta1": render(self.eta1), "eta2": render(self.eta2),
-                "eta3": render(self.eta3)}
-
-
-@lru_cache(maxsize=1024)
-def efficiency_report(n: int, m: int) -> EfficiencyReport:
-    return EfficiencyReport(eta1(n, m), eta2(n, m), eta3(m))
+    return {"eta1": render(eta1(n, m)), "eta2": render(eta2(n, m)),
+            "eta3": render(eta3(m))}
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitvec import BitVector, CapacityError
+from .bitvec import CapacityError
 from .entangle import BASIS_LABELS, RoundOutcome
 
 MAX_QUBITS = 22
@@ -101,20 +101,17 @@ class StateVector:
         t[i11] = tmp
         self.gate_log.append(("cnot", (control, target)))
 
-    def apply_phase_oracle(
-        self, c: BitVector, register: Sequence[int], target: int
-    ):
-        """Kick the phase (-1)^(c.x) onto the register via CNOTs into a |-> target.
+    def apply_phase_oracle(self, c: int, register: Sequence[int], target: int):
+        """Kick the phase (-1)^(c.x) onto the register via CNOTs into a |-> target;
+        bit j of c acts on register[j].
 
         The caller must have prepared the target in |->; this is not checked.
         """
-        if c.length != len(register):
-            raise ValueError(
-                f"oracle vector length {c.length} != register width {len(register)}"
-            )
-        for j in range(c.length):
-            if c.bit(j):
-                self.apply_cnot(register[j], target)
+        if c < 0 or c >> len(register):
+            raise ValueError(f"oracle value {c:#x} is wider than {len(register)} qubits")
+        for j, qubit in enumerate(register):
+            if c >> j & 1:
+                self.apply_cnot(qubit, target)
 
     # -- state preparation -------------------------------------------------
 
@@ -262,8 +259,7 @@ def dense_state(
             target = r * p + i
             state.prepare_basis("-", target)
             state.apply_phase_oracle(
-                BitVector(phase_bits[enc], p), range(enc * p, (enc + 1) * p),
-                target,
+                phase_bits[enc], range(enc * p, (enc + 1) * p), target
             )
         state.apply_h_register(range(r * p))
         state.apply_h_register(range(r * p + len(encoders), state.q))

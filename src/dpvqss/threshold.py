@@ -5,10 +5,9 @@ elements; agent i's share evaluates per-element random polynomials at
 x = i + 1.  Each is one packed int, element 0 in its least significant w
 bits, so a secret's bytes read big-endian are already packed.  `split`
 returns the n shares; `robust_decode` takes the n claimed shares (claims),
-one per agent in agent order, and it and `reconstruct` return the secret;
-`decode_views` decodes many claim lists (views) at once.  `Share` labels
-one claim with its agent and width at the API edge only (`reconstruct`
-from any k shares, demos, tests).
+one per agent in agent order, `reconstruct` takes any k or more of them
+keyed by agent, and both return the secret; `decode_views` decodes many
+claim lists (views) at once.
 
 Every interpolation is `GF.combine`: multiplying each w-bit element of a
 claim by one field constant maps each byte through a 256-entry table, so
@@ -21,18 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import Collection, Mapping, Sequence
 
 # Published reduction polynomials: x^4+x+1 and x^8+x^4+x^3+x+1.
 REDUCTION_POLY = {4: 0x13, 8: 0x11B}
 
 
 class InsufficientSharesError(ValueError):
-    """Fewer than k shares supplied."""
+    """Fewer than k claims supplied."""
 
 
 class ShareIntegrityError(ValueError):
-    """Duplicate or malformed shares supplied."""
+    """Claims of the wrong count, agents or width supplied."""
 
 
 class AmbiguousDecodeError(Exception):
@@ -198,47 +197,6 @@ class SplitConfig:
         return FIELDS[self.w]
 
 
-@dataclass(frozen=True)
-class Share:
-    """One agent's share: field elements evaluated at x = agent_index + 1."""
-
-    agent_index: int
-    value: tuple[int, ...]
-    width: int
-
-    def __post_init__(self):
-        if self.agent_index < 0:
-            raise ValueError("agent index must be nonnegative")
-        if not self.value:
-            raise ValueError("share carries no elements")
-        if any(not 0 <= v < (1 << self.width) for v in self.value):
-            raise ValueError("share element out of field range")
-
-    @property
-    def x(self) -> int:
-        return self.agent_index + 1
-
-    @property
-    def bit_length(self) -> int:
-        return self.width * len(self.value)
-
-    def to_bits(self) -> int:
-        """The elements packed into one bit_length-bit int."""
-        return pack(self.value, self.width)
-
-    @classmethod
-    def from_bits(cls, bits: int, length: int, agent_index: int,
-                  width: int) -> "Share":
-        """Unpack a length-bit int into length / width elements."""
-        if length % width:
-            raise ValueError(f"bit length {length} not a multiple of w={width}")
-        return cls(agent_index, unpack(bits, length, width), width)
-
-    def token(self) -> str:
-        """Serialized form "index:hex-value" used in JSON reports."""
-        return share_token(self.agent_index, self.to_bits(), self.bit_length)
-
-
 def split(secret: int, cfg: SplitConfig, m: int, rng) -> list[int]:
     """Split an m-bit secret with one uniformly random degree-(k-1)
     polynomial per w-bit element.
@@ -290,29 +248,21 @@ def _lagrange_rows(w: int, xs: tuple[int, ...],
     return tuple(tuple(_lagrange_weights(xs, x, FIELDS[w])) for x in targets)
 
 
-def _check_distinct(shares: Sequence[Share], cfg: SplitConfig):
-    indices = [s.agent_index for s in shares]
-    if len(set(indices)) != len(indices):
-        raise ShareIntegrityError(f"duplicate agent indices in {sorted(indices)}")
-    widths = {s.width for s in shares}
-    counts = {len(s.value) for s in shares}
-    if widths != {cfg.w} or len(counts) != 1:
-        raise ShareIntegrityError(
-            f"shares need width w={cfg.w} and one element count"
-        )
-
-
-def reconstruct(shares: Sequence[Share], cfg: SplitConfig) -> int:
-    """Lagrange-interpolate each element at x = 0 from any k shares; returns
-    the packed secret."""
-    if len(shares) < cfg.k:
+def reconstruct(claims: Mapping[int, int], cfg: SplitConfig, m: int) -> int:
+    """Lagrange-interpolate at x = 0 from the m-bit claims, keyed by agent,
+    of the k lowest agents; returns the secret."""
+    if len(claims) < cfg.k:
         raise InsufficientSharesError(
-            f"got {len(shares)} shares, need at least k={cfg.k}"
+            f"got {len(claims)} claims, need at least k={cfg.k}"
         )
-    _check_distinct(shares, cfg)
-    used = sorted(shares, key=lambda s: s.agent_index)[: cfg.k]
-    rows = _lagrange_rows(cfg.w, tuple(s.x for s in used), (0,))
-    (secret,) = cfg.field.combine(rows, [s.to_bits() for s in used])
+    if any(not 0 <= j < cfg.n for j in claims):
+        raise ShareIntegrityError(
+            f"agents {sorted(claims)} are not all in 0..{cfg.n - 1}"
+        )
+    _check_width(claims.values(), cfg, m)
+    used = sorted(claims)[: cfg.k]
+    rows = _lagrange_rows(cfg.w, tuple(j + 1 for j in used), (0,))
+    (secret,) = cfg.field.combine(rows, [claims[j] for j in used])
     return secret
 
 
@@ -322,6 +272,11 @@ def _check_claims(claims: Sequence[int], cfg: SplitConfig, m: int):
         raise ShareIntegrityError(
             f"expected exactly one claim per agent ({cfg.n}), got {len(claims)}"
         )
+    _check_width(claims, cfg, m)
+
+
+def _check_width(claims: Collection[int], cfg: SplitConfig, m: int):
+    """Check that m is a positive multiple of w and every claim m bits."""
     if m < 1 or m % cfg.w:
         raise ShareIntegrityError(
             f"claim width m={m} is not a positive multiple of w={cfg.w}"

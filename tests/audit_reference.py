@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 from dpvqss.adversary import EveStrategy
-from dpvqss.bitvec import BitVector, CapacityError
+from dpvqss.bitvec import CapacityError
 
 # The audit enumerates every free bit exactly; cap the exponent.
 AUDIT_BIT_BOUND = 20
@@ -49,9 +49,10 @@ def _mask_out_segment(value: int, seg: int, m: int, n: int) -> int:
 
 
 def view_distribution(
-    strategy: EveStrategy, n: int, m: int, s: BitVector, phase: int
+    strategy: EveStrategy, n: int, m: int, s: int, phase: int
 ) -> dict[tuple, Fraction]:
-    """Exact distribution of Eve's view for one phase under secret s.
+    """Exact distribution of Eve's view for one phase under the n*m-bit
+    secret s.
 
     Variables are the measured register vectors (agents then the source) plus
     one outcome vector per entangling tap, or one shared by all measuring
@@ -73,14 +74,14 @@ def view_distribution(
     if phase == 3:
         width = m
         n_regs = 2
-        constraint = (s.value ^ s.value >> m) & ((1 << m) - 1)
+        constraint = (s ^ s >> m) & ((1 << m) - 1)
         channels = [0, 1]
     else:
         width = n * m
         n_regs = n + 1
-        if s.length != width:
-            raise ValueError(f"secret length {s.length} != n*m")
-        constraint = s.value
+        if not 0 <= s < 1 << width:
+            raise ValueError(f"secret {s:#x} does not fit in n*m bits")
+        constraint = s
         channels = list(range(n))
     if strategy.channel is not None:
         channels = [ch for ch in channels if ch == strategy.channel]
@@ -118,15 +119,14 @@ def view_distribution(
 
 
 def reference_audit(
-    strategy: EveStrategy, cfg, s: BitVector, s_prime: BitVector, phase: int
+    strategy: EveStrategy, cfg, s: int, s_prime: int, phase: int
 ) -> Fraction:
-    """Exact total variation distance between Eve's views under two secrets.
+    """Exact total variation distance between Eve's views under two n*m-bit
+    secrets.
 
     `cfg` needs only n and m attributes (AuditSize works).  A result of 0
     means the strategy reveals nothing that distinguishes the two secrets.
     """
-    if s.length != s_prime.length:
-        raise ValueError("candidate secrets must have equal length")
     da = view_distribution(strategy, cfg.n, cfg.m, s, phase)
     db = view_distribution(strategy, cfg.n, cfg.m, s_prime, phase)
     keys = set(da) | set(db)

@@ -21,7 +21,7 @@ from dpvqss.adversary import (
     RogueBehavior,
     leakage_audit,
 )
-from dpvqss.bitvec import BitVector
+from dpvqss.bitvec import random_bits
 from dpvqss.cli import main, oracle_check_case
 from dpvqss.entangle import (
     distribute,
@@ -42,8 +42,8 @@ from dpvqss.qsim import dense_outcomes
 from dpvqss.threshold import (
     AmbiguousDecodeError,
     FIELDS,
-    Share,
     SplitConfig,
+    reconstruct,
     robust_decode,
 )
 
@@ -75,7 +75,7 @@ def test_c1_hadamard_entanglement_property_oracle():
         violations = 0
         for n, m in ORACLE_CASES:
             for _ in range(8):
-                s = BitVector.random(n * m, rng).value
+                s = random_bits(n * m, rng)
                 for out in dense_outcomes(n + 1, n * m, {n: s}, 2000, rng):
                     if xor_all(out.registers) != s:
                         violations += 1
@@ -98,7 +98,7 @@ def test_c3_verification_soundness():
 
         cfg = ProtocolConfig(n=5, k=3, m=16)
         for _ in range(1000):
-            s = BitVector.random(80, rng).value
+            s = random_bits(80, rng)
             inputs = [(s >> (16 * i)) & 0xFFFF for i in range(5)]
             phase2_verify(cfg, inputs, s, HONEST, rng, Transcript(), [])
 
@@ -106,7 +106,7 @@ def test_c3_verification_soundness():
         lie = AdversaryPlan(rogues=RogueBehavior(
             (2,), ("lie_phase2_report",), mode="random"))
         for _ in range(1000):
-            s = BitVector.random(16, rng).value
+            s = random_bits(16, rng)
             inputs = [(s >> (4 * i)) & 0xF for i in range(4)]
             with pytest.raises(Aborted):
                 phase2_verify(cfg16, inputs, s, lie, rng, Transcript(), [])
@@ -116,7 +116,7 @@ def test_c3_verification_soundness():
         for cfg_f, width in ((ProtocolConfig(n=2, k=2, m=1), 1),
                              (ProtocolConfig(n=5, k=3, m=16), 16)):
             for _ in range(500):
-                s = BitVector.random(cfg_f.n * width, rng).value
+                s = random_bits(cfg_f.n * width, rng)
                 inputs = [(s >> (width * i)) & ((1 << width) - 1)
                           for i in range(cfg_f.n)]
                 with pytest.raises(Aborted):
@@ -141,9 +141,8 @@ def test_c4_threshold_secrecy_exhaustive():
                     bucket[secret] += 1
                 # Every k-subset reconstructs the exact secret.
                 for subset in combinations(range(n), k):
-                    sub_shares = [Share(i, (shares[i],), 4) for i in subset]
-                    from dpvqss.threshold import reconstruct
-                    assert reconstruct(sub_shares, cfg) == secret
+                    claims = {i: shares[i] for i in subset}
+                    assert reconstruct(claims, cfg, 4) == secret
             for (subset, observed), bucket in counts.items():
                 # Every candidate secret explains the observation in exactly
                 # one way: the view carries no information about it.
@@ -218,7 +217,7 @@ def test_c7_entangle_measure_disruption():
         aborts = 0
         trials = 1000
         for _ in range(trials):
-            s = BitVector.random(16, rng).value
+            s = random_bits(16, rng)
             inputs = [(s >> (8 * i)) & 0xFF for i in range(2)]
             try:
                 phase2_verify(cfg, inputs, s, plan, rng, Transcript(), [])
@@ -231,7 +230,7 @@ def test_c8_leakage_audit():
     with criterion("C8", "passive and tapping eavesdroppers learn exactly "
                          "nothing (phase 1/2) or only the pair XOR (phase 3)"):
         cfg = AuditSize(2, 1)
-        s, s2 = BitVector.from_string("10"), BitVector.from_string("01")
+        s, s2 = 0b10, 0b01
         assert leakage_audit(EveStrategy(), cfg, s, s2, phase=1) == Fraction(0)
         assert leakage_audit(
             EveStrategy("entangle_measure"), cfg, s, s2, phase=1
@@ -239,8 +238,7 @@ def test_c8_leakage_audit():
         assert leakage_audit(EveStrategy(), cfg, s, s2, phase=2) == Fraction(0)
 
         cfg3 = AuditSize(2, 2)
-        equal_xor = (BitVector.from_string("1001"), BitVector.from_string("0110"))
-        other_xor = BitVector.from_string("1111")
+        equal_xor, other_xor = (0b1001, 0b0110), 0b1111
         for eve in (EveStrategy(), EveStrategy("entangle_measure")):
             assert leakage_audit(eve, cfg3, *equal_xor, phase=3) == Fraction(0)
             assert leakage_audit(

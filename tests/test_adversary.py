@@ -19,7 +19,7 @@ from dpvqss.adversary import (
     sent_channels,
 )
 from dpvqss.adversary import _separating_share
-from dpvqss.bitvec import BitVector
+from dpvqss.bitvec import random_bits
 from dpvqss.entangle import _read_law
 from dpvqss.protocol import ProtocolConfig, _liars, random_secret, run_protocol
 from dpvqss.qsim import dense_outcomes
@@ -28,7 +28,8 @@ from stabilizer_reference import in_span
 
 
 def bv(text):
-    return BitVector.from_string(text)
+    """The int an MSB-first bit literal writes."""
+    return int(text, 2)
 
 
 class TestEveStrategy:
@@ -107,7 +108,7 @@ class TestRogues:
     ])
     def test_fixed_value_width_validated(self, actions, width, ok):
         plan = AdversaryPlan(rogues=RogueBehavior(
-            (0,), actions, mode="fixed", fixed_value=BitVector(1, width)))
+            (0,), actions, mode="fixed", fixed_value=format(1, f"0{width}b")))
         cfg = ProtocolConfig(n=3, k=2, m=8)
         if ok:
             plan.validate(cfg)
@@ -164,24 +165,30 @@ class TestRogues:
     def test_bit_flip_changes_exactly_one_bit(self):
         rng = np.random.default_rng(71)
         for _ in range(50):
-            msg = BitVector.random(12, rng).value
+            msg = random_bits(12, rng)
             out = falsify(msg, 12, "bit_flip", None, rng)
             assert (out ^ msg).bit_count() == 1
 
     def test_fixed_mode(self):
         rng = np.random.default_rng(72)
-        fixed = bv("0110")
-        assert falsify(bv("1111").value, 4, "fixed", fixed, rng) == fixed.value
+        fixed = "0110"
+        assert falsify(bv("1111"), 4, "fixed", fixed, rng) == 0b0110
         with pytest.raises(ValueError):
-            falsify(bv("11").value, 2, "fixed", fixed, rng)
+            falsify(bv("11"), 2, "fixed", fixed, rng)
 
     def test_fixed_mode_requires_value(self):
         with pytest.raises(ValueError):
             RogueBehavior((0,), ("lie_phase2_report",), mode="fixed")
 
+    @pytest.mark.parametrize("text", ["012", "1 0", "0b10"])
+    def test_fixed_value_must_be_bits(self, text):
+        with pytest.raises(ValueError, match="not a bit string"):
+            RogueBehavior((0,), ("lie_phase1_comms",), mode="fixed",
+                          fixed_value=text)
+
     def test_falsify_random_is_seeded(self):
-        a = falsify(bv("0000").value, 4, "random", None, np.random.default_rng(73))
-        b = falsify(bv("0000").value, 4, "random", None, np.random.default_rng(73))
+        a = falsify(bv("0000"), 4, "random", None, np.random.default_rng(73))
+        b = falsify(bv("0000"), 4, "random", None, np.random.default_rng(73))
         assert a == b
 
 
@@ -208,6 +215,14 @@ class TestLeakageAudit:
         cfg = AuditSize(2, 1)
         tv = leakage_audit(EveStrategy(), cfg, bv("10"), bv("01"), phase=1)
         assert tv == 0
+
+    def test_rejects_secrets_outside_n_m_bits(self):
+        cfg = AuditSize(2, 1)
+        for bad in (0b100, -1):
+            with pytest.raises(ValueError, match="n\\*m = 2 bits"):
+                leakage_audit(EveStrategy(), cfg, bad, 0, phase=1)
+            with pytest.raises(ValueError, match="n\\*m = 2 bits"):
+                leakage_audit(EveStrategy(), cfg, 0, bad, phase=3)
 
     def test_identical_secrets_trivially_zero(self):
         cfg = AuditSize(2, 1)
@@ -292,8 +307,8 @@ def audit_cases(draw, sizes, kinds=FIXED_KINDS, channels=(None, 0, 1),
         basis=basis,
         channel=draw(st.sampled_from(channels)),
     )
-    return (strategy, AuditSize(n, m), BitVector(s, n * m),
-            BitVector(s ^ diff, n * m), draw(st.sampled_from((1, 2, 3))))
+    return (strategy, AuditSize(n, m), s, s ^ diff,
+            draw(st.sampled_from((1, 2, 3))))
 
 
 class TestAuditMatchesEnumerator:
@@ -409,7 +424,7 @@ class TestRandomBasisAudit:
         taps = strategy.taps_for(phase, range(sent))
         tapped = sum(1 << ch for ch in taps)
         read = next(iter(taps.values()), "z")  # one read for every tap
-        rows = register_positions(size.n, size.m, (s ^ s2).value, phase)
+        rows = register_positions(size.n, size.m, s ^ s2, phase)
         kept = Fraction(1)
         for (kick, visible), count in rows.items():
             kept *= (1 - pattern_share(kick, visible, tapped, r, read)) ** count
@@ -465,13 +480,12 @@ def dense_views(phase, s, shots, rng, sent):
     random-basis taps on the first `sent` channels: Eve's bases, the public
     register bits and Eve's bits."""
     if phase == 3:
-        r, p, kicks, shown = 2, 1, {0: s.bit(0), 1: s.bit(1)}, (0, 1)
+        r, p, kicks, shown = 2, 1, {0: s & 1, 1: s >> 1 & 1}, (0, 1)
     else:
         # Phase 1 hides agent 0's own segment, position 0; in phase 2 each
         # agent kicks its own segment.
         r, p = 3, 2
-        kicks = {2: s.value} if phase == 1 else {i: s.bit(i) << i
-                                                 for i in range(2)}
+        kicks = {2: s} if phase == 1 else {i: s & 1 << i for i in range(2)}
         shown = (2, 1) if phase == 1 else (0, 1)
     taps = dict.fromkeys(range(sent), "random")
     rec = _Recorder(rng)
@@ -494,17 +508,15 @@ class TestAuditAtScale:
     def test_full_size_audit_is_fast(self, strategy):
         rng = np.random.default_rng(95)
         size = AuditSize(15, 16)
-        s = BitVector.random(240, rng)
-        zero = BitVector.zeros(240)
+        s = random_bits(240, rng)
         for phase in (1, 2, 3):
             start = time.perf_counter()
-            leakage_audit(strategy, size, s, zero, phase)
+            leakage_audit(strategy, size, s, 0, phase)
             assert time.perf_counter() - start < 0.1, phase
 
     def test_random_basis_full_size_values(self):
         size = AuditSize(15, 16)
-        one = BitVector(1, 240)
-        zero = BitVector.zeros(240)
+        one, zero = 1, 0
         # One differing position: phase 1 needs all 15 taps to read it in X;
         # in phase 2 its owner's tap alone reads it in X half the time.
         assert leakage_audit(RANDOM_BASIS, size, one, zero, 1) == Fraction(1, 1 << 15)

@@ -98,6 +98,25 @@ class TestConfigParsing:
             parse_config_text(HONEST_CFG.replace("protocol.n = 5",
                                                  "protocol.n = five"))
 
+    @pytest.mark.parametrize("command, line", [
+        ("run", "adversary.rogues.fixed = 012"),
+        ("sweep", "adversary.rogues.fixed = 012\nsweep.protocol.decoys = 0,1"),
+    ], ids=["run", "sweep"])
+    def test_bad_fixed_literal_fails_at_parse(self, tmp_path, capsys, command,
+                                              line):
+        # A fixed lie is kept as its bit string, so the literal is checked
+        # as the config is read, before any cell or trial runs.
+        text = ("protocol.n = 5\nprotocol.k = 3\nprotocol.m = 8\n"
+                "adversary.rogues.agents = 0\n"
+                "adversary.rogues.actions = lie_phase3_report\n"
+                f"adversary.rogues.mode = fixed\n{line}\n")
+        assert main([command, write(tmp_path, "c.cfg", text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("key 'adversary.rogues.fixed': not a bit-vector literal: '012'"
+                in captured.err)
+        assert "Traceback" not in captured.err
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="protocol.m"):
             parse_config_text("protocol.n = 3\nprotocol.k = 2\n")
@@ -638,14 +657,22 @@ class TestUsageErrors:
         ("oracle-check", ["--m", "0"], "m must be at least 1, got 0"),
         ("oracle-check", ["--secrets", "0"],
          "secrets must be at least 1, got 0"),
+        ("metrics", ["--n", "1"], "n must be at least 2, got 1"),
+        ("metrics", ["--m", "0"], "m must be at least 1, got 0"),
+        ("metrics", ["--n", "x"],
+         "invalid literal for int() with base 0: 'x'"),
+        ("metrics", ["--n", ","], "n needs at least one value, got ','"),
     ], ids=["run_seed", "run_trials", "sweep_seed", "sweep_trials",
             "oracle_check_seed", "oracle_check_n", "oracle_check_negative_n",
-            "oracle_check_m", "oracle_check_secrets"])
+            "oracle_check_m", "oracle_check_secrets", "metrics_n_one",
+            "metrics_m_zero", "metrics_n_not_int", "metrics_n_empty"])
     def test_bad_flag_prints_its_reason(self, tmp_path, capsys, command, flag,
                                         reason):
         if command == "oracle-check":
             # A later flag overrides the default --n or --m.
             argv = ["oracle-check", "--n", "2", "--m", "1", *flag]
+        elif command == "metrics":
+            argv = ["metrics", *flag]
         else:
             cfg = SWEEP_CFG if command == "sweep" else HONEST_CFG
             argv = [command, write(tmp_path, "c.cfg", cfg), *flag]
@@ -658,7 +685,7 @@ class TestUsageErrors:
 
 
 # The four benchmark workloads' config texts, inlined so that a change to
-# the benchmark does not move these pins.
+# the benchmark does not move these pins, and runs that no workload makes.
 PINNED_CONFIGS = {
     "honest": ("protocol.n = 5\nprotocol.k = 3\nprotocol.m = 16\n"
                "protocol.w = 8\nprotocol.decoys = 16\n"),
@@ -680,6 +707,19 @@ PINNED_CONFIGS = {
                    "adversary.rogues.actions = "
                    "lie_phase3_oracle,lie_phase3_report\n"
                    "adversary.rogues.mode = random\n"),
+    # A fixed lie from agent 0: every trial proceeds.
+    "fixed_first": ("protocol.n = 5\nprotocol.k = 3\nprotocol.m = 8\n"
+                    "adversary.rogues.agents = 0\n"
+                    "adversary.rogues.actions = "
+                    "lie_phase3_oracle,lie_phase3_report\n"
+                    "adversary.rogues.mode = fixed\n"
+                    "adversary.rogues.fixed = 10110011\n"),
+    # An audited run with random-basis taps on every phase.
+    "audited": ("protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n"
+                "protocol.decoys = 0\n"
+                "adversary.eve.kind = intercept_resend\n"
+                "adversary.eve.basis = random\n"
+                "adversary.eve.phases = 1,2,3\naudit = true\n"),
 }
 
 
@@ -695,7 +735,10 @@ class TestPinnedReports:
         ("eve_tap", "6dd76227c4897baa"),
         ("eve_decoy", "a10259ba71c30dc0"),
         ("liar_first", "c083b5d08ab057e9"),
-    ], ids=["honest", "liar", "eve_tap", "eve_decoy", "liar_first"])
+        ("fixed_first", "a8ffdc7de714d6f6"),
+        ("audited", "bd102036c5494836"),
+    ], ids=["honest", "liar", "eve_tap", "eve_decoy", "liar_first",
+            "fixed_first", "audited"])
     def test_report_digest(self, tmp_path, name, digest):
         cfg = write(tmp_path, f"{name}.cfg", PINNED_CONFIGS[name])
         out = tmp_path / "runs.jsonl"

@@ -62,7 +62,7 @@ class TestEfficiency:
         assert eta3(1 << 10) == Fraction(1024, 1025)
 
     def test_report_rendering(self):
-        d = efficiency_report(3, 4).to_dict()
+        d = efficiency_report(3, 4)
         assert d["eta1"] == {"num": 12, "den": 49, "decimal": "0.244898"}
 
     def test_size_validation(self):

@@ -9,7 +9,7 @@ from scipy.stats import chi2
 
 from dpvqss import protocol, threshold
 from dpvqss.adversary import AdversaryPlan, EveStrategy, RogueBehavior
-from dpvqss.bitvec import BitVector
+from dpvqss.bitvec import random_bits
 from dpvqss.protocol import (
     Aborted,
     ProtocolConfig,
@@ -21,7 +21,7 @@ from dpvqss.protocol import (
     run_protocol,
     secret_length,
 )
-from dpvqss.threshold import AmbiguousDecodeError, Share, robust_decode, split
+from dpvqss.threshold import AmbiguousDecodeError, robust_decode, split
 
 HONEST = AdversaryPlan()
 PAIRS_4 = list(combinations(range(4), 2))
@@ -57,7 +57,7 @@ class TestPhase1:
         cfg = ProtocolConfig(n=5, k=3, m=16)
         rng = np.random.default_rng(80)
         for _ in range(300):
-            s = BitVector.random(cfg.n * cfg.m, rng).value
+            s = random_bits(cfg.n * cfg.m, rng)
             inputs = phase1_distribute(cfg, s, HONEST, rng, Transcript(), [])
             assert inputs == segments_of(s, cfg.n, cfg.m)
 
@@ -73,7 +73,7 @@ class TestPhase1:
         rng = np.random.default_rng(83)
         aborts = 0
         for _ in range(100):
-            s = BitVector.random(12, rng).value
+            s = random_bits(12, rng)
             try:
                 phase1_distribute(cfg, s, plan, rng, Transcript(), [])
             except Aborted:
@@ -83,7 +83,7 @@ class TestPhase1:
     def test_round_structure(self):
         cfg = ProtocolConfig(n=4, k=3, m=8)
         rng = np.random.default_rng(84)
-        s = BitVector.random(32, rng).value
+        s = random_bits(32, rng)
         transcript = Transcript()
         phase1_distribute(cfg, s, HONEST, rng, transcript, [])
         kinds = [(r["kind"], r["messages"]) for r in transcript.summary()]
@@ -92,7 +92,7 @@ class TestPhase1:
 
 class TestPhase2:
     def make_inputs(self, cfg, rng):
-        s = BitVector.random(cfg.n * cfg.m, rng).value
+        s = random_bits(cfg.n * cfg.m, rng)
         return s, segments_of(s, cfg.n, cfg.m)
 
     def test_honest_proceeds(self):
@@ -149,7 +149,7 @@ class TestPhase2:
                            transmitted=range(cfg.n), encoders=range(cfg.n))
         phase_bits = {i: inputs[i] << (i * cfg.m) for i in range(cfg.n)}
         out = batch.encode_and_measure(phase_bits, rng)
-        mask = BitVector.random(cfg.n * cfg.m, rng).value
+        mask = random_bits(cfg.n * cfg.m, rng)
         reported = [out.registers[i] for i in range(cfg.n)]
         reported[0] = reported[0] ^ mask
         reported[1] = reported[1] ^ mask  # cancels in the aggregate
@@ -186,7 +186,7 @@ class TestPhase3:
 
     def test_rogue_fixed_share_tolerated(self):
         cfg = ProtocolConfig(n=5, k=3, m=16)
-        fake = BitVector.from_string("1" * 16)
+        fake = "1" * 16
         plan = AdversaryPlan(
             rogues=RogueBehavior((4,), ("lie_phase3_oracle",), mode="fixed",
                                  fixed_value=fake)
@@ -320,7 +320,7 @@ DECODE_GRID = {
     )),
     "colluding_fixed_liars": (ProtocolConfig(n=5, k=3, m=8), AdversaryPlan(
         rogues=RogueBehavior((3, 4), ("lie_phase3_oracle",), mode="fixed",
-                             fixed_value=BitVector.from_string("10110011"))
+                             fixed_value="10110011")
     )),
     "report_lies_only": (ProtocolConfig(n=5, k=3, m=16), AdversaryPlan(
         rogues=RogueBehavior((0,), ("lie_phase3_report",))
@@ -384,7 +384,7 @@ class TestDecodeOncePerView:
                 if j == a.index or j not in rogues.agents:
                     assert claim == rep.agents[j].s_i
                 elif rogues.mode == "fixed":
-                    assert claim == rogues.fixed_value.value
+                    assert claim == int(rogues.fixed_value, 2)
         if rogues.mode == "random":
             for j in rogues.agents:
                 claims = [a.claimed_shares[j] for a in rep.agents if a.index != j]
@@ -427,32 +427,25 @@ class TestDecodeOncePerView:
 class TestClaimTokens:
     @pytest.mark.parametrize("name", ["honest", *sorted(DECODE_GRID)])
     def test_tokens_render_claims_without_shares(self, monkeypatch, name):
-        # No Share is built while a trial runs or its report renders, each
-        # distinct (agent, claim) token renders once across the views (n on
-        # an honest trial, not n^2), and every token equals the one
-        # Share.token gives.
+        # Each distinct (agent, claim) token renders once across the views
+        # (n on an honest trial, not n^2), and every token is the agent
+        # index and the claim's m / 4 hex digits.
         cfg, plan = ((ProtocolConfig(n=5, k=3, m=16), HONEST)
                      if name == "honest" else DECODE_GRID[name])
-        built, rendered = [], []
-        init, render = Share.__init__, protocol.share_token
-
-        def counted_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
+        rendered = []
+        render = protocol.share_token
 
         def counted_render(index, bits, m):
             rendered.append((index, bits))
             return render(index, bits, m)
 
-        monkeypatch.setattr(Share, "__init__", counted_init)
         monkeypatch.setattr(protocol, "share_token", counted_render)
         ambiguous = 0
         for seed in range(12):
             rng = np.random.default_rng(seed)
-            del built[:], rendered[:]
+            del rendered[:]
             rep = run_protocol(cfg, random_secret(cfg, rng), plan, rng=rng)
             agents = rep.to_dict()["agents"]
-            assert built == []
             views = {a.claimed_shares for a in rep.agents}
             claims = {(j, claim) for view in views
                       for j, claim in enumerate(view)}
@@ -460,10 +453,9 @@ class TestClaimTokens:
             assert len(views) == 1 or name != "honest"
             assert len(rendered) == cfg.n or name != "honest"
             for a in rep.agents:
-                expect = [Share.from_bits(claim, cfg.m, j, cfg.w).token()
+                expect = [f"{j}:{claim:0{cfg.m // 4}x}"
                           for j, claim in enumerate(a.claimed_shares)]
                 assert agents[str(a.index)]["claimed_shares"] == expect
-            assert len(built) == cfg.n * cfg.n
             ambiguous += any(a.ambiguous for a in rep.agents)
         assert bool(ambiguous) == (name == "colluding_fixed_liars")
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dpvqss.bitvec import BitVector, CapacityError
+from dpvqss.bitvec import BitVector, CapacityError, random_bits
 from dpvqss.qsim import MAX_QUBITS, StateVector
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -158,14 +158,14 @@ class TestPhaseOracle:
         sv = random_state(4, rng, skip=(3,))
         sv.prepare_basis("-", 3)
         ref = sv.amps.copy()
-        sv.apply_phase_oracle(BitVector.zeros(3), [0, 1, 2], 3)
+        sv.apply_phase_oracle(0, [0, 1, 2], 3)
         assert np.array_equal(sv.amps, ref)
 
     def test_single_bit_kickback(self):
         sv = StateVector(2)
         sv.prepare_basis("+", 0)
         sv.prepare_basis("-", 1)
-        sv.apply_phase_oracle(BitVector.from_string("1"), [0], 1)
+        sv.apply_phase_oracle(1, [0], 1)
         # Register qubit flipped from |+> to |->; measuring in H basis gives 1.
         rng = np.random.default_rng(24)
         assert sv.measure_hadamard_basis(0, rng) == 1
@@ -175,7 +175,7 @@ class TestPhaseOracle:
         sv.prepare_ghz([0, 1])
         sv.prepare_basis("-", 2)
         ref = sv.amps.copy()
-        sv.apply_phase_oracle(BitVector.from_string("11"), [0, 1], 2)
+        sv.apply_phase_oracle(0b11, [0, 1], 2)
         assert np.max(np.abs(sv.amps - ref)) < 1e-12
 
     def test_composition_equals_xor(self):
@@ -183,8 +183,8 @@ class TestPhaseOracle:
         for _ in range(10):
             sv = random_state(8, rng, skip=(7,))
             sv.prepare_basis("-", 7)
-            c1 = BitVector.random(7, rng)
-            c2 = BitVector.random(7, rng)
+            c1 = random_bits(7, rng)
+            c2 = random_bits(7, rng)
             seq = sv.copy()
             seq.apply_phase_oracle(c1, range(7), 7)
             seq.apply_phase_oracle(c2, range(7), 7)
@@ -193,9 +193,12 @@ class TestPhaseOracle:
             assert np.max(np.abs(seq.amps - once.amps)) < 1e-12
 
     def test_length_mismatch(self):
+        # Bit j of the value acts on register qubit j, so a value wider than
+        # the register has a bit with no qubit.
         sv = StateVector(3)
-        with pytest.raises(ValueError):
-            sv.apply_phase_oracle(BitVector.from_string("1"), [0, 1], 2)
+        for bad in (0b100, -1):
+            with pytest.raises(ValueError):
+                sv.apply_phase_oracle(bad, [0, 1], 2)
 
 
 class TestMeasurement:

@@ -8,13 +8,13 @@ from dpvqss.threshold import (
     FIELDS,
     AmbiguousDecodeError,
     InsufficientSharesError,
-    Share,
     ShareIntegrityError,
     SplitConfig,
     decode_views,
     pack,
     reconstruct,
     robust_decode,
+    share_token,
     split,
     unpack,
 )
@@ -23,11 +23,6 @@ from threshold_reference import split_reference
 
 GF16 = FIELDS[4]
 GF256 = FIELDS[8]
-
-
-def labelled(claims, m, w):
-    """The claims as Shares, claim i agent i's."""
-    return [Share.from_bits(c, m, i, w) for i, c in enumerate(claims)]
 
 
 class TestField:
@@ -111,7 +106,7 @@ class TestKernel:
                     rng, ref_rng = (np.random.default_rng(seed) for _ in "ab")
                     claims = split(pack(secret, w), cfg, elements * w, rng)
                     ref = split_reference(secret, cfg, ref_rng)
-                    assert claims == [s.to_bits() for s in ref]
+                    assert claims == [pack(s, w) for s in ref]
                     assert (rng.bit_generator.state
                             == ref_rng.bit_generator.state)
 
@@ -137,9 +132,9 @@ class TestSplitReconstruct:
         # f(x) = 0xA + 0x3 x over GF(16): shares 0x9, 0xC, 0xF at x = 1, 2, 3.
         assert [GF16.poly_eval([0xA, 0x3], x) for x in (1, 2, 3)] == [0x9, 0xC, 0xF]
         cfg = SplitConfig(2, 3, 4)
-        shares = [Share(i, (y,), 4) for i, y in enumerate([0x9, 0xC, 0xF])]
-        for pair in itertools.combinations(shares, 2):
-            assert reconstruct(list(pair), cfg) == 0xA
+        claims = {0: 0x9, 1: 0xC, 2: 0xF}
+        for pair in itertools.combinations(claims.items(), 2):
+            assert reconstruct(dict(pair), cfg, 4) == 0xA
 
     def test_single_share_reveals_nothing(self):
         # Every value of a lone share is produced by exactly one polynomial
@@ -160,10 +155,10 @@ class TestSplitReconstruct:
     def test_threshold_boundary_k_equals_n(self):
         cfg = SplitConfig(2, 2, 4)
         rng = np.random.default_rng(12)
-        shares = labelled(split(0x7, cfg, 4, rng), 4, 4)
-        assert reconstruct(shares, cfg) == 0x7
+        claims = dict(enumerate(split(0x7, cfg, 4, rng)))
+        assert reconstruct(claims, cfg, 4) == 0x7
         with pytest.raises(InsufficientSharesError):
-            reconstruct(shares[:1], cfg)
+            reconstruct({1: claims[1]}, cfg, 4)
 
     def test_round_trip_many_configs(self):
         rng = np.random.default_rng(13)
@@ -175,12 +170,12 @@ class TestSplitReconstruct:
                     cfg = SplitConfig(k, n, w)
                     for _ in range(25):
                         secret = pack(rng.integers(0, 1 << w, size=3).tolist(), w)
-                        shares = labelled(split(secret, cfg, 3 * w, rng), 3 * w, w)
-                        assert len(shares) == n
-                        assert len({s.bit_length for s in shares}) == 1
-                        chosen = list(rng.choice(n, size=k, replace=False))
-                        subset = [shares[i] for i in chosen]
-                        assert reconstruct(subset, cfg) == secret
+                        claims = split(secret, cfg, 3 * w, rng)
+                        assert len(claims) == n
+                        assert max(claims) >> (3 * w) == 0
+                        chosen = rng.choice(n, size=k, replace=False).tolist()
+                        subset = {j: claims[j] for j in chosen}
+                        assert reconstruct(subset, cfg, 3 * w) == secret
 
     def test_split_rejects_bad_width_or_range(self):
         cfg = SplitConfig(2, 3, 4)
@@ -189,19 +184,25 @@ class TestSplitReconstruct:
             with pytest.raises(ValueError):
                 split(secret, cfg, m, rng)
 
-    def test_duplicate_indices_rejected(self):
+    def test_agents_outside_roster_rejected(self):
+        # Claims are keyed by agent, so an agent can claim only once; the
+        # keys must name agents 0..n-1.
         cfg = SplitConfig(2, 3, 4)
-        rng = np.random.default_rng(14)
-        shares = labelled(split(1, cfg, 4, rng), 4, 4)
-        with pytest.raises(ShareIntegrityError):
-            reconstruct([shares[0], shares[0]], cfg)
+        claims = split(1, cfg, 4, np.random.default_rng(14))
+        for bad in (-1, 3):
+            with pytest.raises(ShareIntegrityError):
+                reconstruct({0: claims[0], bad: claims[1]}, cfg, 4)
 
     def test_width_must_match_field(self):
-        # The kernel scales with GF(2^w)'s tables, so a byte-wide share under
-        # w = 4 would be read as two nibbles.
-        shares = [Share(0, (0x12,), 8), Share(1, (0x34,), 8)]
-        with pytest.raises(ShareIntegrityError):
-            reconstruct(shares, SplitConfig(2, 3, 4))
+        # The kernel scales with GF(2^w)'s tables, so m must be whole w-bit
+        # elements, and every claim m bits wide.
+        byte_field = SplitConfig(2, 3, 8)
+        for m in (4, 12, 0):
+            with pytest.raises(ShareIntegrityError):
+                reconstruct({0: 0x2, 1: 0x4}, byte_field, m)
+        for bad in (0x1234, -1):
+            with pytest.raises(ShareIntegrityError):
+                reconstruct({0: 0x12, 1: bad}, byte_field, 8)
 
 
 class TestRobustDecode:
@@ -248,7 +249,7 @@ class TestRobustDecode:
             secret = pack(rng.integers(0, 16, size=2).tolist(), 4)
             shares = split(secret, cfg, 8, rng)
             decoded, _ = robust_decode(shares, cfg, 8)
-            assert decoded == reconstruct(labelled(shares, 8, 4)[: cfg.k], cfg)
+            assert decoded == reconstruct(dict(enumerate(shares[: cfg.k])), cfg, 8)
 
     def test_false_first_share_decodes_without_exhaustive_search(self, monkeypatch):
         # The lie at index 0 spoils the interpolation from the first k
@@ -413,30 +414,30 @@ class TestDecodeViews:
 
 class TestShareEncoding:
     def test_bits_round_trip(self):
-        share = Share(2, (0xAB, 0x01, 0xFF), 8)
-        bits = share.to_bits()
+        bits = pack((0xAB, 0x01, 0xFF), 8)
         assert bits.bit_length() == 24
-        assert Share.from_bits(bits, 24, 2, 8) == share
+        assert unpack(bits, 24, 8) == (0xAB, 0x01, 0xFF)
 
     def test_element_zero_least_significant(self):
-        share = Share(0, (0x1, 0x2), 4)
-        assert share.to_bits() == 0b00100001
+        assert pack((0x1, 0x2), 4) == 0b00100001
 
     def test_token_format(self):
-        assert Share(1, (0xAB, 0x01), 8).token() == "1:01ab"
-        assert Share(0, (0xA,), 4).token() == "0:a"
+        assert share_token(1, pack((0xAB, 0x01), 8), 16) == "1:01ab"
+        assert share_token(0, 0xA, 4) == "0:a"
 
     @pytest.mark.parametrize("w", [4, 8])
     def test_token_matches_element_join(self, w):
-        # The token renders the bit form; this is its per-element reference.
+        # The token renders the packed claim; this is its per-element
+        # reference, element 0 rightmost.
         rng = np.random.default_rng(20 + w)
         for _ in range(200):
             elements = int(rng.integers(1, 9))
             value = tuple(int(v) for v in rng.integers(0, 1 << w, size=elements))
-            share = Share(int(rng.integers(0, 16)), value, w)
+            agent = int(rng.integers(0, 16))
             digits = (w + 3) // 4
             joined = "".join(format(v, f"0{digits}x") for v in reversed(value))
-            assert share.token() == f"{share.agent_index}:{joined}"
+            assert (share_token(agent, pack(value, w), w * elements)
+                    == f"{agent}:{joined}")
 
 
 class TestByteOrder:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from dpvqss.threshold import (
     FIELDS,
     AmbiguousDecodeError,
-    Share,
     SplitConfig,
     pack,
     reconstruct,
@@ -38,8 +37,8 @@ def configs(draw, max_n):
 
 
 def evaluate(cfg, polys, agent):
-    return Share(agent, tuple(cfg.field.poly_eval(p, agent + 1) for p in polys),
-                 cfg.w)
+    """Agent's share of the polynomial vector, as its element tuple."""
+    return tuple(cfg.field.poly_eval(p, agent + 1) for p in polys)
 
 
 @st.composite
@@ -52,7 +51,8 @@ def polynomial_vectors(draw, cfg):
 
 @st.composite
 def claimed_share_sets(draw):
-    """n claimed shares, any number of them false.
+    """n claimed shares in agent order, as element tuples, any number of
+    them false.
 
     Liars either send independent random values or all sit on one fake
     polynomial vector (colluding); the liar count ranges from 0 to n, so it
@@ -72,9 +72,8 @@ def claimed_share_sets(draw):
         for i in liars:
             value = draw(elements(cfg.w, min_size=len(polys),
                                   max_size=len(polys)))
-            shares[i] = Share(i, tuple(value), cfg.w)
-    order = draw(st.permutations(range(cfg.n)))
-    return [shares[i] for i in order], cfg
+            shares[i] = tuple(value)
+    return shares, cfg
 
 
 def decode_outcome(decode, *args):
@@ -122,10 +121,11 @@ class TestSharing:
     def test_reconstruct_from_any_k_subset(self, data):
         cfg = data.draw(configs(max_n=15))
         polys = data.draw(polynomial_vectors(cfg))
-        shares = [evaluate(cfg, polys, i) for i in range(cfg.n)]
-        subset = data.draw(st.lists(st.sampled_from(shares), unique=True,
+        agents = data.draw(st.lists(st.integers(0, cfg.n - 1), unique=True,
                                     min_size=cfg.k, max_size=cfg.k))
-        assert reconstruct(subset, cfg) == pack([p[0] for p in polys], cfg.w)
+        claims = {j: pack(evaluate(cfg, polys, j), cfg.w) for j in agents}
+        assert (reconstruct(claims, cfg, cfg.w * len(polys))
+                == pack([p[0] for p in polys], cfg.w))
 
 
 class TestDecoderEquivalence:
@@ -133,9 +133,9 @@ class TestDecoderEquivalence:
     @given(claimed_share_sets())
     def test_matches_exhaustive_search(self, case):
         # The decoder takes claim j as agent j's m-bit int; the reference
-        # takes the labelled shares in their drawn order and answers in
-        # element tuples, packed here.
+        # takes agent j's element tuple and answers in element tuples,
+        # packed here.
         shares, cfg = case
-        claims = [s.to_bits() for s in sorted(shares, key=lambda s: s.agent_index)]
-        assert (decode_outcome(robust_decode, claims, cfg, shares[0].bit_length)
+        claims = [pack(s, cfg.w) for s in shares]
+        assert (decode_outcome(robust_decode, claims, cfg, cfg.w * len(shares[0]))
                 == reference_outcome(shares, cfg))

@@ -3,8 +3,9 @@
 `split_reference` is the split that evaluates each element's polynomial
 with `GF.poly_eval`, drawing one coefficient row per element.
 `exhaustive_decode` is the maximal-consistency search over all k-subsets of
-labelled `Share`s, one scalar Lagrange sum per element.  Tests check
-`threshold.split` and `threshold.robust_decode` against them.
+the claims, one scalar Lagrange sum per element.  Both hold a share or claim
+as its tuple of field elements, one tuple per agent in agent order.  Tests
+check `threshold.split` and `threshold.robust_decode` against them.
 """
 
 from __future__ import annotations
@@ -16,24 +17,23 @@ from typing import Sequence
 from dpvqss.threshold import (
     FIELDS,
     AmbiguousDecodeError,
-    Share,
     ShareIntegrityError,
     SplitConfig,
     _lagrange_weights,
 )
 
 
-def split_reference(secret: Sequence[int], cfg: SplitConfig, rng) -> list[Share]:
-    """Split per-element with uniformly random degree-(k-1) polynomials."""
+def split_reference(
+    secret: Sequence[int], cfg: SplitConfig, rng
+) -> list[tuple[int, ...]]:
+    """Split per-element with uniformly random degree-(k-1) polynomials;
+    returns agent i's elements at x = i + 1, in agent order."""
     gf = cfg.field
     polys = [
         [e] + [int(c) for c in rng.integers(0, gf.order, size=cfg.k - 1)]
         for e in secret
     ]
-    return [
-        Share(i, tuple(gf.poly_eval(p, i + 1) for p in polys), cfg.w)
-        for i in range(cfg.n)
-    ]
+    return [tuple(gf.poly_eval(p, i + 1) for p in polys) for i in range(cfg.n)]
 
 
 @lru_cache(maxsize=8192)
@@ -41,34 +41,27 @@ def _cached_weights(w: int, xs: tuple[int, ...], x_target: int) -> tuple[int, ..
     return tuple(_lagrange_weights(xs, x_target, FIELDS[w]))
 
 
-def _roster(claimed: Sequence[Share], cfg: SplitConfig) -> list[Share]:
-    """Check that there is exactly one share per agent; return them in index order."""
+def exhaustive_decode(
+    claimed: Sequence[tuple[int, ...]], cfg: SplitConfig
+) -> tuple[tuple[int, ...], int]:
+    """Maximal-consistency decoding by trying every k-subset of the claims,
+    claim i agent i's elements."""
     if len(claimed) != cfg.n:
         raise ShareIntegrityError(
-            f"expected exactly one share per agent ({cfg.n}), got {len(claimed)}"
+            f"expected exactly one claim per agent ({cfg.n}), got {len(claimed)}"
         )
-    if sorted(s.agent_index for s in claimed) != list(range(cfg.n)):
-        raise ShareIntegrityError("agent indices must cover 0..n-1")
-    if len({(s.width, len(s.value)) for s in claimed}) != 1:
-        raise ShareIntegrityError("shares disagree on width or element count")
-    return sorted(claimed, key=lambda s: s.agent_index)
-
-
-def exhaustive_decode(
-    claimed: Sequence[Share], cfg: SplitConfig
-) -> tuple[tuple[int, ...], int]:
-    """Maximal-consistency decoding by trying every k-subset of the shares."""
-    ordered = _roster(claimed, cfg)
+    if len({len(c) for c in claimed}) != 1:
+        raise ShareIntegrityError("claims disagree on element count")
     gf = cfg.field
-    n_elems = len(ordered[0].value)
-    all_xs = [s.x for s in ordered]
+    n_elems = len(claimed[0])
+    all_xs = list(range(1, cfg.n + 1))
 
     best_support = -1
     best_secrets: dict[tuple[int, ...], int] = {}
     mul = gf.mul
     for subset in combinations(range(cfg.n), cfg.k):
         xs = tuple(all_xs[i] for i in subset)
-        subset_values = [ordered[i].value for i in subset]
+        subset_values = [claimed[i] for i in subset]
 
         def value_at(x, e):
             acc = 0
@@ -77,8 +70,8 @@ def exhaustive_decode(
             return acc
 
         support = 0
-        for share in ordered:
-            if all(value_at(share.x, e) == share.value[e] for e in range(n_elems)):
+        for x, claim in zip(all_xs, claimed):
+            if all(value_at(x, e) == claim[e] for e in range(n_elems)):
                 support += 1
         secret = tuple(value_at(0, e) for e in range(n_elems))
         if support == cfg.n:
