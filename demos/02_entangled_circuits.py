@@ -4,7 +4,6 @@ XOR correlation that survives the Hadamard layers."""
 
 import numpy as np
 
-from dpvqss.bitvec import BitVector
 from dpvqss.qsim import StateVector, dense_outcomes
 
 rng = np.random.default_rng(2)
@@ -30,12 +29,12 @@ print(f"register measured in the Hadamard basis: "
 print()
 print("== The distribution circuit, exactly ==")
 n, m = 2, 1
-s = BitVector.from_string("10")
-print(f"n={n} agents, m={m} bit slices, secret s = {s}")
+s = 0b10
+print(f"n={n} agents, m={m} bit slices, secret s = {s:0{n * m}b}")
 counts = {}
-for out in dense_outcomes(n + 1, n * m, {n: s.value}, 4000, rng):
+for out in dense_outcomes(n + 1, n * m, {n: s}, 4000, rng):
     a, b0, b1 = out.registers[n], out.registers[0], out.registers[1]
-    assert a ^ b0 ^ b1 == s.value, "XOR constraint violated"
+    assert a ^ b0 ^ b1 == s, "XOR constraint violated"
     key = tuple(format(reg, f"0{n * m}b") for reg in (a, b1, b0))
     counts[key] = counts.get(key, 0) + 1
 print(f"4000 shots, {len(counts)} distinct outcomes, all satisfying")

@@ -3,7 +3,7 @@
 Shares, secrets and fixed lies cross the API as plain ints, or as the
 MSB-first bit strings a config writes.  Library layout:
 
-- bitvec     the uniform bit draw, and bit vectors for demos and tests
+- bitvec     the uniform bit draw
 - qsim       exact statevector simulator and dense round reference
              (tests and oracle-check only; no protocol module imports it)
 - threshold  (k, n) Shamir sharing over GF(2^w) with robust decoding, one
@@ -20,7 +20,6 @@ MSB-first bit strings a config writes.  Library layout:
 
 __version__ = "0.7.0"
 
-from .bitvec import BitVector  # noqa: F401
 from .threshold import SplitConfig, reconstruct, robust_decode, split  # noqa: F401
 from .adversary import AdversaryPlan, EveStrategy, RogueBehavior, leakage_audit  # noqa: F401
 from .protocol import ProtocolConfig, RunReport, run_protocol  # noqa: F401

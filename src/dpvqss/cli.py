@@ -8,10 +8,12 @@ Config files are flat key=value text with dotted sections::
     adversary.eve.kind = intercept_resend
     trials = 100
 
-Unknown keys are rejected by name.  Sweeps add `sweep.<key> = v1,v2,...`
-entries whose cross-product defines the grid; seed, trials, out and audit
-cannot be swept, and a sweep config cannot set audit.  A cell that fails
-validation becomes a `skipped` row naming the error.  `oracle-check`
+Unknown keys are rejected by name.  Every integer, in a list too, takes
+an optional base prefix, so `0x4` is 4; `adversary.eve.channel` is one
+integer or `all`.  Sweeps add `sweep.<key> = v1,v2,...` entries whose
+cross-product defines the grid; seed, trials, out and audit cannot be
+swept, and a sweep config cannot set audit.  A cell that fails validation
+becomes a `skipped` row naming the error.  `oracle-check`
 compares the sampler's exact outcome law of an honest round with the dense
 reference's Born probabilities, entry by entry, and draws no samples.
 Every subcommand is deterministic under a fixed --seed; exit codes are 0
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import __version__, entangle
 from .adversary import AdversaryPlan, EveStrategy, RogueBehavior
-from .bitvec import CapacityError, random_bits
+from .bitvec import random_bits
 from .metrics import efficiency_report, empirical_stats
 from .protocol import (
     RUN_SCHEMA,
@@ -43,7 +45,7 @@ from .protocol import (
     run_protocol,
     secret_length,
 )
-from .qsim import dense_state
+from .qsim import CapacityError, dense_state
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -110,7 +112,7 @@ def _flag(parse):
 
 
 def _parse_int_list(text):
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    return tuple(_parse_int(tok) for tok in text.split(",") if tok.strip())
 
 
 def _parse_str_list(text):
@@ -118,7 +120,7 @@ def _parse_str_list(text):
 
 
 def _parse_channel(text):
-    return None if text in ("all", "none", "") else int(text)
+    return None if text == "all" else _parse_int(text)
 
 
 def _parse_hex(text):
@@ -319,7 +321,7 @@ def _sampler_law(n: int, p: int, s: int) -> np.ndarray:
     return law
 
 
-def oracle_check_case(n, m, secrets, seed, dump=False):
+def oracle_check_case(n, m, secrets, seed):
     """The largest gap, per secret, between the dense reference's Born
     probabilities of an honest distribution round's registers (summed over
     the |-> target) and the sampler's exact law; raises CapacityError past
@@ -327,11 +329,9 @@ def oracle_check_case(n, m, secrets, seed, dump=False):
     rng = np.random.default_rng([seed, n, m])
     results = []
     p = n * m
-    for idx in range(secrets):
+    for _ in range(secrets):
         secret = random_bits(p, rng)
         state, _ = dense_state(n + 1, p, phase_bits={n: secret})
-        if dump and idx == 0:
-            print(state.dump())
         # The |-> target is the top qubit: summing it out adds the two halves.
         born = (np.abs(state.amps) ** 2).reshape(2, -1).sum(axis=0)
         law = _sampler_law(n, p, secret)
@@ -342,8 +342,7 @@ def oracle_check_case(n, m, secrets, seed, dump=False):
 
 def cmd_check_oracle(args) -> int:
     try:
-        results = oracle_check_case(args.n, args.m, args.secrets, args.seed,
-                                    dump=args.dump)
+        results = oracle_check_case(args.n, args.m, args.secrets, args.seed)
     except CapacityError as err:
         return _error(err)
     ok = True
@@ -491,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oc.add_argument("--secrets", type=_flag(_at_least("secrets")),
                       default=4)
     p_oc.add_argument("--seed", type=_flag(_parse_seed), default=0)
-    p_oc.add_argument("--dump", action="store_true",
-                      help="print the pre-measurement state of the first case")
     p_oc.set_defaults(func=cmd_check_oracle)
 
     p_sw = sub.add_parser("sweep", help="run a parameter grid")

@@ -34,10 +34,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bitvec import DimensionError, random_bits
+from .bitvec import random_bits
 
 READS = ("z", "random", "entangle")
 BASIS_LABELS = ("0", "1", "+", "-")  # decoy preparation states
+
+
+class DimensionError(ValueError):
+    """A phase vector is wider than the batch's tuple positions."""
 
 
 class IntegrityError(ValueError):

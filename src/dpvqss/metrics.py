@@ -44,10 +44,11 @@ def efficiency_report(n: int, m: int) -> dict:
             "eta3": render(eta3(m))}
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("need at least one trial")
+    z = 1.96
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

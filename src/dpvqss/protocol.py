@@ -60,7 +60,7 @@ from .adversary import (
     leakage_audit,
     sent_channels,
 )
-from .bitvec import BitVector
+from .bitvec import BitVector, random_bits
 from .entangle import distribute, insert_decoys, transmit, verify_decoys
 from .metrics import efficiency_report
 from .threshold import (
@@ -503,5 +503,6 @@ def secret_length(cfg: ProtocolConfig, secret: bytes | None = None) -> int:
 def random_secret(cfg: ProtocolConfig, rng) -> bytes:
     """A uniformly random secret of the byte length cfg requires."""
     n_bytes = secret_length(cfg)
+    bits = 8 * n_bytes
     # The bench harness counts this BitVector; ROADMAP item 1 retires its count.
-    return BitVector.random(8 * n_bytes, rng).value.to_bytes(n_bytes, "little")
+    return BitVector(random_bits(bits, rng), bits).value.to_bytes(n_bytes, "little")

@@ -13,7 +13,8 @@ Conventions:
 
 - Little-endian indexing: qubit j contributes bit j of a basis-state index,
   so in the reshaped [2]*q tensor, qubit j lives on axis q-1-j.
-- Amplitudes are complex128; capacity is bounded at 22 qubits.
+- Amplitudes are complex128, held in the public `amps` array that tests
+  read; past 22 qubits `StateVector` raises CapacityError.
 - All measurement randomness flows through an injected numpy Generator.
 - Every applied gate is appended to `gate_log` so tests can assert on the
   gate set actually used (e.g. GHZ preparation is Hadamard + CNOT only).
@@ -26,11 +27,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitvec import CapacityError
 from .entangle import BASIS_LABELS, RoundOutcome
 
 MAX_QUBITS = 22
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+
+
+class CapacityError(ValueError):
+    """A state would exceed the qubit bound."""
 
 
 class StateVector:
@@ -156,13 +160,6 @@ class StateVector:
         self.amps /= norm
         return outcome
 
-    def measure_register(self, qubits: Sequence[int], rng) -> int:
-        """Collapse the listed qubits; bit i of the result is qubits[i]."""
-        value = 0
-        for i, qb in enumerate(qubits):
-            value |= self.measure_qubit(qb, rng) << i
-        return value
-
     def measure_hadamard_basis(self, qubit: int, rng) -> int:
         """H then computational measurement: 0 for |+>, 1 for |->."""
         self.apply_h(qubit)
@@ -184,19 +181,6 @@ class StateVector:
         return out
 
     # -- inspection ----------------------------------------------------------
-
-    def copy(self) -> "StateVector":
-        dup = StateVector.__new__(StateVector)
-        dup.q = self.q
-        dup.amps = self.amps.copy()
-        dup.gate_log = list(self.gate_log)
-        return dup
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def amplitude(self, index: int) -> complex:
-        return complex(self.amps[index])
 
     def dump(self, tol: float = 1e-9) -> str:
         """One line per nonzero amplitude: "bitstring re im", MSB first."""

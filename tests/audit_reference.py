@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 from dpvqss.adversary import EveStrategy
-from dpvqss.bitvec import CapacityError
+from dpvqss.qsim import CapacityError
 
 # The audit enumerates every free bit exactly; cap the exponent.
 AUDIT_BIT_BOUND = 20

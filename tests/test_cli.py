@@ -117,6 +117,18 @@ class TestConfigParsing:
                 in captured.err)
         assert "Traceback" not in captured.err
 
+    def test_integer_lists_and_channel_take_base_prefixes(self):
+        # As protocol.* keys do: 0x1 is 1.
+        text = ("protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n"
+                "adversary.rogues.agents = 0x1\n"
+                "adversary.rogues.actions = lie_phase2_report\n"
+                "adversary.eve.kind = intercept_resend\n"
+                "adversary.eve.phases = 0x1,0x2\nadversary.eve.channel = 0x1\n")
+        plan = parse_config_text(text).plan
+        assert plan.rogues.agents == (1,)
+        assert plan.eve.phases == (1, 2)
+        assert plan.eve.channel == 1
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="protocol.m"):
             parse_config_text("protocol.n = 3\nprotocol.k = 2\n")
@@ -209,12 +221,17 @@ class TestRun:
          "adversary.rogues.fixed"),
         ("adversary.eve.kind = intercept_resend\nadversary.eve.channel = 9\n",
          "adversary.eve.channel"),
+        # `none` and an empty channel used to read as all channels.
+        ("adversary.eve.kind = intercept_resend\nadversary.eve.channel = none\n",
+         "adversary.eve.channel"),
+        ("adversary.eve.kind = intercept_resend\nadversary.eve.channel =\n",
+         "adversary.eve.channel"),
         ("adversary.eve.kind = intercept_resend\nadversary.eve.phases =\n",
          "adversary.eve.phases"),
         ("adversary.eve.kind = entangle_measure\nadversary.eve.basis = random\n",
          "adversary.eve.basis"),
-    ], ids=["fixed_lie_width", "unsent_eve_channel", "eve_in_no_phase",
-            "random_basis_entangle"])
+    ], ids=["fixed_lie_width", "unsent_eve_channel", "eve_channel_none",
+            "eve_channel_empty", "eve_in_no_phase", "random_basis_entangle"])
     def test_unrunnable_plan_rejected_at_parse(self, tmp_path, capsys, extra,
                                                key):
         text = "protocol.n = 3\nprotocol.k = 2\nprotocol.m = 8\n" + extra

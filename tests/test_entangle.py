@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from dpvqss.adversary import EveStrategy
-from dpvqss.bitvec import CapacityError
 from dpvqss.entangle import (
     Decoy,
+    DimensionError,
     IntegrityError,
     TransmissionPlan,
     _read_law,
@@ -20,7 +20,7 @@ from dpvqss.entangle import (
     transmit,
     verify_decoys,
 )
-from dpvqss.qsim import StateVector, dense_outcomes, dense_state
+from dpvqss.qsim import CapacityError, StateVector, dense_outcomes, dense_state
 from chi_square import homogeneity_p
 from stabilizer_reference import echelon, in_span, outcome_law, uniform_law
 
@@ -47,8 +47,8 @@ class TestDistributeOracle:
 
     def test_bell_pair(self):
         state, _ = dense_state(2, 1)
-        assert state.amplitude(0b00) == pytest.approx(SQRT1_2)
-        assert state.amplitude(0b11) == pytest.approx(SQRT1_2)
+        assert state.amps[0b00] == pytest.approx(SQRT1_2)
+        assert state.amps[0b11] == pytest.approx(SQRT1_2)
 
     def test_tensor_power_of_ghz3(self):
         # Two GHZ_3 tuples across three 2-qubit registers: amplitude 1/2 on
@@ -56,8 +56,8 @@ class TestDistributeOracle:
         state, _ = dense_state(3, 2)
         for xv in range(4):
             idx = xv | (xv << 2) | (xv << 4)
-            assert state.amplitude(idx) == pytest.approx(0.5)
-        assert state.amplitude(0b000001) == pytest.approx(0.0)
+            assert state.amps[idx] == pytest.approx(0.5)
+        assert state.amps[0b000001] == pytest.approx(0.0)
 
     def test_oracle_capacity_refusal(self):
         with pytest.raises(CapacityError):
@@ -341,7 +341,7 @@ def dense_tuple_law(r, reads, z):
             for bit, prob in ((0, 1.0 - p1), (1, p1)):
                 if prob < 1e-15:
                     continue
-                branch = state.copy()
+                branch = copy.deepcopy(state)
                 branch.measure_qubit(ch, _Forced(bit))
                 if read == "x":
                     branch.apply_h(ch)
@@ -535,9 +535,9 @@ class TestDecoys:
     @staticmethod
     def branch(sv, qubit, bit):
         """Probability of reading `bit` on `qubit`, and the collapsed state."""
-        out = sv.copy()
+        out = copy.deepcopy(sv)
         out.amps[((np.arange(len(out.amps)) >> qubit) & 1) != bit] = 0.0
-        prob = out.norm() ** 2
+        prob = np.linalg.norm(out.amps) ** 2
         if prob > 1e-12:
             out.amps /= math.sqrt(prob)
         return prob, out
@@ -639,6 +639,18 @@ class TestBatchLifecycle:
         batch.encode_and_measure({1: bv("101")}, rng)
         with pytest.raises(RuntimeError):
             batch.encode_and_measure({1: bv("101")}, rng)
+
+    @pytest.mark.parametrize("phase_bits, error", [
+        ({1: 0b100}, DimensionError), ({1: -1}, DimensionError),
+        ({0: 0b01}, ValueError),
+    ], ids=["too_wide", "negative", "not_an_encoder"])
+    def test_bad_phase_bits_rejected_before_measuring(self, phase_bits, error):
+        rng = np.random.default_rng(65)
+        batch = distribute(2, 2, encoders=(1,))
+        with pytest.raises(error):
+            batch.encode_and_measure(phase_bits, rng)
+        # The refused call leaves the batch unmeasured.
+        batch.encode_and_measure({1: bv("10")}, rng)
 
     def test_tap_on_untransmitted_channel_rejected(self):
         with pytest.raises(ValueError):
