@@ -9,8 +9,9 @@ MSB-first bit strings a config writes.  Library layout:
 - threshold  (k, n) Shamir sharing over GF(2^w) with robust decoding, one
              packed m-bit int per share
 - entangle   entanglement distribution, the tap reads (z / random /
-             entangle), decoys and the exact outcome sampler (closed-form
-             GHZ read law, every round)
+             entangle), the decoy check as one Binomial(d*t, 1/4) draw per
+             round (the per-decoy model is reference-only) and the exact
+             outcome sampler (closed-form GHZ read law, every round)
 - adversary  eavesdropper strategies (one read per tapped channel), rogue
              agents, closed-form exact leakage audits at any size
 - protocol   the three protocol phases and the run orchestrator
@@ -18,7 +19,7 @@ MSB-first bit strings a config writes.  Library layout:
 - cli        experiment driver (run / sweep / oracle-check / metrics / report)
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .threshold import SplitConfig, reconstruct, robust_decode, split  # noqa: F401
 from .adversary import AdversaryPlan, EveStrategy, RogueBehavior, leakage_audit  # noqa: F401

@@ -35,6 +35,12 @@ LIE_MODES = ("bit_flip", "random", "fixed")
 AuditSize = namedtuple("AuditSize", "n m")
 
 
+def _reject_duplicates(key: str, values: tuple) -> None:
+    """A repeated entry acts once but would render and hash twice."""
+    if len(set(values)) != len(values):
+        raise ValueError(f"{key} lists an entry twice: {list(values)}")
+
+
 @dataclass(frozen=True)
 class EveStrategy:
     kind: str = "none"
@@ -49,6 +55,7 @@ class EveStrategy:
             raise ValueError(f"unknown interception basis {self.basis!r}")
         if any(ph not in (1, 2, 3) for ph in self.phases):
             raise ValueError(f"phases must be among 1, 2, 3: {self.phases}")
+        _reject_duplicates("adversary.eve.phases", self.phases)
 
     def is_active_in(self, phase: int) -> bool:
         return self.kind != "none" and phase in self.phases
@@ -80,6 +87,8 @@ class RogueBehavior:
     def __post_init__(self):
         if any(a not in ROGUE_ACTIONS for a in self.actions):
             raise ValueError(f"unknown rogue action in {self.actions}")
+        _reject_duplicates("adversary.rogues.agents", self.agents)
+        _reject_duplicates("adversary.rogues.actions", self.actions)
         if self.mode not in LIE_MODES:
             raise ValueError(f"unknown lie mode {self.mode!r}")
         if self.mode == "fixed" and self.actions and self.fixed_value is None:
@@ -114,9 +123,9 @@ class AdversaryPlan:
         n, k, m = cfg.n, cfg.k, cfg.m
         if any(not 0 <= a < n for a in self.rogues.agents):
             raise ValueError(f"rogue agent ids {self.rogues.agents} out of range")
-        if len(set(self.rogues.agents)) > n - k:
+        if len(self.rogues.agents) > n - k:
             raise ValueError(
-                f"{len(set(self.rogues.agents))} rogues break the "
+                f"{len(self.rogues.agents)} rogues break the "
                 f"at-least-k-loyal bound (n-k = {n - k})"
             )
         fixed = self.rogues.fixed_value

@@ -20,9 +20,14 @@ dense statevector, the exact reference the sampler is checked against.
 
 Decoy qubits are Z or X eigenstates interleaved into each transmitted
 sequence and checked in their preparation basis (Bennett & Brassard 1984).
-No decoy state is simulated: one that a tap read in the conjugate basis
-mismatches with probability 1/2, and any other never does (an entangling
-CNOT reads like Z).
+A decoy's label is uniform over 0, 1, + and -, and every read is Z-like (an
+entangling CNOT reads like Z) or a Z/X basis drawn independently of the
+label, so a decoy on a tapped channel is disturbed with probability 1/2 and
+a disturbed one mismatches with probability 1/2.  A round's whole check is
+therefore one draw, `decoy_mismatches`: Binomial(d*t, 1/4) for d decoys on
+each of t tapped channels.  `insert_decoys`, `transmit` and `verify_decoys`
+model the decoys one by one; they are the reference the draw is tested
+against, and no protocol path calls them.
 """
 
 from __future__ import annotations
@@ -92,7 +97,6 @@ class EntangledBatch:
                 raise ValueError(f"tap on channel {ch} which is never transmitted")
             if read not in READS:
                 raise ValueError(f"unknown read {read!r} on channel {ch}")
-        self.sealed = False
         self.consumed = False
 
     # -- outcome generation ---------------------------------------------------
@@ -107,17 +111,12 @@ class EntangledBatch:
                     f"in {self.p} bits"
                 )
 
-    def _mark_consumed(self):
-        if self.consumed:
-            raise RuntimeError("batch already measured")
-        if self.taps and not self.sealed:
-            raise RuntimeError("taps registered but batch never transmitted")
-        self.consumed = True
-
     def encode_and_measure(self, phase_bits: dict[int, int], rng) -> RoundOutcome:
         """Apply the encoders' phase oracles, the Hadamard layers, and measure."""
         self._phase_vectors(phase_bits)
-        self._mark_consumed()
+        if self.consumed:
+            raise RuntimeError("batch already measured")
+        self.consumed = True
         return self._sample(phase_bits, rng)
 
     def _sample(self, phase_bits, rng) -> RoundOutcome:
@@ -204,6 +203,18 @@ def distribute(
     return EntangledBatch(r, p, taps or {}, transmitted, encoders)
 
 
+def decoy_mismatches(d: int, tapped: int, rounds: int, rng) -> list[int]:
+    """Each round's decoy mismatch count, with d decoys on each of `tapped`
+    tapped channels: one Binomial(d * tapped, 1/4) draw per round, all in one
+    call.  Draws nothing when d * tapped == 0.
+    """
+    if d < 0:
+        raise ValueError("decoy count must be nonnegative")
+    if d * tapped == 0:
+        return [0] * rounds
+    return rng.binomial(d * tapped, 0.25, size=rounds).tolist()
+
+
 def insert_decoys(batch: EntangledBatch, d: int, rng) -> TransmissionPlan:
     """Interleave d decoys per channel at seeded random slots."""
     if d < 0:
@@ -222,7 +233,7 @@ def insert_decoys(batch: EntangledBatch, d: int, rng) -> TransmissionPlan:
 
 
 def transmit(batch: EntangledBatch, plan: TransmissionPlan, rng):
-    """Send every channel through its (possibly tapped) route and seal the batch.
+    """Send every channel through its (possibly tapped) route.
 
     Each decoy on a tapped channel records the basis the tap read it in (an
     entangling CNOT reads like Z); payload taps take effect when the
@@ -236,7 +247,6 @@ def transmit(batch: EntangledBatch, plan: TransmissionPlan, rng):
             x_basis = rng.integers(0, 2, size=len(decoys))
         for decoy, x in zip(decoys, x_basis):
             decoy.state = "x" if x else "z"
-    batch.sealed = True
 
 
 def verify_decoys(

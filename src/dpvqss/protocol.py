@@ -61,7 +61,13 @@ from .adversary import (
     sent_channels,
 )
 from .bitvec import BitVector, random_bits
-from .entangle import distribute, insert_decoys, transmit, verify_decoys
+from .entangle import (
+    decoy_mismatches,
+    distribute,
+    insert_decoys,  # noqa: F401  benchmarks/tracing.py wraps it here
+    transmit,  # noqa: F401  benchmarks/tracing.py wraps it here
+    verify_decoys,  # noqa: F401  benchmarks/tracing.py wraps it here
+)
 from .metrics import efficiency_report
 from .threshold import (
     SplitConfig,
@@ -256,8 +262,10 @@ def _run_quantum_round(cfg, plan, rng, transcript, detection, *, phase, r,
 
     Round q holds bits q*p .. q*p+p-1 of every phase word and register.
     Each round started adds the registers it sends to the phase's quantum
-    row.  A tapped round interleaves d decoys into each sent channel and
-    checks them; the first mismatch raises Aborted, labelled with its entry
+    row.  The decoy check of every round is one Binomial(d*t, 1/4) draw,
+    for d decoys on each of the t tapped channels, all made by one
+    `decoy_mismatches` call; an untapped or decoy-free round draws nothing.
+    The first round with a mismatch raises Aborted, labelled with its entry
     of `pairs`.  `_read_law` treats each position on its own, so the one
     draw follows the law of the separate rounds.  Returns the RoundOutcome.
     """
@@ -265,23 +273,16 @@ def _run_quantum_round(cfg, plan, rng, transcript, detection, *, phase, r,
     taps = plan.eve.taps_for(phase, transmitted)
     batch = distribute(r, p * len(pairs), taps=taps, transmitted=transmitted,
                        encoders=encoders)
+    counts = decoy_mismatches(cfg.decoys, len(taps), len(pairs), rng)
     row = transcript.add(f"phase{phase}", "quantum", 0)
-    for pair in pairs:
+    for pair, mismatches in zip(pairs, counts):
         row["messages"] += len(transmitted)
-        # Untapped rounds skip decoy bookkeeping entirely: an untouched
-        # eigenstate can never mismatch, so the statistics are unchanged.
-        if not taps:
-            continue
-        dplan = insert_decoys(batch, cfg.decoys, rng)
-        transmit(batch, dplan, rng)
-        mismatches, verdict = verify_decoys(dplan, dplan.records, rng)
-        where = {"pair": list(pair) if pair else None}
         if mismatches:
+            where = {"pair": list(pair) if pair else None}
             detection.append({
                 "phase": f"phase{phase}", "kind": "decoy_mismatch",
                 "count": mismatches, **where,
             })
-        if verdict == "abort":
             raise Aborted(AbortInfo(f"phase{phase}", "decoy_mismatch",
                                     {"mismatches": mismatches, **where}))
     return batch.encode_and_measure(phase_bits, rng)
@@ -418,7 +419,7 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
 
 def _liars(rogues: RogueBehavior, action: str) -> list[int]:
     """The agents who lie in `action`, in agent order."""
-    return sorted(set(rogues.agents)) if action in rogues.actions else []
+    return sorted(rogues.agents) if action in rogues.actions else []
 
 
 def _lie_delta(rogues: RogueBehavior, payload: int, length: int, rng) -> int:

@@ -23,12 +23,7 @@ from dpvqss.adversary import (
 )
 from dpvqss.bitvec import random_bits
 from dpvqss.cli import main, oracle_check_case
-from dpvqss.entangle import (
-    distribute,
-    insert_decoys,
-    transmit,
-    verify_decoys,
-)
+from dpvqss.entangle import decoy_mismatches
 from dpvqss.metrics import eta1, eta2, eta3, wilson_interval
 from dpvqss.protocol import (
     Aborted,
@@ -183,15 +178,7 @@ def test_c5_loyal_recovery_at_sound_radius():
 
 def _decoy_detection_rate(d, trials, seed):
     rng = np.random.default_rng(seed)
-    aborts = 0
-    for _ in range(trials):
-        batch = distribute(2, 4, taps={0: "z"},
-                           transmitted=(0,), encoders=(1,))
-        plan = insert_decoys(batch, d, rng)
-        transmit(batch, plan, rng)
-        _, verdict = verify_decoys(plan, plan.records, rng)
-        aborts += verdict == "abort"
-    return aborts
+    return sum(decoy_mismatches(d, 1, 1, rng)[0] > 0 for _ in range(trials))
 
 
 def test_c6_decoy_detection():

@@ -243,6 +243,23 @@ class TestRun:
         assert key in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("extra, key", [
+        ("adversary.rogues.agents = 1,1\n"
+         "adversary.rogues.actions = lie_phase3_report\n",
+         "adversary.rogues.agents"),
+        ("adversary.rogues.agents = 1\nadversary.rogues.actions = "
+         "lie_phase3_report,lie_phase3_report\n",
+         "adversary.rogues.actions"),
+        ("adversary.eve.kind = intercept_resend\nadversary.eve.phases = 1,1\n",
+         "adversary.eve.phases"),
+    ], ids=["rogue_agents", "rogue_actions", "eve_phases"])
+    def test_duplicate_list_entry_rejected(self, extra, key):
+        # A repeated entry ran as the single entry does, but rendered twice
+        # and changed the config hash.
+        text = "protocol.n = 5\nprotocol.k = 3\nprotocol.m = 8\n" + extra
+        with pytest.raises(ConfigError, match=f"{key} lists an entry twice"):
+            parse_config_text(text)
+
     @pytest.mark.parametrize("text, flag", [
         ("seed = -1", []), ("", ["--seed", "-1"]),
     ], ids=["key", "flag"])
@@ -742,18 +759,18 @@ PINNED_CONFIGS = {
 
 class TestPinnedReports:
     """Same config and seed, same bytes: the first 16 hex digits of the
-    sha256 of `dpvqss run --seed 7 --trials 20` output at version 0.7.0.
+    sha256 of `dpvqss run --seed 7 --trials 20` output at version 0.8.0.
     A change that alters the random stream or the report on purpose bumps
     the version and updates these pins."""
 
     @pytest.mark.parametrize("name, digest", [
-        ("honest", "83ae40af9832e5cb"),
-        ("liar", "3d5f67c1be65e0dc"),
-        ("eve_tap", "6dd76227c4897baa"),
-        ("eve_decoy", "a10259ba71c30dc0"),
-        ("liar_first", "c083b5d08ab057e9"),
-        ("fixed_first", "a8ffdc7de714d6f6"),
-        ("audited", "bd102036c5494836"),
+        ("honest", "bfb10e093a577022"),
+        ("liar", "275717c0701617d4"),
+        ("eve_tap", "9c70f47366e14e5f"),
+        ("eve_decoy", "dabe1a1e1ab5352c"),
+        ("liar_first", "102c255ed76ef58b"),
+        ("fixed_first", "11b4cc405c2a9421"),
+        ("audited", "78920632cd8bc950"),
     ], ids=["honest", "liar", "eve_tap", "eve_decoy", "liar_first",
             "fixed_first", "audited"])
     def test_report_digest(self, tmp_path, name, digest):

@@ -10,11 +10,13 @@ import pytest
 
 from dpvqss.adversary import EveStrategy
 from dpvqss.entangle import (
+    READS,
     Decoy,
     DimensionError,
     IntegrityError,
     TransmissionPlan,
     _read_law,
+    decoy_mismatches,
     distribute,
     insert_decoys,
     transmit,
@@ -197,7 +199,6 @@ class TestTapPhysics:
             batch = distribute(
                 n + 1, n * m, taps=taps, transmitted=range(n), encoders=(n,),
             )
-            transmit(batch, insert_decoys(batch, 0, rng), rng)
             out = batch.encode_and_measure({n: s}, rng)
             counts[outcome_key(out, n * m)] += 1
         return counts
@@ -255,7 +256,6 @@ class TestTapPhysics:
         for _ in range(500):
             batch = distribute(3, 2, taps=taps,
                                transmitted=(0, 1), encoders=(2,))
-            transmit(batch, insert_decoys(batch, 0, rng), rng)
             out = batch.encode_and_measure({2: bv("01")}, rng)
             assert out.eve[0] == out.eve[1]
 
@@ -267,7 +267,6 @@ class TestTapPhysics:
         batch = distribute(r, p, taps=dict.fromkeys(chans, "random"),
                            transmitted=chans, encoders=(r - 1,))
         rng = np.random.default_rng(65)
-        transmit(batch, insert_decoys(batch, 0, rng), rng)
         # The sampler draws one 64-bit word each for the r registers and the
         # shared Z outcome, then the basis words, one per channel.
         raw = copy.deepcopy(rng).bit_generator.random_raw(r + 1 + len(chans))
@@ -297,7 +296,6 @@ class TestTapPhysics:
                 taps={0: "entangle"},
                 transmitted=(0, 1), encoders=(2,),
             )
-            transmit(batch, insert_decoys(batch, 0, rng), rng)
             out = batch.encode_and_measure({2: s}, rng)
             e = out.eve[0]
             assert xor_all(out.registers) ^ e == s
@@ -608,20 +606,55 @@ class TestDecoys:
             verify_decoys(plan, bad, rng)
 
 
+class TestDecoyMismatches:
+    """One Binomial(d*t, 1/4) draw per round follows the per-decoy model."""
+
+    @staticmethod
+    def reference_count(read, d, t, rng):
+        batch = distribute(t + 1, 4, taps=dict.fromkeys(range(t), read),
+                           transmitted=range(t), encoders=(t,))
+        plan = insert_decoys(batch, d, rng)
+        transmit(batch, plan, rng)
+        return verify_decoys(plan, plan.records, rng)[0]
+
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("d", [1, 4, 16])
+    @pytest.mark.parametrize("read", READS)
+    def test_matches_per_decoy_reference(self, read, d, t):
+        trials = 1000
+        rng = np.random.default_rng([66, d, t])
+        reference = [self.reference_count(read, d, t, rng)
+                     for _ in range(trials)]
+        drawn = decoy_mismatches(d, t, trials, rng)
+        # Pool counts beyond two standard deviations, so no cell is sparse.
+        mean, sd = d * t / 4, math.sqrt(d * t * 3 / 16)
+        lo, hi = math.floor(mean - 2 * sd), math.ceil(mean + 2 * sd)
+        pooled = [Counter(min(max(c, lo), hi) for c in counts)
+                  for counts in (reference, drawn)]
+        assert homogeneity_p(*pooled) > 0.001
+
+    @pytest.mark.parametrize("d, t", [(0, 3), (4, 0), (0, 0)])
+    def test_nothing_tapped_draws_nothing(self, d, t):
+        rng = np.random.default_rng(69)
+        state = rng.bit_generator.state
+        assert decoy_mismatches(d, t, 5, rng) == [0] * 5
+        assert rng.bit_generator.state == state
+
+    def test_one_draw_for_every_round(self):
+        drawn = decoy_mismatches(4, 2, 6, np.random.default_rng(70))
+        expect = np.random.default_rng(70).binomial(8, 0.25, size=6)
+        assert drawn == expect.tolist()
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            decoy_mismatches(-1, 1, 1, np.random.default_rng(71))
+
+
 class TestBatchLifecycle:
     def test_double_measurement_rejected(self):
         rng = np.random.default_rng(61)
         batch = distribute(2, 2, encoders=(1,))
         batch.encode_and_measure({1: bv("10")}, rng)
-        with pytest.raises(RuntimeError):
-            batch.encode_and_measure({1: bv("10")}, rng)
-
-    def test_tapped_batch_requires_transmission(self):
-        rng = np.random.default_rng(62)
-        batch = distribute(
-            2, 2, taps={0: "z"},
-            transmitted=(0,), encoders=(1,),
-        )
         with pytest.raises(RuntimeError):
             batch.encode_and_measure({1: bv("10")}, rng)
 

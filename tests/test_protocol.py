@@ -259,15 +259,15 @@ class TestPhase3:
     @pytest.mark.parametrize("failing", [0, 3, 5])
     def test_first_failing_pair_aborts(self, monkeypatch, failing):
         # Pair `failing` is the first whose decoys mismatch: the abort names
-        # it, later pairs are never checked, and every pair started counts
+        # it, later mismatches go unreported, and every pair started counts
         # its two registers.
-        checks = []
+        calls = []
 
-        def scripted(plan, records, rng):
-            checks.append(plan)
-            return (2, "abort") if len(checks) > failing else (0, "proceed")
+        def scripted(d, tapped, rounds, rng):
+            calls.append((d, tapped, rounds))
+            return [0] * failing + [2] * (rounds - failing)
 
-        monkeypatch.setattr(protocol, "verify_decoys", scripted)
+        monkeypatch.setattr(protocol, "decoy_mismatches", scripted)
         cfg = ProtocolConfig(n=4, k=3, m=8, decoys=2)
         plan = AdversaryPlan(eve=EveStrategy("measure_resend", phases=(3,)))
         rng = np.random.default_rng(101)
@@ -277,7 +277,7 @@ class TestPhase3:
             phase3_consolidate(cfg, inputs, plan, rng, transcript, detection)
         pair = list(PAIRS_4[failing])
         assert caught.value.info.detail == {"mismatches": 2, "pair": pair}
-        assert len(checks) == failing + 1
+        assert calls == [(2, 2, len(PAIRS_4))]
         assert transcript.summary() == [
             {"phase": "phase3", "kind": "quantum", "messages": 2 * (failing + 1)}
         ]
@@ -463,16 +463,16 @@ class TestClaimTokens:
 class TestLies:
     """Liars at low and high indices in every action.  The first 16 hex
     digits of the sha256 of 20 reports pin which messages are falsified,
-    and in what order, at version 0.7.0; a trial calls `falsify` once per
+    and in what order, at version 0.8.0; a trial calls `falsify` once per
     lie and never for an honest message."""
 
     @pytest.mark.parametrize("agents, actions, mode, digest, calls", [
-        ((0, 3), ("lie_phase1_comms",), "random", "0826174f82c96ec9", 8),
-        ((0, 4), ("lie_phase2_report",), "bit_flip", "d33d6c32c049db4f", 2),
+        ((0, 3), ("lie_phase1_comms",), "random", "3a30925f25edb991", 8),
+        ((0, 4), ("lie_phase2_report",), "bit_flip", "1fdff502831b98f6", 2),
         ((0, 4), ("lie_phase3_oracle", "lie_phase3_report"), "random",
-         "7353f0cfbfd44b12", 16),
+         "17609c35a60640ea", 16),
         ((1, 3), ("lie_phase1_comms", "lie_phase2_report", "lie_phase3_oracle",
-                  "lie_phase3_report"), "bit_flip", "4c6cddb0a6aaf7d1", None),
+                  "lie_phase3_report"), "bit_flip", "409cdd3cf1d57e55", None),
     ], ids=["phase1", "phase2", "phase3", "every"])
     def test_lies_pinned(self, monkeypatch, agents, actions, mode, digest,
                          calls):
