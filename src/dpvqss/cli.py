@@ -252,14 +252,12 @@ def _build_run(values) -> tuple[ProtocolConfig, AdversaryPlan]:
 def _run_trials(cfg: ProtocolConfig, plan: AdversaryPlan, trials: int,
                 seed: int, secret: bytes | None, cell: int = 0,
                 audit: bool = False):
-    reports = []
+    """Yield each trial's RunReport as soon as the trial finishes."""
     for trial in range(trials):
         rng = np.random.default_rng([seed, cell, trial])
         trial_secret = secret if secret is not None else random_secret(cfg, rng)
-        rep = run_protocol(cfg, trial_secret, plan, rng=rng, seed=seed,
+        yield run_protocol(cfg, trial_secret, plan, rng=rng, seed=seed,
                            trial=trial, audit=audit)
-        reports.append(rep.to_dict())
-    return reports
 
 
 def _error(err) -> int:
@@ -290,11 +288,12 @@ def cmd_run(args) -> int:
         rc, seed, trials, out = _load(args, sweep=False)
     except (ConfigError, OSError) as err:
         return _error(err)
+    any_abort = False
     with out as fh:
-        reports = _run_trials(rc.protocol, rc.plan, trials, seed,
-                              rc.values["secret"], audit=rc.values["audit"])
-        fh.write(_render_rows(reports, "json"))
-    any_abort = any(r["verdict"] == "abort" for r in reports)
+        for rep in _run_trials(rc.protocol, rc.plan, trials, seed,
+                               rc.values["secret"], audit=rc.values["audit"]):
+            fh.write(rep.to_json_line() + "\n")
+            any_abort = any_abort or rep.verdict == "abort"
     return EXIT_ABORT_OBSERVED if any_abort else EXIT_OK
 
 
@@ -408,8 +407,8 @@ def cmd_sweep(args) -> int:
                 print(f"warning: skipping cell {shown}: {err}", file=sys.stderr)
                 rows.append({**row, "skipped": str(err)})
                 continue
-            reports = _run_trials(cfg, plan, trials, seed, values["secret"],
-                                  cell=cell_idx)
+            reports = [rep.to_dict() for rep in _run_trials(
+                cfg, plan, trials, seed, values["secret"], cell=cell_idx)]
             rows.append({**row, **_rates(empirical_stats(reports)),
                          **_etas(cfg.n, cfg.m)})
         fh.write(_render_rows(rows, args.format))

@@ -45,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import xor
 
@@ -155,24 +155,6 @@ class AgentResult:
     support: int | None = None
     ambiguous: bool = False
 
-    def to_dict(self, secret: int, cfg: ProtocolConfig,
-                tokens: list[str]) -> dict:
-        """The agent's report entry; `tokens` renders claimed_shares."""
-        return {
-            "loyal": self.loyal,
-            "s_i": (
-                format(self.s_i, f"0{cfg.m}b") if self.s_i is not None else None
-            ),
-            "claimed_shares": tokens,
-            "reconstructed": (
-                f"{self.reconstructed:0{cfg.m // 4}x}"
-                if self.reconstructed is not None else None
-            ),
-            "support": self.support,
-            "ambiguous": self.ambiguous,
-            "recovered_secret": self.reconstructed == secret,
-        }
-
 
 @dataclass
 class RunReport:
@@ -188,48 +170,94 @@ class RunReport:
     trial: int | None = None
     leakage: dict | None = None
 
-    def to_dict(self) -> dict:
-        cfg = self.config
-        # Each distinct view and each distinct (agent, claim) token render once.
-        render = cache(share_token)
-        tokens: dict[tuple[int, ...], list[str]] = {}
-        agents = {}
-        for a in self.agents:
-            view = a.claimed_shares
-            if view not in tokens:
-                tokens[view] = [render(j, claim, cfg.m)
-                                for j, claim in enumerate(view)]
-            agents[str(a.index)] = a.to_dict(self.secret, cfg, tokens[view])
-        return {
-            "schema": RUN_SCHEMA,
-            "version": __version__,
-            "seed": self.seed,
-            "trial": self.trial,
-            "config": cfg.to_dict(),
-            "config_hash": config_hash(cfg, self.plan),
-            "adversary": plan_to_dict(self.plan),
-            "secret": f"{self.secret:0{cfg.m // 4}x}",
-            "verdict": self.verdict,
-            "abort": self.abort.to_dict() if self.abort else None,
-            "detection_events": self.detection_events,
-            "agents": agents,
-            "rounds": self.transcript.summary(),
-            "metrics": _metrics_block(cfg.n, cfg.m),
-            "leakage": self.leakage,
-        }
-
     def to_json_line(self) -> str:
-        return canonical_json(self.to_dict())
+        """The report as one canonical JSON line: keys sorted, no spaces.
+
+        What every report of (config, plan) repeats comes from `_frame`.
+        The trial's own members are written into it: each agent entry from
+        one f-string, each distinct view's tokens joined once, each
+        distinct (agent, claim) token formatted once by `share_token`.
+        Only the open-ended members go through the encoder.  Every object's
+        members are written in sorted-key order by hand; a test compares
+        the line with a dict-built reference byte for byte.
+        """
+        cfg = self.config
+        adversary, config, metrics, order = _frame(cfg, self.plan)
+        digits = cfg.m // 4
+        tokens: dict[tuple[int, int], str] = {}
+        views: dict[tuple[int, ...], str] = {}
+        entries = []
+        for i in order:
+            a = self.agents[i]
+            view = a.claimed_shares
+            shown = views.get(view)
+            if shown is None:
+                parts = []
+                for claim in enumerate(view):
+                    token = tokens.get(claim)
+                    if token is None:
+                        token = tokens[claim] = f'"{share_token(*claim, cfg.m)}"'
+                    parts.append(token)
+                shown = views[view] = ",".join(parts)
+            got, s_i = a.reconstructed, a.s_i
+            decoded = "null" if got is None else f'"{got:0{digits}x}"'
+            received = "null" if s_i is None else f'"{s_i:0{cfg.m}b}"'
+            entries.append(
+                f'"{i}":{{"ambiguous":{_BOOL[a.ambiguous]},'
+                f'"claimed_shares":[{shown}],"loyal":{_BOOL[a.loyal]},'
+                f'"reconstructed":{decoded},'
+                f'"recovered_secret":{_BOOL[got == self.secret]},'
+                f'"s_i":{received},"support":{_scalar(a.support)}}}'
+            )
+        abort = canonical_json(self.abort.to_dict()) if self.abort else "null"
+        leakage = "null" if self.leakage is None else canonical_json(self.leakage)
+        rounds = ",".join([
+            f'{{"kind":"{row["kind"]}","messages":{row["messages"]},'
+            f'"phase":"{row["phase"]}"}}' for row in self.transcript.rounds
+        ])
+        return (
+            f'{{"abort":{abort},{adversary},'
+            f'"agents":{{{",".join(entries)}}},{config},'
+            f'"detection_events":{canonical_json(self.detection_events)},'
+            f'"leakage":{leakage},{metrics},"rounds":[{rounds}],'
+            f'"schema":"{RUN_SCHEMA}","secret":"{self.secret:0{digits}x}",'
+            f'"seed":{_scalar(self.seed)},"trial":{_scalar(self.trial)},'
+            f'"verdict":"{self.verdict}","version":"{__version__}"}}'
+        )
+
+    def to_dict(self) -> dict:
+        """The report as a dict: `to_json_line` parsed."""
+        return json.loads(self.to_json_line())
+
+
+_BOOL = {False: "false", True: "true"}
+
+
+def _scalar(value: int | None) -> str:
+    return "null" if value is None else str(value)
+
+
+# The one canonical encoder: sorted keys, no spaces.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @lru_cache(maxsize=1024)
-def _metrics_block(n: int, m: int) -> dict:
-    """The "metrics" block every report of size (n, m) shares, unmutated."""
-    return efficiency_report(n, m)
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _frame(cfg: ProtocolConfig, plan: AdversaryPlan):
+    """The members every report of (cfg, plan) repeats, rendered once: the
+    "adversary" member, the "config" and "config_hash" members, the
+    "metrics" member, and the agents in the order sorted keys give them
+    ("10" before "2").  The hash is of {"adversary", "config"} as
+    canonical JSON."""
+    adversary = canonical_json(plan_to_dict(plan))
+    config = canonical_json(cfg.to_dict())
+    blob = f'{{"adversary":{adversary},"config":{config}}}'
+    return (
+        f'"adversary":{adversary}',
+        f'"config":{config},'
+        f'"config_hash":"{hashlib.sha256(blob.encode()).hexdigest()[:16]}"',
+        f'"metrics":{canonical_json(efficiency_report(cfg.n, cfg.m))}',
+        tuple(sorted(range(cfg.n), key=str)),
+    )
 
 
 def plan_to_dict(plan: AdversaryPlan) -> dict:
@@ -247,12 +275,6 @@ def plan_to_dict(plan: AdversaryPlan) -> dict:
             "fixed_value": plan.rogues.fixed_value,
         },
     }
-
-
-@lru_cache(maxsize=1024)
-def config_hash(cfg: ProtocolConfig, plan: AdversaryPlan) -> str:
-    blob = canonical_json({"config": cfg.to_dict(), "adversary": plan_to_dict(plan)})
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _run_quantum_round(cfg, plan, rng, transcript, detection, *, phase, r,

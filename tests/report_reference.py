@@ -1,0 +1,61 @@
+"""Dict-building reference for `RunReport.to_json_line`.
+
+`report_dict` builds a run report as a plain dict, member by member, from
+the report's fields, and `canonical_json` encodes it with sorted keys and
+no spaces.  The renderer writes the same line into a frame cached per
+(config, plan); tests compare the two byte for byte.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from dpvqss import __version__
+from dpvqss.metrics import efficiency_report
+from dpvqss.protocol import RUN_SCHEMA, AgentResult, RunReport, plan_to_dict
+from dpvqss.threshold import share_token
+
+
+def canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def agent_dict(a: AgentResult, secret: int, m: int) -> dict:
+    return {
+        "loyal": a.loyal,
+        "s_i": format(a.s_i, f"0{m}b") if a.s_i is not None else None,
+        "claimed_shares": [share_token(j, claim, m)
+                           for j, claim in enumerate(a.claimed_shares)],
+        "reconstructed": (
+            f"{a.reconstructed:0{m // 4}x}"
+            if a.reconstructed is not None else None
+        ),
+        "support": a.support,
+        "ambiguous": a.ambiguous,
+        "recovered_secret": a.reconstructed == secret,
+    }
+
+
+def report_dict(rep: RunReport) -> dict:
+    cfg = rep.config
+    adversary = plan_to_dict(rep.plan)
+    blob = canonical_json({"config": cfg.to_dict(), "adversary": adversary})
+    return {
+        "schema": RUN_SCHEMA,
+        "version": __version__,
+        "seed": rep.seed,
+        "trial": rep.trial,
+        "config": cfg.to_dict(),
+        "config_hash": hashlib.sha256(blob.encode()).hexdigest()[:16],
+        "adversary": adversary,
+        "secret": f"{rep.secret:0{cfg.m // 4}x}",
+        "verdict": rep.verdict,
+        "abort": rep.abort.to_dict() if rep.abort else None,
+        "detection_events": rep.detection_events,
+        "agents": {str(a.index): agent_dict(a, rep.secret, cfg.m)
+                   for a in rep.agents},
+        "rounds": rep.transcript.summary(),
+        "metrics": efficiency_report(cfg.n, cfg.m),
+        "leakage": rep.leakage,
+    }

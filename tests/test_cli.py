@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from dpvqss import entangle
+from dpvqss import cli, entangle
 from dpvqss.cli import (
     ConfigError,
     main,
@@ -301,6 +301,26 @@ class TestRun:
         with pytest.raises(ValueError, match="decoder defect"):
             main(["run", cfg, "--trials", "2"])
         assert capsys.readouterr().out == ""
+
+    def test_run_streams_each_trial(self, tmp_path, monkeypatch):
+        # Each trial's line is written as the trial finishes, so a defect
+        # in trial 2 leaves the lines of trials 0 and 1 in --out.
+        cfg = write(tmp_path, "honest.cfg", HONEST_CFG)
+        whole = tmp_path / "whole.jsonl"
+        assert main(["run", cfg, "--trials", "4", "--out", str(whole)]) == 0
+        run_protocol = cli.run_protocol
+
+        def broken_third(*args, trial, **kwargs):
+            if trial == 2:
+                raise ValueError("trial defect")
+            return run_protocol(*args, trial=trial, **kwargs)
+
+        monkeypatch.setattr(cli, "run_protocol", broken_third)
+        out = tmp_path / "x.jsonl"
+        with pytest.raises(ValueError, match="trial defect"):
+            main(["run", cfg, "--trials", "4", "--out", str(out)])
+        lines = whole.read_text().splitlines(keepends=True)
+        assert out.read_text() == "".join(lines[:2])
 
     def test_unwritable_out_fails_before_any_trial(self, tmp_path, capsys,
                                                    monkeypatch):

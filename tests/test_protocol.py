@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import time
 from itertools import combinations
 
@@ -22,6 +23,7 @@ from dpvqss.protocol import (
     secret_length,
 )
 from dpvqss.threshold import AmbiguousDecodeError, robust_decode, split
+from report_reference import canonical_json, report_dict
 
 HONEST = AdversaryPlan()
 PAIRS_4 = list(combinations(range(4), 2))
@@ -458,6 +460,78 @@ class TestClaimTokens:
                 assert agents[str(a.index)]["claimed_shares"] == expect
             ambiguous += any(a.ambiguous for a in rep.agents)
         assert bool(ambiguous) == (name == "colluding_fixed_liars")
+
+
+def _eve(kind, phases, basis="computational"):
+    return AdversaryPlan(eve=EveStrategy(kind, basis, phases=phases))
+
+
+# (config, plan, audit, the outcome every trial must show): each n in
+# {3, 5, 11, 15} (from n = 11 the key "10" sorts before "2"), w in {4, 8},
+# m in {8, 16, 128}, a decoy abort in each phase, a failed verification,
+# the decode grid's ambiguous, fixed and random lies, and audited runs.
+RENDER_GRID = {
+    "n3_w4_m8": (ProtocolConfig(n=3, k=2, m=8, w=4), HONEST, False,
+                 "proceed"),
+    "n5_w8_m16": (ProtocolConfig(n=5, k=3, m=16), HONEST, False, "proceed"),
+    "n11_w4_m16": (ProtocolConfig(n=11, k=6, m=16, w=4), HONEST, False,
+                   "proceed"),
+    "n15_w8_m128": (ProtocolConfig(n=15, k=8, m=128), HONEST, False,
+                    "proceed"),
+    "n15_w4_m8": (ProtocolConfig(n=15, k=8, m=8, w=4), HONEST, False,
+                  "proceed"),
+    "decoy_phase1": (ProtocolConfig(n=11, k=6, m=8),
+                     _eve("intercept_resend", (1,)), False, "phase1"),
+    "decoy_phase2": (ProtocolConfig(n=5, k=3, m=128),
+                     _eve("measure_resend", (2,)), False, "phase2"),
+    "decoy_phase3": (ProtocolConfig(n=15, k=8, m=16, decoys=1),
+                     _eve("intercept_resend", (3,)), False, "pair"),
+    "verification_failed": (ProtocolConfig(n=5, k=3, m=8), AdversaryPlan(
+        rogues=RogueBehavior((1,), ("lie_phase2_report",), "bit_flip")
+    ), False, "verification_failed"),
+    **{name: (cfg, plan, False, "ambiguous" if name == "colluding_fixed_liars"
+              else "proceed") for name, (cfg, plan) in DECODE_GRID.items()},
+    "audited_random_basis": (ProtocolConfig(n=3, k=2, m=8, decoys=0),
+                             _eve("intercept_resend", (1, 2, 3), "random"),
+                             True, None),
+    "audited_n5": (ProtocolConfig(n=5, k=3, m=16, w=4), HONEST, True,
+                   "proceed"),
+}
+
+
+class TestRenderer:
+    """`to_json_line` writes into a frame cached per (config, plan) what
+    the dict reference builds member by member: same bytes, and
+    `to_dict` parses the line."""
+
+    @staticmethod
+    def outcome(rep):
+        if rep.abort is None:
+            ambiguous = any(a.ambiguous for a in rep.agents)
+            return "ambiguous" if ambiguous else "proceed"
+        if rep.abort.detail.get("pair"):
+            return "pair"
+        if rep.abort.cause == "verification_failed":
+            return rep.abort.cause
+        return rep.abort.phase
+
+    @pytest.mark.parametrize("name", sorted(RENDER_GRID))
+    def test_line_matches_reference(self, name):
+        cfg, plan, audit, expect = RENDER_GRID[name]
+        outcomes = set()
+        for trial in range(4):
+            rng = np.random.default_rng([21, trial])
+            seed, index = (None, None) if trial == 0 else (21, trial)
+            rep = run_protocol(cfg, random_secret(cfg, rng), plan, rng=rng,
+                               seed=seed, trial=index, audit=audit)
+            line = rep.to_json_line()
+            assert line == canonical_json(report_dict(rep))
+            assert rep.to_dict() == json.loads(line) == report_dict(rep)
+            outcomes.add(self.outcome(rep))
+        assert expect is None or outcomes == {expect}
+        if audit:
+            assert all(value is not None
+                       for value in rep.to_dict()["leakage"].values())
 
 
 class TestLies:
