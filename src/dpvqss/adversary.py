@@ -21,7 +21,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitvec import random_bits
+from .bitvec import random_words
 
 EVE_KINDS = ("none", "measure_resend", "intercept_resend", "entangle_measure", "pns")
 ROGUE_ACTIONS = (
@@ -163,18 +163,25 @@ class AdversaryPlan:
 HONEST_PLAN = AdversaryPlan()
 
 
-def falsify(payload: int, length: int, mode: str, fixed_value, rng) -> int:
-    """Produce the lie that replaces an honest length-bit payload."""
+def falsify(payloads: list[int], length: int, mode: str, fixed_value,
+            rng) -> list[int]:
+    """The lies that replace the honest length-bit payloads one lying
+    action covers in a phase, in order, from one draw: `random` takes
+    whole 64-bit words per lie from one `random_raw` call, `bit_flip` one
+    position per lie from one `integers` call, and `fixed` draws nothing.
+    That is the stream of one call per lie."""
+    count = len(payloads)
     if mode == "bit_flip":
-        return payload ^ (1 << int(rng.integers(length)))
+        flips = rng.integers(length, size=count).tolist()
+        return [p ^ 1 << f for p, f in zip(payloads, flips)]
     if mode == "random":
-        return random_bits(length, rng)
+        return random_words(count, length, rng)
     if mode == "fixed":
         if fixed_value is None or len(fixed_value) != length:
             raise ValueError(
                 f"fixed lie value missing or of wrong length (need {length})"
             )
-        return int(fixed_value, 2)
+        return [int(fixed_value, 2)] * count
     raise ValueError(f"unknown lie mode {mode!r}")
 
 

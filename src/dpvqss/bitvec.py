@@ -21,6 +21,21 @@ def random_bits(length: int, rng) -> int:
     return int.from_bytes(raw.tobytes(), "little") & ((1 << length) - 1)
 
 
+def random_words(count: int, length: int, rng) -> list[int]:
+    """count uniform length-bit ints, the stream of count `random_bits`
+    calls: their whole 64-bit words come from one `random_raw` call, and
+    each int is one word or a slice of the words' bytes, so the cost is
+    linear in the bits drawn."""
+    words = (length + 63) // 64
+    raw = rng.bit_generator.random_raw(count * words)
+    mask = (1 << length) - 1
+    if words == 1:
+        return [v & mask for v in raw.tolist()]
+    raw, size = raw.tobytes(), 8 * words
+    return [int.from_bytes(raw[at:at + size], "little") & mask
+            for at in range(0, count * size, size)]
+
+
 class BitVector:
     """A length-bit value: only `protocol.random_secret` builds one, so that
     the bench harness can count its draw."""

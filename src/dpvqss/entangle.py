@@ -11,8 +11,10 @@ uniform over an affine subspace of GF(2)^(r+t) for t tapped channels
 The round only prepares GHZ tuples, reads them channel by channel and
 applies a Hadamard layer, so that subspace has a closed form, `_read_law`,
 which draws all p positions at once as p-bit words, whatever each position's
-read basis.  The phase bits only shift it: a phase kick before the Hadamard
-layer is a bit flip after it.  With no taps it is the XOR constraint:
+read basis.  Every word of a round comes from one `random_raw` call, sliced
+per word (`bitvec.random_words`), and how a batch's taps use those words is
+laid out once per (r, taps).  The phase bits only shift the subspace: a
+phase kick before the Hadamard layer is a bit flip after it.  With no taps it is the XOR constraint:
 uniform over the register tuples whose XOR is the phase bits.
 
 `qsim.dense_state` and `qsim.dense_outcomes` build the same round as one
@@ -33,13 +35,13 @@ against, and no protocol path calls them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_, xor
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bitvec import random_bits
+from .bitvec import random_words
 
 READS = ("z", "random", "entangle")
 BASIS_LABELS = ("0", "1", "+", "-")  # decoy preparation states
@@ -122,26 +124,17 @@ class EntangledBatch:
     def _sample(self, phase_bits, rng) -> RoundOutcome:
         """Draw every tuple position at once from the read law.
 
-        The draws are uniform p-bit words: r for the registers, one per
-        "entangle" read, one shared Z outcome, then one basis word per
-        "random" read, whose set bits are the positions it reads in the X
-        basis.
+        The draws are uniform p-bit words, sliced from one `random_raw`
+        call: r for the registers, one per "entangle" read, one shared Z
+        outcome, then one basis word per "random" read, whose set bits are
+        the positions it reads in the X basis.
         """
-        p, r = self.p, self.r
-        channels = sorted(self.taps)
-        random_chs = [ch for ch in channels if self.taps[ch] == "random"]
-        entangling = [ch for ch in channels if self.taps[ch] == "entangle"]
-        count = r + len(entangling) + 1 + len(random_chs)
-        # One draw of `count` whole-word strides, one p-bit word from each.
-        stride = 64 * ((p + 63) // 64)
-        word = random_bits(count * stride, rng)
-        full = (1 << p) - 1
-        draws = [word >> (i * stride) & full for i in range(count)]
-        x_reads = dict(zip(random_chs, draws[count - len(random_chs):]))
-        reads = [
-            (ch, None if ch in entangling else x_reads.get(ch, 0))
-            for ch in channels
-        ]
+        r, p = self.r, self.p
+        channels, count, picks = _draw_layout(r, tuple(self.taps.items()))
+        # The appended 0 is a Z read's basis word: no X positions.
+        draws = random_words(count, p, rng) + [0]
+        reads = [(ch, None if at is None else draws[at])
+                 for ch, at in zip(channels, picks)]
         outputs = _read_law(r, p, reads, iter(draws))
         # A phase kick before the Hadamard layer is a bit flip after it.
         for enc, vec in phase_bits.items():
@@ -151,6 +144,27 @@ class EntangledBatch:
                 xor, phase_bits.values(), 0
             ), "sampler violated its own XOR constraint"
         return RoundOutcome(outputs[:r], dict(zip(channels, outputs[r:])))
+
+
+@lru_cache(maxsize=1024)
+def _draw_layout(r: int, taps: tuple[tuple[int, str], ...]):
+    """How a batch of r registers with these (channel, read) taps uses its
+    draws.  Returns the tapped channels in increasing order, the number of
+    words drawn, and per channel the index of its X-basis word: the
+    "random" reads' words come last, a Z read's is `count`, just past the
+    draws, and an entangling read has none."""
+    taps = sorted(taps)
+    reads = [read for _, read in taps]
+    count = r + len(reads) + 1 - reads.count("z")
+    basis = count - reads.count("random")
+    picks = []
+    for read in reads:
+        if read == "random":
+            picks.append(basis)
+            basis += 1
+        else:
+            picks.append(count if read == "z" else None)
+    return tuple(ch for ch, _ in taps), count, tuple(picks)
 
 
 def _read_law(

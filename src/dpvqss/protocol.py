@@ -17,13 +17,20 @@ n(n-1)/2 * m positions, drawn at once, with a decoy check per pair; a
 single parallel round carries all n(n-1) directed reports, after which
 each agent robustly decodes his n collected shares, his view: one
 `decode_views` call decodes the distinct views, sharing one interpolation,
-and the report renders each distinct (agent, claim) token once.
+and the report renders each distinct (agent, claim) token once.  The
+pairs, where each pair's embeddings and claims sit, and one getter per
+agent that cuts his view from the directed claims are laid out once per n
+(`_pair_layout`), so the phase runs as bulk operations over that layout.
 
 The secret, registers, slices, reports and shares are plain ints from
 the input bytes to the report: the aggregated secret and every register
 are n*m bits wide, segment i being bits i*m .. i*m+m-1, and the secret,
-each slice, each claimed share and each decoded secret is m bits wide, so
-the phases cut and place segments with shifts and masks.  The transcript
+each slice, each claimed share and each decoded secret is m bits wide.
+A run's m is whole bytes, so the phases join segments into a word with
+one `bytes.join` and cut a word into its segments from one `to_bytes`
+(`_join`, `_segments`): the cost is linear in the bits sent, where
+shifting each segment in or out copied the whole word.  The lies of one
+lying action in a phase come from one `falsify` call.  The transcript
 records each quantum or classical round only as its phase, its kind and
 how many messages it carried; every agent XORs what it receives as it
 arrives.  All randomness flows through one
@@ -47,7 +54,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from operator import xor
+from operator import itemgetter, or_, xor
 
 import numpy as np
 
@@ -173,39 +180,41 @@ class RunReport:
     def to_json_line(self) -> str:
         """The report as one canonical JSON line: keys sorted, no spaces.
 
-        What every report of (config, plan) repeats comes from `_frame`.
-        The trial's own members are written into it: each agent entry from
-        one f-string, each distinct view's tokens joined once, each
-        distinct (agent, claim) token formatted once by `share_token`.
-        Only the open-ended members go through the encoder.  Every object's
-        members are written in sorted-key order by hand; a test compares
-        the line with a dict-built reference byte for byte.
+        What every report of (config, plan) repeats comes from `_frame`,
+        each agent entry's key included.  The trial's own members are
+        written into it: each agent entry from one f-string, each distinct
+        view's tokens joined once, each distinct (agent, claim) token
+        formatted once by `share_token`.  Only the open-ended members go
+        through the encoder.  Every object's members are written in
+        sorted-key order by hand; a test compares the line with a
+        dict-built reference byte for byte.
         """
         cfg = self.config
-        adversary, config, metrics, order = _frame(cfg, self.plan)
-        digits = cfg.m // 4
+        adversary, config, metrics, heads = _frame(cfg, self.plan)
+        m = cfg.m
+        hex_token, bits_spec = f'"%0{m // 4}x"', f"0{m}b"
         tokens: dict[tuple[int, int], str] = {}
         views: dict[tuple[int, ...], str] = {}
-        entries = []
-        for i in order:
-            a = self.agents[i]
+        for a in self.agents:
             view = a.claimed_shares
-            shown = views.get(view)
-            if shown is None:
+            if view not in views:
                 parts = []
                 for claim in enumerate(view):
                     token = tokens.get(claim)
                     if token is None:
-                        token = tokens[claim] = f'"{share_token(*claim, cfg.m)}"'
+                        token = tokens[claim] = f'"{share_token(*claim, m)}"'
                     parts.append(token)
-                shown = views[view] = ",".join(parts)
+                views[view] = ",".join(parts)
+        entries = []
+        for i, head in heads:
+            a = self.agents[i]
             got, s_i = a.reconstructed, a.s_i
-            decoded = "null" if got is None else f'"{got:0{digits}x}"'
-            received = "null" if s_i is None else f'"{s_i:0{cfg.m}b}"'
+            decoded = "null" if got is None else hex_token % got
+            received = "null" if s_i is None else f'"{s_i:{bits_spec}}"'
             entries.append(
-                f'"{i}":{{"ambiguous":{_BOOL[a.ambiguous]},'
-                f'"claimed_shares":[{shown}],"loyal":{_BOOL[a.loyal]},'
-                f'"reconstructed":{decoded},'
+                f'{head}{_BOOL[a.ambiguous]},'
+                f'"claimed_shares":[{views[a.claimed_shares]}],'
+                f'"loyal":{_BOOL[a.loyal]},"reconstructed":{decoded},'
                 f'"recovered_secret":{_BOOL[got == self.secret]},'
                 f'"s_i":{received},"support":{_scalar(a.support)}}}'
             )
@@ -220,7 +229,7 @@ class RunReport:
             f'"agents":{{{",".join(entries)}}},{config},'
             f'"detection_events":{canonical_json(self.detection_events)},'
             f'"leakage":{leakage},{metrics},"rounds":[{rounds}],'
-            f'"schema":"{RUN_SCHEMA}","secret":"{self.secret:0{digits}x}",'
+            f'"schema":"{RUN_SCHEMA}","secret":{hex_token % self.secret},'
             f'"seed":{_scalar(self.seed)},"trial":{_scalar(self.trial)},'
             f'"verdict":"{self.verdict}","version":"{__version__}"}}'
         )
@@ -246,8 +255,8 @@ def _frame(cfg: ProtocolConfig, plan: AdversaryPlan):
     """The members every report of (cfg, plan) repeats, rendered once: the
     "adversary" member, the "config" and "config_hash" members, the
     "metrics" member, and the agents in the order sorted keys give them
-    ("10" before "2").  The hash is of {"adversary", "config"} as
-    canonical JSON."""
+    ("10" before "2"), each with its entry's text up to the "ambiguous"
+    value.  The hash is of {"adversary", "config"} as canonical JSON."""
     adversary = canonical_json(plan_to_dict(plan))
     config = canonical_json(cfg.to_dict())
     blob = f'{{"adversary":{adversary},"config":{config}}}'
@@ -256,7 +265,8 @@ def _frame(cfg: ProtocolConfig, plan: AdversaryPlan):
         f'"config":{config},'
         f'"config_hash":"{hashlib.sha256(blob.encode()).hexdigest()[:16]}"',
         f'"metrics":{canonical_json(efficiency_report(cfg.n, cfg.m))}',
-        tuple(sorted(range(cfg.n), key=str)),
+        tuple((i, f'"{i}":{{"ambiguous":')
+              for i in sorted(range(cfg.n), key=str)),
     )
 
 
@@ -296,17 +306,20 @@ def _run_quantum_round(cfg, plan, rng, transcript, detection, *, phase, r,
     batch = distribute(r, p * len(pairs), taps=taps, transmitted=transmitted,
                        encoders=encoders)
     counts = decoy_mismatches(cfg.decoys, len(taps), len(pairs), rng)
-    row = transcript.add(f"phase{phase}", "quantum", 0)
-    for pair, mismatches in zip(pairs, counts):
-        row["messages"] += len(transmitted)
-        if mismatches:
-            where = {"pair": list(pair) if pair else None}
-            detection.append({
-                "phase": f"phase{phase}", "kind": "decoy_mismatch",
-                "count": mismatches, **where,
-            })
-            raise Aborted(AbortInfo(f"phase{phase}", "decoy_mismatch",
-                                    {"mismatches": mismatches, **where}))
+    # The first nonzero count is the first mismatch; every round up to it
+    # started, and with none every round did.
+    mismatches = next(filter(None, counts), 0)
+    started = counts.index(mismatches) + 1 if mismatches else len(pairs)
+    transcript.add(f"phase{phase}", "quantum", len(transmitted) * started)
+    if mismatches:
+        pair = pairs[started - 1]
+        where = {"pair": list(pair) if pair else None}
+        detection.append({
+            "phase": f"phase{phase}", "kind": "decoy_mismatch",
+            "count": mismatches, **where,
+        })
+        raise Aborted(AbortInfo(f"phase{phase}", "decoy_mismatch",
+                                {"mismatches": mismatches, **where}))
     return batch.encode_and_measure(phase_bits, rng)
 
 
@@ -329,18 +342,19 @@ def phase1_distribute(cfg: ProtocolConfig, s: int, plan: AdversaryPlan,
     # One parallel round of n * n messages: the source and every agent j
     # send segment i to agent i, who XORs them into his own segment i, so
     # honest slices are the segments of the XOR of every register.  A liar
-    # j's lie to agent i replaces his segment i.
-    mask = (1 << m) - 1
+    # j's lie to agent i replaces his segment i; the lies go out agent by
+    # agent, liars in order.
     total = reduce(xor, registers)
     if not plan.eve.is_active_in(1):
         assert total == s, "distribution round broke its XOR constraint"
-    inputs = [total >> (i * m) & mask for i in range(n)]
+    inputs = _segments(total, n, m)
     liars = _liars(plan.rogues, "lie_phase1_comms")
-    for i in range(n):
-        for j in liars:
-            if j != i:
-                seg = registers[j] >> (i * m) & mask
-                inputs[i] ^= _lie_delta(plan.rogues, seg, m, rng)
+    if liars:
+        sent = {j: _segments(registers[j], n, m) for j in liars}
+        lies = [(i, j) for i in range(n) for j in liars if j != i]
+        deltas = _lie_deltas(plan.rogues, [sent[j][i] for i, j in lies], m, rng)
+        for (i, _), delta in zip(lies, deltas):
+            inputs[i] ^= delta
     transcript.add("phase1", "classical", n * n)
     return inputs
 
@@ -365,8 +379,10 @@ def phase2_verify(cfg: ProtocolConfig, agent_inputs, s: int,
 
     # One parallel round: every agent reports his outcome to the source.
     computed = reduce(xor, registers)
-    for i in _liars(plan.rogues, "lie_phase2_report"):
-        computed ^= _lie_delta(plan.rogues, registers[i], n * m, rng)
+    liars = _liars(plan.rogues, "lie_phase2_report")
+    if liars:
+        computed ^= reduce(xor, _lie_deltas(
+            plan.rogues, [registers[i] for i in liars], n * m, rng))
     transcript.add("phase2", "classical", n)
     if computed != s:
         shown = {"computed": format(computed, f"0{n * m}b"),
@@ -383,55 +399,53 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
     Returns the agent results.
     """
     n, m = cfg.n, cfg.m
-    pairs = list(combinations(range(n), 2))
+    pairs, sides, view_getters, slots = _pair_layout(n)
+    count = len(pairs)
+    rogues = plan.rogues
 
     # What each agent embeds: honest agents their received slice, phase-3
     # oracle liars a falsified vector (fresh per pair in random mode).
-    # Pair q's two embeddings are bits q*m .. q*m+m-1 of the phase words.
-    words = [0, 0]
-    oracle_liars = _liars(plan.rogues, "lie_phase3_oracle")
-    for q, pair in enumerate(pairs):
-        for side, agent in enumerate(pair):
-            vec = agent_inputs[agent]
-            if agent in oracle_liars:
-                vec ^= _lie_delta(plan.rogues, vec, m, rng)
-            words[side] |= vec << (q * m)
+    # Pair q's two embeddings are segment q of the two phase words.
+    embedded = [list(map(agent_inputs.__getitem__, side)) for side in sides]
+    oracle = _liar_slots(slots, _liars(rogues, "lie_phase3_oracle"))
+    if oracle:
+        deltas = _lie_deltas(rogues, [embedded[side][q] for q, side in oracle],
+                             m, rng)
+        for (q, side), delta in zip(oracle, deltas):
+            embedded[side][q] ^= delta
+    words = [_join(side, m) for side in embedded]
     registers = _run_quantum_round(
         cfg, plan, rng, transcript, detection, phase=3, r=2, p=m,
         encoders=(0, 1), phase_bits={0: words[0], 1: words[1]}, pairs=pairs,
     ).registers
 
     # One parallel classical round carrying all n(n-1) directed reports.
-    # views[i][j] is the share agent i claims for j: his outcome in the
-    # exchange with j, XOR j's report of j's outcome, XOR his own embedding;
-    # for j = i his own slice (a liar still privately knows what he
-    # embedded).  With honest reports that is segment q of both outcomes
-    # XORed, XOR his embedding; a liar's lie replaces his report.
-    mask = (1 << m) - 1
+    # Agent i's claim for j is his outcome in the exchange with j, XOR j's
+    # report of j's outcome, XOR his own embedding; for j = i his own slice
+    # (a liar still privately knows what he embedded).  With honest reports
+    # that is segment q of both outcomes XORed, XOR his embedding, so the
+    # claims of the pairs' first agents are the segments of one word and
+    # those of their second agents of another; a liar's lie replaces his
+    # report, and so changes the claim his partner holds for him.
     outcomes = registers[0] ^ registers[1]
-    to_first, to_second = outcomes ^ words[0], outcomes ^ words[1]
-    liars = _liars(plan.rogues, "lie_phase3_report")
-    views = [list(agent_inputs) for _ in range(n)]
-    for q, (i, j) in enumerate(pairs):
-        shift = q * m
-        views[i][j] = to_first >> shift & mask
-        views[j][i] = to_second >> shift & mask
-        if i in liars:
-            out_i = registers[0] >> shift & mask
-            views[j][i] ^= _lie_delta(plan.rogues, out_i, m, rng)
-        if j in liars:
-            out_j = registers[1] >> shift & mask
-            views[i][j] ^= _lie_delta(plan.rogues, out_j, m, rng)
+    claims = (_segments(outcomes ^ words[0], count, m)
+              + _segments(outcomes ^ words[1], count, m) + list(agent_inputs))
+    report = _liar_slots(slots, _liars(rogues, "lie_phase3_report"))
+    if report:
+        sent = [_segments(register, count, m) for register in registers]
+        deltas = _lie_deltas(rogues, [sent[side][q] for q, side in report],
+                             m, rng)
+        for (q, side), delta in zip(report, deltas):
+            claims[q + count * (1 - side)] ^= delta
     transcript.add("phase3", "classical", n * (n - 1))
 
-    views = [tuple(view) for view in views]
+    views = [view(claims) for view in view_getters]
     decoded = decode_views(list(dict.fromkeys(views)), cfg.split_config, m)
     results = []
     for i, view in enumerate(views):
         secret, support = decoded[view]
-        res = AgentResult(i, i not in plan.rogues.agents, s_i=agent_inputs[i],
-                          claimed_shares=view, reconstructed=secret,
-                          support=support, ambiguous=secret is None)
+        res = AgentResult(i, i not in rogues.agents, agent_inputs[i], view,
+                          secret, support, secret is None)
         if res.ambiguous:
             detection.append({"phase": "phase3", "kind": "ambiguous_decode",
                               "agent": i, "support": support})
@@ -439,14 +453,83 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
     return results
 
 
+@lru_cache(maxsize=16)
+def _pair_layout(n: int):
+    """Phase 3's pairs and where their segments go, built once per n.
+
+    Pair q is the q-th of `combinations(range(n), 2)`.  The directed claims
+    are listed as segment q of the first agents' claims (the first agent's
+    claim for the second) for every q, then the same for the second agents,
+    then every agent's own slice.  Returns the pairs, each side's agent per
+    pair, per agent an itemgetter that cuts its view (its claim for each
+    agent, in agent order) from that list, and per agent the (pair, side)
+    slots it fills, in pair order.
+    """
+    pairs = tuple(combinations(range(n), 2))
+    count = len(pairs)
+    slots = [[] for _ in range(n)]
+    at = [[2 * count + i] * n for i in range(n)]
+    for q, (i, j) in enumerate(pairs):
+        slots[i].append((q, 0))
+        slots[j].append((q, 1))
+        at[i][j] = q
+        at[j][i] = count + q
+    return (pairs, tuple(zip(*pairs)), tuple(itemgetter(*row) for row in at),
+            tuple(map(tuple, slots)))
+
+
+def _liar_slots(slots, liars: list[int]) -> list[tuple[int, int]]:
+    """The (pair, side) slots the liars fill, in the order their lies go
+    out: pair by pair, the first agent first."""
+    return sorted(slot for j in liars for slot in slots[j])
+
+
+def _segments(word: int, count: int, m: int) -> list[int]:
+    """The count m-bit segments of word, segment 0 first.
+
+    Whole-byte segments (any run's m is a multiple of 8) are cut from one
+    `to_bytes`, so the cost is linear in the word: read as one numpy array
+    when a segment is 1, 2, 4 or 8 bytes, sliced otherwise.  Narrower
+    ones, which only direct phase calls use, are shifted out.
+    """
+    if m % 8:
+        mask = (1 << m) - 1
+        return [word >> (i * m) & mask for i in range(count)]
+    size = m // 8
+    raw = word.to_bytes(count * size, "little")
+    if size in _DTYPES:
+        return np.frombuffer(raw, _DTYPES[size]).tolist()
+    return [int.from_bytes(raw[at:at + size], "little")
+            for at in range(0, count * size, size)]
+
+
+def _join(segments: list[int], m: int) -> int:
+    """The word whose m-bit segment i is segments[i]; see `_segments`."""
+    if m % 8:
+        return reduce(or_, (v << (i * m) for i, v in enumerate(segments)), 0)
+    size = m // 8
+    if size in _DTYPES:
+        raw = np.array(segments, _DTYPES[size]).tobytes()
+    else:
+        raw = b"".join([v.to_bytes(size, "little") for v in segments])
+    return int.from_bytes(raw, "little")
+
+
+# Little-endian numpy unsigned dtypes by byte width.
+_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
+
+
 def _liars(rogues: RogueBehavior, action: str) -> list[int]:
     """The agents who lie in `action`, in agent order."""
     return sorted(rogues.agents) if action in rogues.actions else []
 
 
-def _lie_delta(rogues: RogueBehavior, payload: int, length: int, rng) -> int:
-    """What a liar's lie XORs into his honest length-bit payload."""
-    return payload ^ falsify(payload, length, rogues.mode, rogues.fixed_value, rng)
+def _lie_deltas(rogues: RogueBehavior, payloads: list[int], length: int,
+                rng) -> list[int]:
+    """What the lies of one lying action XOR into their honest length-bit
+    payloads: one `falsify` call."""
+    lies = falsify(payloads, length, rogues.mode, rogues.fixed_value, rng)
+    return list(map(xor, payloads, lies))
 
 
 def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONEST_PLAN,
@@ -471,15 +554,11 @@ def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONES
 
     transcript = Transcript()
     detection: list[dict] = []
-    agents = [
-        AgentResult(i, i not in plan.rogues.agents) for i in range(cfg.n)
-    ]
     leakage = _leakage_block(cfg, plan, s) if audit else None
     abort = None
+    inputs = [None] * cfg.n
     try:
         inputs = phase1_distribute(cfg, s, plan, rng, transcript, detection)
-        for agent, vec in zip(agents, inputs):
-            agent.s_i = vec
         phase2_verify(cfg, inputs, s, plan, rng, transcript, detection)
         agents = phase3_consolidate(cfg, inputs, plan, rng, transcript,
                                     detection)
@@ -487,6 +566,8 @@ def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONES
         # Keep the info only: a stored exception's traceback would hold
         # this frame, which holds the exception, until the cycle collector.
         abort = err.info
+        agents = [AgentResult(i, i not in plan.rogues.agents, s_i)
+                  for i, s_i in enumerate(inputs)]
     return RunReport(
         config=cfg, plan=plan, secret=secret_bits,
         verdict="proceed" if abort is None else "abort", abort=abort,

@@ -12,7 +12,8 @@ claim lists (views) at once.
 Every interpolation is `GF.combine`: multiplying each w-bit element of a
 claim by one field constant maps each byte through a 256-entry table, so
 one term of a Lagrange or polynomial sum over a whole claim is one
-`bytes.translate`.
+`bytes.translate`.  The cached weight rows (`_vandermonde`,
+`_lagrange_rows`, `_candidate_plan`) hold those tables already resolved.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import eq
 from typing import Collection, Mapping, Sequence
 
 # Published reduction polynomials: x^4+x+1 and x^8+x^4+x^3+x+1.
@@ -106,22 +108,26 @@ class GF:
             acc = self.mul(acc, x) ^ c
         return acc
 
-    def combine(self, rows: Sequence[Sequence[int]],
+    def resolve(self, rows: Sequence[Sequence[int]]) -> tuple[tuple[bytes, ...], ...]:
+        """Rows of weights as rows of their scale tables, for `combine`."""
+        return tuple(tuple(self.tables[c] for c in row) for row in rows)
+
+    def combine(self, rows: Sequence[Sequence[bytes]],
                 packed: Sequence[int]) -> list[int]:
-        """Per row of weights, the XOR over i of row[i] times every w-bit
-        element of packed[i].
+        """Per row of resolved weights, the XOR over i of row[i] times every
+        w-bit element of packed[i].
 
         Elements never straddle a byte (w is 4 or 8), so scaling a packed
-        int by a constant maps each of its bytes through one table.
+        int by a constant maps each of its bytes through one table, the
+        weight's entry in the row.
         """
         size = (max(packed).bit_length() + 7) >> 3
         blocks = [p.to_bytes(size, "little") for p in packed]
-        tables = self.tables
         out = []
         for row in rows:
             acc = 0
-            for c, block in zip(row, blocks):
-                acc ^= int.from_bytes(block.translate(tables[c]), "little")
+            for table, block in zip(row, blocks):
+                acc ^= int.from_bytes(block.translate(table), "little")
             out.append(acc)
         return out
 
@@ -168,7 +174,7 @@ def share_token(index: int, bits: int, m: int) -> str:
     Each element fills whole hex digits (w is 4 or 8), so the hex form reads
     element 0 rightmost.
     """
-    return f"{index}:{bits:0{m // 4}x}"
+    return "%d:%0*x" % (index, m // 4, bits)
 
 
 FIELDS = {w: GF(w, poly) for w, poly in REDUCTION_POLY.items()}
@@ -219,11 +225,11 @@ def split(secret: int, cfg: SplitConfig, m: int, rng) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _vandermonde(w: int, n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Row x - 1 holds x^0 .. x^(k-1) in GF(2^w), for x = 1 .. n."""
+def _vandermonde(w: int, n: int, k: int) -> tuple[tuple[bytes, ...], ...]:
+    """Row x - 1 holds x^0 .. x^(k-1) in GF(2^w), resolved, for x = 1 .. n."""
     gf = FIELDS[w]
-    return tuple(
-        tuple(gf.exp[gf.log[x] * d % (gf.order - 1)] for d in range(k))
+    return gf.resolve(
+        [gf.exp[gf.log[x] * d % (gf.order - 1)] for d in range(k)]
         for x in range(1, n + 1)
     )
 
@@ -243,9 +249,11 @@ def _lagrange_weights(xs: Sequence[int], x_target: int, gf: GF) -> list[int]:
 
 @lru_cache(maxsize=8192)
 def _lagrange_rows(w: int, xs: tuple[int, ...],
-                   targets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Per target, the weights that interpolate at it from the nodes xs."""
-    return tuple(tuple(_lagrange_weights(xs, x, FIELDS[w])) for x in targets)
+                   targets: tuple[int, ...]) -> tuple[tuple[bytes, ...], ...]:
+    """Per target, the weights that interpolate at it from the nodes xs,
+    resolved."""
+    gf = FIELDS[w]
+    return gf.resolve(_lagrange_weights(xs, x, gf) for x in targets)
 
 
 def reconstruct(claims: Mapping[int, int], cfg: SplitConfig, m: int) -> int:
@@ -266,13 +274,14 @@ def reconstruct(claims: Mapping[int, int], cfg: SplitConfig, m: int) -> int:
     return secret
 
 
-def _check_claims(claims: Sequence[int], cfg: SplitConfig, m: int):
-    """Check that there is exactly one m-bit claim per agent."""
-    if len(claims) != cfg.n:
+def _check_views(views: Sequence[Sequence[int]], cfg: SplitConfig, m: int):
+    """Check that every view holds exactly one m-bit claim per agent."""
+    wrong = set(map(len, views)) - {cfg.n}
+    if wrong:
         raise ShareIntegrityError(
-            f"expected exactly one claim per agent ({cfg.n}), got {len(claims)}"
+            f"expected exactly one claim per agent ({cfg.n}), got {min(wrong)}"
         )
-    _check_width(claims, cfg, m)
+    _check_width([min(map(min, views)), max(map(max, views))], cfg, m)
 
 
 def _check_width(claims: Collection[int], cfg: SplitConfig, m: int):
@@ -310,7 +319,7 @@ def robust_decode(
        n minus the missed count.
     3. Otherwise run the exhaustive search.
     """
-    _check_claims(claims, cfg, m)
+    _check_views((claims,), cfg, m)
     n, k, w, gf = cfg.n, cfg.k, cfg.w, cfg.field
     radius = (n - k) // 2
     secret, (support,) = _candidate((claims,), range(k), cfg)
@@ -345,12 +354,13 @@ def decode_views(views: Sequence[tuple[int, ...]], cfg: SplitConfig,
     support >= n - r is what `robust_decode` returns, whichever k claims it
     came from (see there), so one interpolation from the first k positions
     alike in every view decodes each view it fits that well; only the
-    others decode alone.
+    others decode alone.  Every view's count and width is checked in one
+    pass, and every view is scored against one cached candidate plan.
     """
-    for view in views:
-        _check_claims(view, cfg, m)
+    _check_views(views, cfg, m)
     decoded = {}
-    agreed = [j for j, column in enumerate(zip(*views)) if len(set(column)) == 1]
+    agreed = [j for j, column in enumerate(zip(*views))
+              if column.count(column[0]) == len(column)]
     if len(agreed) >= cfg.k:
         secret, supports = _candidate(views, agreed[:cfg.k], cfg)
         for view, support in zip(views, supports):
@@ -438,14 +448,21 @@ def _candidate(views: Sequence[Sequence[int]], subset: Sequence[int],
     """Interpolate from the claims of the agents in `subset` (k of them,
     alike in every view); returns the secret and, per view, the number of
     its claims the polynomials fit."""
-    # The subset's own claims are its interpolation nodes, so they always
-    # agree; the others are checked, and the last row interpolates the secret.
-    others = [j for j in range(cfg.n) if j not in subset]
-    rows = _lagrange_rows(cfg.w, tuple(i + 1 for i in subset),
-                          (*(j + 1 for j in others), 0))
+    others, rows = _candidate_plan(cfg.w, cfg.n, tuple(subset))
     *predicted, secret = cfg.field.combine(rows, [views[0][i] for i in subset])
-    return secret, [cfg.k + sum(p == view[j] for p, j in zip(predicted, others))
+    return secret, [cfg.k + sum(map(eq, predicted, map(view.__getitem__, others)))
                     for view in views]
+
+
+@lru_cache(maxsize=8192)
+def _candidate_plan(w: int, n: int, subset: tuple[int, ...]):
+    """The positions outside `subset` and the resolved rows that predict
+    their claims and then the secret from the subset's claims.  The
+    subset's own claims are its interpolation nodes, so they always agree."""
+    others = tuple(j for j in range(n) if j not in subset)
+    rows = _lagrange_rows(w, tuple(i + 1 for i in subset),
+                          (*(j + 1 for j in others), 0))
+    return others, rows
 
 
 def _exhaustive_decode(claims: Sequence[int], cfg: SplitConfig) -> tuple[int, int]:

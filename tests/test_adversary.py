@@ -166,15 +166,15 @@ class TestRogues:
         rng = np.random.default_rng(71)
         for _ in range(50):
             msg = random_bits(12, rng)
-            out = falsify(msg, 12, "bit_flip", None, rng)
+            (out,) = falsify([msg], 12, "bit_flip", None, rng)
             assert (out ^ msg).bit_count() == 1
 
     def test_fixed_mode(self):
         rng = np.random.default_rng(72)
         fixed = "0110"
-        assert falsify(bv("1111"), 4, "fixed", fixed, rng) == 0b0110
+        assert falsify([bv("1111")], 4, "fixed", fixed, rng) == [0b0110]
         with pytest.raises(ValueError):
-            falsify(bv("11"), 2, "fixed", fixed, rng)
+            falsify([bv("11")], 2, "fixed", fixed, rng)
 
     def test_fixed_mode_requires_value(self):
         with pytest.raises(ValueError):
@@ -187,9 +187,38 @@ class TestRogues:
                           fixed_value=text)
 
     def test_falsify_random_is_seeded(self):
-        a = falsify(bv("0000"), 4, "random", None, np.random.default_rng(73))
-        b = falsify(bv("0000"), 4, "random", None, np.random.default_rng(73))
+        a = falsify([bv("0000")], 4, "random", None, np.random.default_rng(73))
+        b = falsify([bv("0000")], 4, "random", None, np.random.default_rng(73))
         assert a == b
+
+    @staticmethod
+    def one_lie(payload, length, mode, fixed_value, rng):
+        """One lie drawn on its own, as a per-lie call draws it."""
+        if mode == "bit_flip":
+            return payload ^ (1 << int(rng.integers(length)))
+        if mode == "random":
+            return random_bits(length, rng)
+        return int(fixed_value, 2)
+
+    @pytest.mark.parametrize("mode", ["bit_flip", "random", "fixed"])
+    @pytest.mark.parametrize("length", [8, 16, 144])
+    def test_batch_is_the_stream_of_one_call_per_lie(self, mode, length):
+        # 144 bits is an n*m phase-2 report wider than one 64-bit word.
+        # The generator's next draw pins the stream after the batch.
+        fixed = ("110" * length)[:length]
+        for count in (1, 2, 5, 16):
+            seed = [74, length, count]
+            payloads = [random_bits(length, np.random.default_rng([*seed, i]))
+                        for i in range(count)]
+            batched = np.random.default_rng(seed)
+            one_by_one = np.random.default_rng(seed)
+            got = falsify(payloads, length, mode, fixed, batched)
+            expect = [self.one_lie(p, length, mode, fixed, one_by_one)
+                      for p in payloads]
+            assert got == expect
+            assert all(0 <= lie < 1 << length for lie in got)
+            assert (batched.bit_generator.random_raw()
+                    == one_by_one.bit_generator.random_raw())
 
 
 class TestLeakageAudit:

@@ -774,6 +774,14 @@ PINNED_CONFIGS = {
                 "adversary.eve.kind = intercept_resend\n"
                 "adversary.eve.basis = random\n"
                 "adversary.eve.phases = 1,2,3\naudit = true\n"),
+    # Past every benchmark workload's n = 9: an honest run at n = 63, and
+    # liars at both ends of n = 31.
+    "scale_honest": "protocol.n = 63\nprotocol.k = 32\nprotocol.m = 16\n",
+    "scale_liars": ("protocol.n = 31\nprotocol.k = 16\nprotocol.m = 16\n"
+                    "adversary.rogues.agents = 0,30\n"
+                    "adversary.rogues.actions = "
+                    "lie_phase3_oracle,lie_phase3_report\n"
+                    "adversary.rogues.mode = random\n"),
 }
 
 
@@ -791,8 +799,10 @@ class TestPinnedReports:
         ("liar_first", "102c255ed76ef58b"),
         ("fixed_first", "11b4cc405c2a9421"),
         ("audited", "78920632cd8bc950"),
+        ("scale_honest", "20124a0385afd82e"),
+        ("scale_liars", "72b1f5b34cbda469"),
     ], ids=["honest", "liar", "eve_tap", "eve_decoy", "liar_first",
-            "fixed_first", "audited"])
+            "fixed_first", "audited", "scale_honest", "scale_liars"])
     def test_report_digest(self, tmp_path, name, digest):
         cfg = write(tmp_path, f"{name}.cfg", PINNED_CONFIGS[name])
         out = tmp_path / "runs.jsonl"

@@ -6,7 +6,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 from dpvqss import protocol, threshold
 from dpvqss.adversary import AdversaryPlan, EveStrategy, RogueBehavior
@@ -23,6 +22,7 @@ from dpvqss.protocol import (
     secret_length,
 )
 from dpvqss.threshold import AmbiguousDecodeError, robust_decode, split
+from chi_square import binomial_fit_p
 from report_reference import canonical_json, report_dict
 
 HONEST = AdversaryPlan()
@@ -254,9 +254,7 @@ class TestPhase3:
                 assert results[j].claimed_shares[i] ^ inputs[i] == off
                 errors[q] += [off >> b & 1 for b in range(cfg.m)]
         # One binomial(trials, rate) count per (pair, position) cell.
-        stat = ((errors - trials * rate) ** 2
-                / (trials * rate * (1 - rate))).sum()
-        assert chi2.sf(stat, errors.size) > 0.001
+        assert binomial_fit_p(errors, trials, rate) > 0.001
 
     @pytest.mark.parametrize("failing", [0, 3, 5])
     def test_first_failing_pair_aborts(self, monkeypatch, failing):
@@ -538,23 +536,24 @@ class TestLies:
     """Liars at low and high indices in every action.  The first 16 hex
     digits of the sha256 of 20 reports pin which messages are falsified,
     and in what order, at version 0.8.0; a trial calls `falsify` once per
-    lie and never for an honest message."""
+    lying action in a phase, with the payloads of all its lies, and never
+    for an honest message."""
 
-    @pytest.mark.parametrize("agents, actions, mode, digest, calls", [
-        ((0, 3), ("lie_phase1_comms",), "random", "3a30925f25edb991", 8),
-        ((0, 4), ("lie_phase2_report",), "bit_flip", "1fdff502831b98f6", 2),
+    @pytest.mark.parametrize("agents, actions, mode, digest, batches", [
+        ((0, 3), ("lie_phase1_comms",), "random", "3a30925f25edb991", [8]),
+        ((0, 4), ("lie_phase2_report",), "bit_flip", "1fdff502831b98f6", [2]),
         ((0, 4), ("lie_phase3_oracle", "lie_phase3_report"), "random",
-         "17609c35a60640ea", 16),
+         "17609c35a60640ea", [8, 8]),
         ((1, 3), ("lie_phase1_comms", "lie_phase2_report", "lie_phase3_oracle",
                   "lie_phase3_report"), "bit_flip", "409cdd3cf1d57e55", None),
     ], ids=["phase1", "phase2", "phase3", "every"])
     def test_lies_pinned(self, monkeypatch, agents, actions, mode, digest,
-                         calls):
-        lies = []
+                         batches):
+        calls = []
         falsify = protocol.falsify
 
         def counted(*args):
-            lies.append(args)
+            calls.append(args)
             return falsify(*args)
 
         monkeypatch.setattr(protocol, "falsify", counted)
@@ -563,10 +562,14 @@ class TestLies:
         h = hashlib.sha256()
         for t in range(20):
             rng = np.random.default_rng([5, t])
-            del lies[:]
+            del calls[:]
             rep = run_protocol(cfg, random_secret(cfg, rng), plan, rng=rng)
             h.update(rep.to_json_line().encode())
-            assert calls is None or len(lies) == calls
+            # One call per lying action that ran, each with every lie's
+            # payload: 8, 2 and 16 lies per trial.
+            sizes = [len(payloads) for payloads, *_ in calls]
+            assert 0 < len(sizes) <= len(actions) and all(sizes)
+            assert batches is None or sizes == batches
         assert h.hexdigest()[:16] == digest
 
 

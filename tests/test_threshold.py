@@ -91,7 +91,8 @@ class TestKernel:
                         acc ^= gf.mul(c, row[e])
                     elements.append(acc)
                 expect.append(pack(elements, w))
-            assert gf.combine(rows, [pack(row, w) for row in values]) == expect
+            assert gf.combine(gf.resolve(rows),
+                              [pack(row, w) for row in values]) == expect
 
     def test_split_matches_per_element_reference(self):
         # Same shares and the same generator state afterwards, so runs that
