@@ -11,21 +11,19 @@ from __future__ import annotations
 
 
 def random_bits(length: int, rng) -> int:
-    """A uniform length-bit int drawn from a numpy Generator.
-
-    Whole 64-bit words come straight from the bit generator:
-    `Generator.bytes` goes through `Generator.integers` and costs about
-    ten times as much.
-    """
-    raw = rng.bit_generator.random_raw((length + 63) // 64)
-    return int.from_bytes(raw.tobytes(), "little") & ((1 << length) - 1)
+    """A uniform length-bit int drawn from a numpy Generator."""
+    return random_words(1, length, rng)[0]
 
 
 def random_words(count: int, length: int, rng) -> list[int]:
-    """count uniform length-bit ints, the stream of count `random_bits`
-    calls: their whole 64-bit words come from one `random_raw` call, and
-    each int is one word or a slice of the words' bytes, so the cost is
-    linear in the bits drawn."""
+    """count uniform length-bit ints, each from its own whole 64-bit words.
+
+    The words come straight from the bit generator in one `random_raw`
+    call (`Generator.bytes` goes through `Generator.integers` and costs
+    about ten times as much), and each int is one word or a slice of the
+    words' bytes, so the cost is linear in the bits drawn.  count draws of
+    one int each give the same stream.
+    """
     words = (length + 63) // 64
     raw = rng.bit_generator.random_raw(count * words)
     mask = (1 << length) - 1

@@ -26,11 +26,12 @@ The secret, registers, slices, reports and shares are plain ints from
 the input bytes to the report: the aggregated secret and every register
 are n*m bits wide, segment i being bits i*m .. i*m+m-1, and the secret,
 each slice, each claimed share and each decoded secret is m bits wide.
-A run's m is whole bytes, so the phases join segments into a word with
-one `bytes.join` and cut a word into its segments from one `to_bytes`
+At m = 8, 16, 32 or 64 the phases join segments into a word, and cut a
+word into its segments, as one numpy array over the word's bytes
 (`_join`, `_segments`): the cost is linear in the bits sent, where
-shifting each segment in or out copied the whole word.  The lies of one
-lying action in a phase come from one `falsify` call.  The transcript
+shifting each segment in or out copies the whole word, as it still does
+at other widths.  The lies of one lying action in a phase come from one
+`falsify` call.  The transcript
 records each quantum or classical round only as its phase, its kind and
 how many messages it carried; every agent XORs what it receives as it
 arrives.  All randomness flows through one
@@ -487,36 +488,27 @@ def _liar_slots(slots, liars: list[int]) -> list[tuple[int, int]]:
 def _segments(word: int, count: int, m: int) -> list[int]:
     """The count m-bit segments of word, segment 0 first.
 
-    Whole-byte segments (any run's m is a multiple of 8) are cut from one
-    `to_bytes`, so the cost is linear in the word: read as one numpy array
-    when a segment is 1, 2, 4 or 8 bytes, sliced otherwise.  Narrower
-    ones, which only direct phase calls use, are shifted out.
+    Segments of 8, 16, 32 or 64 bits are read as one numpy array of the
+    word's bytes, so the cost is linear in the word; other widths are
+    shifted out, one copy of the word per segment.
     """
-    if m % 8:
+    dtype = _DTYPES.get(m)
+    if dtype is None:
         mask = (1 << m) - 1
         return [word >> (i * m) & mask for i in range(count)]
-    size = m // 8
-    raw = word.to_bytes(count * size, "little")
-    if size in _DTYPES:
-        return np.frombuffer(raw, _DTYPES[size]).tolist()
-    return [int.from_bytes(raw[at:at + size], "little")
-            for at in range(0, count * size, size)]
+    return np.frombuffer(word.to_bytes(count * m // 8, "little"), dtype).tolist()
 
 
 def _join(segments: list[int], m: int) -> int:
     """The word whose m-bit segment i is segments[i]; see `_segments`."""
-    if m % 8:
+    dtype = _DTYPES.get(m)
+    if dtype is None:
         return reduce(or_, (v << (i * m) for i, v in enumerate(segments)), 0)
-    size = m // 8
-    if size in _DTYPES:
-        raw = np.array(segments, _DTYPES[size]).tobytes()
-    else:
-        raw = b"".join([v.to_bytes(size, "little") for v in segments])
-    return int.from_bytes(raw, "little")
+    return int.from_bytes(np.array(segments, dtype).tobytes(), "little")
 
 
-# Little-endian numpy unsigned dtypes by byte width.
-_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
+# Little-endian numpy unsigned dtypes by width in bits.
+_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
 
 
 def _liars(rogues: RogueBehavior, action: str) -> list[int]:

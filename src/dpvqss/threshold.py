@@ -13,7 +13,7 @@ Every interpolation is `GF.combine`: multiplying each w-bit element of a
 claim by one field constant maps each byte through a 256-entry table, so
 one term of a Lagrange or polynomial sum over a whole claim is one
 `bytes.translate`.  The cached weight rows (`_vandermonde`,
-`_lagrange_rows`, `_candidate_plan`) hold those tables already resolved.
+`_lagrange_rows`) hold those tables already resolved.
 """
 
 from __future__ import annotations
@@ -276,6 +276,8 @@ def reconstruct(claims: Mapping[int, int], cfg: SplitConfig, m: int) -> int:
 
 def _check_views(views: Sequence[Sequence[int]], cfg: SplitConfig, m: int):
     """Check that every view holds exactly one m-bit claim per agent."""
+    if not views:
+        return
     wrong = set(map(len, views)) - {cfg.n}
     if wrong:
         raise ShareIntegrityError(
@@ -355,7 +357,7 @@ def decode_views(views: Sequence[tuple[int, ...]], cfg: SplitConfig,
     came from (see there), so one interpolation from the first k positions
     alike in every view decodes each view it fits that well; only the
     others decode alone.  Every view's count and width is checked in one
-    pass, and every view is scored against one cached candidate plan.
+    pass, and every view is scored against one interpolation.
     """
     _check_views(views, cfg, m)
     decoded = {}
@@ -448,21 +450,14 @@ def _candidate(views: Sequence[Sequence[int]], subset: Sequence[int],
     """Interpolate from the claims of the agents in `subset` (k of them,
     alike in every view); returns the secret and, per view, the number of
     its claims the polynomials fit."""
-    others, rows = _candidate_plan(cfg.w, cfg.n, tuple(subset))
+    # The subset's own claims are its interpolation nodes, so they always
+    # agree; the others are checked, and the last row interpolates the secret.
+    others = [j for j in range(cfg.n) if j not in subset]
+    rows = _lagrange_rows(cfg.w, tuple(i + 1 for i in subset),
+                          (*(j + 1 for j in others), 0))
     *predicted, secret = cfg.field.combine(rows, [views[0][i] for i in subset])
     return secret, [cfg.k + sum(map(eq, predicted, map(view.__getitem__, others)))
                     for view in views]
-
-
-@lru_cache(maxsize=8192)
-def _candidate_plan(w: int, n: int, subset: tuple[int, ...]):
-    """The positions outside `subset` and the resolved rows that predict
-    their claims and then the secret from the subset's claims.  The
-    subset's own claims are its interpolation nodes, so they always agree."""
-    others = tuple(j for j in range(n) if j not in subset)
-    rows = _lagrange_rows(w, tuple(i + 1 for i in subset),
-                          (*(j + 1 for j in others), 0))
-    return others, rows
 
 
 def _exhaustive_decode(claims: Sequence[int], cfg: SplitConfig) -> tuple[int, int]:

@@ -33,6 +33,18 @@ def segments_of(s, n, m):
     return [(s >> (i * m)) & ((1 << m) - 1) for i in range(n)]
 
 
+class TestSegments:
+    # Numpy reads 8, 16, 32 and 64 bits; the other widths shift.
+    @pytest.mark.parametrize("m", [4, 8, 12, 16, 24, 32, 64, 136])
+    def test_cut_and_join_match_shifts(self, m):
+        rng = np.random.default_rng([85, m])
+        for count in (1, 3, 36):
+            word = random_bits(count * m, rng)
+            cut = protocol._segments(word, count, m)
+            assert cut == segments_of(word, count, m)
+            assert protocol._join(cut, m) == word
+
+
 class TestConfig:
     def test_validation(self):
         ProtocolConfig(n=5, k=3, m=16)

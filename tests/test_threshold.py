@@ -412,6 +412,9 @@ class TestDecodeViews:
         assert decode_views(views, cfg, m) == {
             view: (0xBEEF, 9 - (view[0] != claims[0])) for view in views}
 
+    def test_no_views(self):
+        assert decode_views([], SplitConfig(3, 5, 4), 8) == {}
+
 
 class TestShareEncoding:
     def test_bits_round_trip(self):
