@@ -14,8 +14,9 @@ which draws all p positions at once as p-bit words, whatever each position's
 read basis.  Every word of a round comes from one `random_raw` call, sliced
 per word (`bitvec.random_words`), and how a batch's taps use those words is
 laid out once per (r, taps).  The phase bits only shift the subspace: a
-phase kick before the Hadamard layer is a bit flip after it.  With no taps it is the XOR constraint:
-uniform over the register tuples whose XOR is the phase bits.
+phase kick before the Hadamard layer is a bit flip after it.  With no taps
+it is the XOR constraint: uniform over the register tuples whose XOR is the
+phase bits.
 
 `qsim.dense_state` and `qsim.dense_outcomes` build the same round as one
 dense statevector, the exact reference the sampler is checked against.
