@@ -4,6 +4,7 @@ do (and do not) reveal, and robust decoding against false shares."""
 
 import numpy as np
 
+from dpvqss.bitvec import cut
 from dpvqss.threshold import (
     AmbiguousDecodeError,
     FIELDS,
@@ -19,9 +20,10 @@ rng = np.random.default_rng(3)
 
 print("== (2, 3) split of the nibble 0xA ==")
 cfg = SplitConfig(2, 3, 4)
-# split takes the secret and returns each agent's share as a packed m-bit
-# int; reconstruct takes any k of them keyed by agent.
-shares = split(0xA, cfg, 4, rng)
+# split takes the secret and returns the aggregated n*m-bit word whose m-bit
+# segment i is agent i's share; cut gives the shares, and reconstruct takes
+# any k of them keyed by agent.
+shares = cut(split(0xA, cfg, 4, rng), cfg.n, 4)
 for i, share in enumerate(shares):
     print(f"  agent {i} holds {share_token(i, share, 4)}")
 first, last = {0: shares[0], 1: shares[1]}, {1: shares[1], 2: shares[2]}
@@ -41,7 +43,7 @@ print(f"agent 0's value {observed:#x} is consistent with "
 print()
 print("== Robust decoding at (3, 5) ==")
 cfg5 = SplitConfig(3, 5, 4)
-shares5 = split(0x7, cfg5, 4, rng)  # one 4-bit claim per agent
+shares5 = cut(split(0x7, cfg5, 4, rng), cfg5.n, 4)  # one 4-bit claim each
 shares5[2] ^= 0x5  # one liar
 secret, support = robust_decode(shares5, cfg5, 4)
 print(f"one forged share: decoded {secret:#x} with support {support}/5")
@@ -49,7 +51,7 @@ print(f"one forged share: decoded {secret:#x} with support {support}/5")
 print()
 print("== Beyond the radius: colluding liars force a visible tie ==")
 cfg4 = SplitConfig(3, 4, 4)
-shares4 = split(0x7, cfg4, 4, rng)
+shares4 = cut(split(0x7, cfg4, 4, rng), cfg4.n, 4)
 fake_poly = [0x2, 0x9, 0x4]
 for liar in (0, 1):
     shares4[liar] = gf.poly_eval(fake_poly, liar + 1)

@@ -3,11 +3,11 @@
 Shares, secrets and fixed lies cross the API as plain ints, or as the
 MSB-first bit strings a config writes.  Library layout:
 
-- bitvec     the uniform bit draw
+- bitvec     the uniform bit draw and the segment layout (cut / join)
 - qsim       exact statevector simulator and dense round reference
              (tests and oracle-check only; no protocol module imports it)
 - threshold  (k, n) Shamir sharing over GF(2^w) with robust decoding, one
-             packed m-bit int per share
+             packed m-bit int per share, split as one n*m-bit word
 - entangle   entanglement distribution, the tap reads (z / random /
              entangle), the decoy check as one Binomial(d*t, 1/4) draw per
              round (the per-decoy model is reference-only) and the exact
@@ -19,7 +19,7 @@ MSB-first bit strings a config writes.  Library layout:
 - cli        experiment driver (run / sweep / oracle-check / metrics / report)
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .threshold import SplitConfig, reconstruct, robust_decode, split  # noqa: F401
 from .adversary import AdversaryPlan, EveStrategy, RogueBehavior, leakage_audit  # noqa: F401

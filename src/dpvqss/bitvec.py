@@ -1,13 +1,16 @@
-"""The uniform bit draw.
+"""The uniform bit draw and the segment layout.
 
 Every register, slice, report, share, fixed lie and audited secret is a
 plain Python int whose width the config fixes; bit j is the j-th least
 significant bit, and segment i of an n*m-bit word occupies bit positions
-i*m .. i*m+m-1, segment 0 being least significant.  A fixed lie in a config
-is written most-significant bit first, so "1101" has bit 0 = 1 and bit 2 = 1.
+i*m .. i*m+m-1, segment 0 being least significant (`cut` and `join`).  A
+fixed lie in a config is written most-significant bit first, so "1101" has
+bit 0 = 1 and bit 2 = 1.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def random_bits(length: int, rng) -> int:
@@ -50,3 +53,24 @@ class BitVector:
     @property
     def value(self) -> int:
         return self._value
+
+
+def cut(word: int, count: int, m: int) -> list[int]:
+    """The count m-bit segments of word, segment 0 first: at 8, 16, 32 or
+    64 bits one numpy array over the word's bytes, so the cost is linear in
+    the word; other widths shift, one copy of the word per segment."""
+    if m in _DTYPES:
+        raw = word.to_bytes(count * m // 8, "little")
+        return np.frombuffer(raw, _DTYPES[m]).tolist()
+    return [word >> (i * m) & ((1 << m) - 1) for i in range(count)]
+
+
+def join(segments: list[int], m: int) -> int:
+    """The word whose m-bit segment i is segments[i]; see `cut`."""
+    if m in _DTYPES:
+        raw = np.array(segments, _DTYPES[m]).tobytes()
+        return int.from_bytes(raw, "little")
+    return sum(v << (i * m) for i, v in enumerate(segments))
+
+
+_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}  # little-endian

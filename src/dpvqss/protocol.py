@@ -26,17 +26,15 @@ The secret, registers, slices, reports and shares are plain ints from
 the input bytes to the report: the aggregated secret and every register
 are n*m bits wide, segment i being bits i*m .. i*m+m-1, and the secret,
 each slice, each claimed share and each decoded secret is m bits wide.
-At m = 8, 16, 32 or 64 the phases join segments into a word, and cut a
-word into its segments, as one numpy array over the word's bytes
-(`_join`, `_segments`): the cost is linear in the bits sent, where
-shifting each segment in or out copies the whole word, as it still does
-at other widths.  The lies of one lying action in a phase come from one
-`falsify` call.  The transcript
-records each quantum or classical round only as its phase, its kind and
-how many messages it carried; every agent XORs what it receives as it
-arrives.  All randomness flows through one
-injected generator, so a (config, secret, plan, seed) tuple reproduces a
-byte-identical report.
+`split` returns the aggregated secret itself, agent i's share in segment
+i.  The phases join segments into a word, and cut a word into its
+segments, with `bitvec.join` and `bitvec.cut`.  The lies of one lying
+action in a phase come from one `falsify` call.  A round draws its decoy
+check before it builds its batch, so a round that aborts builds none.  The
+transcript records each quantum or classical round only as its phase, its
+kind and how many messages it carried; every agent XORs what it receives
+as it arrives.  All randomness flows through one injected generator, so a
+(config, secret, plan, seed) tuple reproduces a byte-identical report.
 
 A run stops in one of two ways.  Either every phase returns what the
 agents hold after it (phase 1 the slices, phase 2 nothing, phase 3 the
@@ -55,7 +53,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from operator import itemgetter, or_, xor
+from operator import itemgetter, xor
 
 import numpy as np
 
@@ -68,7 +66,7 @@ from .adversary import (
     leakage_audit,
     sent_channels,
 )
-from .bitvec import BitVector, random_bits
+from .bitvec import BitVector, cut, join, random_bits
 from .entangle import (
     decoy_mismatches,
     distribute,
@@ -80,7 +78,6 @@ from .metrics import efficiency_report
 from .threshold import (
     SplitConfig,
     decode_views,
-    pack,
     robust_decode,  # noqa: F401  benchmarks/tracing.py wraps it here
     share_token,
     split,
@@ -221,6 +218,7 @@ class RunReport:
             )
         abort = canonical_json(self.abort.to_dict()) if self.abort else "null"
         leakage = "null" if self.leakage is None else canonical_json(self.leakage)
+        events = self.detection_events
         rounds = ",".join([
             f'{{"kind":"{row["kind"]}","messages":{row["messages"]},'
             f'"phase":"{row["phase"]}"}}' for row in self.transcript.rounds
@@ -228,7 +226,7 @@ class RunReport:
         return (
             f'{{"abort":{abort},{adversary},'
             f'"agents":{{{",".join(entries)}}},{config},'
-            f'"detection_events":{canonical_json(self.detection_events)},'
+            f'"detection_events":{canonical_json(events) if events else "[]"},'
             f'"leakage":{leakage},{metrics},"rounds":[{rounds}],'
             f'"schema":"{RUN_SCHEMA}","secret":{hex_token % self.secret},'
             f'"seed":{_scalar(self.seed)},"trial":{_scalar(self.trial)},'
@@ -290,8 +288,8 @@ def plan_to_dict(plan: AdversaryPlan) -> dict:
 
 def _run_quantum_round(cfg, plan, rng, transcript, detection, *, phase, r,
                        p, encoders, phase_bits, pairs=(None,)):
-    """Distribute one batch for len(pairs) rounds of p positions, check each
-    round's decoys, then draw every position at once.
+    """Check the decoys of len(pairs) rounds of p positions, then distribute
+    one batch for them and draw every position at once.
 
     Round q holds bits q*p .. q*p+p-1 of every phase word and register.
     Each round started adds the registers it sends to the phase's quantum
@@ -299,13 +297,12 @@ def _run_quantum_round(cfg, plan, rng, transcript, detection, *, phase, r,
     for d decoys on each of the t tapped channels, all made by one
     `decoy_mismatches` call; an untapped or decoy-free round draws nothing.
     The first round with a mismatch raises Aborted, labelled with its entry
-    of `pairs`.  `_read_law` treats each position on its own, so the one
-    draw follows the law of the separate rounds.  Returns the RoundOutcome.
+    of `pairs`, and builds no batch.  `_read_law` treats each position on
+    its own, so the one draw follows the law of the separate rounds.
+    Returns the RoundOutcome.
     """
     transmitted = sent_channels(phase, cfg.n, cfg.source)
     taps = plan.eve.taps_for(phase, transmitted)
-    batch = distribute(r, p * len(pairs), taps=taps, transmitted=transmitted,
-                       encoders=encoders)
     counts = decoy_mismatches(cfg.decoys, len(taps), len(pairs), rng)
     # The first nonzero count is the first mismatch; every round up to it
     # started, and with none every round did.
@@ -321,6 +318,8 @@ def _run_quantum_round(cfg, plan, rng, transcript, detection, *, phase, r,
         })
         raise Aborted(AbortInfo(f"phase{phase}", "decoy_mismatch",
                                 {"mismatches": mismatches, **where}))
+    batch = distribute(r, p * len(pairs), taps=taps, transmitted=transmitted,
+                       encoders=encoders)
     return batch.encode_and_measure(phase_bits, rng)
 
 
@@ -348,10 +347,10 @@ def phase1_distribute(cfg: ProtocolConfig, s: int, plan: AdversaryPlan,
     total = reduce(xor, registers)
     if not plan.eve.is_active_in(1):
         assert total == s, "distribution round broke its XOR constraint"
-    inputs = _segments(total, n, m)
+    inputs = cut(total, n, m)
     liars = _liars(plan.rogues, "lie_phase1_comms")
     if liars:
-        sent = {j: _segments(registers[j], n, m) for j in liars}
+        sent = {j: cut(registers[j], n, m) for j in liars}
         lies = [(i, j) for i in range(n) for j in liars if j != i]
         deltas = _lie_deltas(plan.rogues, [sent[j][i] for i, j in lies], m, rng)
         for (i, _), delta in zip(lies, deltas):
@@ -414,7 +413,7 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
                              m, rng)
         for (q, side), delta in zip(oracle, deltas):
             embedded[side][q] ^= delta
-    words = [_join(side, m) for side in embedded]
+    words = [join(side, m) for side in embedded]
     registers = _run_quantum_round(
         cfg, plan, rng, transcript, detection, phase=3, r=2, p=m,
         encoders=(0, 1), phase_bits={0: words[0], 1: words[1]}, pairs=pairs,
@@ -429,11 +428,11 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
     # those of their second agents of another; a liar's lie replaces his
     # report, and so changes the claim his partner holds for him.
     outcomes = registers[0] ^ registers[1]
-    claims = (_segments(outcomes ^ words[0], count, m)
-              + _segments(outcomes ^ words[1], count, m) + list(agent_inputs))
+    claims = (cut(outcomes ^ words[0], count, m)
+              + cut(outcomes ^ words[1], count, m) + list(agent_inputs))
     report = _liar_slots(slots, _liars(rogues, "lie_phase3_report"))
     if report:
-        sent = [_segments(register, count, m) for register in registers]
+        sent = [cut(register, count, m) for register in registers]
         deltas = _lie_deltas(rogues, [sent[side][q] for q, side in report],
                              m, rng)
         for (q, side), delta in zip(report, deltas):
@@ -485,32 +484,6 @@ def _liar_slots(slots, liars: list[int]) -> list[tuple[int, int]]:
     return sorted(slot for j in liars for slot in slots[j])
 
 
-def _segments(word: int, count: int, m: int) -> list[int]:
-    """The count m-bit segments of word, segment 0 first.
-
-    Segments of 8, 16, 32 or 64 bits are read as one numpy array of the
-    word's bytes, so the cost is linear in the word; other widths are
-    shifted out, one copy of the word per segment.
-    """
-    dtype = _DTYPES.get(m)
-    if dtype is None:
-        mask = (1 << m) - 1
-        return [word >> (i * m) & mask for i in range(count)]
-    return np.frombuffer(word.to_bytes(count * m // 8, "little"), dtype).tolist()
-
-
-def _join(segments: list[int], m: int) -> int:
-    """The word whose m-bit segment i is segments[i]; see `_segments`."""
-    dtype = _DTYPES.get(m)
-    if dtype is None:
-        return reduce(or_, (v << (i * m) for i, v in enumerate(segments)), 0)
-    return int.from_bytes(np.array(segments, dtype).tobytes(), "little")
-
-
-# Little-endian numpy unsigned dtypes by width in bits.
-_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
-
-
 def _liars(rogues: RogueBehavior, action: str) -> list[int]:
     """The agents who lie in `action`, in agent order."""
     return sorted(rogues.agents) if action in rogues.actions else []
@@ -542,7 +515,7 @@ def run_protocol(cfg: ProtocolConfig, secret: bytes, plan: AdversaryPlan = HONES
     secret_bits = int.from_bytes(secret, "big")
 
     # Agent i's share is segment i of the aggregated n*m-bit secret.
-    s = pack(split(secret_bits, cfg.split_config, cfg.m, rng), cfg.m)
+    s = split(secret_bits, cfg.split_config, cfg.m, rng)
 
     transcript = Transcript()
     detection: list[dict] = []

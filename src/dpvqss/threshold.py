@@ -4,16 +4,17 @@ The secret and every share are m-bit strings, vectors of m / w field
 elements; agent i's share evaluates per-element random polynomials at
 x = i + 1.  Each is one packed int, element 0 in its least significant w
 bits, so a secret's bytes read big-endian are already packed.  `split`
-returns the n shares; `robust_decode` takes the n claimed shares (claims),
-one per agent in agent order, `reconstruct` takes any k or more of them
-keyed by agent, and both return the secret; `decode_views` decodes many
-claim lists (views) at once.
+returns the aggregated n*m-bit word, agent i's share in segment i (see
+`bitvec`); `robust_decode` takes the n claimed shares (claims), one per
+agent in agent order, `reconstruct` takes any k or more of them keyed by
+agent, and both return the secret; `decode_views` decodes many claim lists
+(views) at once.
 
-Every interpolation is `GF.combine`: multiplying each w-bit element of a
-claim by one field constant maps each byte through a 256-entry table, so
-one term of a Lagrange or polynomial sum over a whole claim is one
-`bytes.translate`.  The cached weight rows (`_vandermonde`,
-`_lagrange_rows`) hold those tables already resolved.
+Multiplying each w-bit element of a claim by one field constant maps each
+byte through a 256-entry table, so one term of a polynomial (`split`) or
+Lagrange (`GF.combine`) sum over a whole claim is one `bytes.translate`.
+The cached weight rows (`_vandermonde`, `_lagrange_rows`) hold those
+tables already resolved.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from functools import lru_cache
 from itertools import combinations
 from operator import eq
 from typing import Collection, Mapping, Sequence
+
+from .bitvec import cut, join, random_words
 
 # Published reduction polynomials: x^4+x+1 and x^8+x^4+x^3+x+1.
 REDUCTION_POLY = {4: 0x13, 8: 0x11B}
@@ -203,57 +206,57 @@ class SplitConfig:
         return FIELDS[self.w]
 
 
-def split(secret: int, cfg: SplitConfig, m: int, rng) -> list[int]:
+def split(secret: int, cfg: SplitConfig, m: int, rng) -> int:
     """Split an m-bit secret with one uniformly random degree-(k-1)
-    polynomial per w-bit element.
-
-    Returns the n claims: agent i's share as an m-bit int.
-    """
+    polynomial per w-bit element; returns the aggregated n*m-bit word,
+    agent i's share in segment i."""
     if m < 1 or m % cfg.w:
         raise ValueError(
             f"secret width m={m} is not a positive multiple of w={cfg.w}"
         )
     if not 0 <= secret < 1 << m:
         raise ValueError(f"secret must be an {m}-bit int")
-    gf = cfg.field
-    # Row e holds element e's coefficients of degree 1 .. k-1: one draw,
-    # the same stream as one draw per element.
-    coeffs = rng.integers(0, gf.order, size=(m // cfg.w, cfg.k - 1))
-    # Term d packs coefficient d of every element's polynomial.
-    terms = [secret] + [pack(col, cfg.w) for col in coeffs.T.tolist()]
-    return gf.combine(_vandermonde(cfg.w, cfg.n, cfg.k), terms)
+    # Term d packs coefficient d of every element's polynomial, so the k-1
+    # random terms are uniform m-bit ints: one raw draw.  Segment x - 1
+    # gets x^d times term d, one translate per agent, in whole bytes.
+    terms = [secret, *random_words(cfg.k - 1, m, rng)]
+    size = (m + 7) // 8
+    word = 0
+    for term, tables in zip(terms, _vandermonde(cfg.w, cfg.n, cfg.k)):
+        block = term.to_bytes(size, "little")
+        word ^= int.from_bytes(
+            b"".join([block.translate(table) for table in tables]), "little")
+    # A share that ends mid-byte moves from its whole bytes to its m bits.
+    return join(cut(word, cfg.n, 8 * size), m) if m % 8 else word
 
 
 @lru_cache(maxsize=None)
 def _vandermonde(w: int, n: int, k: int) -> tuple[tuple[bytes, ...], ...]:
-    """Row x - 1 holds x^0 .. x^(k-1) in GF(2^w), resolved, for x = 1 .. n."""
+    """Row d holds x^d in GF(2^w) for x = 1 .. n, resolved; d = 0 .. k-1."""
     gf = FIELDS[w]
     return gf.resolve(
-        [gf.exp[gf.log[x] * d % (gf.order - 1)] for d in range(k)]
-        for x in range(1, n + 1)
+        [gf.exp[gf.log[x] * d % (gf.order - 1)] for x in range(1, n + 1)]
+        for d in range(k)
     )
-
-
-def _lagrange_weights(xs: Sequence[int], x_target: int, gf: GF) -> list[int]:
-    weights = []
-    for xi in xs:
-        num, den = 1, 1
-        for xj in xs:
-            if xj == xi:
-                continue
-            num = gf.mul(num, x_target ^ xj)
-            den = gf.mul(den, xi ^ xj)
-        weights.append(gf.div(num, den))
-    return weights
 
 
 @lru_cache(maxsize=8192)
 def _lagrange_rows(w: int, xs: tuple[int, ...],
                    targets: tuple[int, ...]) -> tuple[tuple[bytes, ...], ...]:
     """Per target, the weights that interpolate at it from the nodes xs,
-    resolved."""
+    resolved.  Barycentric form: weight i at x is l(x) v_i / (x - x_i), for
+    l(x) the product of x - x_j over all nodes and 1 / v_i that over the
+    nodes j != i at x_i, found once, so a target costs O(k)."""
     gf = FIELDS[w]
-    return gf.resolve(_lagrange_weights(xs, x, gf) for x in targets)
+    exp, log, q = gf.exp, gf.log, gf.order - 1
+    log_v = [-sum(log[xi ^ xj] for xj in xs if xj != xi) % q for xi in xs]
+
+    def row(x):
+        log_l = sum(log[x ^ xj] for xj in xs)
+        return [exp[(log_l + lv - log[x ^ xi]) % q]
+                for xi, lv in zip(xs, log_v)]
+    return gf.resolve([int(xi == x) for xi in xs] if x in xs else row(x)
+                      for x in targets)
 
 
 def reconstruct(claims: Mapping[int, int], cfg: SplitConfig, m: int) -> int:

@@ -21,7 +21,7 @@ from dpvqss.adversary import (
     RogueBehavior,
     leakage_audit,
 )
-from dpvqss.bitvec import random_bits
+from dpvqss.bitvec import cut, random_bits
 from dpvqss.cli import main, oracle_check_case
 from dpvqss.entangle import decoy_mismatches
 from dpvqss.metrics import eta1, eta2, eta3, wilson_interval
@@ -168,7 +168,7 @@ def test_c5_loyal_recovery_at_sound_radius():
         cfg2 = SplitConfig(3, 4, 4)
         rng = np.random.default_rng(2024_55)
         from dpvqss.threshold import split
-        shares = split(0x5, cfg2, 4, rng)
+        shares = cut(split(0x5, cfg2, 4, rng), cfg2.n, 4)
         fake = [0xC, 0x1, 0x9]
         for liar in (1, 3):
             shares[liar] = gf.poly_eval(fake, liar + 1)

@@ -787,20 +787,20 @@ PINNED_CONFIGS = {
 
 class TestPinnedReports:
     """Same config and seed, same bytes: the first 16 hex digits of the
-    sha256 of `dpvqss run --seed 7 --trials 20` output at version 0.8.0.
+    sha256 of `dpvqss run --seed 7 --trials 20` output at version 0.9.0.
     A change that alters the random stream or the report on purpose bumps
     the version and updates these pins."""
 
     @pytest.mark.parametrize("name, digest", [
-        ("honest", "bfb10e093a577022"),
-        ("liar", "275717c0701617d4"),
-        ("eve_tap", "9c70f47366e14e5f"),
-        ("eve_decoy", "dabe1a1e1ab5352c"),
-        ("liar_first", "102c255ed76ef58b"),
-        ("fixed_first", "11b4cc405c2a9421"),
-        ("audited", "78920632cd8bc950"),
-        ("scale_honest", "20124a0385afd82e"),
-        ("scale_liars", "72b1f5b34cbda469"),
+        ("honest", "065a33cab5c8998c"),
+        ("liar", "ec6cf2d05538ac38"),
+        ("eve_tap", "2847e7e1d03d8357"),
+        ("eve_decoy", "9378562dc4e9e950"),
+        ("liar_first", "f3b3269d0559ebfc"),
+        ("fixed_first", "29587d79ce9ddeca"),
+        ("audited", "fe11d02d72f0b286"),
+        ("scale_honest", "4712fdd48f51e206"),
+        ("scale_liars", "dd571dded4ec5ee2"),
     ], ids=["honest", "liar", "eve_tap", "eve_decoy", "liar_first",
             "fixed_first", "audited", "scale_honest", "scale_liars"])
     def test_report_digest(self, tmp_path, name, digest):

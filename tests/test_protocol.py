@@ -9,7 +9,7 @@ import pytest
 
 from dpvqss import protocol, threshold
 from dpvqss.adversary import AdversaryPlan, EveStrategy, RogueBehavior
-from dpvqss.bitvec import random_bits
+from dpvqss.bitvec import cut, join, random_bits
 from dpvqss.protocol import (
     Aborted,
     ProtocolConfig,
@@ -24,6 +24,7 @@ from dpvqss.protocol import (
 from dpvqss.threshold import AmbiguousDecodeError, robust_decode, split
 from chi_square import binomial_fit_p
 from report_reference import canonical_json, report_dict
+from threshold_reference import reference_decode
 
 HONEST = AdversaryPlan()
 PAIRS_4 = list(combinations(range(4), 2))
@@ -40,9 +41,9 @@ class TestSegments:
         rng = np.random.default_rng([85, m])
         for count in (1, 3, 36):
             word = random_bits(count * m, rng)
-            cut = protocol._segments(word, count, m)
-            assert cut == segments_of(word, count, m)
-            assert protocol._join(cut, m) == word
+            segments = cut(word, count, m)
+            assert segments == segments_of(word, count, m)
+            assert join(segments, m) == word
 
 
 class TestConfig:
@@ -185,7 +186,8 @@ class TestPhase2:
 class TestPhase3:
     def split_inputs(self, cfg, rng):
         secret = int.from_bytes(random_secret(cfg, rng), "big")
-        return secret, split(secret, cfg.split_config, cfg.m, rng)
+        return secret, cut(split(secret, cfg.split_config, cfg.m, rng),
+                           cfg.n, cfg.m)
 
     def test_all_honest_reconstruct(self):
         cfg = ProtocolConfig(n=5, k=3, m=16)
@@ -538,7 +540,19 @@ class TestRenderer:
             assert line == canonical_json(report_dict(rep))
             assert rep.to_dict() == json.loads(line) == report_dict(rep)
             outcomes.add(self.outcome(rep))
-        assert expect is None or outcomes == {expect}
+            if expect == "ambiguous":
+                assert all(
+                    (a.reconstructed, a.support)
+                    == reference_decode(a.claimed_shares, cfg.split_config, cfg.m)
+                    for a in rep.agents if a.loyal)
+        if expect == "ambiguous":
+            # Colluders past the radius tie the decode, unless four of the
+            # five claims lie on one polynomial by chance (about 2% of
+            # trials): each loyal agent decodes as the scalar search does,
+            # and the case renders at least one tie.
+            assert "ambiguous" in outcomes
+        else:
+            assert expect is None or outcomes == {expect}
         if audit:
             assert all(value is not None
                        for value in rep.to_dict()["leakage"].values())
@@ -547,17 +561,17 @@ class TestRenderer:
 class TestLies:
     """Liars at low and high indices in every action.  The first 16 hex
     digits of the sha256 of 20 reports pin which messages are falsified,
-    and in what order, at version 0.8.0; a trial calls `falsify` once per
+    and in what order, at version 0.9.0; a trial calls `falsify` once per
     lying action in a phase, with the payloads of all its lies, and never
     for an honest message."""
 
     @pytest.mark.parametrize("agents, actions, mode, digest, batches", [
-        ((0, 3), ("lie_phase1_comms",), "random", "3a30925f25edb991", [8]),
-        ((0, 4), ("lie_phase2_report",), "bit_flip", "1fdff502831b98f6", [2]),
+        ((0, 3), ("lie_phase1_comms",), "random", "eccfc7a0f0bd1dce", [8]),
+        ((0, 4), ("lie_phase2_report",), "bit_flip", "4fa181cf6dcffc74", [2]),
         ((0, 4), ("lie_phase3_oracle", "lie_phase3_report"), "random",
-         "17609c35a60640ea", [8, 8]),
+         "148393e854c35b1e", [8, 8]),
         ((1, 3), ("lie_phase1_comms", "lie_phase2_report", "lie_phase3_oracle",
-                  "lie_phase3_report"), "bit_flip", "409cdd3cf1d57e55", None),
+                  "lie_phase3_report"), "bit_flip", "accffdb9e6b481ee", None),
     ], ids=["phase1", "phase2", "phase3", "every"])
     def test_lies_pinned(self, monkeypatch, agents, actions, mode, digest,
                          batches):
@@ -586,6 +600,30 @@ class TestLies:
 
 
 class TestRunProtocol:
+    def test_round_failing_its_decoys_builds_no_batch(self, monkeypatch):
+        # Every trial's phase-1 decoys mismatch, so no batch is distributed.
+        # `distribute` draws nothing, so the reports are those of building
+        # the batch before the decoy check.
+        calls = []
+        distribute = protocol.distribute
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return distribute(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "distribute", counted)
+        cfg = ProtocolConfig(n=5, k=3, m=16, decoys=16)
+        plan = _eve("intercept_resend", (1, 2, 3), "random")
+        h = hashlib.sha256()
+        for t in range(20):
+            rng = np.random.default_rng([6, t])
+            rep = run_protocol(cfg, random_secret(cfg, rng), plan, rng=rng)
+            assert (rep.abort.phase, rep.abort.cause) == ("phase1",
+                                                          "decoy_mismatch")
+            h.update(rep.to_json_line().encode())
+        assert calls == []
+        assert h.hexdigest()[:16] == "7219949bc3103862"
+
     def test_honest_end_to_end(self):
         cfg = ProtocolConfig(n=5, k=3, m=32)
         rng = np.random.default_rng(95)
@@ -700,7 +738,7 @@ class TestRunProtocol:
             run_protocol(cfg, bytes([1, 2, 3]), HONEST,
                          rng=np.random.default_rng(15))
 
-    def test_rounds_record_message_counts(self):
+    def test_rounds_record_message_counts(self, monkeypatch):
         def rounds(cfg, plan, seed):
             d = run_protocol(cfg, bytes([0x5A]), plan,
                              rng=np.random.default_rng(seed)).to_dict()
@@ -717,7 +755,11 @@ class TestRunProtocol:
         assert rows == ([("phase1", "quantum", 5)] + honest[1:2]
                         + [("phase2", "quantum", 5)] + honest[3:])
         # A later pair aborts: every pair started, the aborted one too,
-        # counts its two registers.
+        # counts its two registers.  The fourth pair is the first whose
+        # decoys mismatch; the untapped phases check one round each.
+        monkeypatch.setattr(protocol, "decoy_mismatches",
+                            lambda d, tapped, count, rng:
+                            [0] * min(count, 3) + [1] * (count - 3))
         tapped = ProtocolConfig(n=4, k=3, m=8, decoys=1)
         plan = AdversaryPlan(eve=EveStrategy("measure_resend", phases=(3,)))
         rows, abort = rounds(tapped, plan, 13)

@@ -1,9 +1,12 @@
+import collections
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dpvqss import threshold
+from dpvqss.bitvec import cut
 from dpvqss.threshold import (
     FIELDS,
     AmbiguousDecodeError,
@@ -19,10 +22,19 @@ from dpvqss.threshold import (
     unpack,
 )
 from dpvqss.protocol import ProtocolConfig, run_protocol
-from threshold_reference import split_reference
+from threshold_reference import (
+    lagrange_weights,
+    reference_decode,
+    split_reference,
+)
 
 GF16 = FIELDS[4]
 GF256 = FIELDS[8]
+
+
+def shares_of(secret, cfg, m, rng):
+    """`split`'s aggregated word cut into the n shares."""
+    return cut(split(secret, cfg, m, rng), cfg.n, m)
 
 
 class TestField:
@@ -95,21 +107,54 @@ class TestKernel:
                               [pack(row, w) for row in values]) == expect
 
     def test_split_matches_per_element_reference(self):
-        # Same shares and the same generator state afterwards, so runs that
-        # go on drawing see the same stream.
+        # Same shares in the same segments and the same generator state
+        # afterwards, so runs that go on drawing see the same stream.  At
+        # w = 4 an odd element count ends a share mid-byte, so both the byte
+        # and the shift placement run.
         for n, k in ((2, 2), (3, 2), (5, 3), (7, 4), (9, 5), (15, 8)):
             for w in (4, 8):
-                for elements in (1, 2, 3, 4, 16):
+                for elements in (1, 2, 3, 4, 16, 17):
                     seed = [n, k, w, elements]
                     secret = [int(e) for e in np.random.default_rng(seed)
                               .integers(0, 1 << w, size=elements)]
-                    cfg = SplitConfig(k, n, w)
+                    cfg, m = SplitConfig(k, n, w), elements * w
                     rng, ref_rng = (np.random.default_rng(seed) for _ in "ab")
-                    claims = split(pack(secret, w), cfg, elements * w, rng)
+                    word = split(pack(secret, w), cfg, m, rng)
                     ref = split_reference(secret, cfg, ref_rng)
-                    assert claims == [pack(s, w) for s in ref]
+                    assert word == sum(pack(s, w) << (i * m)
+                                       for i, s in enumerate(ref))
                     assert (rng.bit_generator.state
                             == ref_rng.bit_generator.state)
+
+    @staticmethod
+    def check_lagrange_rows(w, xs, targets):
+        # Each weight's table holds the weight itself at byte 1, so equal
+        # tables mean equal weights.
+        gf = FIELDS[w]
+        rows = threshold._lagrange_rows(w, xs, targets)
+        assert [[table[1] for table in row] for row in rows] == [
+            lagrange_weights(xs, x, gf) for x in targets]
+
+    @pytest.mark.parametrize("w", [4, 8])
+    def test_lagrange_weights_match_product_formula(self, w):
+        # Every node set of every accepted size n <= 9, at every target
+        # 0 .. n, the nodes included; the weights are exact field elements.
+        for n, k in SIZES:
+            for xs in itertools.combinations(range(1, n + 1), k):
+                self.check_lagrange_rows(w, xs, tuple(range(n + 1)))
+
+    def test_lagrange_weights_at_n255(self):
+        # The fill of an honest n = 255 trial: the first k = 128 agents
+        # predict every other claim and the secret.
+        self.check_lagrange_rows(8, tuple(range(1, 129)), (*range(129, 256), 0))
+
+
+def _scripted(words):
+    """A generator stand-in whose raw draw is `words`."""
+    def random_raw(count):
+        assert count == len(words)
+        return np.array(words, np.uint64)
+    return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
 
 
 class TestSplitConfig:
@@ -153,10 +198,28 @@ class TestSplitReconstruct:
                 }
                 assert set(counts.values()) == {1}
 
+    @pytest.mark.parametrize("n, k", [(3, 2), (5, 3)])
+    def test_any_k_minus_1_shares_are_uniform(self, n, k):
+        # At w = m = 4 each of the k-1 random terms is one coefficient, so
+        # every draw can be enumerated: for every secret, any k-1 agents'
+        # shares take each of their 16^(k-1) values exactly once.
+        cfg = SplitConfig(k, n, 4)
+        draws = list(itertools.product(range(16), repeat=k - 1))
+        for secret in range(16):
+            seen = {agents: collections.Counter()
+                    for agents in itertools.combinations(range(n), k - 1)}
+            for draw in draws:
+                shares = cut(split(secret, cfg, 4, _scripted(draw)), n, 4)
+                for agents, counts in seen.items():
+                    counts[tuple(shares[j] for j in agents)] += 1
+            for counts in seen.values():
+                assert len(counts) == len(draws)
+                assert set(counts.values()) == {1}
+
     def test_threshold_boundary_k_equals_n(self):
         cfg = SplitConfig(2, 2, 4)
         rng = np.random.default_rng(12)
-        claims = dict(enumerate(split(0x7, cfg, 4, rng)))
+        claims = dict(enumerate(shares_of(0x7, cfg, 4, rng)))
         assert reconstruct(claims, cfg, 4) == 0x7
         with pytest.raises(InsufficientSharesError):
             reconstruct({1: claims[1]}, cfg, 4)
@@ -171,7 +234,7 @@ class TestSplitReconstruct:
                     cfg = SplitConfig(k, n, w)
                     for _ in range(25):
                         secret = pack(rng.integers(0, 1 << w, size=3).tolist(), w)
-                        claims = split(secret, cfg, 3 * w, rng)
+                        claims = shares_of(secret, cfg, 3 * w, rng)
                         assert len(claims) == n
                         assert max(claims) >> (3 * w) == 0
                         chosen = rng.choice(n, size=k, replace=False).tolist()
@@ -189,7 +252,7 @@ class TestSplitReconstruct:
         # Claims are keyed by agent, so an agent can claim only once; the
         # keys must name agents 0..n-1.
         cfg = SplitConfig(2, 3, 4)
-        claims = split(1, cfg, 4, np.random.default_rng(14))
+        claims = shares_of(1, cfg, 4, np.random.default_rng(14))
         for bad in (-1, 3):
             with pytest.raises(ShareIntegrityError):
                 reconstruct({0: claims[0], bad: claims[1]}, cfg, 4)
@@ -211,7 +274,7 @@ class TestRobustDecode:
         cfg = SplitConfig(3, 5, 8)
         rng = np.random.default_rng(15)
         secret = pack([10, 20, 30], 8)
-        shares = split(secret, cfg, 24, rng)
+        shares = shares_of(secret, cfg, 24, rng)
         decoded, support = robust_decode(shares, cfg, 24)
         assert decoded == secret
         assert support == 5
@@ -222,7 +285,7 @@ class TestRobustDecode:
         rng = np.random.default_rng(16)
         for _ in range(1000):
             secret = pack(rng.integers(0, 256, size=2).tolist(), 8)
-            shares = split(secret, cfg, 16, rng)
+            shares = shares_of(secret, cfg, 16, rng)
             liar = int(rng.integers(0, 5))
             forged = tuple(int(e) for e in rng.integers(0, 256, size=2))
             shares[liar] = pack(forged, 8)
@@ -235,7 +298,7 @@ class TestRobustDecode:
         # floor((n-k)/2) radius; the tie must surface, not be guessed away.
         cfg = SplitConfig(3, 4, 4)
         rng = np.random.default_rng(17)
-        shares = split(0x5, cfg, 4, rng)
+        shares = shares_of(0x5, cfg, 4, rng)
         fake_poly = [0xB, 0x2, 0x7]  # distinct constant term
         for liar in (2, 3):
             shares[liar] = GF16.poly_eval(fake_poly, liar + 1)
@@ -248,7 +311,7 @@ class TestRobustDecode:
         rng = np.random.default_rng(18)
         for _ in range(200):
             secret = pack(rng.integers(0, 16, size=2).tolist(), 4)
-            shares = split(secret, cfg, 8, rng)
+            shares = shares_of(secret, cfg, 8, rng)
             decoded, _ = robust_decode(shares, cfg, 8)
             assert decoded == reconstruct(dict(enumerate(shares[: cfg.k])), cfg, 8)
 
@@ -258,7 +321,7 @@ class TestRobustDecode:
         cfg = SplitConfig(8, 15, 8)
         rng = np.random.default_rng(20)
         secret = pack([0x42, 0x17, 0xC3], 8)
-        shares = split(secret, cfg, 24, rng)
+        shares = shares_of(secret, cfg, 24, rng)
         shares[0] ^= 0x5A5A5A
 
         def refuse(claims, cfg):
@@ -273,7 +336,7 @@ class TestRobustDecode:
         cfg = SplitConfig(5, 9, 8)
         rng = np.random.default_rng(21)
         secret = pack([0x11, 0x22, 0x33], 8)
-        shares = split(secret, cfg, 24, rng)
+        shares = shares_of(secret, cfg, 24, rng)
         for liar, e in ((6, 0), (7, 1), (8, 2)):
             shares[liar] ^= 0xFF << (8 * e)
         fallbacks = []
@@ -290,13 +353,13 @@ class TestRobustDecode:
     def test_requires_full_roster(self):
         cfg = SplitConfig(3, 5, 8)
         rng = np.random.default_rng(19)
-        shares = split(pack([1, 2], 8), cfg, 16, rng)
+        shares = shares_of(pack([1, 2], 8), cfg, 16, rng)
         with pytest.raises(ShareIntegrityError):
             robust_decode(shares[:4], cfg, 16)
 
     def test_rejects_claims_wider_than_m(self):
         cfg = SplitConfig(3, 5, 8)
-        shares = split(pack([1, 2], 8), cfg, 16, np.random.default_rng(19))
+        shares = shares_of(pack([1, 2], 8), cfg, 16, np.random.default_rng(19))
         for bad in (1 << 16, -1):
             claims = list(shares)
             claims[2] = bad
@@ -329,7 +392,7 @@ class TestDecodeViews:
 
     @staticmethod
     def shares(cfg, m, rng):
-        return split(int(rng.integers(0, 1 << m)), cfg, m, rng)
+        return shares_of(int(rng.integers(0, 1 << m)), cfg, m, rng)
 
     @pytest.mark.parametrize("n, k", SIZES)
     def test_one_random_liar_at_each_index(self, n, k):
@@ -352,7 +415,9 @@ class TestDecodeViews:
         # t = r + 1 and r + 2 colluders, first or last, claim one fake
         # polynomial that meets the true one on `a` honest positions; the
         # loyal agents hold those claims, each colluder every true share.
-        # With a = n - 2t the two polynomials tie at support n - t.
+        # With a = n - 2t the two polynomials tie at support n - t, unless
+        # a third candidate fits more claims by chance: every loyal view
+        # decodes as the scalar exhaustive search does.
         cfg, m = SplitConfig(k, n, 4), 8
         gf, radius = cfg.field, (n - k) // 2
         rng = np.random.default_rng([41, n, k])
@@ -371,10 +436,11 @@ class TestDecodeViews:
                     fake = dict(zip(colluders, gf.combine(rows, values)))
                     loyal = tuple(fake.get(j, c) for j, c in enumerate(claims))
                     got = self.check([loyal, tuple(claims)], cfg, m)
+                    expect = reference_decode(loyal, cfg, m)
+                    assert got[loyal] == expect
                     if a == n - 2 * t and any(fake[j] != claims[j]
                                               for j in colluders):
-                        assert got[loyal] == (None, n - t)
-                        ties += 1
+                        ties += expect == (None, n - t)
         assert ties or n == k
 
     @pytest.mark.parametrize("n, k", SIZES)
@@ -401,7 +467,7 @@ class TestDecodeViews:
         # the k claims alike in every view decode them all.
         cfg, m = SplitConfig(5, 9, 8), 16
         rng = np.random.default_rng(43)
-        claims = split(0xBEEF, cfg, m, rng)
+        claims = shares_of(0xBEEF, cfg, m, rng)
         views = [(claims[0],) + tuple(claims[1:])]
         views += [(claims[0] ^ (i + 1),) + tuple(claims[1:]) for i in range(8)]
 

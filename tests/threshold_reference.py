@@ -1,11 +1,15 @@
 """Per-element scalar references for the packed GF(2^w) kernel.
 
 `split_reference` is the split that evaluates each element's polynomial
-with `GF.poly_eval`, drawing one coefficient row per element.
-`exhaustive_decode` is the maximal-consistency search over all k-subsets of
-the claims, one scalar Lagrange sum per element.  Both hold a share or claim
-as its tuple of field elements, one tuple per agent in agent order.  Tests
-check `threshold.split` and `threshold.robust_decode` against them.
+with `GF.poly_eval`, reading coefficient d of element e from the w-bit
+element e of the d-th drawn term.  `lagrange_weights` is the product
+formula for one target's interpolation weights.  `exhaustive_decode` is the
+maximal-consistency search over all k-subsets of the claims, one scalar
+Lagrange sum per element.  The split and the search hold a share or claim
+as its tuple of field elements, one tuple per agent in agent order;
+`reference_decode` runs the search on packed claims.  Tests check
+`threshold.split`, `threshold._lagrange_rows` and the decoders against
+them.
 """
 
 from __future__ import annotations
@@ -14,12 +18,15 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
+from dpvqss.bitvec import random_words
 from dpvqss.threshold import (
     FIELDS,
     AmbiguousDecodeError,
+    GF,
     ShareIntegrityError,
     SplitConfig,
-    _lagrange_weights,
+    pack,
+    unpack,
 )
 
 
@@ -27,18 +34,35 @@ def split_reference(
     secret: Sequence[int], cfg: SplitConfig, rng
 ) -> list[tuple[int, ...]]:
     """Split per-element with uniformly random degree-(k-1) polynomials;
-    returns agent i's elements at x = i + 1, in agent order."""
-    gf = cfg.field
-    polys = [
-        [e] + [int(c) for c in rng.integers(0, gf.order, size=cfg.k - 1)]
-        for e in secret
-    ]
+    returns agent i's elements at x = i + 1, in agent order.
+
+    The k-1 random coefficients of every element come from one
+    `random_words` draw of k-1 terms, each as wide as the secret.
+    """
+    gf, w, m = cfg.field, cfg.w, len(secret) * cfg.w
+    terms = [unpack(t, m, w) for t in random_words(cfg.k - 1, m, rng)]
+    polys = [[e] + [term[i] for term in terms] for i, e in enumerate(secret)]
     return [tuple(gf.poly_eval(p, i + 1) for p in polys) for i in range(cfg.n)]
+
+
+def lagrange_weights(xs: Sequence[int], x_target: int, gf: GF) -> list[int]:
+    """The weights that interpolate at x_target from the nodes xs: the
+    product of (x_target - x_j) / (x_i - x_j) over j != i, per node i."""
+    weights = []
+    for xi in xs:
+        num, den = 1, 1
+        for xj in xs:
+            if xj == xi:
+                continue
+            num = gf.mul(num, x_target ^ xj)
+            den = gf.mul(den, xi ^ xj)
+        weights.append(gf.div(num, den))
+    return weights
 
 
 @lru_cache(maxsize=8192)
 def _cached_weights(w: int, xs: tuple[int, ...], x_target: int) -> tuple[int, ...]:
-    return tuple(_lagrange_weights(xs, x_target, FIELDS[w]))
+    return tuple(lagrange_weights(xs, x_target, FIELDS[w]))
 
 
 def exhaustive_decode(
@@ -88,3 +112,16 @@ def exhaustive_decode(
         raise AmbiguousDecodeError(best_support, sorted(best_secrets))
     (secret,) = best_secrets
     return secret, best_support
+
+
+def reference_decode(
+    view: Sequence[int], cfg: SplitConfig, m: int
+) -> tuple[int | None, int]:
+    """`exhaustive_decode` of a view of packed m-bit claims: the packed
+    secret and its support, or None and the tied support."""
+    try:
+        secret, support = exhaustive_decode(
+            [unpack(c, m, cfg.w) for c in view], cfg)
+    except AmbiguousDecodeError as err:
+        return None, err.support
+    return pack(secret, cfg.w), support
