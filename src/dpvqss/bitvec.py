@@ -3,9 +3,9 @@
 Every register, slice, report, share, fixed lie and audited secret is a
 plain Python int whose width the config fixes; bit j is the j-th least
 significant bit, and segment i of an n*m-bit word occupies bit positions
-i*m .. i*m+m-1, segment 0 being least significant (`cut` and `join`).  A
-fixed lie in a config is written most-significant bit first, so "1101" has
-bit 0 = 1 and bit 2 = 1.
+i*m .. i*m+m-1, segment 0 being least significant (`cut` and `join`, in
+whole bytes wherever 8 divides m).  A fixed lie in a config is written
+most-significant bit first, so "1101" has bit 0 = 1 and bit 2 = 1.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ def random_words(count: int, length: int, rng) -> list[int]:
 
     The words come straight from the bit generator in one `random_raw`
     call (`Generator.bytes` goes through `Generator.integers` and costs
-    about ten times as much), and each int is one word or a slice of the
-    words' bytes, so the cost is linear in the bits drawn.  count draws of
-    one int each give the same stream.
+    about ten times as much).  A multi-word int is a shift of the whole
+    draw read as one int, or past 1 KiB a slice of its bytes, so the cost
+    stays linear in the bits drawn.  count draws of one int each give the
+    same stream.
     """
     words = (length + 63) // 64
     raw = rng.bit_generator.random_raw(count * words)
@@ -33,8 +34,11 @@ def random_words(count: int, length: int, rng) -> list[int]:
     if words == 1:
         return [v & mask for v in raw.tolist()]
     raw, size = raw.tobytes(), 8 * words
-    return [int.from_bytes(raw[at:at + size], "little") & mask
-            for at in range(0, count * size, size)]
+    if count * words > 128:  # a shift copies the rest: slices win past 1 KiB
+        return [int.from_bytes(raw[at:at + size], "little") & mask
+                for at in range(0, count * size, size)]
+    whole = int.from_bytes(raw, "little")
+    return [whole >> at & mask for at in range(0, 8 * count * size, 8 * size)]
 
 
 class BitVector:
@@ -56,20 +60,26 @@ class BitVector:
 
 
 def cut(word: int, count: int, m: int) -> list[int]:
-    """The count m-bit segments of word, segment 0 first: at 8, 16, 32 or
-    64 bits one numpy array over the word's bytes, so the cost is linear in
-    the word; other widths shift, one copy of the word per segment."""
+    """The count m-bit segments of word, segment 0 first.  At 8, 16, 32 or
+    64 bits they are one numpy array over the word's bytes, at any other
+    multiple of 8 slices of those bytes, so the cost is linear in the word;
+    widths that end mid-byte shift, one copy of the word per segment."""
+    if m % 8:
+        return [word >> (i * m) & ((1 << m) - 1) for i in range(count)]
+    raw, size = word.to_bytes(count * m // 8, "little"), m // 8
     if m in _DTYPES:
-        raw = word.to_bytes(count * m // 8, "little")
         return np.frombuffer(raw, _DTYPES[m]).tolist()
-    return [word >> (i * m) & ((1 << m) - 1) for i in range(count)]
+    return [int.from_bytes(raw[at:at + size], "little")
+            for at in range(0, len(raw), size)]
 
 
 def join(segments: list[int], m: int) -> int:
     """The word whose m-bit segment i is segments[i]; see `cut`."""
     if m in _DTYPES:
-        raw = np.array(segments, _DTYPES[m]).tobytes()
-        return int.from_bytes(raw, "little")
+        return int.from_bytes(np.array(segments, _DTYPES[m]).tobytes(), "little")
+    if m % 8 == 0:
+        return int.from_bytes(
+            b"".join([v.to_bytes(m // 8, "little") for v in segments]), "little")
     return sum(v << (i * m) for i, v in enumerate(segments))
 
 

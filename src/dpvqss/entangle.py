@@ -11,12 +11,13 @@ uniform over an affine subspace of GF(2)^(r+t) for t tapped channels
 The round only prepares GHZ tuples, reads them channel by channel and
 applies a Hadamard layer, so that subspace has a closed form, `_read_law`,
 which draws all p positions at once as p-bit words, whatever each position's
-read basis.  Every word of a round comes from one `random_raw` call, sliced
-per word (`bitvec.random_words`), and how a batch's taps use those words is
-laid out once per (r, taps).  The phase bits only shift the subspace: a
-phase kick before the Hadamard layer is a bit flip after it.  With no taps
-it is the XOR constraint: uniform over the register tuples whose XOR is the
-phase bits.
+read basis.  Every word of a round comes from one `random_raw` call
+(`bitvec.random_words`), and how a batch's taps use those words is laid out
+once per (r, taps), when the batch is built.  The phase bits only shift the
+subspace: a phase kick before the Hadamard layer is a bit flip after it.
+With no taps it is the XOR constraint, uniform over the register tuples
+whose XOR is the phase bits, so an untapped round is r uniform words, the
+last one closed by one XOR.
 
 `qsim.dense_state` and `qsim.dense_outcomes` build the same round as one
 dense statevector, the exact reference the sampler is checked against.
@@ -101,14 +102,16 @@ class EntangledBatch:
             if read not in READS:
                 raise ValueError(f"unknown read {read!r} on channel {ch}")
         self.consumed = False
+        self._encoder_set = frozenset(self.encoders)
+        self._layout = _draw_layout(r, tuple(self.taps.items()))
 
     # -- outcome generation ---------------------------------------------------
 
     def _phase_vectors(self, phase_bits: dict[int, int]):
         for enc, vec in phase_bits.items():
-            if enc not in self.encoders:
+            if enc not in self._encoder_set:
                 raise ValueError(f"register {enc} is not an encoder")
-            if not 0 <= vec < 1 << self.p:
+            if vec < 0 or vec >> self.p:
                 raise DimensionError(
                     f"phase vector {vec:#x} for register {enc} does not fit "
                     f"in {self.p} bits"
@@ -125,18 +128,22 @@ class EntangledBatch:
     def _sample(self, phase_bits, rng) -> RoundOutcome:
         """Draw every tuple position at once from the read law.
 
-        The draws are uniform p-bit words, sliced from one `random_raw`
-        call: r for the registers, one per "entangle" read, one shared Z
-        outcome, then one basis word per "random" read, whose set bits are
-        the positions it reads in the X basis.
+        The draws are uniform p-bit words from one `random_raw` call: r for
+        the registers, one per "entangle" read, one shared Z outcome (drawn
+        but unused when untapped), then one basis word per "random" read,
+        whose set bits are the positions it reads in the X basis.
         """
         r, p = self.r, self.p
-        channels, count, picks = _draw_layout(r, tuple(self.taps.items()))
-        # The appended 0 is a Z read's basis word: no X positions.
-        draws = random_words(count, p, rng) + [0]
-        reads = [(ch, None if at is None else draws[at])
-                 for ch, at in zip(channels, picks)]
-        outputs = _read_law(r, p, reads, iter(draws))
+        channels, count, picks = self._layout
+        draws = random_words(count, p, rng)
+        if channels:
+            draws.append(0)  # a Z read's basis word: no X positions
+            reads = [(ch, None if at is None else draws[at])
+                     for ch, at in zip(channels, picks)]
+            outputs = _read_law(r, p, reads, iter(draws))
+        else:
+            outputs = draws[:r]
+            outputs[-1] ^= reduce(xor, outputs)  # the registers XOR to 0
         # A phase kick before the Hadamard layer is a bit flip after it.
         for enc, vec in phase_bits.items():
             outputs[enc] ^= vec

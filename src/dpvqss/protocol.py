@@ -17,23 +17,25 @@ n(n-1)/2 * m positions, drawn at once, with a decoy check per pair; a
 single parallel round carries all n(n-1) directed reports, after which
 each agent robustly decodes his n collected shares, his view: one
 `decode_views` call decodes the distinct views, sharing one interpolation,
-and the report renders each distinct (agent, claim) token once.  The
-pairs, where each pair's embeddings and claims sit, and one getter per
-agent that cuts his view from the directed claims are laid out once per n
-(`_pair_layout`), so the phase runs as bulk operations over that layout.
+and the report renders each distinct view once.
+
+What only (config, plan) decides, each round's channels and taps, who
+lies where, the pair layout (`_pair_layout`: where each pair's embeddings
+and claims sit, and a getter per agent that cuts his view from the claims)
+and the report's frame, is built once per pair (`_schedule`); a trial is
+draws and int arithmetic over it.
 
 The secret, registers, slices, reports and shares are plain ints from
 the input bytes to the report: the aggregated secret and every register
 are n*m bits wide, segment i being bits i*m .. i*m+m-1, and the secret,
 each slice, each claimed share and each decoded secret is m bits wide.
 `split` returns the aggregated secret itself, agent i's share in segment
-i.  The phases join segments into a word, and cut a word into its
-segments, with `bitvec.join` and `bitvec.cut`.  The lies of one lying
-action in a phase come from one `falsify` call.  A round draws its decoy
-check before it builds its batch, so a round that aborts builds none.  The
-transcript records each quantum or classical round only as its phase, its
-kind and how many messages it carried; every agent XORs what it receives
-as it arrives.  All randomness flows through one injected generator, so a
+i; `bitvec.join` and `bitvec.cut` join and cut segments.  The lies of one
+lying action in a phase come from one `falsify` call.  A round draws its
+decoy check before it builds its batch, so a round that aborts builds
+none.  The transcript records each round only as its phase, its kind and
+how many messages it carried; every agent XORs what it receives as it
+arrives.  All randomness flows through one injected generator, so a
 (config, secret, plan, seed) tuple reproduces a byte-identical report.
 
 A run stops in one of two ways.  Either every phase returns what the
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
@@ -61,6 +64,7 @@ from . import __version__
 from .adversary import (
     AdversaryPlan,
     HONEST_PLAN,
+    ROGUE_ACTIONS,
     RogueBehavior,
     falsify,
     leakage_audit,
@@ -79,8 +83,8 @@ from .threshold import (
     SplitConfig,
     decode_views,
     robust_decode,  # noqa: F401  benchmarks/tracing.py wraps it here
-    share_token,
     split,
+    view_template,
 )
 
 RUN_SCHEMA = "dpvqss.run.v1"
@@ -178,40 +182,30 @@ class RunReport:
     def to_json_line(self) -> str:
         """The report as one canonical JSON line: keys sorted, no spaces.
 
-        What every report of (config, plan) repeats comes from `_frame`,
+        What every report of (config, plan) repeats comes from `_schedule`,
         each agent entry's key included.  The trial's own members are
         written into it: each agent entry from one f-string, each distinct
-        view's tokens joined once, each distinct (agent, claim) token
-        formatted once by `share_token`.  Only the open-ended members go
-        through the encoder.  Every object's members are written in
-        sorted-key order by hand; a test compares the line with a
+        view through the view template with one `%`.  Only the open-ended
+        members go through the encoder.  Every object's members are written
+        in sorted-key order by hand; a test compares the line with a
         dict-built reference byte for byte.
         """
-        cfg = self.config
-        adversary, config, metrics, heads = _frame(cfg, self.plan)
-        m = cfg.m
+        sched, m = _schedule(self.config, self.plan), self.config.m
+        adversary, config, metrics = sched.frame
         hex_token, bits_spec = f'"%0{m // 4}x"', f"0{m}b"
-        tokens: dict[tuple[int, int], str] = {}
-        views: dict[tuple[int, ...], str] = {}
-        for a in self.agents:
-            view = a.claimed_shares
-            if view not in views:
-                parts = []
-                for claim in enumerate(view):
-                    token = tokens.get(claim)
-                    if token is None:
-                        token = tokens[claim] = f'"{share_token(*claim, m)}"'
-                    parts.append(token)
-                views[view] = ",".join(parts)
+        views = {(): ""}  # an aborted run's agents hold no claims
         entries = []
-        for i, head in heads:
+        for i, head in sched.heads:
             a = self.agents[i]
+            view = a.claimed_shares
+            tokens = views.get(view)
+            if tokens is None:
+                tokens = views[view] = sched.view % view
             got, s_i = a.reconstructed, a.s_i
             decoded = "null" if got is None else hex_token % got
             received = "null" if s_i is None else f'"{s_i:{bits_spec}}"'
             entries.append(
-                f'{head}{_BOOL[a.ambiguous]},'
-                f'"claimed_shares":[{views[a.claimed_shares]}],'
+                f'{head}{_BOOL[a.ambiguous]},"claimed_shares":[{tokens}],'
                 f'"loyal":{_BOOL[a.loyal]},"reconstructed":{decoded},'
                 f'"recovered_secret":{_BOOL[got == self.secret]},'
                 f'"s_i":{received},"support":{_scalar(a.support)}}}'
@@ -249,23 +243,47 @@ def _scalar(value: int | None) -> str:
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+_Schedule = namedtuple(
+    "_Schedule", "rounds liars phase1_lies oracle report layout frame heads view")
+
+
 @lru_cache(maxsize=1024)
-def _frame(cfg: ProtocolConfig, plan: AdversaryPlan):
-    """The members every report of (cfg, plan) repeats, rendered once: the
-    "adversary" member, the "config" and "config_hash" members, the
-    "metrics" member, and the agents in the order sorted keys give them
-    ("10" before "2"), each with its entry's text up to the "ambiguous"
-    value.  The hash is of {"adversary", "config"} as canonical JSON."""
+def _schedule(cfg: ProtocolConfig, plan: AdversaryPlan) -> _Schedule:
+    """Everything a trial of (cfg, plan) repeats, built once, as tuples:
+    each phase's (label, channels sent, taps, encoders); the liars per
+    ROGUE_ACTIONS entry and their lies in the order they go out, phase 1's
+    as (receiver, liar, shift), phase 3's oracle lies as (pair, side) and
+    report lies as (shift, side, claim index); the pair layout; and the
+    report's members, agent entry heads (keys sorted) and view template."""
+    n, m, rogues = cfg.n, cfg.m, plan.rogues
+    rounds = []
+    for phase, encoders in ((1, (n,)), (2, tuple(range(n))), (3, (0, 1))):
+        sent = tuple(sent_channels(phase, n, cfg.source))
+        taps = tuple(plan.eve.taps_for(phase, sent).items())
+        rounds.append((f"phase{phase}", sent, taps, encoders))
+    liars = tuple(tuple(sorted(rogues.agents)) if action in rogues.actions
+                  else () for action in ROGUE_ACTIONS)
+    pairs, _, _ = layout = _pair_layout(n)
+    # Phase-3 lies go out pair by pair, the first agent first.
+    oracle, report = (tuple((q, side) for q, pair in enumerate(pairs)
+                            for side in (0, 1) if pair[side] in agents)
+                      for agents in liars[2:])
     adversary = canonical_json(plan_to_dict(plan))
     config = canonical_json(cfg.to_dict())
     blob = f'{{"adversary":{adversary},"config":{config}}}'
-    return (
-        f'"adversary":{adversary}',
-        f'"config":{config},'
-        f'"config_hash":"{hashlib.sha256(blob.encode()).hexdigest()[:16]}"',
-        f'"metrics":{canonical_json(efficiency_report(cfg.n, cfg.m))}',
-        tuple((i, f'"{i}":{{"ambiguous":')
-              for i in sorted(range(cfg.n), key=str)),
+    return _Schedule(
+        tuple(rounds), liars,
+        tuple((i, j, i * m) for i in range(n) for j in liars[0] if j != i),
+        oracle,
+        tuple((q * m, side, q + len(pairs) * (1 - side))
+              for q, side in report),
+        layout,
+        (f'"adversary":{adversary}',
+         f'"config":{config},'
+         f'"config_hash":"{hashlib.sha256(blob.encode()).hexdigest()[:16]}"',
+         f'"metrics":{canonical_json(efficiency_report(n, m))}'),
+        tuple((i, f'"{i}":{{"ambiguous":') for i in sorted(range(n), key=str)),
+        view_template(n, m),
     )
 
 
@@ -286,8 +304,8 @@ def plan_to_dict(plan: AdversaryPlan) -> dict:
     }
 
 
-def _run_quantum_round(cfg, plan, rng, transcript, detection, *, phase, r,
-                       p, encoders, phase_bits, pairs=(None,)):
+def _run_quantum_round(cfg, rng, transcript, detection, round_, *, r, p,
+                       phase_bits, pairs=(None,)):
     """Check the decoys of len(pairs) rounds of p positions, then distribute
     one batch for them and draw every position at once.
 
@@ -301,22 +319,21 @@ def _run_quantum_round(cfg, plan, rng, transcript, detection, *, phase, r,
     its own, so the one draw follows the law of the separate rounds.
     Returns the RoundOutcome.
     """
-    transmitted = sent_channels(phase, cfg.n, cfg.source)
-    taps = plan.eve.taps_for(phase, transmitted)
+    phase, transmitted, taps, encoders = round_
     counts = decoy_mismatches(cfg.decoys, len(taps), len(pairs), rng)
     # The first nonzero count is the first mismatch; every round up to it
     # started, and with none every round did.
     mismatches = next(filter(None, counts), 0)
     started = counts.index(mismatches) + 1 if mismatches else len(pairs)
-    transcript.add(f"phase{phase}", "quantum", len(transmitted) * started)
+    transcript.add(phase, "quantum", len(transmitted) * started)
     if mismatches:
         pair = pairs[started - 1]
         where = {"pair": list(pair) if pair else None}
         detection.append({
-            "phase": f"phase{phase}", "kind": "decoy_mismatch",
+            "phase": phase, "kind": "decoy_mismatch",
             "count": mismatches, **where,
         })
-        raise Aborted(AbortInfo(f"phase{phase}", "decoy_mismatch",
+        raise Aborted(AbortInfo(phase, "decoy_mismatch",
                                 {"mismatches": mismatches, **where}))
     batch = distribute(r, p * len(pairs), taps=taps, transmitted=transmitted,
                        encoders=encoders)
@@ -331,12 +348,13 @@ def phase1_distribute(cfg: ProtocolConfig, s: int, plan: AdversaryPlan,
     m-bit slices.
     """
     n, m = cfg.n, cfg.m
-    if not 0 <= s < 1 << (n * m):
+    if s < 0 or s >> (n * m):
         raise ValueError(f"secret {s:#x} does not fit in n*m = {n * m} bits")
+    sched = _schedule(cfg, plan)
 
     registers = _run_quantum_round(
-        cfg, plan, rng, transcript, detection, phase=1, r=n + 1, p=n * m,
-        encoders=(n,), phase_bits={n: s},
+        cfg, rng, transcript, detection, sched.rounds[0], r=n + 1, p=n * m,
+        phase_bits={n: s},
     ).registers
 
     # One parallel round of n * n messages: the source and every agent j
@@ -345,15 +363,15 @@ def phase1_distribute(cfg: ProtocolConfig, s: int, plan: AdversaryPlan,
     # j's lie to agent i replaces his segment i; the lies go out agent by
     # agent, liars in order.
     total = reduce(xor, registers)
-    if not plan.eve.is_active_in(1):
+    if not sched.rounds[0][2]:  # no taps
         assert total == s, "distribution round broke its XOR constraint"
     inputs = cut(total, n, m)
-    liars = _liars(plan.rogues, "lie_phase1_comms")
-    if liars:
-        sent = {j: cut(registers[j], n, m) for j in liars}
-        lies = [(i, j) for i in range(n) for j in liars if j != i]
-        deltas = _lie_deltas(plan.rogues, [sent[j][i] for i, j in lies], m, rng)
-        for (i, _), delta in zip(lies, deltas):
+    lies = sched.phase1_lies
+    if lies:
+        mask = (1 << m) - 1
+        deltas = _lie_deltas(plan.rogues, [registers[j] >> at & mask
+                                           for _, j, at in lies], m, rng)
+        for (i, _, _), delta in zip(lies, deltas):
             inputs[i] ^= delta
     transcript.add("phase1", "classical", n * n)
     return inputs
@@ -370,16 +388,16 @@ def phase2_verify(cfg: ProtocolConfig, agent_inputs, s: int,
     n, m = cfg.n, cfg.m
     if len(agent_inputs) != n:
         raise ValueError(f"need one input vector per agent, got {len(agent_inputs)}")
+    sched = _schedule(cfg, plan)
 
     registers = _run_quantum_round(
-        cfg, plan, rng, transcript, detection, phase=2, r=n + 1, p=n * m,
-        encoders=tuple(range(n)),
+        cfg, rng, transcript, detection, sched.rounds[1], r=n + 1, p=n * m,
         phase_bits={i: agent_inputs[i] << (i * m) for i in range(n)},
     ).registers
 
     # One parallel round: every agent reports his outcome to the source.
     computed = reduce(xor, registers)
-    liars = _liars(plan.rogues, "lie_phase2_report")
+    liars = sched.liars[1]  # lie_phase2_report
     if liars:
         computed ^= reduce(xor, _lie_deltas(
             plan.rogues, [registers[i] for i in liars], n * m, rng))
@@ -399,7 +417,8 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
     Returns the agent results.
     """
     n, m = cfg.n, cfg.m
-    pairs, sides, view_getters, slots = _pair_layout(n)
+    sched = _schedule(cfg, plan)
+    pairs, sides, view_getters = sched.layout
     count = len(pairs)
     rogues = plan.rogues
 
@@ -407,7 +426,7 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
     # oracle liars a falsified vector (fresh per pair in random mode).
     # Pair q's two embeddings are segment q of the two phase words.
     embedded = [list(map(agent_inputs.__getitem__, side)) for side in sides]
-    oracle = _liar_slots(slots, _liars(rogues, "lie_phase3_oracle"))
+    oracle = sched.oracle
     if oracle:
         deltas = _lie_deltas(rogues, [embedded[side][q] for q, side in oracle],
                              m, rng)
@@ -415,8 +434,8 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
             embedded[side][q] ^= delta
     words = [join(side, m) for side in embedded]
     registers = _run_quantum_round(
-        cfg, plan, rng, transcript, detection, phase=3, r=2, p=m,
-        encoders=(0, 1), phase_bits={0: words[0], 1: words[1]}, pairs=pairs,
+        cfg, rng, transcript, detection, sched.rounds[2], r=2, p=m,
+        phase_bits={0: words[0], 1: words[1]}, pairs=pairs,
     ).registers
 
     # One parallel classical round carrying all n(n-1) directed reports.
@@ -426,17 +445,18 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
     # that is segment q of both outcomes XORed, XOR his embedding, so the
     # claims of the pairs' first agents are the segments of one word and
     # those of their second agents of another; a liar's lie replaces his
-    # report, and so changes the claim his partner holds for him.
+    # report, segment q of his register, and so changes the claim his
+    # partner holds for him.
     outcomes = registers[0] ^ registers[1]
     claims = (cut(outcomes ^ words[0], count, m)
               + cut(outcomes ^ words[1], count, m) + list(agent_inputs))
-    report = _liar_slots(slots, _liars(rogues, "lie_phase3_report"))
+    report = sched.report
     if report:
-        sent = [cut(register, count, m) for register in registers]
-        deltas = _lie_deltas(rogues, [sent[side][q] for q, side in report],
-                             m, rng)
-        for (q, side), delta in zip(report, deltas):
-            claims[q + count * (1 - side)] ^= delta
+        mask = (1 << m) - 1
+        deltas = _lie_deltas(rogues, [registers[side] >> at & mask
+                                      for at, side, _ in report], m, rng)
+        for (_, _, claim), delta in zip(report, deltas):
+            claims[claim] ^= delta
     transcript.add("phase3", "classical", n * (n - 1))
 
     views = [view(claims) for view in view_getters]
@@ -461,32 +481,16 @@ def _pair_layout(n: int):
     are listed as segment q of the first agents' claims (the first agent's
     claim for the second) for every q, then the same for the second agents,
     then every agent's own slice.  Returns the pairs, each side's agent per
-    pair, per agent an itemgetter that cuts its view (its claim for each
-    agent, in agent order) from that list, and per agent the (pair, side)
-    slots it fills, in pair order.
+    pair, and per agent an itemgetter that cuts its view (its claim for
+    each agent, in agent order) from that list.
     """
     pairs = tuple(combinations(range(n), 2))
     count = len(pairs)
-    slots = [[] for _ in range(n)]
     at = [[2 * count + i] * n for i in range(n)]
     for q, (i, j) in enumerate(pairs):
-        slots[i].append((q, 0))
-        slots[j].append((q, 1))
         at[i][j] = q
         at[j][i] = count + q
-    return (pairs, tuple(zip(*pairs)), tuple(itemgetter(*row) for row in at),
-            tuple(map(tuple, slots)))
-
-
-def _liar_slots(slots, liars: list[int]) -> list[tuple[int, int]]:
-    """The (pair, side) slots the liars fill, in the order their lies go
-    out: pair by pair, the first agent first."""
-    return sorted(slot for j in liars for slot in slots[j])
-
-
-def _liars(rogues: RogueBehavior, action: str) -> list[int]:
-    """The agents who lie in `action`, in agent order."""
-    return sorted(rogues.agents) if action in rogues.actions else []
+    return pairs, tuple(zip(*pairs)), tuple(itemgetter(*row) for row in at)
 
 
 def _lie_deltas(rogues: RogueBehavior, payloads: list[int], length: int,

@@ -8,13 +8,14 @@ returns the aggregated n*m-bit word, agent i's share in segment i (see
 `bitvec`); `robust_decode` takes the n claimed shares (claims), one per
 agent in agent order, `reconstruct` takes any k or more of them keyed by
 agent, and both return the secret; `decode_views` decodes many claim lists
-(views) at once.
+(views) at once.  Reports render a claim as its `share_token` and a whole
+view through one `view_template`.
 
 Multiplying each w-bit element of a claim by one field constant maps each
 byte through a 256-entry table, so one term of a polynomial (`split`) or
 Lagrange (`GF.combine`) sum over a whole claim is one `bytes.translate`.
-The cached weight rows (`_vandermonde`, `_lagrange_rows`) hold those
-tables already resolved.
+The cached weight rows (`_vandermonde`, `_lagrange_rows`, and `_fit` per
+interpolating subset) hold those tables already resolved.
 """
 
 from __future__ import annotations
@@ -101,9 +102,6 @@ class GF:
             raise ZeroDivisionError("no inverse of 0")
         return self.exp[self.order - 1 - self.log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def poly_eval(self, coeffs: Sequence[int], x: int) -> int:
         """Evaluate sum(coeffs[d] * x^d) by Horner's rule."""
         acc = 0
@@ -177,7 +175,16 @@ def share_token(index: int, bits: int, m: int) -> str:
     Each element fills whole hex digits (w is 4 or 8), so the hex form reads
     element 0 rightmost.
     """
-    return "%d:%0*x" % (index, m // 4, bits)
+    return _TOKEN % (index, m // 4) % bits
+
+
+def view_template(n: int, m: int) -> str:
+    """A view (n m-bit claims, agent order) as its comma-joined, quoted
+    `share_token`s is this template % the view."""
+    return ",".join(['"%s"' % (_TOKEN % (j, m // 4)) for j in range(n)])
+
+
+_TOKEN = "%d:%%0%dx"  # % (index, hex digits): a token as a %-format
 
 
 FIELDS = {w: GF(w, poly) for w, poly in REDUCTION_POLY.items()}
@@ -327,7 +334,7 @@ def robust_decode(
     _check_views((claims,), cfg, m)
     n, k, w, gf = cfg.n, cfg.k, cfg.w, cfg.field
     radius = (n - k) // 2
-    secret, (support,) = _candidate((claims,), range(k), cfg)
+    secret, (support,) = _candidate((claims,), tuple(range(k)), cfg)
     if support >= n - radius:
         return secret, support
 
@@ -367,7 +374,7 @@ def decode_views(views: Sequence[tuple[int, ...]], cfg: SplitConfig,
     agreed = [j for j, column in enumerate(zip(*views))
               if column.count(column[0]) == len(column)]
     if len(agreed) >= cfg.k:
-        secret, supports = _candidate(views, agreed[:cfg.k], cfg)
+        secret, supports = _candidate(views, tuple(agreed[:cfg.k]), cfg)
         for view, support in zip(views, supports):
             if support >= cfg.n - (cfg.n - cfg.k) // 2:
                 decoded[view] = secret, support
@@ -448,19 +455,24 @@ def _solve(rows: list[list[int]], cols: int, gf: GF) -> list[int] | None:
     return solution
 
 
-def _candidate(views: Sequence[Sequence[int]], subset: Sequence[int],
+def _candidate(views: Sequence[Sequence[int]], subset: tuple[int, ...],
                cfg: SplitConfig) -> tuple[int, list[int]]:
     """Interpolate from the claims of the agents in `subset` (k of them,
     alike in every view); returns the secret and, per view, the number of
     its claims the polynomials fit."""
-    # The subset's own claims are its interpolation nodes, so they always
-    # agree; the others are checked, and the last row interpolates the secret.
-    others = [j for j in range(cfg.n) if j not in subset]
-    rows = _lagrange_rows(cfg.w, tuple(i + 1 for i in subset),
-                          (*(j + 1 for j in others), 0))
+    others, rows = _fit(cfg, subset)
     *predicted, secret = cfg.field.combine(rows, [views[0][i] for i in subset])
     return secret, [cfg.k + sum(map(eq, predicted, map(view.__getitem__, others)))
                     for view in views]
+
+
+@lru_cache(maxsize=8192)
+def _fit(cfg: SplitConfig, subset: tuple[int, ...]):
+    """The agents outside `subset` (none at k = n) and the resolved rows
+    that interpolate their claims, then the secret, from the subset's."""
+    others = tuple(j for j in range(cfg.n) if j not in subset)
+    return others, _lagrange_rows(cfg.w, tuple(i + 1 for i in subset),
+                                  (*(j + 1 for j in others), 0))
 
 
 def _exhaustive_decode(claims: Sequence[int], cfg: SplitConfig) -> tuple[int, int]:

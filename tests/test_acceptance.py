@@ -21,7 +21,7 @@ from dpvqss.adversary import (
     RogueBehavior,
     leakage_audit,
 )
-from dpvqss.bitvec import cut, random_bits
+from dpvqss.bitvec import random_bits
 from dpvqss.cli import main, oracle_check_case
 from dpvqss.entangle import decoy_mismatches
 from dpvqss.metrics import eta1, eta2, eta3, wilson_interval
@@ -41,6 +41,7 @@ from dpvqss.threshold import (
     reconstruct,
     robust_decode,
 )
+from threshold_reference import on_one_polynomial, reference_decode
 
 ORACLE_CASES = ((2, 1), (2, 2), (3, 1))
 HONEST = AdversaryPlan()
@@ -164,16 +165,18 @@ def test_c5_loyal_recovery_at_sound_radius():
 
         # (3, 4) with two colluding liars on a shared fake polynomial:
         # t = 2 > floor((n-k)/2), so the tie must surface as ambiguity.
+        # The honest shares come from a fixed polynomial, not a draw, and
+        # no quadratic fits all four claims, whatever the random stream.
         gf = FIELDS[4]
         cfg2 = SplitConfig(3, 4, 4)
-        rng = np.random.default_rng(2024_55)
-        from dpvqss.threshold import split
-        shares = cut(split(0x5, cfg2, 4, rng), cfg2.n, 4)
+        honest = [0x5, 0x8, 0x2]
         fake = [0xC, 0x1, 0x9]
-        for liar in (1, 3):
-            shares[liar] = gf.poly_eval(fake, liar + 1)
-        with pytest.raises(AmbiguousDecodeError):
+        shares = [gf.poly_eval(fake if i in (1, 3) else honest, i + 1)
+                  for i in range(cfg2.n)]
+        assert not on_one_polynomial(shares, cfg2, gf)
+        with pytest.raises(AmbiguousDecodeError) as err:
             robust_decode(shares, cfg2, 4)
+        assert reference_decode(shares, cfg2, 4) == (None, err.value.support)
 
 
 def _decoy_detection_rate(d, trials, seed):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dpvqss.adversary import (
     EVE_KINDS,
+    ROGUE_ACTIONS,
     AdversaryPlan,
     AuditSize,
     EveStrategy,
@@ -21,7 +22,7 @@ from dpvqss.adversary import (
 from dpvqss.adversary import _separating_share
 from dpvqss.bitvec import random_bits
 from dpvqss.entangle import _read_law
-from dpvqss.protocol import ProtocolConfig, _liars, random_secret, run_protocol
+from dpvqss.protocol import ProtocolConfig, _schedule, random_secret, run_protocol
 from dpvqss.qsim import dense_outcomes
 from audit_reference import reference_audit, view_distribution
 from stabilizer_reference import in_span
@@ -156,11 +157,15 @@ class TestRogues:
                 plan.validate(cfg)
 
     def test_honest_messages_untouched(self):
-        # A run falsifies exactly the messages of the agents that `_liars`
-        # names for an action.
+        # A run falsifies exactly the messages of the agents that the
+        # schedule names as an action's liars.
         behavior = RogueBehavior((2,), ("lie_phase2_report",))
-        assert _liars(behavior, "lie_phase2_report") == [2]
-        assert _liars(behavior, "lie_phase1_comms") == []
+        sched = _schedule(ProtocolConfig(n=5, k=3, m=8),
+                          AdversaryPlan(rogues=behavior))
+        liars = dict(zip(ROGUE_ACTIONS, sched.liars))
+        assert liars["lie_phase2_report"] == (2,)
+        assert liars["lie_phase1_comms"] == ()
+        assert sched.phase1_lies == sched.oracle == sched.report == ()
 
     def test_bit_flip_changes_exactly_one_bit(self):
         rng = np.random.default_rng(71)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpvqss.bitvec import BitVector, random_bits
+from dpvqss.bitvec import BitVector, random_bits, random_words
 
 LENGTHS = [1, 63, 64, 65, 200]
 
@@ -50,3 +50,14 @@ class TestRandomBits:
         random_bits(length, rng)
         ref.random_raw(-(-length // 64))
         assert rng.bit_generator.state == ref.state
+
+    # Multi-word draws shift one int up to 128 raw words and slice bytes
+    # past that: (7, 80) and (3, 576) shift, (129, 65) and (3, 16256) slice.
+    @pytest.mark.parametrize("count, length",
+                             [(7, 80), (3, 576), (129, 65), (3, 16256)])
+    def test_many_words_from_whole_raw_words(self, count, length):
+        ref = np.random.default_rng(12).bit_generator
+        words = -(-length // 64)
+        expect = [int.from_bytes(ref.random_raw(words).tobytes(), "little")
+                  & ((1 << length) - 1) for _ in range(count)]
+        assert random_words(count, length, np.random.default_rng(12)) == expect

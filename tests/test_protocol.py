@@ -21,7 +21,12 @@ from dpvqss.protocol import (
     run_protocol,
     secret_length,
 )
-from dpvqss.threshold import AmbiguousDecodeError, robust_decode, split
+from dpvqss.threshold import (
+    AmbiguousDecodeError,
+    robust_decode,
+    share_token,
+    split,
+)
 from chi_square import binomial_fit_p
 from report_reference import canonical_json, report_dict
 from threshold_reference import reference_decode
@@ -35,8 +40,9 @@ def segments_of(s, n, m):
 
 
 class TestSegments:
-    # Numpy reads 8, 16, 32 and 64 bits; the other widths shift.
-    @pytest.mark.parametrize("m", [4, 8, 12, 16, 24, 32, 64, 136])
+    # Numpy reads 8, 16, 32 and 64 bits, other whole bytes are sliced, and
+    # widths that end mid-byte shift.
+    @pytest.mark.parametrize("m", [4, 8, 12, 16, 24, 32, 40, 64, 128, 136])
     def test_cut_and_join_match_shifts(self, m):
         rng = np.random.default_rng([85, m])
         for count in (1, 3, 36):
@@ -438,36 +444,74 @@ class TestDecodeOncePerView:
             assert ambiguous
 
 
+class TestSchedule:
+    def test_invalid_pair_raises_on_every_call(self):
+        # The phases run a pair that run_protocol refuses, and the schedule
+        # they build for it does not make run_protocol accept it.
+        cfg = ProtocolConfig(n=5, k=3, m=8)
+        plan = AdversaryPlan(rogues=RogueBehavior((0, 1, 2),
+                                                  ("lie_phase3_report",)))
+        rng = np.random.default_rng(103)
+        _, inputs = TestPhase3().split_inputs(cfg, rng)
+        phase3_consolidate(cfg, inputs, plan, rng, Transcript(), [])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="at-least-k-loyal"):
+                run_protocol(cfg, bytes(1), plan, rng=rng)
+        sub_byte = ProtocolConfig(n=3, k=2, m=4)
+        phase1_distribute(sub_byte, 0, HONEST, rng, Transcript(), [])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="multiple of 8"):
+                run_protocol(sub_byte, b"", HONEST, rng=rng)
+
+    def test_plans_differing_in_rogues_or_eve_get_their_own(self):
+        cfg = ProtocolConfig(n=5, k=3, m=8)
+        rogue = AdversaryPlan(rogues=RogueBehavior((4,),
+                                                   ("lie_phase3_report",)))
+        eve = AdversaryPlan(eve=EveStrategy("intercept_resend", phases=(3,)))
+        honest, lying, tapped = (protocol._schedule(cfg, plan)
+                                 for plan in (HONEST, rogue, eve))
+        assert lying.report and not honest.report and not tapped.report
+        assert tapped.rounds[2][2] and not honest.rounds[2][2]
+        assert not lying.rounds[2][2]
+        assert len({honest.frame, lying.frame, tapped.frame}) == 3
+        # Equal pairs share one schedule.
+        assert protocol._schedule(ProtocolConfig(n=5, k=3, m=8),
+                                  AdversaryPlan()) is honest
+
+
 class TestClaimTokens:
     @pytest.mark.parametrize("name", ["honest", *sorted(DECODE_GRID)])
     def test_tokens_render_claims_without_shares(self, monkeypatch, name):
-        # Each distinct (agent, claim) token renders once across the views
-        # (n on an honest trial, not n^2), and every token is the agent
-        # index and the claim's m / 4 hex digits.
+        # Each distinct view renders once, with one `%` through the
+        # schedule's view template (once on an honest trial, not n times),
+        # and every token is `share_token` of the agent index and claim.
         cfg, plan = ((ProtocolConfig(n=5, k=3, m=16), HONEST)
                      if name == "honest" else DECODE_GRID[name])
         rendered = []
-        render = protocol.share_token
 
-        def counted_render(index, bits, m):
-            rendered.append((index, bits))
-            return render(index, bits, m)
+        class CountedTemplate(str):
+            def __mod__(self, view):
+                rendered.append(view)
+                return str.__mod__(self, view)
 
-        monkeypatch.setattr(protocol, "share_token", counted_render)
+        schedule = protocol._schedule
+
+        def counted_schedule(cfg, plan):
+            sched = schedule(cfg, plan)
+            return sched._replace(view=CountedTemplate(sched.view))
+
+        monkeypatch.setattr(protocol, "_schedule", counted_schedule)
         ambiguous = 0
         for seed in range(12):
             rng = np.random.default_rng(seed)
-            del rendered[:]
             rep = run_protocol(cfg, random_secret(cfg, rng), plan, rng=rng)
+            del rendered[:]
             agents = rep.to_dict()["agents"]
             views = {a.claimed_shares for a in rep.agents}
-            claims = {(j, claim) for view in views
-                      for j, claim in enumerate(view)}
-            assert sorted(rendered) == sorted(claims)
+            assert sorted(rendered) == sorted(views)
             assert len(views) == 1 or name != "honest"
-            assert len(rendered) == cfg.n or name != "honest"
             for a in rep.agents:
-                expect = [f"{j}:{claim:0{cfg.m // 4}x}"
+                expect = [share_token(j, claim, cfg.m)
                           for j, claim in enumerate(a.claimed_shares)]
                 assert agents[str(a.index)]["claimed_shares"] == expect
             ambiguous += any(a.ambiguous for a in rep.agents)

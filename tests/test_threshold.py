@@ -24,6 +24,7 @@ from dpvqss.threshold import (
 from dpvqss.protocol import ProtocolConfig, run_protocol
 from threshold_reference import (
     lagrange_weights,
+    on_one_polynomial,
     reference_decode,
     split_reference,
 )
@@ -296,15 +297,18 @@ class TestRobustDecode:
     def test_colluding_pair_forces_ambiguity(self):
         # Two false shares on a common fake polynomial at (3, 4) exceed the
         # floor((n-k)/2) radius; the tie must surface, not be guessed away.
+        # The shares come from fixed polynomials, not a draw, so that no
+        # change to the random stream can put all four on one quadratic.
         cfg = SplitConfig(3, 4, 4)
-        rng = np.random.default_rng(17)
-        shares = shares_of(0x5, cfg, 4, rng)
+        honest_poly = [0x5, 0x3, 0xE]
         fake_poly = [0xB, 0x2, 0x7]  # distinct constant term
-        for liar in (2, 3):
-            shares[liar] = GF16.poly_eval(fake_poly, liar + 1)
+        shares = [GF16.poly_eval(fake_poly if i in (2, 3) else honest_poly,
+                                 i + 1) for i in range(cfg.n)]
+        assert not on_one_polynomial(shares, cfg, GF16)
         with pytest.raises(AmbiguousDecodeError) as err:
             robust_decode(shares, cfg, 4)
         assert err.value.support >= 3
+        assert reference_decode(shares, cfg, 4) == (None, err.value.support)
 
     def test_agrees_with_reconstruct_when_unambiguous(self):
         cfg = SplitConfig(3, 5, 4)
@@ -460,6 +464,21 @@ class TestDecodeViews:
                         view[j % n] ^= int(rng.integers(1, 1 << m))
                     views.append(tuple(view))
                 self.check(views, cfg, m)
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n, k in SIZES if n - k < 2])
+    def test_no_or_one_agent_outside_the_subset(self, n, k):
+        # At n - k = 0 the interpolating subset leaves no agent to check,
+        # at n - k = 1 one: every view, honest or with one claim changed,
+        # decodes as the scalar exhaustive search does.
+        cfg, m = SplitConfig(k, n, 4), 8
+        rng = np.random.default_rng([44, n, k])
+        claims = tuple(self.shares(cfg, m, rng))
+        views = [claims] + [
+            claims[:i] + (claims[i] ^ int(rng.integers(1, 1 << m)),)
+            + claims[i + 1:] for i in range(n)]
+        got = self.check(views, cfg, m)
+        assert got == {view: reference_decode(view, cfg, m) for view in views}
+        assert got[claims][1] == n
 
     def test_agreed_prediction_decodes_without_robust_decode(self,
                                                              monkeypatch):

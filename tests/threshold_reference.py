@@ -3,7 +3,9 @@
 `split_reference` is the split that evaluates each element's polynomial
 with `GF.poly_eval`, reading coefficient d of element e from the w-bit
 element e of the d-th drawn term.  `lagrange_weights` is the product
-formula for one target's interpolation weights.  `exhaustive_decode` is the
+formula for one target's interpolation weights, and `div` the field
+division it uses; `on_one_polynomial` checks with them whether one
+polynomial fits single-element claims.  `exhaustive_decode` is the
 maximal-consistency search over all k-subsets of the claims, one scalar
 Lagrange sum per element.  The split and the search hold a share or claim
 as its tuple of field elements, one tuple per agent in agent order;
@@ -45,6 +47,11 @@ def split_reference(
     return [tuple(gf.poly_eval(p, i + 1) for p in polys) for i in range(cfg.n)]
 
 
+def div(gf: GF, a: int, b: int) -> int:
+    """a / b in gf; raises ZeroDivisionError at b = 0."""
+    return gf.mul(a, gf.inv(b))
+
+
 def lagrange_weights(xs: Sequence[int], x_target: int, gf: GF) -> list[int]:
     """The weights that interpolate at x_target from the nodes xs: the
     product of (x_target - x_j) / (x_i - x_j) over j != i, per node i."""
@@ -56,8 +63,22 @@ def lagrange_weights(xs: Sequence[int], x_target: int, gf: GF) -> list[int]:
                 continue
             num = gf.mul(num, x_target ^ xj)
             den = gf.mul(den, xi ^ xj)
-        weights.append(gf.div(num, den))
+        weights.append(div(gf, num, den))
     return weights
+
+
+def on_one_polynomial(claims: Sequence[int], cfg: SplitConfig, gf: GF) -> bool:
+    """Whether one polynomial of degree < k fits every one of the n
+    single-element claims, claim i at x = i + 1: the one through the first
+    k fits the rest."""
+    xs = list(range(1, cfg.k + 1))
+    for x, claim in zip(range(cfg.k + 1, cfg.n + 1), claims[cfg.k:]):
+        value = 0
+        for weight, y in zip(lagrange_weights(xs, x, gf), claims):
+            value ^= gf.mul(weight, y)
+        if value != claim:
+            return False
+    return True
 
 
 @lru_cache(maxsize=8192)
