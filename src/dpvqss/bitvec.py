@@ -23,10 +23,9 @@ def random_words(count: int, length: int, rng) -> list[int]:
 
     The words come straight from the bit generator in one `random_raw`
     call (`Generator.bytes` goes through `Generator.integers` and costs
-    about ten times as much).  A multi-word int is a shift of the whole
-    draw read as one int, or past 1 KiB a slice of its bytes, so the cost
-    stays linear in the bits drawn.  count draws of one int each give the
-    same stream.
+    about ten times as much), and each int is one word or a slice of the
+    words' bytes, so the cost is linear in the bits drawn.  count draws of
+    one int each give the same stream.
     """
     words = (length + 63) // 64
     raw = rng.bit_generator.random_raw(count * words)
@@ -34,11 +33,8 @@ def random_words(count: int, length: int, rng) -> list[int]:
     if words == 1:
         return [v & mask for v in raw.tolist()]
     raw, size = raw.tobytes(), 8 * words
-    if count * words > 128:  # a shift copies the rest: slices win past 1 KiB
-        return [int.from_bytes(raw[at:at + size], "little") & mask
-                for at in range(0, count * size, size)]
-    whole = int.from_bytes(raw, "little")
-    return [whole >> at & mask for at in range(0, 8 * count * size, 8 * size)]
+    return [int.from_bytes(raw[at:at + size], "little") & mask
+            for at in range(0, count * size, size)]
 
 
 class BitVector:

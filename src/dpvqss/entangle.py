@@ -12,12 +12,10 @@ The round only prepares GHZ tuples, reads them channel by channel and
 applies a Hadamard layer, so that subspace has a closed form, `_read_law`,
 which draws all p positions at once as p-bit words, whatever each position's
 read basis.  Every word of a round comes from one `random_raw` call
-(`bitvec.random_words`), and how a batch's taps use those words is laid out
-once per (r, taps), when the batch is built.  The phase bits only shift the
-subspace: a phase kick before the Hadamard layer is a bit flip after it.
-With no taps it is the XOR constraint, uniform over the register tuples
-whose XOR is the phase bits, so an untapped round is r uniform words, the
-last one closed by one XOR.
+(`bitvec.random_words`), and a batch lays out how its taps use those words
+when it is built.  The phase bits only shift the subspace: a phase kick
+before the Hadamard layer is a bit flip after it.  With no taps it is the
+XOR constraint: r uniform words, the last closed by one XOR.
 
 `qsim.dense_state` and `qsim.dense_outcomes` build the same round as one
 dense statevector, the exact reference the sampler is checked against.
@@ -102,14 +100,13 @@ class EntangledBatch:
             if read not in READS:
                 raise ValueError(f"unknown read {read!r} on channel {ch}")
         self.consumed = False
-        self._encoder_set = frozenset(self.encoders)
         self._layout = _draw_layout(r, tuple(self.taps.items()))
 
     # -- outcome generation ---------------------------------------------------
 
     def _phase_vectors(self, phase_bits: dict[int, int]):
         for enc, vec in phase_bits.items():
-            if enc not in self._encoder_set:
+            if enc not in self.encoders:
                 raise ValueError(f"register {enc} is not an encoder")
             if vec < 0 or vec >> self.p:
                 raise DimensionError(

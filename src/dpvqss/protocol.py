@@ -17,13 +17,10 @@ n(n-1)/2 * m positions, drawn at once, with a decoy check per pair; a
 single parallel round carries all n(n-1) directed reports, after which
 each agent robustly decodes his n collected shares, his view: one
 `decode_views` call decodes the distinct views, sharing one interpolation,
-and the report renders each distinct view once.
-
-What only (config, plan) decides, each round's channels and taps, who
-lies where, the pair layout (`_pair_layout`: where each pair's embeddings
-and claims sit, and a getter per agent that cuts his view from the claims)
-and the report's frame, is built once per pair (`_schedule`); a trial is
-draws and int arithmetic over it.
+and the report renders each distinct view once.  What only (config, plan)
+decides, each round's channels and taps, who lies where and the pair
+layout (`_pair_layout`), is built once per pair (`_schedule`), and so is
+the report's frame (`_frame`); a trial is draws and arithmetic over them.
 
 The secret, registers, slices, reports and shares are plain ints from
 the input bytes to the report: the aggregated secret and every register
@@ -64,7 +61,6 @@ from . import __version__
 from .adversary import (
     AdversaryPlan,
     HONEST_PLAN,
-    ROGUE_ACTIONS,
     RogueBehavior,
     falsify,
     leakage_audit,
@@ -182,7 +178,7 @@ class RunReport:
     def to_json_line(self) -> str:
         """The report as one canonical JSON line: keys sorted, no spaces.
 
-        What every report of (config, plan) repeats comes from `_schedule`,
+        What every report of (config, plan) repeats comes from `_frame`,
         each agent entry's key included.  The trial's own members are
         written into it: each agent entry from one f-string, each distinct
         view through the view template with one `%`.  Only the open-ended
@@ -190,17 +186,18 @@ class RunReport:
         in sorted-key order by hand; a test compares the line with a
         dict-built reference byte for byte.
         """
-        sched, m = _schedule(self.config, self.plan), self.config.m
-        adversary, config, metrics = sched.frame
+        m = self.config.m
+        adversary, config, metrics, heads, template = _frame(self.config,
+                                                             self.plan)
         hex_token, bits_spec = f'"%0{m // 4}x"', f"0{m}b"
         views = {(): ""}  # an aborted run's agents hold no claims
         entries = []
-        for i, head in sched.heads:
+        for i, head in heads:
             a = self.agents[i]
             view = a.claimed_shares
             tokens = views.get(view)
             if tokens is None:
-                tokens = views[view] = sched.view % view
+                tokens = views[view] = template % view
             got, s_i = a.reconstructed, a.s_i
             decoded = "null" if got is None else hex_token % got
             received = "null" if s_i is None else f'"{s_i:{bits_spec}}"'
@@ -243,47 +240,56 @@ def _scalar(value: int | None) -> str:
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-_Schedule = namedtuple(
-    "_Schedule", "rounds liars phase1_lies oracle report layout frame heads view")
+@lru_cache(maxsize=1024)
+def _frame(cfg: ProtocolConfig, plan: AdversaryPlan):
+    """The members every report of (cfg, plan) repeats, rendered once: the
+    "adversary" member, the "config" and "config_hash" members, the
+    "metrics" member, the agents in the order sorted keys give them ("10"
+    before "2"), each with its entry's text up to the "ambiguous" value,
+    and the view template.  The hash is of {"adversary", "config"}."""
+    adversary = canonical_json(plan_to_dict(plan))
+    config = canonical_json(cfg.to_dict())
+    blob = f'{{"adversary":{adversary},"config":{config}}}'
+    return (
+        f'"adversary":{adversary}',
+        f'"config":{config},'
+        f'"config_hash":"{hashlib.sha256(blob.encode()).hexdigest()[:16]}"',
+        f'"metrics":{canonical_json(efficiency_report(cfg.n, cfg.m))}',
+        tuple((i, f'"{i}":{{"ambiguous":')
+              for i in sorted(range(cfg.n), key=str)),
+        view_template(cfg.n, cfg.m),
+    )
+
+
+_Round = namedtuple("_Round", "label sent taps encoders")
+_Schedule = namedtuple("_Schedule", "phase1 phase2 phase3 phase1_lies "
+                       "phase2_liars oracle report layout")
 
 
 @lru_cache(maxsize=1024)
 def _schedule(cfg: ProtocolConfig, plan: AdversaryPlan) -> _Schedule:
-    """Everything a trial of (cfg, plan) repeats, built once, as tuples:
-    each phase's (label, channels sent, taps, encoders); the liars per
-    ROGUE_ACTIONS entry and their lies in the order they go out, phase 1's
-    as (receiver, liar, shift), phase 3's oracle lies as (pair, side) and
-    report lies as (shift, side, claim index); the pair layout; and the
-    report's members, agent entry heads (keys sorted) and view template."""
-    n, m, rogues = cfg.n, cfg.m, plan.rogues
+    """What every trial of (cfg, plan) repeats in its phases, built once,
+    as tuples: each phase's `_Round`; the lies in the order they go out,
+    phase 1's as (receiver, liar), phase 2's as its liars and phase 3's
+    as (pair, side); and the pair layout."""
+    n, rogues = cfg.n, plan.rogues
+    liars = dict.fromkeys(rogues.actions, tuple(sorted(rogues.agents)))
     rounds = []
     for phase, encoders in ((1, (n,)), (2, tuple(range(n))), (3, (0, 1))):
         sent = tuple(sent_channels(phase, n, cfg.source))
         taps = tuple(plan.eve.taps_for(phase, sent).items())
-        rounds.append((f"phase{phase}", sent, taps, encoders))
-    liars = tuple(tuple(sorted(rogues.agents)) if action in rogues.actions
-                  else () for action in ROGUE_ACTIONS)
+        rounds.append(_Round(f"phase{phase}", sent, taps, encoders))
     pairs, _, _ = layout = _pair_layout(n)
     # Phase-3 lies go out pair by pair, the first agent first.
     oracle, report = (tuple((q, side) for q, pair in enumerate(pairs)
                             for side in (0, 1) if pair[side] in agents)
-                      for agents in liars[2:])
-    adversary = canonical_json(plan_to_dict(plan))
-    config = canonical_json(cfg.to_dict())
-    blob = f'{{"adversary":{adversary},"config":{config}}}'
+                      for agents in (liars.get("lie_phase3_oracle", ()),
+                                     liars.get("lie_phase3_report", ())))
     return _Schedule(
-        tuple(rounds), liars,
-        tuple((i, j, i * m) for i in range(n) for j in liars[0] if j != i),
-        oracle,
-        tuple((q * m, side, q + len(pairs) * (1 - side))
-              for q, side in report),
-        layout,
-        (f'"adversary":{adversary}',
-         f'"config":{config},'
-         f'"config_hash":"{hashlib.sha256(blob.encode()).hexdigest()[:16]}"',
-         f'"metrics":{canonical_json(efficiency_report(n, m))}'),
-        tuple((i, f'"{i}":{{"ambiguous":') for i in sorted(range(n), key=str)),
-        view_template(n, m),
+        *rounds,
+        tuple((i, j) for i in range(n)
+              for j in liars.get("lie_phase1_comms", ()) if j != i),
+        liars.get("lie_phase2_report", ()), oracle, report, layout,
     )
 
 
@@ -353,7 +359,7 @@ def phase1_distribute(cfg: ProtocolConfig, s: int, plan: AdversaryPlan,
     sched = _schedule(cfg, plan)
 
     registers = _run_quantum_round(
-        cfg, rng, transcript, detection, sched.rounds[0], r=n + 1, p=n * m,
+        cfg, rng, transcript, detection, sched.phase1, r=n + 1, p=n * m,
         phase_bits={n: s},
     ).registers
 
@@ -363,15 +369,15 @@ def phase1_distribute(cfg: ProtocolConfig, s: int, plan: AdversaryPlan,
     # j's lie to agent i replaces his segment i; the lies go out agent by
     # agent, liars in order.
     total = reduce(xor, registers)
-    if not sched.rounds[0][2]:  # no taps
+    if not sched.phase1.taps:
         assert total == s, "distribution round broke its XOR constraint"
     inputs = cut(total, n, m)
     lies = sched.phase1_lies
     if lies:
         mask = (1 << m) - 1
-        deltas = _lie_deltas(plan.rogues, [registers[j] >> at & mask
-                                           for _, j, at in lies], m, rng)
-        for (i, _, _), delta in zip(lies, deltas):
+        deltas = _lie_deltas(plan.rogues, [registers[j] >> i * m & mask
+                                           for i, j in lies], m, rng)
+        for (i, _), delta in zip(lies, deltas):
             inputs[i] ^= delta
     transcript.add("phase1", "classical", n * n)
     return inputs
@@ -391,13 +397,13 @@ def phase2_verify(cfg: ProtocolConfig, agent_inputs, s: int,
     sched = _schedule(cfg, plan)
 
     registers = _run_quantum_round(
-        cfg, rng, transcript, detection, sched.rounds[1], r=n + 1, p=n * m,
+        cfg, rng, transcript, detection, sched.phase2, r=n + 1, p=n * m,
         phase_bits={i: agent_inputs[i] << (i * m) for i in range(n)},
     ).registers
 
     # One parallel round: every agent reports his outcome to the source.
     computed = reduce(xor, registers)
-    liars = sched.liars[1]  # lie_phase2_report
+    liars = sched.phase2_liars
     if liars:
         computed ^= reduce(xor, _lie_deltas(
             plan.rogues, [registers[i] for i in liars], n * m, rng))
@@ -434,7 +440,7 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
             embedded[side][q] ^= delta
     words = [join(side, m) for side in embedded]
     registers = _run_quantum_round(
-        cfg, rng, transcript, detection, sched.rounds[2], r=2, p=m,
+        cfg, rng, transcript, detection, sched.phase3, r=2, p=m,
         phase_bits={0: words[0], 1: words[1]}, pairs=pairs,
     ).registers
 
@@ -453,10 +459,10 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
     report = sched.report
     if report:
         mask = (1 << m) - 1
-        deltas = _lie_deltas(rogues, [registers[side] >> at & mask
-                                      for at, side, _ in report], m, rng)
-        for (_, _, claim), delta in zip(report, deltas):
-            claims[claim] ^= delta
+        deltas = _lie_deltas(rogues, [registers[side] >> q * m & mask
+                                      for q, side in report], m, rng)
+        for (q, side), delta in zip(report, deltas):
+            claims[q + count * (1 - side)] ^= delta
     transcript.add("phase3", "classical", n * (n - 1))
 
     views = [view(claims) for view in view_getters]

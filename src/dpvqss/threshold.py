@@ -8,14 +8,13 @@ returns the aggregated n*m-bit word, agent i's share in segment i (see
 `bitvec`); `robust_decode` takes the n claimed shares (claims), one per
 agent in agent order, `reconstruct` takes any k or more of them keyed by
 agent, and both return the secret; `decode_views` decodes many claim lists
-(views) at once.  Reports render a claim as its `share_token` and a whole
-view through one `view_template`.
+(views) at once; a report renders a view with one `view_template`.
 
 Multiplying each w-bit element of a claim by one field constant maps each
 byte through a 256-entry table, so one term of a polynomial (`split`) or
 Lagrange (`GF.combine`) sum over a whole claim is one `bytes.translate`.
-The cached weight rows (`_vandermonde`, `_lagrange_rows`, and `_fit` per
-interpolating subset) hold those tables already resolved.
+The cached weight rows (`_vandermonde`, `_lagrange_rows`, `_fit`) hold
+those tables already resolved.
 """
 
 from __future__ import annotations
@@ -179,8 +178,7 @@ def share_token(index: int, bits: int, m: int) -> str:
 
 
 def view_template(n: int, m: int) -> str:
-    """A view (n m-bit claims, agent order) as its comma-joined, quoted
-    `share_token`s is this template % the view."""
+    """A view's n quoted `share_token`s, comma-joined, as one %-format."""
     return ",".join(['"%s"' % (_TOKEN % (j, m // 4)) for j in range(n)])
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dpvqss.adversary import (
     EVE_KINDS,
-    ROGUE_ACTIONS,
     AdversaryPlan,
     AuditSize,
     EveStrategy,
@@ -162,9 +161,7 @@ class TestRogues:
         behavior = RogueBehavior((2,), ("lie_phase2_report",))
         sched = _schedule(ProtocolConfig(n=5, k=3, m=8),
                           AdversaryPlan(rogues=behavior))
-        liars = dict(zip(ROGUE_ACTIONS, sched.liars))
-        assert liars["lie_phase2_report"] == (2,)
-        assert liars["lie_phase1_comms"] == ()
+        assert sched.phase2_liars == (2,)
         assert sched.phase1_lies == sched.oracle == sched.report == ()
 
     def test_bit_flip_changes_exactly_one_bit(self):

@@ -51,8 +51,8 @@ class TestRandomBits:
         ref.random_raw(-(-length // 64))
         assert rng.bit_generator.state == ref.state
 
-    # Multi-word draws shift one int up to 128 raw words and slice bytes
-    # past that: (7, 80) and (3, 576) shift, (129, 65) and (3, 16256) slice.
+    # Each multi-word int is a slice of the draw's bytes, at few and many
+    # words per int and few and many ints per draw.
     @pytest.mark.parametrize("count, length",
                              [(7, 80), (3, 576), (129, 65), (3, 16256)])
     def test_many_words_from_whole_raw_words(self, count, length):

@@ -471,9 +471,9 @@ class TestSchedule:
         honest, lying, tapped = (protocol._schedule(cfg, plan)
                                  for plan in (HONEST, rogue, eve))
         assert lying.report and not honest.report and not tapped.report
-        assert tapped.rounds[2][2] and not honest.rounds[2][2]
-        assert not lying.rounds[2][2]
-        assert len({honest.frame, lying.frame, tapped.frame}) == 3
+        assert tapped.phase3.taps and not honest.phase3.taps
+        assert not lying.phase3.taps
+        assert len({honest, lying, tapped}) == 3
         # Equal pairs share one schedule.
         assert protocol._schedule(ProtocolConfig(n=5, k=3, m=8),
                                   AdversaryPlan()) is honest
@@ -483,7 +483,7 @@ class TestClaimTokens:
     @pytest.mark.parametrize("name", ["honest", *sorted(DECODE_GRID)])
     def test_tokens_render_claims_without_shares(self, monkeypatch, name):
         # Each distinct view renders once, with one `%` through the
-        # schedule's view template (once on an honest trial, not n times),
+        # frame's view template (once on an honest trial, not n times),
         # and every token is `share_token` of the agent index and claim.
         cfg, plan = ((ProtocolConfig(n=5, k=3, m=16), HONEST)
                      if name == "honest" else DECODE_GRID[name])
@@ -494,13 +494,13 @@ class TestClaimTokens:
                 rendered.append(view)
                 return str.__mod__(self, view)
 
-        schedule = protocol._schedule
+        frame = protocol._frame
 
-        def counted_schedule(cfg, plan):
-            sched = schedule(cfg, plan)
-            return sched._replace(view=CountedTemplate(sched.view))
+        def counted_frame(cfg, plan):
+            *members, template = frame(cfg, plan)
+            return (*members, CountedTemplate(template))
 
-        monkeypatch.setattr(protocol, "_schedule", counted_schedule)
+        monkeypatch.setattr(protocol, "_frame", counted_frame)
         ambiguous = 0
         for seed in range(12):
             rng = np.random.default_rng(seed)
