@@ -27,14 +27,20 @@ def random_words(count: int, length: int, rng) -> list[int]:
     words' bytes, so the cost is linear in the bits drawn.  count draws of
     one int each give the same stream.
     """
+    return picked_words(count, length, rng, range(count))
+
+
+def picked_words(count: int, length: int, rng, picks) -> list[int]:
+    """The ints at `picks` of a `random_words(count, length, rng)` draw."""
     words = (length + 63) // 64
     raw = rng.bit_generator.random_raw(count * words)
     mask = (1 << length) - 1
     if words == 1:
-        return [v & mask for v in raw.tolist()]
+        raw = raw.tolist()
+        return [raw[i] & mask for i in picks]
     raw, size = raw.tobytes(), 8 * words
-    return [int.from_bytes(raw[at:at + size], "little") & mask
-            for at in range(0, count * size, size)]
+    return [int.from_bytes(raw[i * size:i * size + size], "little") & mask
+            for i in picks]
 
 
 class BitVector:

@@ -15,7 +15,9 @@ read basis.  Every word of a round comes from one `random_raw` call
 (`bitvec.random_words`), and a batch lays out how its taps use those words
 when it is built.  The phase bits only shift the subspace: a phase kick
 before the Hadamard layer is a bit flip after it.  With no taps it is the
-XOR constraint: r uniform words, the last closed by one XOR.
+XOR constraint: r uniform words, the last closed by one XOR, so an untapped
+round yields the phase bits' XOR and only the registers its caller reads,
+drawing the other words only to keep the stream (`bitvec.picked_words`).
 
 `qsim.dense_state` and `qsim.dense_outcomes` build the same round as one
 dense statevector, the exact reference the sampler is checked against.
@@ -41,7 +43,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bitvec import random_words
+from .bitvec import picked_words, random_words
 
 READS = ("z", "random", "entangle")
 BASIS_LABELS = ("0", "1", "+", "-")  # decoy preparation states
@@ -74,11 +76,12 @@ class TransmissionPlan:
 
 @dataclass
 class RoundOutcome:
-    """Measured register contents of one round, and any eavesdropper
-    outcomes keyed by tapped channel."""
+    """One round's registers (all r, or a dict of those the caller reads),
+    Eve's outcomes by tapped channel, and the XOR of all r registers."""
 
-    registers: list[int]
+    registers: list[int] | dict[int, int]
     eve: dict[int, int]
+    total: int
 
 
 class EntangledBatch:
@@ -114,41 +117,49 @@ class EntangledBatch:
                     f"in {self.p} bits"
                 )
 
-    def encode_and_measure(self, phase_bits: dict[int, int], rng) -> RoundOutcome:
-        """Apply the encoders' phase oracles, the Hadamard layers, and measure."""
+    def encode_and_measure(self, phase_bits, rng, read=None) -> RoundOutcome:
+        """Phase-encode, apply the Hadamards, measure `read` (None: all r)."""
         self._phase_vectors(phase_bits)
         if self.consumed:
             raise RuntimeError("batch already measured")
         self.consumed = True
-        return self._sample(phase_bits, rng)
+        return self._sample(phase_bits, rng, read)
 
-    def _sample(self, phase_bits, rng) -> RoundOutcome:
+    def _sample(self, phase_bits, rng, read) -> RoundOutcome:
         """Draw every tuple position at once from the read law.
 
         The draws are uniform p-bit words from one `random_raw` call: r for
         the registers, one per "entangle" read, one shared Z outcome (drawn
         but unused when untapped), then one basis word per "random" read,
-        whose set bits are the positions it reads in the X basis.
+        whose set bits are the positions it reads in the X basis.  Untapped,
+        it builds only the registers in `read` (all if it holds the last,
+        which closes the XOR) and takes their XOR from the phase bits.
         """
         r, p = self.r, self.p
         channels, count, picks = self._layout
-        draws = random_words(count, p, rng)
+        total = reduce(xor, phase_bits.values(), 0)
         if channels:
+            draws = random_words(count, p, rng)
             draws.append(0)  # a Z read's basis word: no X positions
             reads = [(ch, None if at is None else draws[at])
                      for ch, at in zip(channels, picks)]
             outputs = _read_law(r, p, reads, iter(draws))
+        elif read is None or r - 1 in read:
+            outputs = picked_words(count, p, rng, range(r - 1))
+            outputs.append(reduce(xor, outputs))  # the registers XOR to 0
         else:
-            outputs = draws[:r]
-            outputs[-1] ^= reduce(xor, outputs)  # the registers XOR to 0
+            words = picked_words(count, p, rng, read)
+            return RoundOutcome({j: word ^ phase_bits.get(j, 0)
+                                 for j, word in zip(read, words)}, {}, total)
         # A phase kick before the Hadamard layer is a bit flip after it.
         for enc, vec in phase_bits.items():
             outputs[enc] ^= vec
-        if not channels:
-            assert reduce(xor, outputs) == reduce(
-                xor, phase_bits.values(), 0
-            ), "sampler violated its own XOR constraint"
-        return RoundOutcome(outputs[:r], dict(zip(channels, outputs[r:])))
+        registers = outputs[:r]
+        xored = reduce(xor, registers)
+        assert channels or xored == total, "sampler broke its XOR constraint"
+        if read is not None:
+            registers = {j: registers[j] for j in read}
+        return RoundOutcome(registers, dict(zip(channels, outputs[r:])), xored)
 
 
 @lru_cache(maxsize=1024)

@@ -21,6 +21,8 @@ and the report renders each distinct view once.  What only (config, plan)
 decides, each round's channels and taps, who lies where and the pair
 layout (`_pair_layout`), is built once per pair (`_schedule`), and so is
 the report's frame (`_frame`); a trial is draws and arithmetic over them.
+A phase reads its round's registers through their XOR, save those its
+liars read, so an untapped round draws its words only to keep the stream.
 
 The secret, registers, slices, reports and shares are plain ints from
 the input bytes to the report: the aggregated secret and every register
@@ -261,35 +263,37 @@ def _frame(cfg: ProtocolConfig, plan: AdversaryPlan):
     )
 
 
-_Round = namedtuple("_Round", "label sent taps encoders")
+_Round = namedtuple("_Round", "label sent taps encoders read")
 _Schedule = namedtuple("_Schedule", "phase1 phase2 phase3 phase1_lies "
-                       "phase2_liars oracle report layout")
+                       "oracle report layout")
 
 
 @lru_cache(maxsize=1024)
 def _schedule(cfg: ProtocolConfig, plan: AdversaryPlan) -> _Schedule:
     """What every trial of (cfg, plan) repeats in its phases, built once,
-    as tuples: each phase's `_Round`; the lies in the order they go out,
-    phase 1's as (receiver, liar), phase 2's as its liars and phase 3's
-    as (pair, side); and the pair layout."""
+    as tuples: each phase's `_Round`, `read` being the registers its liars
+    read; phase 1's lies as (receiver, liar) and phase 3's as (pair, side),
+    in the order they go out; and the pair layout."""
     n, rogues = cfg.n, plan.rogues
     liars = dict.fromkeys(rogues.actions, tuple(sorted(rogues.agents)))
-    rounds = []
-    for phase, encoders in ((1, (n,)), (2, tuple(range(n))), (3, (0, 1))):
-        sent = tuple(sent_channels(phase, n, cfg.source))
-        taps = tuple(plan.eve.taps_for(phase, sent).items())
-        rounds.append(_Round(f"phase{phase}", sent, taps, encoders))
     pairs, _, _ = layout = _pair_layout(n)
     # Phase-3 lies go out pair by pair, the first agent first.
     oracle, report = (tuple((q, side) for q, pair in enumerate(pairs)
                             for side in (0, 1) if pair[side] in agents)
                       for agents in (liars.get("lie_phase3_oracle", ()),
                                      liars.get("lie_phase3_report", ())))
+    rounds = []
+    for phase, encoders, read in (
+            (1, (n,), liars.get("lie_phase1_comms", ())),
+            (2, tuple(range(n)), liars.get("lie_phase2_report", ())),
+            (3, (0, 1), tuple(sorted({side for _, side in report})))):
+        sent = tuple(sent_channels(phase, n, cfg.source))
+        taps = tuple(plan.eve.taps_for(phase, sent).items())
+        rounds.append(_Round(f"phase{phase}", sent, taps, encoders, read))
     return _Schedule(
         *rounds,
-        tuple((i, j) for i in range(n)
-              for j in liars.get("lie_phase1_comms", ()) if j != i),
-        liars.get("lie_phase2_report", ()), oracle, report, layout,
+        tuple((i, j) for i in range(n) for j in rounds[0].read if j != i),
+        oracle, report, layout,
     )
 
 
@@ -323,9 +327,9 @@ def _run_quantum_round(cfg, rng, transcript, detection, round_, *, r, p,
     The first round with a mismatch raises Aborted, labelled with its entry
     of `pairs`, and builds no batch.  `_read_law` treats each position on
     its own, so the one draw follows the law of the separate rounds.
-    Returns the RoundOutcome.
+    Returns the XOR of the registers, and the registers in `round_.read`.
     """
-    phase, transmitted, taps, encoders = round_
+    phase, transmitted, taps, encoders, read = round_
     counts = decoy_mismatches(cfg.decoys, len(taps), len(pairs), rng)
     # The first nonzero count is the first mismatch; every round up to it
     # started, and with none every round did.
@@ -343,7 +347,8 @@ def _run_quantum_round(cfg, rng, transcript, detection, round_, *, r, p,
                                 {"mismatches": mismatches, **where}))
     batch = distribute(r, p * len(pairs), taps=taps, transmitted=transmitted,
                        encoders=encoders)
-    return batch.encode_and_measure(phase_bits, rng)
+    outcome = batch.encode_and_measure(phase_bits, rng, read)
+    return outcome.total, outcome.registers
 
 
 def phase1_distribute(cfg: ProtocolConfig, s: int, plan: AdversaryPlan,
@@ -358,19 +363,16 @@ def phase1_distribute(cfg: ProtocolConfig, s: int, plan: AdversaryPlan,
         raise ValueError(f"secret {s:#x} does not fit in n*m = {n * m} bits")
     sched = _schedule(cfg, plan)
 
-    registers = _run_quantum_round(
+    total, registers = _run_quantum_round(
         cfg, rng, transcript, detection, sched.phase1, r=n + 1, p=n * m,
         phase_bits={n: s},
-    ).registers
+    )
 
     # One parallel round of n * n messages: the source and every agent j
     # send segment i to agent i, who XORs them into his own segment i, so
     # honest slices are the segments of the XOR of every register.  A liar
     # j's lie to agent i replaces his segment i; the lies go out agent by
     # agent, liars in order.
-    total = reduce(xor, registers)
-    if not sched.phase1.taps:
-        assert total == s, "distribution round broke its XOR constraint"
     inputs = cut(total, n, m)
     lies = sched.phase1_lies
     if lies:
@@ -396,14 +398,13 @@ def phase2_verify(cfg: ProtocolConfig, agent_inputs, s: int,
         raise ValueError(f"need one input vector per agent, got {len(agent_inputs)}")
     sched = _schedule(cfg, plan)
 
-    registers = _run_quantum_round(
+    computed, registers = _run_quantum_round(
         cfg, rng, transcript, detection, sched.phase2, r=n + 1, p=n * m,
         phase_bits={i: agent_inputs[i] << (i * m) for i in range(n)},
-    ).registers
+    )
 
     # One parallel round: every agent reports his outcome to the source.
-    computed = reduce(xor, registers)
-    liars = sched.phase2_liars
+    liars = sched.phase2.read
     if liars:
         computed ^= reduce(xor, _lie_deltas(
             plan.rogues, [registers[i] for i in liars], n * m, rng))
@@ -439,10 +440,10 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
         for (q, side), delta in zip(oracle, deltas):
             embedded[side][q] ^= delta
     words = [join(side, m) for side in embedded]
-    registers = _run_quantum_round(
+    outcomes, registers = _run_quantum_round(
         cfg, rng, transcript, detection, sched.phase3, r=2, p=m,
         phase_bits={0: words[0], 1: words[1]}, pairs=pairs,
-    ).registers
+    )
 
     # One parallel classical round carrying all n(n-1) directed reports.
     # Agent i's claim for j is his outcome in the exchange with j, XOR j's
@@ -453,7 +454,6 @@ def phase3_consolidate(cfg: ProtocolConfig, agent_inputs, plan: AdversaryPlan,
     # those of their second agents of another; a liar's lie replaces his
     # report, segment q of his register, and so changes the claim his
     # partner holds for him.
-    outcomes = registers[0] ^ registers[1]
     claims = (cut(outcomes ^ words[0], count, m)
               + cut(outcomes ^ words[1], count, m) + list(agent_inputs))
     report = sched.report

@@ -23,6 +23,8 @@ Conventions:
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import xor
 from typing import Sequence
 
 import numpy as np
@@ -274,5 +276,6 @@ def dense_outcomes(
         state, eve = dense_state(r, p, taps, phase_bits, rng)
         for raw in state.sample_register(qubits, per_state, rng):
             vecs = [(int(raw) >> (i * p)) & mask for i in range(r + len(ent))]
-            out.append(RoundOutcome(vecs[:r], {**eve, **dict(zip(ent, vecs[r:]))}))
+            out.append(RoundOutcome(vecs[:r], {**eve, **dict(zip(ent, vecs[r:]))},
+                                    reduce(xor, vecs[:r])))
     return out

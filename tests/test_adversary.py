@@ -161,7 +161,8 @@ class TestRogues:
         behavior = RogueBehavior((2,), ("lie_phase2_report",))
         sched = _schedule(ProtocolConfig(n=5, k=3, m=8),
                           AdversaryPlan(rogues=behavior))
-        assert sched.phase2_liars == (2,)
+        assert sched.phase2.read == (2,)
+        assert sched.phase1.read == sched.phase3.read == ()
         assert sched.phase1_lies == sched.oracle == sched.report == ()
 
     def test_bit_flip_changes_exactly_one_bit(self):

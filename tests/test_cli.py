@@ -782,6 +782,20 @@ PINNED_CONFIGS = {
                     "adversary.rogues.actions = "
                     "lie_phase3_oracle,lie_phase3_report\n"
                     "adversary.rogues.mode = random\n"),
+    # A tap on phase 3 only: two untapped rounds skip building their
+    # registers before a tapped one draws.
+    "eve_phase3": ("protocol.n = 5\nprotocol.k = 3\nprotocol.m = 16\n"
+                   "protocol.decoys = 0\n"
+                   "adversary.eve.kind = intercept_resend\n"
+                   "adversary.eve.phases = 3\n"),
+    # A third-party source with phase-1 and phase-2 liars, whose registers
+    # untapped rounds build.
+    "third_party_liars": ("protocol.n = 5\nprotocol.k = 3\nprotocol.m = 16\n"
+                          "protocol.source = third_party\n"
+                          "adversary.rogues.agents = 1,3\n"
+                          "adversary.rogues.actions = "
+                          "lie_phase1_comms,lie_phase2_report\n"
+                          "adversary.rogues.mode = random\n"),
 }
 
 
@@ -801,8 +815,11 @@ class TestPinnedReports:
         ("audited", "fe11d02d72f0b286"),
         ("scale_honest", "4712fdd48f51e206"),
         ("scale_liars", "dd571dded4ec5ee2"),
+        ("eve_phase3", "8c2b740ccb652548"),
+        ("third_party_liars", "d72b95a0547ce353"),
     ], ids=["honest", "liar", "eve_tap", "eve_decoy", "liar_first",
-            "fixed_first", "audited", "scale_honest", "scale_liars"])
+            "fixed_first", "audited", "scale_honest", "scale_liars",
+            "eve_phase3", "third_party_liars"])
     def test_report_digest(self, tmp_path, name, digest):
         cfg = write(tmp_path, f"{name}.cfg", PINNED_CONFIGS[name])
         out = tmp_path / "runs.jsonl"

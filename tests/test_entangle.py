@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dpvqss.adversary import EveStrategy
+from dpvqss.bitvec import random_bits, random_words
 from dpvqss.entangle import (
     READS,
     Decoy,
@@ -648,6 +649,57 @@ class TestDecoyMismatches:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             decoy_mismatches(-1, 1, 1, np.random.default_rng(71))
+
+
+class TestRegistersRead:
+    """A round draws all its words but returns only the registers its
+    caller reads, and the XOR of all its registers: untapped, from the
+    phase bits."""
+
+    SIZES = list(product((2, 6), (1, 63, 64, 65, 80)))
+
+    @staticmethod
+    def measure(r, p, read=None, taps=None):
+        """One round with seeded phase kicks on every other register, and
+        the bit generator's state after it."""
+        kicks = np.random.default_rng([72, r, p])
+        phase_bits = {j: random_bits(p, kicks) for j in range(0, r, 2)}
+        rng = np.random.default_rng([73, r, p])
+        out = distribute(r, p, taps=taps).encode_and_measure(phase_bits, rng,
+                                                             read)
+        return out, rng.bit_generator.state
+
+    @pytest.mark.parametrize("r, p", SIZES)
+    def test_nothing_read_keeps_the_stream(self, r, p):
+        full, state = self.measure(r, p)
+        out, after = self.measure(r, p, read=())
+        # r register words and the unused shared Z outcome.
+        ref = np.random.default_rng([73, r, p])
+        random_words(r + 1, p, ref)
+        assert after == state == ref.bit_generator.state
+        assert out.registers == {} and out.eve == {}
+        assert out.total == full.total == xor_all(full.registers)
+
+    @pytest.mark.parametrize("r, p", SIZES)
+    def test_proper_subset_returns_those_registers(self, r, p):
+        # With and without the last register, which closes the XOR.
+        full, state = self.measure(r, p)
+        for read in {(0,), (r - 1,), (0, r - 1), tuple(range(1, r))}:
+            out, after = self.measure(r, p, read=read)
+            assert after == state
+            assert out.registers == {j: full.registers[j] for j in read}
+            assert out.total == full.total
+
+    @pytest.mark.parametrize("tap", READS)
+    @pytest.mark.parametrize("r, p", SIZES)
+    def test_tapped_total_is_the_registers_xor(self, r, p, tap):
+        full, state = self.measure(r, p, taps={0: tap})
+        assert len(full.registers) == r
+        assert full.total == xor_all(full.registers)
+        out, after = self.measure(r, p, read=(0,), taps={0: tap})
+        assert after == state
+        assert (out.registers, out.eve) == ({0: full.registers[0]}, full.eve)
+        assert out.total == full.total
 
 
 class TestBatchLifecycle:
