@@ -796,6 +796,12 @@ PINNED_CONFIGS = {
                           "adversary.rogues.actions = "
                           "lie_phase1_comms,lie_phase2_report\n"
                           "adversary.rogues.mode = random\n"),
+    # One decoy per channel and a tap on phase 3 only: a decoy abort names
+    # its pair, a list, in the abort detail and in the detection event.
+    "eve_phase3_decoy": ("protocol.n = 5\nprotocol.k = 3\nprotocol.m = 16\n"
+                         "protocol.decoys = 1\n"
+                         "adversary.eve.kind = intercept_resend\n"
+                         "adversary.eve.phases = 3\n"),
 }
 
 
@@ -817,9 +823,10 @@ class TestPinnedReports:
         ("scale_liars", "dd571dded4ec5ee2"),
         ("eve_phase3", "8c2b740ccb652548"),
         ("third_party_liars", "d72b95a0547ce353"),
+        ("eve_phase3_decoy", "916a5010c2ea7dbf"),
     ], ids=["honest", "liar", "eve_tap", "eve_decoy", "liar_first",
             "fixed_first", "audited", "scale_honest", "scale_liars",
-            "eve_phase3", "third_party_liars"])
+            "eve_phase3", "third_party_liars", "eve_phase3_decoy"])
     def test_report_digest(self, tmp_path, name, digest):
         cfg = write(tmp_path, f"{name}.cfg", PINNED_CONFIGS[name])
         out = tmp_path / "runs.jsonl"
