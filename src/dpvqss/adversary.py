@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bitvec import random_words
 
@@ -33,6 +34,17 @@ ROGUE_ACTIONS = (
 LIE_MODES = ("bit_flip", "random", "fixed")
 
 AuditSize = namedtuple("AuditSize", "n m")
+
+
+def hash_once(cls):
+    """Keep a frozen dataclass's field hash on the instance from first use;
+    pickles and copies drop it, as str hashes differ across PYTHONHASHSEEDs."""
+    cls._hash = cached_property(cls.__hash__)
+    cls._hash.__set_name__(cls, "_hash")
+    cls.__hash__ = lambda self: self._hash
+    cls.__getstate__ = lambda self: {
+        k: v for k, v in vars(self).items() if k != "_hash"}
+    return cls
 
 
 def _reject_duplicates(key: str, values: tuple) -> None:
@@ -109,8 +121,10 @@ def sent_channels(phase: int, n: int, source: str) -> range:
     return range(n + (source == "third_party"))
 
 
+@hash_once
 @dataclass(frozen=True)
 class AdversaryPlan:
+    """Eve and the rogues; the hash is kept from first use, not pickled."""
     eve: EveStrategy = EveStrategy()
     rogues: RogueBehavior = RogueBehavior()
 

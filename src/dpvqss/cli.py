@@ -407,12 +407,23 @@ def cmd_sweep(args) -> int:
                 print(f"warning: skipping cell {shown}: {err}", file=sys.stderr)
                 rows.append({**row, "skipped": str(err)})
                 continue
-            reports = [rep.to_dict() for rep in _run_trials(
+            reports = [_tallied(rep) for rep in _run_trials(
                 cfg, plan, trials, seed, values["secret"], cell=cell_idx)]
             rows.append({**row, **_rates(empirical_stats(reports)),
                          **_etas(cfg.n, cfg.m)})
         fh.write(_render_rows(rows, args.format))
     return EXIT_OK
+
+
+def _tallied(rep) -> dict:
+    """What `empirical_stats` reads of a `RunReport`, without its line: a
+    sweep cell runs one (config, plan), whose hash stands for config_hash."""
+    return {"config_hash": hash((rep.config, rep.plan)),
+            "verdict": rep.verdict, "abort": rep.abort and vars(rep.abort),
+            "detection_events": rep.detection_events,
+            "agents": {a.index: {"loyal": a.loyal, "ambiguous": a.ambiguous,
+                                 "recovered_secret": a.reconstructed == rep.secret}
+                       for a in rep.agents}}
 
 
 def _render_rows(rows, fmt) -> str:

@@ -52,7 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import itemgetter, xor
@@ -65,6 +65,7 @@ from .adversary import (
     HONEST_PLAN,
     RogueBehavior,
     falsify,
+    hash_once,
     leakage_audit,
     sent_channels,
 )
@@ -88,8 +89,10 @@ from .threshold import (
 RUN_SCHEMA = "dpvqss.run.v1"
 
 
+@hash_once
 @dataclass(frozen=True)
 class ProtocolConfig:
+    """Sizes, decoys, source; the hash is kept from first use, not pickled."""
     n: int
     k: int
     m: int
@@ -111,11 +114,7 @@ class ProtocolConfig:
         return SplitConfig(self.k, self.n, self.w)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "k": self.k, "m": self.m, "w": self.w,
-            "decoys": self.decoys,
-            "source": self.source,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -124,10 +123,8 @@ class Transcript:
 
     rounds: list[dict] = field(default_factory=list)
 
-    def add(self, phase: str, kind: str, count: int) -> dict:
-        row = {"phase": phase, "kind": kind, "messages": count}
-        self.rounds.append(row)
-        return row
+    def add(self, phase: str, kind: str, count: int) -> None:
+        self.rounds.append({"phase": phase, "kind": kind, "messages": count})
 
     def summary(self) -> list[dict]:
         return [dict(row) for row in self.rounds]
@@ -138,9 +135,6 @@ class AbortInfo:
     phase: str
     cause: str
     detail: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"phase": self.phase, "cause": self.cause, "detail": self.detail}
 
 
 class Aborted(Exception):
@@ -181,12 +175,13 @@ class RunReport:
         """The report as one canonical JSON line: keys sorted, no spaces.
 
         What every report of (config, plan) repeats comes from `_frame`,
-        each agent entry's key included.  The trial's own members are
-        written into it: each agent entry from one f-string, each distinct
-        view through the view template with one `%`.  Only the open-ended
-        members go through the encoder.  Every object's members are written
-        in sorted-key order by hand; a test compares the line with a
-        dict-built reference byte for byte.
+        each agent entry's key included; the encoder runs once per frame.
+        The trial's own members are written into it by hand: each agent
+        entry from one f-string, each distinct view through the view
+        template with one `%`, and the abort, each detection event and
+        the leakage block from the fixed shape of their cause or kind.
+        Every object's members are written in sorted-key order; a test
+        compares the line with a dict-built reference byte for byte.
         """
         m = self.config.m
         adversary, config, metrics, heads, template = _frame(self.config,
@@ -209,9 +204,12 @@ class RunReport:
                 f'"recovered_secret":{_BOOL[got == self.secret]},'
                 f'"s_i":{received},"support":{_scalar(a.support)}}}'
             )
-        abort = canonical_json(self.abort.to_dict()) if self.abort else "null"
-        leakage = "null" if self.leakage is None else canonical_json(self.leakage)
-        events = self.detection_events
+        info = self.abort
+        abort = "null" if info is None else (
+            f'{{"cause":"{info.cause}","detail":'
+            f'{_DETAILS[info.cause](info.detail)},"phase":"{info.phase}"}}')
+        leakage = "null" if self.leakage is None else _LEAKAGE % self.leakage
+        events = ",".join([_EVENTS[e["kind"]](e) for e in self.detection_events])
         rounds = ",".join([
             f'{{"kind":"{row["kind"]}","messages":{row["messages"]},'
             f'"phase":"{row["phase"]}"}}' for row in self.transcript.rounds
@@ -219,7 +217,7 @@ class RunReport:
         return (
             f'{{"abort":{abort},{adversary},'
             f'"agents":{{{",".join(entries)}}},{config},'
-            f'"detection_events":{canonical_json(events) if events else "[]"},'
+            f'"detection_events":[{events}],'
             f'"leakage":{leakage},{metrics},"rounds":[{rounds}],'
             f'"schema":"{RUN_SCHEMA}","secret":{hex_token % self.secret},'
             f'"seed":{_scalar(self.seed)},"trial":{_scalar(self.trial)},'
@@ -236,6 +234,33 @@ _BOOL = {False: "false", True: "true"}
 
 def _scalar(value: int | None) -> str:
     return "null" if value is None else str(value)
+
+
+def _pair(pair: list[int] | None) -> str:
+    return "null" if pair is None else f"[{pair[0]},{pair[1]}]"
+
+
+# One shape per abort cause's detail, detection event kind and leakage
+# block, keys sorted; the values are ints, pairs or strings needing no escape.
+_DETAILS = {
+    "decoy_mismatch": lambda d: (f'{{"mismatches":{d["mismatches"]},'
+                                 f'"pair":{_pair(d["pair"])}}}'),
+    "verification_failed": lambda d: (f'{{"computed":"{d["computed"]}",'
+                                      f'"expected":"{d["expected"]}"}}'),
+}
+_EVENTS = {
+    "decoy_mismatch": lambda e: (
+        f'{{"count":{e["count"]},"kind":"decoy_mismatch",'
+        f'"pair":{_pair(e["pair"])},"phase":"{e["phase"]}"}}'),
+    "xor_mismatch": lambda e: (
+        f'{{"computed":"{e["computed"]}","expected":"{e["expected"]}",'
+        f'"kind":"xor_mismatch","phase":"{e["phase"]}"}}'),
+    "ambiguous_decode": lambda e: (
+        f'{{"agent":{e["agent"]},"kind":"ambiguous_decode",'
+        f'"phase":"{e["phase"]}","support":{e["support"]}}}'),
+}
+_LEAKAGE = ('{"phase1_tv":"%(phase1_tv)s","phase2_tv":"%(phase2_tv)s",'
+            '"phase3_tv":"%(phase3_tv)s","reference":"%(reference)s"}')
 
 
 # The one canonical encoder: sorted keys, no spaces.
@@ -298,20 +323,9 @@ def _schedule(cfg: ProtocolConfig, plan: AdversaryPlan) -> _Schedule:
 
 
 def plan_to_dict(plan: AdversaryPlan) -> dict:
-    return {
-        "eve": {
-            "kind": plan.eve.kind,
-            "basis": plan.eve.basis,
-            "phases": list(plan.eve.phases),
-            "channel": plan.eve.channel,
-        },
-        "rogues": {
-            "agents": list(plan.rogues.agents),
-            "actions": list(plan.rogues.actions),
-            "mode": plan.rogues.mode,
-            "fixed_value": plan.rogues.fixed_value,
-        },
-    }
+    """The report's "adversary" member: the plan's fields, tuples as lists."""
+    return asdict(plan, dict_factory=lambda items: {
+        k: list(v) if isinstance(v, tuple) else v for k, v in items})
 
 
 def _run_quantum_round(cfg, rng, transcript, detection, round_, *, r, p,

@@ -223,11 +223,12 @@ def split(secret: int, cfg: SplitConfig, m: int, rng) -> int:
         raise ValueError(f"secret must be an {m}-bit int")
     # Term d packs coefficient d of every element's polynomial, so the k-1
     # random terms are uniform m-bit ints: one raw draw.  Segment x - 1
-    # gets x^d times term d, one translate per agent, in whole bytes.
-    terms = [secret, *random_words(cfg.k - 1, m, rng)]
+    # gets x^d times term d, one translate per agent, in whole bytes, save
+    # term 0, the secret, which has weight 1 at every agent: it is repeated.
     size = (m + 7) // 8
-    word = 0
-    for term, tables in zip(terms, _vandermonde(cfg.w, cfg.n, cfg.k)):
+    word = int.from_bytes(secret.to_bytes(size, "little") * cfg.n, "little")
+    for term, tables in zip(random_words(cfg.k - 1, m, rng),
+                            _vandermonde(cfg.w, cfg.n, cfg.k)):
         block = term.to_bytes(size, "little")
         word ^= int.from_bytes(
             b"".join([block.translate(table) for table in tables]), "little")
@@ -237,11 +238,11 @@ def split(secret: int, cfg: SplitConfig, m: int, rng) -> int:
 
 @lru_cache(maxsize=None)
 def _vandermonde(w: int, n: int, k: int) -> tuple[tuple[bytes, ...], ...]:
-    """Row d holds x^d in GF(2^w) for x = 1 .. n, resolved; d = 0 .. k-1."""
+    """Rows x^1 .. x^(k-1) in GF(2^w) for x = 1 .. n, resolved."""
     gf = FIELDS[w]
     return gf.resolve(
         [gf.exp[gf.log[x] * d % (gf.order - 1)] for x in range(1, n + 1)]
-        for d in range(k)
+        for d in range(1, k)
     )
 
 

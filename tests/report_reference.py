@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 
 from dpvqss import __version__
 from dpvqss.metrics import efficiency_report
@@ -51,7 +52,7 @@ def report_dict(rep: RunReport) -> dict:
         "adversary": adversary,
         "secret": f"{rep.secret:0{cfg.m // 4}x}",
         "verdict": rep.verdict,
-        "abort": rep.abort.to_dict() if rep.abort else None,
+        "abort": asdict(rep.abort) if rep.abort else None,
         "detection_events": rep.detection_events,
         "agents": {str(a.index): agent_dict(a, rep.secret, cfg.m)
                    for a in rep.agents},

@@ -659,6 +659,40 @@ class TestMetricsAndReport:
         assert header == ("trials,abort_rate,decoy_abort_rate,detection_rate,"
                           "recovery_rate,ambiguity_rate")
 
+    # An Eve cell that aborts nearly every trial, and colluding fixed liars
+    # whose cell proceeds with some ambiguous decodes.
+    @pytest.mark.parametrize("lines", [
+        ("protocol.n = 5", "protocol.k = 3", "protocol.m = 16",
+         "adversary.eve.kind = intercept_resend"),
+        ("protocol.n = 5", "protocol.k = 3", "protocol.m = 8",
+         "adversary.rogues.agents = 3,4",
+         "adversary.rogues.actions = lie_phase3_oracle",
+         "adversary.rogues.mode = fixed", "adversary.rogues.fixed = 10110011"),
+    ], ids=["eve_aborts", "liars_proceed"])
+    def test_sweep_cell_stats_equal_run_and_report(self, tmp_path, capsys,
+                                                   lines):
+        # A sweep tallies each RunReport without rendering it; `report`
+        # parses the lines `run` wrote.  One cell and `run` with the same
+        # config, seed and trials read the same stats.
+        base = "\n".join(lines) + "\ntrials = 40\nseed = 3\n"
+        run_cfg = write(tmp_path, "run.cfg", base + "protocol.decoys = 16\n")
+        sweep_cfg = write(tmp_path, "sweep.cfg",
+                          base + "sweep.protocol.decoys = 16\n")
+        jsonl = tmp_path / "runs.jsonl"
+        assert main(["run", run_cfg, "--out", str(jsonl)]) in (0, 2)
+        assert main(["report", str(jsonl)]) == 0
+        reported = json.loads(capsys.readouterr().out)
+        rc = parse_config_text(open(run_cfg).read())
+        tallied = cli.empirical_stats([cli._tallied(rep) for rep in
+                                       cli._run_trials(rc.protocol, rc.plan,
+                                                       40, 3, None)])
+        assert tallied == reported
+        assert main(["sweep", sweep_cfg]) == 0
+        (row,) = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+        rates = cli._rates(reported)
+        assert {k: row[k] for k in rates} == rates
+        assert 0 < rates["detection_rate"]
+
     def test_report_missing_file(self, capsys):
         code = main(["report", "/nonexistent/file.jsonl"])
         assert code == 1

@@ -1,6 +1,11 @@
+import copy
 import gc
 import hashlib
 import json
+import os
+import pickle
+import subprocess
+import sys
 import time
 from itertools import combinations
 
@@ -600,6 +605,57 @@ class TestRenderer:
         if audit:
             assert all(value is not None
                        for value in rep.to_dict()["leakage"].values())
+
+
+    @pytest.mark.parametrize("name", sorted(RENDER_GRID))
+    def test_trial_runs_no_encoder_once_framed(self, monkeypatch, name):
+        # Every member of a trial's line is written by hand: the encoder
+        # runs only to build a frame, which the first trial of a pair does.
+        cfg, plan, audit, _ = RENDER_GRID[name]
+        calls = []
+        encode = protocol.canonical_json
+        monkeypatch.setattr(protocol, "canonical_json",
+                            lambda obj: calls.append(obj) or encode(obj))
+        protocol._frame.cache_clear()
+        for trial in range(2):
+            rng = np.random.default_rng([21, trial])
+            rep = run_protocol(cfg, random_secret(cfg, rng), plan, rng=rng,
+                               seed=21, trial=trial, audit=audit)
+            assert rep.to_json_line() == canonical_json(report_dict(rep))
+            assert len(calls) == 3  # the frame's adversary, config, metrics
+
+
+class TestHashOnce:
+    def test_pickled_hash_is_dropped(self, tmp_path):
+        # A config and plan hashed here, then pickled, equal and hash like
+        # fresh twins in a process with another hash seed: their str fields
+        # hash differently there, so a stored hash must not travel.
+        cfg = ProtocolConfig(n=5, k=3, m=16, source="third_party")
+        plan = AdversaryPlan(EveStrategy("intercept_resend", "random", (1, 3)),
+                             RogueBehavior((1,), ("lie_phase2_report",)))
+        hash(cfg), hash(plan)
+        assert "_hash" in vars(cfg) and "_hash" in vars(plan)
+        assert "_hash" not in vars(copy.copy(cfg))
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = (
+            "import pickle, sys\n"
+            "from dpvqss.adversary import AdversaryPlan, EveStrategy, "
+            "RogueBehavior\n"
+            "from dpvqss.protocol import ProtocolConfig\n"
+            "got = pickle.loads(sys.stdin.buffer.read())\n"
+            "twins = (ProtocolConfig(n=5, k=3, m=16, source='third_party'),\n"
+            "         AdversaryPlan(EveStrategy('intercept_resend', 'random',"
+            " (1, 3)), RogueBehavior((1,), ('lie_phase2_report',))))\n"
+            "print(all(a == b and hash(a) == hash(b) "
+            "for a, b in zip(got, twins)), hash('third_party'))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code],
+                             input=pickle.dumps((cfg, plan)),
+                             capture_output=True, check=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed})
+        same, str_hash = out.stdout.split()
+        assert same == b"True"
+        assert int(str_hash) != hash("third_party")
 
 
 class TestLies:
