@@ -606,7 +606,6 @@ class TestRenderer:
             assert all(value is not None
                        for value in rep.to_dict()["leakage"].values())
 
-
     @pytest.mark.parametrize("name", sorted(RENDER_GRID))
     def test_trial_runs_no_encoder_once_framed(self, monkeypatch, name):
         # Every member of a trial's line is written by hand: the encoder
