@@ -11,7 +11,6 @@ from dpvqss.threshold import (
     SplitConfig,
     reconstruct,
     robust_decode,
-    share_token,
     split,
 )
 
@@ -25,7 +24,7 @@ cfg = SplitConfig(2, 3, 4)
 # any k of them keyed by agent.
 shares = cut(split(0xA, cfg, 4, rng), cfg.n, 4)
 for i, share in enumerate(shares):
-    print(f"  agent {i} holds {share_token(i, share, 4)}")
+    print(f"  agent {i} holds {i}:{share:x}")
 first, last = {0: shares[0], 1: shares[1]}, {1: shares[1], 2: shares[2]}
 print(f"any two reconstruct: {reconstruct(first, cfg, 4):#x} "
       f"== {reconstruct(last, cfg, 4):#x}")

@@ -16,8 +16,9 @@ read basis.  Every word of a round comes from one `random_raw` call
 when it is built.  The phase bits only shift the subspace: a phase kick
 before the Hadamard layer is a bit flip after it.  With no taps it is the
 XOR constraint: r uniform words, the last closed by one XOR, so an untapped
-round yields the phase bits' XOR and only the registers its caller reads,
-drawing the other words only to keep the stream (`bitvec.picked_words`).
+round yields the phase bits' XOR, drawing the words of registers its caller
+does not read only to keep the stream (`bitvec.picked_words`).  Tapped or
+not, a round returns exactly the registers its caller names in `read`.
 
 `qsim.dense_state` and `qsim.dense_outcomes` build the same round as one
 dense statevector, the exact reference the sampler is checked against.
@@ -76,10 +77,10 @@ class TransmissionPlan:
 
 @dataclass
 class RoundOutcome:
-    """One round's registers (all r, or a dict of those the caller reads),
-    Eve's outcomes by tapped channel, and the XOR of all r registers."""
+    """One round's registers, keyed by index (exactly those the caller
+    reads), Eve's outcomes by tapped channel, and the XOR of all r registers."""
 
-    registers: list[int] | dict[int, int]
+    registers: dict[int, int]
     eve: dict[int, int]
     total: int
 
@@ -97,13 +98,9 @@ class EntangledBatch:
         self.taps = dict(taps)
         self.transmitted = tuple(transmitted)
         self.encoders = tuple(encoders)
-        for ch, read in self.taps.items():
-            if ch not in self.transmitted:
-                raise ValueError(f"tap on channel {ch} which is never transmitted")
-            if read not in READS:
-                raise ValueError(f"unknown read {read!r} on channel {ch}")
         self.consumed = False
-        self._layout = _draw_layout(r, tuple(self.taps.items()))
+        self._layout = _draw_layout(r, tuple(self.taps.items()),
+                                    self.transmitted, self.encoders)
 
     # -- outcome generation ---------------------------------------------------
 
@@ -117,9 +114,11 @@ class EntangledBatch:
                     f"in {self.p} bits"
                 )
 
-    def encode_and_measure(self, phase_bits, rng, read=None) -> RoundOutcome:
-        """Phase-encode, apply the Hadamards, measure `read` (None: all r)."""
+    def encode_and_measure(self, phase_bits, rng, read) -> RoundOutcome:
+        """Phase-encode, apply the Hadamards, measure the registers in `read`."""
         self._phase_vectors(phase_bits)
+        if read and (min(read) < 0 or max(read) >= self.r):
+            raise _outside("read register", read, self.r)
         if self.consumed:
             raise RuntimeError("batch already measured")
         self.consumed = True
@@ -144,7 +143,7 @@ class EntangledBatch:
             reads = [(ch, None if at is None else draws[at])
                      for ch, at in zip(channels, picks)]
             outputs = _read_law(r, p, reads, iter(draws))
-        elif read is None or r - 1 in read:
+        elif r - 1 in read:
             outputs = picked_words(count, p, rng, range(r - 1))
             outputs.append(reduce(xor, outputs))  # the registers XOR to 0
         else:
@@ -157,18 +156,33 @@ class EntangledBatch:
         registers = outputs[:r]
         xored = reduce(xor, registers)
         assert channels or xored == total, "sampler broke its XOR constraint"
-        if read is not None:
-            registers = {j: registers[j] for j in read}
-        return RoundOutcome(registers, dict(zip(channels, outputs[r:])), xored)
+        return RoundOutcome({j: registers[j] for j in read},
+                            dict(zip(channels, outputs[r:])), xored)
+
+
+def _outside(what: str, indices, r: int) -> ValueError:
+    """The error naming the first of `indices` outside 0..r-1."""
+    bad = next(j for j in indices if not 0 <= j < r)
+    return ValueError(f"{what} {bad} is not a register of 0..{r - 1}")
 
 
 @lru_cache(maxsize=1024)
-def _draw_layout(r: int, taps: tuple[tuple[int, str], ...]):
-    """How a batch of r registers with these (channel, read) taps uses its
-    draws.  Returns the tapped channels in increasing order, the number of
-    words drawn, and per channel the index of its X-basis word: the
-    "random" reads' words come last, a Z read's is `count`, just past the
-    draws, and an entangling read has none."""
+def _draw_layout(r: int, taps: tuple[tuple[int, str], ...],
+                 transmitted: tuple[int, ...], encoders: tuple[int, ...]):
+    """Check a batch's channels, encoders and taps, and lay out how it uses
+    its draws, so a valid batch is checked once.  Returns the tapped channels
+    in increasing order, the number of words drawn, and per channel the index
+    of its X-basis word: the "random" reads' words come last, a Z read's is
+    `count`, just past the draws, and an entangling read has none."""
+    for what, regs in (("transmitted channel", transmitted),
+                       ("encoder", encoders)):
+        if regs and (min(regs) < 0 or max(regs) >= r):
+            raise _outside(what, regs, r)
+    for ch, read in taps:
+        if ch not in transmitted:
+            raise ValueError(f"tap on channel {ch} which is never transmitted")
+        if read not in READS:
+            raise ValueError(f"unknown read {read!r} on channel {ch}")
     taps = sorted(taps)
     reads = [read for _, read in taps]
     count = r + len(reads) + 1 - reads.count("z")
@@ -213,24 +227,16 @@ def _read_law(
     return registers + eve
 
 
-def distribute(
-    r: int,
-    p: int,
-    taps: dict[int, str] | None = None,
-    transmitted: Sequence[int] | None = None,
-    encoders: Sequence[int] | None = None,
-) -> EntangledBatch:
+def distribute(r: int, p: int, taps: dict[int, str],
+               transmitted: Sequence[int],
+               encoders: Sequence[int]) -> EntangledBatch:
     """Prepare a batch of p GHZ_r tuples (Bell pairs at r = 2).
 
     `transmitted` lists the registers that traverse a channel (and may be
     tapped); `taps` maps a tapped channel to its read, one of `READS`;
     `encoders` lists the registers that will apply a phase oracle.
     """
-    if transmitted is None:
-        transmitted = range(r)
-    if encoders is None:
-        encoders = range(r)
-    return EntangledBatch(r, p, taps or {}, transmitted, encoders)
+    return EntangledBatch(r, p, taps, transmitted, encoders)
 
 
 def decoy_mismatches(d: int, tapped: int, rounds: int, rng) -> list[int]:

@@ -17,12 +17,12 @@ n(n-1)/2 * m positions, drawn at once, with a decoy check per pair; a
 single parallel round carries all n(n-1) directed reports, after which
 each agent robustly decodes his n collected shares, his view: one
 `decode_views` call decodes the distinct views, sharing one interpolation,
-and the report renders each distinct view once.  What only (config, plan)
-decides, each round's channels and taps, who lies where and the pair
-layout (`_pair_layout`), is built once per pair (`_schedule`), and so is
-the report's frame (`_frame`); a trial is draws and arithmetic over them.
-A phase reads its round's registers through their XOR, save those its
-liars read, so an untapped round draws its words only to keep the stream.
+and the report renders each distinct view once, claim j as "j:hex".  What
+only (config, plan) decides, each round's channels and taps, who lies where
+and the pair layout (`_pair_layout`), is built once per pair (`_schedule`),
+and so is the report's frame (`_frame`); a trial is draws and arithmetic
+over them.  A phase reads its round's registers through their XOR, save those
+its liars read, so an untapped round draws its words only to keep the stream.
 
 The secret, registers, slices, reports and shares are plain ints from
 the input bytes to the report: the aggregated secret and every register
@@ -83,7 +83,6 @@ from .threshold import (
     decode_views,
     robust_decode,  # noqa: F401  benchmarks/tracing.py wraps it here
     split,
-    view_template,
 )
 
 RUN_SCHEMA = "dpvqss.run.v1"
@@ -112,9 +111,6 @@ class ProtocolConfig:
     @cached_property
     def split_config(self) -> SplitConfig:
         return SplitConfig(self.k, self.n, self.w)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -270,12 +266,13 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 @lru_cache(maxsize=1024)
 def _frame(cfg: ProtocolConfig, plan: AdversaryPlan):
     """The members every report of (cfg, plan) repeats, rendered once: the
-    "adversary" member, the "config" and "config_hash" members, the
-    "metrics" member, the agents in the order sorted keys give them ("10"
-    before "2"), each with its entry's text up to the "ambiguous" value,
-    and the view template.  The hash is of {"adversary", "config"}."""
-    adversary = canonical_json(plan_to_dict(plan))
-    config = canonical_json(cfg.to_dict())
+    "adversary" and "config" members (the plan's and the config's fields,
+    tuples as lists), "config_hash", "metrics", the agents in sorted-key
+    order ("10" before "2"), each with its entry's text up to "ambiguous",
+    and the view template: claim j as "j:hex", m / 4 digits, all n claims
+    rendered by one `%`.  The hash is of {"adversary", "config"}."""
+    adversary = canonical_json(asdict(plan))
+    config = canonical_json(asdict(cfg))
     blob = f'{{"adversary":{adversary},"config":{config}}}'
     return (
         f'"adversary":{adversary}',
@@ -284,7 +281,7 @@ def _frame(cfg: ProtocolConfig, plan: AdversaryPlan):
         f'"metrics":{canonical_json(efficiency_report(cfg.n, cfg.m))}',
         tuple((i, f'"{i}":{{"ambiguous":')
               for i in sorted(range(cfg.n), key=str)),
-        view_template(cfg.n, cfg.m),
+        ",".join([f'"{j}:%0{cfg.m // 4}x"' for j in range(cfg.n)]),
     )
 
 
@@ -322,12 +319,6 @@ def _schedule(cfg: ProtocolConfig, plan: AdversaryPlan) -> _Schedule:
     )
 
 
-def plan_to_dict(plan: AdversaryPlan) -> dict:
-    """The report's "adversary" member: the plan's fields, tuples as lists."""
-    return asdict(plan, dict_factory=lambda items: {
-        k: list(v) if isinstance(v, tuple) else v for k, v in items})
-
-
 def _run_quantum_round(cfg, rng, transcript, detection, round_, *, r, p,
                        phase_bits, pairs=(None,)):
     """Check the decoys of len(pairs) rounds of p positions, then distribute
@@ -359,8 +350,7 @@ def _run_quantum_round(cfg, rng, transcript, detection, round_, *, r, p,
         })
         raise Aborted(AbortInfo(phase, "decoy_mismatch",
                                 {"mismatches": mismatches, **where}))
-    batch = distribute(r, p * len(pairs), taps=taps, transmitted=transmitted,
-                       encoders=encoders)
+    batch = distribute(r, p * len(pairs), taps, transmitted, encoders)
     outcome = batch.encode_and_measure(phase_bits, rng, read)
     return outcome.total, outcome.registers
 

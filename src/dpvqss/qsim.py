@@ -260,10 +260,10 @@ def dense_outcomes(
     rng,
     taps: dict[int, str] | None = None,
 ) -> list[RoundOutcome]:
-    """Reference only: Born-sample `shots` final measurements of one round.
-
-    Shots share one final state while nothing collapses mid-circuit; with a
-    measuring tap the state is rebuilt for every shot.
+    """Reference only: Born-sample `shots` final measurements of one round,
+    each with all r registers keyed by index, as the sampler's with every
+    register in `read`.  Shots share one final state while nothing
+    collapses mid-circuit; with a measuring tap it is rebuilt every shot.
     """
     taps = taps or {}
     ent = [ch for ch in sorted(taps) if taps[ch] == "entangle"]
@@ -276,6 +276,7 @@ def dense_outcomes(
         state, eve = dense_state(r, p, taps, phase_bits, rng)
         for raw in state.sample_register(qubits, per_state, rng):
             vecs = [(int(raw) >> (i * p)) & mask for i in range(r + len(ent))]
-            out.append(RoundOutcome(vecs[:r], {**eve, **dict(zip(ent, vecs[r:]))},
+            out.append(RoundOutcome(dict(enumerate(vecs[:r])),
+                                    {**eve, **dict(zip(ent, vecs[r:]))},
                                     reduce(xor, vecs[:r])))
     return out

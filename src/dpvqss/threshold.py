@@ -8,7 +8,7 @@ returns the aggregated n*m-bit word, agent i's share in segment i (see
 `bitvec`); `robust_decode` takes the n claimed shares (claims), one per
 agent in agent order, `reconstruct` takes any k or more of them keyed by
 agent, and both return the secret; `decode_views` decodes many claim lists
-(views) at once; a report renders a view with one `view_template`.
+(views) at once.  How a report renders a claim is `protocol`'s alone.
 
 Multiplying each w-bit element of a claim by one field constant maps each
 byte through a 256-entry table, so one term of a polynomial (`split`) or
@@ -27,8 +27,10 @@ from typing import Collection, Mapping, Sequence
 
 from .bitvec import cut, join, random_words
 
-# Published reduction polynomials: x^4+x+1 and x^8+x^4+x^3+x+1.
+# Published reduction polynomials: x^4+x+1 and x^8+x^4+x^3+x+1, and a
+# primitive element of each field: x, and x+1, since x has order 51 mod 0x11B.
 REDUCTION_POLY = {4: 0x13, 8: 0x11B}
+GENERATOR = {4: 2, 8: 3}
 
 
 class InsufficientSharesError(ValueError):
@@ -51,20 +53,19 @@ class AmbiguousDecodeError(Exception):
 
 
 class GF:
-    """GF(2^w) arithmetic via log/exp tables over a fixed reduction polynomial."""
+    """GF(2^w) arithmetic via log/exp tables of a primitive element's powers."""
 
-    def __init__(self, width: int, poly: int):
+    def __init__(self, width: int, poly: int, generator: int):
         self.width = width
         self.order = 1 << width
         self.poly = poly
         self.exp = [0] * (2 * (self.order - 1))
         self.log = [0] * self.order
-        g = self._find_generator()
         x = 1
         for i in range(self.order - 1):
             self.exp[i] = x
             self.log[x] = i
-            x = self._slow_mul(x, g)
+            x = self._slow_mul(x, generator)
         for i in range(self.order - 1, 2 * (self.order - 1)):
             self.exp[i] = self.exp[i - (self.order - 1)]
         self.tables = _ScaleTables(self)
@@ -79,17 +80,6 @@ class GF:
                 a ^= self.poly
             b >>= 1
         return acc
-
-    def _find_generator(self) -> int:
-        for g in range(2, self.order):
-            seen = set()
-            x = 1
-            for _ in range(self.order - 1):
-                seen.add(x)
-                x = self._slow_mul(x, g)
-            if len(seen) == self.order - 1:
-                return g
-        raise ValueError(f"no generator found for polynomial {self.poly:#x}")
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -167,25 +157,7 @@ def unpack(bits: int, m: int, w: int) -> tuple[int, ...]:
     return tuple(bits >> shift & mask for shift in range(0, m, w))
 
 
-def share_token(index: int, bits: int, m: int) -> str:
-    """Serialized form "index:hex-value" of agent index's m-bit claim, used
-    in JSON reports.
-
-    Each element fills whole hex digits (w is 4 or 8), so the hex form reads
-    element 0 rightmost.
-    """
-    return _TOKEN % (index, m // 4) % bits
-
-
-def view_template(n: int, m: int) -> str:
-    """A view's n quoted `share_token`s, comma-joined, as one %-format."""
-    return ",".join(['"%s"' % (_TOKEN % (j, m // 4)) for j in range(n)])
-
-
-_TOKEN = "%d:%%0%dx"  # % (index, hex digits): a token as a %-format
-
-
-FIELDS = {w: GF(w, poly) for w, poly in REDUCTION_POLY.items()}
+FIELDS = {w: GF(w, poly, GENERATOR[w]) for w, poly in REDUCTION_POLY.items()}
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def test_c1_hadamard_entanglement_property_oracle():
             for _ in range(8):
                 s = random_bits(n * m, rng)
                 for out in dense_outcomes(n + 1, n * m, {n: s}, 2000, rng):
-                    if xor_all(out.registers) != s:
+                    if xor_all(list(out.registers.values())) != s:
                         violations += 1
         elapsed = time.monotonic() - start
         assert violations == 0

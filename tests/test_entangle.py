@@ -41,7 +41,8 @@ def xor_all(vectors):
 
 def outcome_key(outcome, p):
     """Pack a round's p-bit registers, then Eve's reads in channel order."""
-    words = outcome.registers + [outcome.eve[ch] for ch in sorted(outcome.eve)]
+    words = [*outcome.registers.values(),
+             *(outcome.eve[ch] for ch in sorted(outcome.eve))]
     return sum(word << (i * p) for i, word in enumerate(words))
 
 
@@ -70,8 +71,8 @@ class TestDistributeOracle:
 def sample_idpqc(s, n, m, rng):
     """One honest information-distribution round: registers b_0..b_{n-1},
     then a, uniform over all tuples with a XOR b_{n-1} XOR ... XOR b_0 = s."""
-    batch = distribute(n + 1, n * m, transmitted=range(n), encoders=(n,))
-    return batch.encode_and_measure({n: s}, rng)
+    batch = distribute(n + 1, n * m, {}, range(n), (n,))
+    return batch.encode_and_measure({n: s}, rng, range(n + 1))
 
 
 class TestHonestSampler:
@@ -80,7 +81,7 @@ class TestHonestSampler:
         s = bv("1011")
         for _ in range(100_000):
             out = sample_idpqc(s, n=2, m=2, rng=rng)
-            assert xor_all(out.registers) == s
+            assert xor_all(out.registers.values()) == s
 
     def test_small_case_uniform_support(self):
         rng = np.random.default_rng(41)
@@ -98,14 +99,14 @@ class TestHonestSampler:
         s = 0
         for _ in range(200):
             out = sample_idpqc(s, n=3, m=2, rng=rng)
-            assert xor_all(out.registers[:3]) == out.registers[3]
+            assert xor_all(out.registers[j] for j in range(3)) == out.registers[3]
 
 
 def sample_icpqc(s_i, s_j, p, rng):
     """One honest pairwise-consolidation round over p positions:
     b_i XOR b_j = s_i XOR s_j."""
-    out = distribute(2, p, encoders=(0, 1)).encode_and_measure(
-        {0: s_i, 1: s_j}, rng
+    out = distribute(2, p, {}, range(2), (0, 1)).encode_and_measure(
+        {0: s_i, 1: s_j}, rng, (0, 1)
     )
     return out.registers[0], out.registers[1]
 
@@ -138,7 +139,7 @@ class TestSamplerOracleEquivalence:
     def idpqc_dense_counts(self, s, n, m, shots, rng):
         outs = dense_outcomes(n + 1, n * m, {n: s}, shots, rng)
         violations = sum(
-            1 for o in outs if xor_all(o.registers) != s
+            1 for o in outs if xor_all(o.registers.values()) != s
         )
         return Counter(outcome_key(o, n * m) for o in outs), violations
 
@@ -197,10 +198,8 @@ class TestTapPhysics:
     def joint_counts(self, taps, s, n, m, shots, rng):
         counts = Counter()
         for _ in range(shots):
-            batch = distribute(
-                n + 1, n * m, taps=taps, transmitted=range(n), encoders=(n,),
-            )
-            out = batch.encode_and_measure({n: s}, rng)
+            batch = distribute(n + 1, n * m, taps, range(n), (n,))
+            out = batch.encode_and_measure({n: s}, rng, range(n + 1))
             counts[outcome_key(out, n * m)] += 1
         return counts
 
@@ -255,9 +254,8 @@ class TestTapPhysics:
         rng = np.random.default_rng(64)
         taps = EveStrategy(kind).taps_for(1, (0, 1))
         for _ in range(500):
-            batch = distribute(3, 2, taps=taps,
-                               transmitted=(0, 1), encoders=(2,))
-            out = batch.encode_and_measure({2: bv("01")}, rng)
+            batch = distribute(3, 2, taps, (0, 1), (2,))
+            out = batch.encode_and_measure({2: bv("01")}, rng, ())
             assert out.eve[0] == out.eve[1]
 
     def test_wide_random_basis_positions_follow_their_own_law(self):
@@ -265,15 +263,14 @@ class TestTapPhysics:
         # the law for its own basis pattern.
         r, p = 67, 4
         chans = range(r - 1)
-        batch = distribute(r, p, taps=dict.fromkeys(chans, "random"),
-                           transmitted=chans, encoders=(r - 1,))
+        batch = distribute(r, p, dict.fromkeys(chans, "random"), chans, (r - 1,))
         rng = np.random.default_rng(65)
         # The sampler draws one 64-bit word each for the r registers and the
         # shared Z outcome, then the basis words, one per channel.
         raw = copy.deepcopy(rng).bit_generator.random_raw(r + 1 + len(chans))
         basis_words = [int(word) for word in raw[r + 1:]]
-        out = batch.encode_and_measure({r - 1: 0}, rng)
-        vectors = out.registers + [out.eve[ch] for ch in chans]
+        out = batch.encode_and_measure({r - 1: 0}, rng, range(r))
+        vectors = [*out.registers.values(), *(out.eve[ch] for ch in chans)]
         for j in range(p):
             reads = tuple(
                 (ch, "x" if (basis_words[ch] >> j) & 1 else "z") for ch in chans
@@ -292,14 +289,10 @@ class TestTapPhysics:
         ones = 0
         trials = 4000
         for _ in range(trials):
-            batch = distribute(
-                3, 4,
-                taps={0: "entangle"},
-                transmitted=(0, 1), encoders=(2,),
-            )
-            out = batch.encode_and_measure({2: s}, rng)
+            batch = distribute(3, 4, {0: "entangle"}, (0, 1), (2,))
+            out = batch.encode_and_measure({2: s}, rng, range(3))
             e = out.eve[0]
-            assert xor_all(out.registers) ^ e == s
+            assert xor_all(out.registers.values()) ^ e == s
             ones += e.bit_count()
         freq = ones / (trials * 4)
         assert abs(freq - 0.5) < 0.02
@@ -438,7 +431,7 @@ class TestOutcomeLaw:
 
 class TestDecoys:
     def make_batch(self, taps=None, r=2, p=4):
-        return distribute(r, p, taps=taps, transmitted=(0,), encoders=(1,))
+        return distribute(r, p, taps or {}, (0,), (1,))
 
     def test_zero_decoys_is_identity(self):
         rng = np.random.default_rng(51)
@@ -486,8 +479,7 @@ class TestDecoys:
     def test_decoys_follow_their_channel(self):
         # Only the tapped channel's decoys record a read.
         rng = np.random.default_rng(67)
-        batch = distribute(4, 5, taps={2: "z"},
-                           transmitted=(0, 2, 3), encoders=(1,))
+        batch = distribute(4, 5, {2: "z"}, (0, 2, 3), (1,))
         plan = insert_decoys(batch, 3, rng)
         assert [d.channel for d in plan.decoys] == [0] * 3 + [2] * 3 + [3] * 3
         transmit(batch, plan, rng)
@@ -612,8 +604,8 @@ class TestDecoyMismatches:
 
     @staticmethod
     def reference_count(read, d, t, rng):
-        batch = distribute(t + 1, 4, taps=dict.fromkeys(range(t), read),
-                           transmitted=range(t), encoders=(t,))
+        batch = distribute(t + 1, 4, dict.fromkeys(range(t), read),
+                           range(t), (t,))
         plan = insert_decoys(batch, d, rng)
         transmit(batch, plan, rng)
         return verify_decoys(plan, plan.records, rng)[0]
@@ -661,12 +653,13 @@ class TestRegistersRead:
     @staticmethod
     def measure(r, p, read=None, taps=None):
         """One round with seeded phase kicks on every other register, and
-        the bit generator's state after it."""
+        the bit generator's state after it; `read` defaults to all r."""
         kicks = np.random.default_rng([72, r, p])
         phase_bits = {j: random_bits(p, kicks) for j in range(0, r, 2)}
         rng = np.random.default_rng([73, r, p])
-        out = distribute(r, p, taps=taps).encode_and_measure(phase_bits, rng,
-                                                             read)
+        batch = distribute(r, p, taps or {}, range(r), range(r))
+        out = batch.encode_and_measure(phase_bits, rng,
+                                       range(r) if read is None else read)
         return out, rng.bit_generator.state
 
     @pytest.mark.parametrize("r, p", SIZES)
@@ -678,7 +671,7 @@ class TestRegistersRead:
         random_words(r + 1, p, ref)
         assert after == state == ref.bit_generator.state
         assert out.registers == {} and out.eve == {}
-        assert out.total == full.total == xor_all(full.registers)
+        assert out.total == full.total == xor_all(full.registers.values())
 
     @pytest.mark.parametrize("r, p", SIZES)
     def test_proper_subset_returns_those_registers(self, r, p):
@@ -695,35 +688,46 @@ class TestRegistersRead:
     def test_tapped_total_is_the_registers_xor(self, r, p, tap):
         full, state = self.measure(r, p, taps={0: tap})
         assert len(full.registers) == r
-        assert full.total == xor_all(full.registers)
+        assert full.total == xor_all(full.registers.values())
         out, after = self.measure(r, p, read=(0,), taps={0: tap})
         assert after == state
         assert (out.registers, out.eve) == ({0: full.registers[0]}, full.eve)
         assert out.total == full.total
 
+    @pytest.mark.parametrize("tap", [None, *READS])
+    @pytest.mark.parametrize("r, p", SIZES)
+    def test_exactly_the_registers_read(self, r, p, tap):
+        # Nothing, a proper subset without and with the last register, and
+        # all r: the same draws as reading all r, and their XOR as total.
+        taps = None if tap is None else {0: tap}
+        full, state = self.measure(r, p, taps=taps)
+        for read in ((), (0,), (r - 1,), tuple(range(r))):
+            out, after = self.measure(r, p, read=read, taps=taps)
+            assert after == state
+            assert list(out.registers) == list(read)
+            assert out.registers == {j: full.registers[j] for j in read}
+            assert out.total == xor_all(full.registers.values())
+
 
 class TestBatchLifecycle:
     def test_double_measurement_rejected(self):
         rng = np.random.default_rng(61)
-        batch = distribute(2, 2, encoders=(1,))
-        batch.encode_and_measure({1: bv("10")}, rng)
+        batch = distribute(2, 2, {}, range(2), (1,))
+        batch.encode_and_measure({1: bv("10")}, rng, ())
         with pytest.raises(RuntimeError):
-            batch.encode_and_measure({1: bv("10")}, rng)
+            batch.encode_and_measure({1: bv("10")}, rng, ())
 
     def test_one_transmit_per_decoy_check(self):
         # A batch carrying several rounds checks each round's decoys.
         rng = np.random.default_rng(64)
-        batch = distribute(
-            2, 6, taps={0: "z"},
-            transmitted=(0,), encoders=(1,),
-        )
+        batch = distribute(2, 6, {0: "z"}, (0,), (1,))
         for _ in range(3):
             plan = insert_decoys(batch, 2, rng)
             transmit(batch, plan, rng)
             assert [d.state for d in plan.decoys] == ["z", "z"]
-        batch.encode_and_measure({1: bv("101")}, rng)
+        batch.encode_and_measure({1: bv("101")}, rng, ())
         with pytest.raises(RuntimeError):
-            batch.encode_and_measure({1: bv("101")}, rng)
+            batch.encode_and_measure({1: bv("101")}, rng, ())
 
     @pytest.mark.parametrize("phase_bits, error", [
         ({1: 0b100}, DimensionError), ({1: -1}, DimensionError),
@@ -731,19 +735,41 @@ class TestBatchLifecycle:
     ], ids=["too_wide", "negative", "not_an_encoder"])
     def test_bad_phase_bits_rejected_before_measuring(self, phase_bits, error):
         rng = np.random.default_rng(65)
-        batch = distribute(2, 2, encoders=(1,))
+        batch = distribute(2, 2, {}, range(2), (1,))
         with pytest.raises(error):
-            batch.encode_and_measure(phase_bits, rng)
+            batch.encode_and_measure(phase_bits, rng, ())
         # The refused call leaves the batch unmeasured.
-        batch.encode_and_measure({1: bv("10")}, rng)
+        batch.encode_and_measure({1: bv("10")}, rng, ())
 
     def test_tap_on_untransmitted_channel_rejected(self):
         with pytest.raises(ValueError):
-            distribute(
-                2, 2, taps={1: "z"},
-                transmitted=(0,), encoders=(1,),
-            )
+            distribute(2, 2, {1: "z"}, (0,), (1,))
 
     def test_unknown_read_rejected(self):
         with pytest.raises(ValueError, match="unknown read 'x' on channel 0"):
-            distribute(2, 2, taps={0: "x"}, transmitted=(0,), encoders=(1,))
+            distribute(2, 2, {0: "x"}, (0,), (1,))
+
+    @pytest.mark.parametrize("r, p, taps, read, bad", [
+        (3, 8, {}, (3,), 3), (3, 8, {}, (-1,), -1), (3, 80, {}, (7,), 7),
+        (3, 8, {0: "z"}, (1, 3), 3),
+    ], ids=["past_the_last", "negative", "wide", "tapped"])
+    def test_read_outside_the_batch_rejected_before_drawing(self, r, p, taps,
+                                                            read, bad):
+        rng = np.random.default_rng(74)
+        batch = distribute(r, p, taps, range(r), (r - 1,))
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"read register {bad} is not"):
+            batch.encode_and_measure({r - 1: 1}, rng, read)
+        # Nothing drawn, and the batch still unmeasured.
+        assert rng.bit_generator.state == state
+        batch.encode_and_measure({r - 1: 1}, rng, (0,))
+
+    @pytest.mark.parametrize("taps, transmitted, encoders, bad", [
+        ({5: "entangle"}, (0, 1, 2, 5), (2,), "transmitted channel 5"),
+        ({}, (-1, 0), (2,), "transmitted channel -1"),
+        ({}, (0, 1), (7,), "encoder 7"),
+    ], ids=["tapped_channel", "negative_channel", "encoder"])
+    def test_registers_outside_the_batch_rejected(self, taps, transmitted,
+                                                  encoders, bad):
+        with pytest.raises(ValueError, match=f"{bad} is not a register"):
+            distribute(3, 8, taps, transmitted, encoders)

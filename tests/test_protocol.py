@@ -29,7 +29,6 @@ from dpvqss.protocol import (
 from dpvqss.threshold import (
     AmbiguousDecodeError,
     robust_decode,
-    share_token,
     split,
 )
 from chi_square import binomial_fit_p
@@ -171,10 +170,10 @@ class TestPhase2:
         cfg = ProtocolConfig(n=5, k=3, m=4)
         rng = np.random.default_rng(89)
         s, inputs = self.make_inputs(cfg, rng)
-        batch = distribute(cfg.n + 1, cfg.n * cfg.m,
-                           transmitted=range(cfg.n), encoders=range(cfg.n))
+        batch = distribute(cfg.n + 1, cfg.n * cfg.m, {}, range(cfg.n),
+                           range(cfg.n))
         phase_bits = {i: inputs[i] << (i * cfg.m) for i in range(cfg.n)}
-        out = batch.encode_and_measure(phase_bits, rng)
+        out = batch.encode_and_measure(phase_bits, rng, range(cfg.n + 1))
         mask = random_bits(cfg.n * cfg.m, rng)
         reported = [out.registers[i] for i in range(cfg.n)]
         reported[0] = reported[0] ^ mask
@@ -489,7 +488,8 @@ class TestClaimTokens:
     def test_tokens_render_claims_without_shares(self, monkeypatch, name):
         # Each distinct view renders once, with one `%` through the
         # frame's view template (once on an honest trial, not n times),
-        # and every token is `share_token` of the agent index and claim.
+        # and every token is the agent index, ":" and the claim in m / 4
+        # hex digits.
         cfg, plan = ((ProtocolConfig(n=5, k=3, m=16), HONEST)
                      if name == "honest" else DECODE_GRID[name])
         rendered = []
@@ -516,7 +516,7 @@ class TestClaimTokens:
             assert sorted(rendered) == sorted(views)
             assert len(views) == 1 or name != "honest"
             for a in rep.agents:
-                expect = [share_token(j, claim, cfg.m)
+                expect = [f"{j}:{claim:0{cfg.m // 4}x}"
                           for j, claim in enumerate(a.claimed_shares)]
                 assert agents[str(a.index)]["claimed_shares"] == expect
             ambiguous += any(a.ambiguous for a in rep.agents)

@@ -1,11 +1,13 @@
 import collections
 import itertools
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dpvqss import threshold
+from dpvqss import protocol, threshold
+from dpvqss.adversary import AdversaryPlan
 from dpvqss.bitvec import cut
 from dpvqss.threshold import (
     FIELDS,
@@ -17,7 +19,6 @@ from dpvqss.threshold import (
     pack,
     reconstruct,
     robust_decode,
-    share_token,
     split,
     unpack,
 )
@@ -39,6 +40,12 @@ def shares_of(secret, cfg, m, rng):
 
 
 class TestField:
+    @pytest.mark.parametrize("w", sorted(FIELDS))
+    def test_generator_is_primitive(self, w):
+        # Its powers visit every nonzero element once, so log is a bijection.
+        gf = FIELDS[w]
+        assert sorted(gf.exp[:gf.order - 1]) == list(range(1, gf.order))
+
     def test_axioms_exhaustive_gf16(self):
         els = range(16)
         for a, b in itertools.product(els, els):
@@ -510,9 +517,17 @@ class TestShareEncoding:
     def test_element_zero_least_significant(self):
         assert pack((0x1, 0x2), 4) == 0b00100001
 
+    @staticmethod
+    def rendered(view, m, w):
+        """A report's tokens for one view, through its frame's template."""
+        n = len(view)
+        cfg = ProtocolConfig(n=n, k=n // 2 + 1, m=m, w=w)
+        return json.loads(f"[{protocol._frame(cfg, AdversaryPlan())[-1] % view}]")
+
     def test_token_format(self):
-        assert share_token(1, pack((0xAB, 0x01), 8), 16) == "1:01ab"
-        assert share_token(0, 0xA, 4) == "0:a"
+        assert self.rendered((0, pack((0xAB, 0x01), 8)), 16, 8) == [
+            "0:0000", "1:01ab"]
+        assert self.rendered((0xA, 0), 4, 4) == ["0:a", "1:0"]
 
     @pytest.mark.parametrize("w", [4, 8])
     def test_token_matches_element_join(self, w):
@@ -522,10 +537,13 @@ class TestShareEncoding:
         for _ in range(200):
             elements = int(rng.integers(1, 9))
             value = tuple(int(v) for v in rng.integers(0, 1 << w, size=elements))
-            agent = int(rng.integers(0, 16))
+            agent = int(rng.integers(0, 15))
             digits = (w + 3) // 4
             joined = "".join(format(v, f"0{digits}x") for v in reversed(value))
-            assert (share_token(agent, pack(value, w), w * elements)
+            # The claim at its agent's place in a view of at least two
+            # (and at most 15, the agents GF(16) has points for).
+            view = (0,) * agent + (pack(value, w),) + (0,) * (agent < 1)
+            assert (self.rendered(view, w * elements, w)[agent]
                     == f"{agent}:{joined}")
 
 
