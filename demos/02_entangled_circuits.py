@@ -4,7 +4,7 @@ XOR correlation that survives the Hadamard layers."""
 
 import numpy as np
 
-from dpvqss.qsim import StateVector, dense_outcomes
+from dpvqss.qsim import StateVector, dense_state
 
 rng = np.random.default_rng(2)
 
@@ -29,18 +29,17 @@ print(f"register measured in the Hadamard basis: "
 print()
 print("== The distribution circuit, exactly ==")
 n, m = 2, 1
+p = n * m
 s = 0b10
-print(f"n={n} agents, m={m} bit slices, secret s = {s:0{n * m}b}")
-counts = {}
-for out in dense_outcomes(n + 1, n * m, {n: s}, 4000, rng):
-    a, b0, b1 = out.registers[n], out.registers[0], out.registers[1]
+print(f"n={n} agents, m={m} bit slices, secret s = {s:0{p}b}")
+# Born probabilities of the registers, the |-> target summed out.
+probs = (np.abs(dense_state(n + 1, p, {n: s}).amps) ** 2).reshape(2, -1).sum(axis=0)
+support = np.flatnonzero(probs > 1e-12)
+print(f"{len(support)} outcomes of nonzero probability, all satisfying")
+print("a XOR b1 XOR b0 = s:")
+for index in support:
+    b0, b1, a = (int(index) >> (i * p) & (1 << p) - 1 for i in range(n + 1))
     assert a ^ b0 ^ b1 == s, "XOR constraint violated"
-    key = tuple(format(reg, f"0{n * m}b") for reg in (a, b1, b0))
-    counts[key] = counts.get(key, 0) + 1
-print(f"4000 shots, {len(counts)} distinct outcomes, all satisfying")
-print("a XOR b1 XOR b0 = s; a few of them:")
-for key, c in sorted(counts.items())[:6]:
-    a, b1, b0 = key
-    print(f"  a={a} b1={b1} b0={b0}: {c} shots")
+    print(f"  a={a:0{p}b} b1={b1:0{p}b} b0={b0:0{p}b}: {probs[index]:.4f}")
 print("Each party's own register alone is uniformly random --")
 print("only the joint XOR carries the secret.")

@@ -4,8 +4,9 @@ Shares, secrets and fixed lies cross the API as plain ints, or as the
 MSB-first bit strings a config writes.  Library layout:
 
 - bitvec     the uniform bit draw and the segment layout (cut / join)
-- qsim       exact statevector simulator and dense round reference
-             (tests and oracle-check only; no protocol module imports it)
+- qsim       exact statevector simulator and the honest round's dense
+             reference, read as exact Born probabilities (tests and
+             oracle-check only; no protocol module imports it)
 - threshold  (k, n) Shamir sharing over GF(2^w) with robust decoding, one
              packed m-bit int per share, split as one n*m-bit word
 - entangle   entanglement distribution, the tap reads (z / random /

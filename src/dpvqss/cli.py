@@ -330,7 +330,7 @@ def oracle_check_case(n, m, secrets, seed):
     p = n * m
     for _ in range(secrets):
         secret = random_bits(p, rng)
-        state, _ = dense_state(n + 1, p, phase_bits={n: secret})
+        state = dense_state(n + 1, p, phase_bits={n: secret})
         # The |-> target is the top qubit: summing it out adds the two halves.
         born = (np.abs(state.amps) ** 2).reshape(2, -1).sum(axis=0)
         law = _sampler_law(n, p, secret)

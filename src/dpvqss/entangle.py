@@ -20,8 +20,9 @@ round yields the phase bits' XOR, drawing the words of registers its caller
 does not read only to keep the stream (`bitvec.picked_words`).  Tapped or
 not, a round returns exactly the registers its caller names in `read`.
 
-`qsim.dense_state` and `qsim.dense_outcomes` build the same round as one
-dense statevector, the exact reference the sampler is checked against.
+`qsim.dense_state` builds the same honest round as one dense statevector,
+and the tests build each tapped tuple on one; their Born probabilities are
+the exact laws the sampler's law over every draw is checked against.
 
 Decoy qubits are Z or X eigenstates interleaved into each transmitted
 sequence and checked in their preparation basis (Bennett & Brassard 1984).

@@ -3,11 +3,10 @@
 The protocol never builds a statevector: it samples its entangled rounds
 from a closed-form GHZ read law and checks its decoys against another
 closed-form read law (see `entangle`), and no protocol module imports this
-one.  `dense_state` and `dense_outcomes` run whole rounds on a statevector
-and take the sampler's taps: one read string per tapped channel.  They are
-the exact reference the sampler is checked against: `oracle-check` compares
-`dense_state`'s Born probabilities with the sampler's exact law, and tests
-and demos also Born-sample it through `dense_outcomes`.
+one.  `dense_state` runs an honest round's circuit on a statevector; its
+Born probabilities are the exact law that `oracle-check` and the tests
+compare the sampler's law with.  The tests build tapped rounds tuple by
+tuple on `StateVector`s, and compare their laws with the sampler's too.
 
 Conventions:
 
@@ -15,7 +14,7 @@ Conventions:
   so in the reshaped [2]*q tensor, qubit j lives on axis q-1-j.
 - Amplitudes are complex128, held in the public `amps` array that tests
   read; past 22 qubits `StateVector` raises CapacityError.
-- All measurement randomness flows through an injected numpy Generator.
+- A mid-circuit measurement draws from an injected numpy Generator.
 - Every applied gate is appended to `gate_log` so tests can assert on the
   gate set actually used (e.g. GHZ preparation is Hadamard + CNOT only).
 """
@@ -23,13 +22,11 @@ Conventions:
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import xor
 from typing import Sequence
 
 import numpy as np
 
-from .entangle import BASIS_LABELS, RoundOutcome
+from .entangle import BASIS_LABELS
 
 MAX_QUBITS = 22
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -167,21 +164,6 @@ class StateVector:
         self.apply_h(qubit)
         return self.measure_qubit(qubit, rng)
 
-    def sample_register(self, qubits: Sequence[int], shots: int, rng) -> np.ndarray:
-        """Born-rule sample of the listed qubits, without collapsing.
-
-        Valid as a batch of final measurements of an otherwise finished
-        circuit.  Returns an int64 array of packed outcomes, bit i of each
-        entry being qubits[i].
-        """
-        probs = np.abs(self.amps) ** 2
-        probs /= probs.sum()
-        raw = rng.choice(len(self.amps), size=shots, p=probs)
-        out = np.zeros(shots, dtype=np.int64)
-        for i, qb in enumerate(qubits):
-            out |= ((raw >> qb) & 1) << i
-        return out
-
     # -- inspection ----------------------------------------------------------
 
     def dump(self, tol: float = 1e-9) -> str:
@@ -194,52 +176,25 @@ class StateVector:
         return "\n".join(lines)
 
 
-def dense_state(
-    r: int,
-    p: int,
-    taps: dict[int, str] | None = None,
-    phase_bits: dict[int, int] | None = None,
-    rng=None,
-) -> tuple[StateVector, dict[int, int]]:
+def dense_state(r: int, p: int,
+                phase_bits: dict[int, int] | None = None) -> StateVector:
     """Reference only: one round's circuit on a single dense statevector.
 
     Register i holds qubits i*p .. i*p+p-1, and position j of every register
-    belongs to GHZ tuple j; phase bits and reads are p-bit ints, bit j for
-    position j.  `taps` maps channels to reads (`entangle.READS`), applied
-    to every position of the channel in channel order: "z" measures it
-    mid-circuit with `rng`, "random" measures it in Z or X as `rng` picks,
-    and "entangle" CNOTs it onto an ancilla of its own.  Given
-    `phase_bits`, each encoder kicks its phases through a |-> target and every register and ancilla
-    gets a Hadamard, so the state is the one the final measurement reads.
-    The targets follow the registers in sorted encoder order, then p ancillas
-    per entangling tap in channel order.
-
-    Returns the state and the measuring taps' reads.  Over the qubit bound
-    `StateVector` raises CapacityError.
+    belongs to GHZ tuple j; phase bits are p-bit ints, bit j for position j.
+    Given `phase_bits`, each encoder kicks its phases through a |-> target,
+    the targets following the registers in sorted encoder order, and every
+    register gets a Hadamard, so the state is the one the final measurement
+    reads.  An encoder outside 0..r-1 raises ValueError, and over the qubit
+    bound `StateVector` raises CapacityError.
     """
-    taps = taps or {}
     encoders = sorted(phase_bits) if phase_bits is not None else []
-    ancilla = r * p + len(encoders)
-    ent = [ch for ch in sorted(taps) if taps[ch] == "entangle"]
-    state = StateVector(ancilla + len(ent) * p)
+    for enc in encoders:
+        if not 0 <= enc < r:
+            raise ValueError(f"encoder {enc} is not a register of 0..{r - 1}")
+    state = StateVector(r * p + len(encoders))
     for j in range(p):
         state.prepare_ghz([i * p + j for i in range(r)])
-    eve = {}
-    for ch, read in sorted(taps.items()):
-        qubits = range(ch * p, (ch + 1) * p)
-        if read == "entangle":
-            for qubit in qubits:
-                state.apply_cnot(qubit, ancilla)
-                ancilla += 1
-            continue
-        # A random-basis X read forwards the collapsed eigenstate.
-        eve[ch] = 0
-        for j, qubit in enumerate(qubits):
-            if read == "random" and rng.integers(2):
-                eve[ch] |= state.measure_hadamard_basis(qubit, rng) << j
-                state.apply_h(qubit)
-            else:
-                eve[ch] |= state.measure_qubit(qubit, rng) << j
     if phase_bits is not None:
         for i, enc in enumerate(encoders):
             target = r * p + i
@@ -248,35 +203,4 @@ def dense_state(
                 phase_bits[enc], range(enc * p, (enc + 1) * p), target
             )
         state.apply_h_register(range(r * p))
-        state.apply_h_register(range(r * p + len(encoders), state.q))
-    return state, eve
-
-
-def dense_outcomes(
-    r: int,
-    p: int,
-    phase_bits: dict[int, int],
-    shots: int,
-    rng,
-    taps: dict[int, str] | None = None,
-) -> list[RoundOutcome]:
-    """Reference only: Born-sample `shots` final measurements of one round,
-    each with all r registers keyed by index, as the sampler's with every
-    register in `read`.  Shots share one final state while nothing
-    collapses mid-circuit; with a measuring tap it is rebuilt every shot.
-    """
-    taps = taps or {}
-    ent = [ch for ch in sorted(taps) if taps[ch] == "entangle"]
-    first_ancilla = r * p + len(phase_bits)
-    qubits = [*range(r * p), *range(first_ancilla, first_ancilla + len(ent) * p)]
-    per_state = shots if len(ent) == len(taps) else 1
-    mask = (1 << p) - 1
-    out = []
-    while len(out) < shots:
-        state, eve = dense_state(r, p, taps, phase_bits, rng)
-        for raw in state.sample_register(qubits, per_state, rng):
-            vecs = [(int(raw) >> (i * p)) & mask for i in range(r + len(ent))]
-            out.append(RoundOutcome(dict(enumerate(vecs[:r])),
-                                    {**eve, **dict(zip(ent, vecs[r:]))},
-                                    reduce(xor, vecs[:r])))
-    return out
+    return state

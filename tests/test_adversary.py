@@ -22,8 +22,8 @@ from dpvqss.adversary import _separating_share
 from dpvqss.bitvec import random_bits
 from dpvqss.entangle import _read_law
 from dpvqss.protocol import ProtocolConfig, _schedule, random_secret, run_protocol
-from dpvqss.qsim import dense_outcomes
 from audit_reference import reference_audit, view_distribution
+from dense_reference import dense_tuple_law
 from stabilizer_reference import in_span
 
 
@@ -473,64 +473,35 @@ class TestRandomBasisAudit:
     def test_dense_statevector_agrees(self, source, phase, expected):
         # n = 2, m = 1, secrets 00 and 01 differ at position 0 only, and
         # every position is its own tuple, so the view there carries every
-        # difference.  The plug-in TV of the ~36 view values is biased up by
-        # about 0.05 at this many shots, so the event that separates is
-        # learned on one half of the shots and measured on the other.
-        rng = np.random.default_rng(90 + phase)
-        shots = 2000
+        # difference: the exact distance between its two laws.
         sent = 3 if phase < 3 and source == "third_party" else 2
-        samples = [dense_views(phase, bv(text), shots, rng, sent)
-                   for text in ("00", "01")]
-        half = shots // 2
-        first = [Counter(views[:half]) for views in samples]
-        event = {v for v in first[0] if first[0][v] > first[1][v]}
-        second = [sum(v in event for v in views[half:]) for views in samples]
-        assert abs(Fraction(second[0] - second[1], shots - half) - expected) < 0.05
+        laws = [dense_view_law(phase, bv(text), sent) for text in ("00", "01")]
+        tv = sum(abs(laws[0][v] - laws[1][v]) for v in set(laws[0]) | set(laws[1])) / 2
+        assert abs(tv - expected) <= 1e-12
         assert leakage_audit(RANDOM_BASIS, SourcedSize(2, 1, source), bv("00"),
                              bv("01"), phase) == expected
 
 
-class _Recorder:
-    """A generator that records its `integers` draws: the dense reference
-    draws each random-basis read's basis with one."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.drawn = []
-
-    def integers(self, *args, **kwargs):
-        value = self.rng.integers(*args, **kwargs)
-        self.drawn.append(int(value))
-        return value
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-
-def dense_views(phase, s, shots, rng, sent):
-    """Eve's view at position 0 of `shots` dense n = 2, m = 1 rounds, with
-    random-basis taps on the first `sent` channels: Eve's bases, the public
-    register bits and Eve's bits."""
+def dense_view_law(phase, s, sent):
+    """The exact law of Eve's view at position 0 of a dense n = 2, m = 1
+    round, with random-basis taps on the first `sent` channels: Eve's bases,
+    the public register bits and Eve's bits."""
     if phase == 3:
-        r, p, kicks, shown = 2, 1, {0: s & 1, 1: s >> 1 & 1}, (0, 1)
+        r, kicks, shown = 2, (s & 1, s >> 1 & 1), (0, 1)
     else:
         # Phase 1 hides agent 0's own segment, position 0; in phase 2 each
-        # agent kicks its own segment.
-        r, p = 3, 2
-        kicks = {2: s} if phase == 1 else {i: s & 1 << i for i in range(2)}
+        # agent kicks its own segment, so only agent 0 kicks position 0.
+        r = 3
+        kicks = (0, 0, s & 1) if phase == 1 else (s & 1, 0, 0)
         shown = (2, 1) if phase == 1 else (0, 1)
-    taps = dict.fromkeys(range(sent), "random")
-    rec = _Recorder(rng)
-    outcomes = dense_outcomes(r, p, kicks, shots, rec, taps)
-    per_shot = sent * p
-    assert len(rec.drawn) == per_shot * shots  # one basis per tapped qubit
-    views = []
-    for k, out in enumerate(outcomes):
-        bases = rec.drawn[per_shot * k:per_shot * (k + 1):p]  # position 0 per channel
-        views.append((tuple(bases),
-                      tuple(out.registers[reg] & 1 for reg in shown),
-                      tuple(out.eve[ch] & 1 for ch in range(sent))))
-    return views
+    law = Counter()
+    for bases in product((0, 1), repeat=sent):
+        reads = tuple((ch, "x" if x else "z") for ch, x in enumerate(bases))
+        for key, prob in dense_tuple_law(r, reads, kicks).items():
+            view = (bases, tuple(key >> reg & 1 for reg in shown),
+                    tuple(key >> (r + ch) & 1 for ch in range(sent)))
+            law[view] += prob / 2 ** sent
+    return law
 
 
 class TestAuditAtScale:

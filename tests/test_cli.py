@@ -682,7 +682,8 @@ class TestMetricsAndReport:
         assert main(["run", run_cfg, "--out", str(jsonl)]) in (0, 2)
         assert main(["report", str(jsonl)]) == 0
         reported = json.loads(capsys.readouterr().out)
-        rc = parse_config_text(open(run_cfg).read())
+        with open(run_cfg) as f:
+            rc = parse_config_text(f.read())
         tallied = cli.empirical_stats([cli._tallied(rep) for rep in
                                        cli._run_trials(rc.protocol, rc.plan,
                                                        40, 3, None)])

@@ -23,8 +23,9 @@ from dpvqss.entangle import (
     transmit,
     verify_decoys,
 )
-from dpvqss.qsim import CapacityError, StateVector, dense_outcomes, dense_state
+from dpvqss.qsim import CapacityError, StateVector, dense_state
 from chi_square import homogeneity_p
+from dense_reference import assert_laws_match, dense_law, dense_tuple_law, sampler_law
 from stabilizer_reference import echelon, in_span, outcome_law, uniform_law
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -39,25 +40,18 @@ def xor_all(vectors):
     return reduce(xor, vectors)
 
 
-def outcome_key(outcome, p):
-    """Pack a round's p-bit registers, then Eve's reads in channel order."""
-    words = [*outcome.registers.values(),
-             *(outcome.eve[ch] for ch in sorted(outcome.eve))]
-    return sum(word << (i * p) for i, word in enumerate(words))
-
-
 class TestDistributeOracle:
     """The dense reference's GHZ preparation."""
 
     def test_bell_pair(self):
-        state, _ = dense_state(2, 1)
+        state = dense_state(2, 1)
         assert state.amps[0b00] == pytest.approx(SQRT1_2)
         assert state.amps[0b11] == pytest.approx(SQRT1_2)
 
     def test_tensor_power_of_ghz3(self):
         # Two GHZ_3 tuples across three 2-qubit registers: amplitude 1/2 on
         # every |x>|x>|x> pattern.
-        state, _ = dense_state(3, 2)
+        state = dense_state(3, 2)
         for xv in range(4):
             idx = xv | (xv << 2) | (xv << 4)
             assert state.amps[idx] == pytest.approx(0.5)
@@ -66,6 +60,16 @@ class TestDistributeOracle:
     def test_oracle_capacity_refusal(self):
         with pytest.raises(CapacityError):
             dense_state(5, 8, phase_bits={4: 0})
+
+    @pytest.mark.parametrize("phase_bits, bad", [
+        ({0: 1, 2: 1}, 2),
+        ({0: 1, 3: 0}, 3),
+        ({2: 2}, 2),
+        ({-1: 1}, -1),
+    ])
+    def test_encoder_outside_the_registers_rejected(self, phase_bits, bad):
+        with pytest.raises(ValueError, match=rf"^encoder {bad} is not a register"):
+            dense_state(2, 2, phase_bits)
 
 
 def sample_idpqc(s, n, m, rng):
@@ -136,34 +140,20 @@ class TestIcpqcSampler:
 
 
 class TestSamplerOracleEquivalence:
-    def idpqc_dense_counts(self, s, n, m, shots, rng):
-        outs = dense_outcomes(n + 1, n * m, {n: s}, shots, rng)
-        violations = sum(
-            1 for o in outs if xor_all(o.registers.values()) != s
-        )
-        return Counter(outcome_key(o, n * m) for o in outs), violations
-
     def test_distributions_match(self):
-        rng = np.random.default_rng(46)
-        n, m, shots = 2, 1, 10_000
+        n, m = 2, 1
+        p = n * m
         for s in (bv("01"), bv("11")):
-            dense_counts, violations = self.idpqc_dense_counts(s, n, m, shots, rng)
-            assert violations == 0
-            sampler_counts = Counter()
-            for _ in range(shots):
-                out = sample_idpqc(s, n, m, rng)
-                sampler_counts[outcome_key(out, n * m)] += 1
-            # Dense support must sit inside the sampler's constraint set.
-            support = set(sampler_counts)
-            assert set(dense_counts) <= support
-            p = homogeneity_p(dense_counts, sampler_counts)
-            assert p > 0.001
+            law = sampler_law(n + 1, p, {}, range(n), {n: s})
+            assert all(xor_all(k >> (i * p) & (1 << p) - 1 for i in range(n + 1)) == s
+                       for k in law)
+            assert_laws_match(law, dense_law(n + 1, p, {}, {n: s}))
 
     def test_subset_marginals_exactly_uniform(self):
         # From the exact pre-measurement state, every proper register subset
         # is uniform no matter the secret.
         for s in (bv("00"), bv("10"), bv("11")):
-            state, _ = dense_state(3, 2, phase_bits={2: s})
+            state = dense_state(3, 2, phase_bits={2: s})
             probs = np.abs(state.amps.reshape([2] * state.q)) ** 2
             # Register i occupies qubits [2i, 2i+1]; axes are reversed.
             for keep in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
@@ -175,37 +165,23 @@ class TestSamplerOracleEquivalence:
                 assert np.allclose(marg, 1.0 / len(marg), atol=1e-9)
 
     def test_sampler_subset_independent_of_secret(self):
-        rng = np.random.default_rng(47)
-        trials = 100_000
-        dists = []
+        # Over every draw, register 0 alone is uniform under either secret.
         for s in (bv("00"), bv("11")):
-            counts = Counter()
-            for _ in range(trials):
-                out = sample_idpqc(s, n=1, m=2, rng=rng)
-                counts[out.registers[0]] += 1
-            dists.append({k: v / trials for k, v in counts.items()})
-        tv = sum(
-            abs(dists[0].get(k, 0) - dists[1].get(k, 0))
-            for k in set(dists[0]) | set(dists[1])
-        ) / 2
-        assert tv < 0.02
+            marginal = Counter()
+            for key, prob in sampler_law(2, 2, {}, range(1), {1: s}).items():
+                marginal[key & 0b11] += prob
+            assert marginal == dict.fromkeys(range(4), 0.25)
 
 
 class TestTapPhysics:
     """Cross-validate the sampler's per-tuple attack model against the
     dense reference."""
 
-    def joint_counts(self, taps, s, n, m, shots, rng):
-        counts = Counter()
-        for _ in range(shots):
-            batch = distribute(n + 1, n * m, taps, range(n), (n,))
-            out = batch.encode_and_measure({n: s}, rng, range(n + 1))
-            counts[outcome_key(out, n * m)] += 1
-        return counts
-
-    def dense_counts(self, taps, s, n, m, shots, rng):
-        outs = dense_outcomes(n + 1, n * m, {n: s}, shots, rng, taps)
-        return Counter(outcome_key(o, n * m) for o in outs)
+    @staticmethod
+    def assert_tapped_laws_match(taps, s, n, m):
+        phase_bits = {n: s}
+        assert_laws_match(sampler_law(n + 1, n * m, taps, range(n), phase_bits),
+                          dense_law(n + 1, n * m, taps, phase_bits))
 
     @pytest.mark.parametrize(
         "tap",
@@ -216,19 +192,10 @@ class TestTapPhysics:
         ],
     )
     def test_measuring_taps_match_oracle(self, tap):
-        rng = np.random.default_rng(48)
-        s, n, m, shots = bv("10"), 1, 2, 6000
-        taps = tap.taps_for(1, [0])
-        dense = self.dense_counts(taps, s, n, m, shots, rng)
-        sampler = self.joint_counts(taps, s, n, m, shots, rng)
-        assert homogeneity_p(dense, sampler) > 0.001
+        self.assert_tapped_laws_match(tap.taps_for(1, [0]), bv("10"), 1, 2)
 
     def test_entangle_tap_matches_oracle(self):
-        rng = np.random.default_rng(49)
-        s, n, m, shots = bv("10"), 2, 1, 8000
-        dense = self.dense_counts({0: "entangle"}, s, n, m, shots, rng)
-        sampler = self.joint_counts({0: "entangle"}, s, n, m, shots, rng)
-        assert homogeneity_p(dense, sampler) > 0.001
+        self.assert_tapped_laws_match({0: "entangle"}, bv("10"), 2, 1)
 
     @pytest.mark.parametrize(
         "taps",
@@ -241,11 +208,7 @@ class TestTapPhysics:
         ids=["measure", "random_intercept", "entangle", "mixed"],
     )
     def test_multi_channel_taps_match_oracle(self, taps):
-        rng = np.random.default_rng(63)
-        s, n, m, shots = bv("10"), 2, 1, 4000
-        dense = self.dense_counts(taps, s, n, m, shots, rng)
-        sampler = self.joint_counts(taps, s, n, m, shots, rng)
-        assert homogeneity_p(dense, sampler) > 0.001
+        self.assert_tapped_laws_match(taps, bv("10"), 2, 1)
 
     @pytest.mark.parametrize("kind", ["measure_resend", "intercept_resend"])
     def test_measuring_taps_read_one_shared_vector(self, kind):
@@ -298,71 +261,7 @@ class TestTapPhysics:
         assert abs(freq - 0.5) < 0.02
 
 
-class _Forced:
-    """Stands in for a generator so that measure_qubit returns `bit`."""
-
-    def __init__(self, bit):
-        self.bit = bit
-
-    def random(self):
-        return 0.0 if self.bit else 1.0
-
-
-def dense_tuple_law(r, reads, z):
-    """Exact joint law of one tapped GHZ_r tuple on a dense statevector.
-
-    Mid-circuit measurements branch over both outcomes with their Born
-    weights; the phase kicks `z` go through a |-> target.  Keys pack the r
-    register bits, then one eavesdropper bit per entry of `reads`.
-    """
-    ent = [i for i, (_, read) in enumerate(reads) if read == "entangle"]
-    target = r
-    sv = StateVector(r + 1 + len(ent))
-    sv.prepare_ghz(range(r))
-    branches = [(1.0, sv, {})]
-    for i, (ch, read) in enumerate(reads):
-        if read == "entangle":
-            for _, state, _ in branches:
-                state.apply_cnot(ch, target + 1 + ent.index(i))
-            continue
-        grown = []
-        for weight, state, eve in branches:
-            if read == "x":
-                state.apply_h(ch)
-            p1 = state.probability_one(ch)
-            for bit, prob in ((0, 1.0 - p1), (1, p1)):
-                if prob < 1e-15:
-                    continue
-                branch = copy.deepcopy(state)
-                branch.measure_qubit(ch, _Forced(bit))
-                if read == "x":
-                    branch.apply_h(ch)
-                grown.append((weight * prob, branch, {**eve, i: bit}))
-        branches = grown
-    law = Counter()
-    for weight, state, eve in branches:
-        state.prepare_basis("-", target)
-        for reg, bit in enumerate(z):
-            if bit:
-                state.apply_cnot(reg, target)
-        for reg in range(r):
-            state.apply_h(reg)
-        for k in range(len(ent)):
-            state.apply_h(target + 1 + k)
-        probs = np.abs(state.amps) ** 2
-        for idx in np.nonzero(probs > 1e-15)[0]:
-            key = int(idx) & ((1 << r) - 1)
-            for i in range(len(reads)):
-                if i in ent:
-                    bit = (int(idx) >> (target + 1 + ent.index(i))) & 1
-                else:
-                    bit = eve[i]
-                key |= bit << (r + i)
-            law[key] += weight * probs[idx]
-    return law
-
-
-def sampler_law(r, reads):
+def position_law(r, reads):
     """The production read law at one position as (offset, basis).
 
     `reads` pairs each tapped channel, in increasing order, with "z", "x" or
@@ -386,7 +285,7 @@ def sampler_law(r, reads):
 
 def affine_tuple_law(r, reads, z):
     """The sampler's law with the phase kicks applied as output bit flips."""
-    offset, basis = sampler_law(r, reads)
+    offset, basis = position_law(r, reads)
     return uniform_law(
         offset ^ sum(bit << reg for reg, bit in enumerate(z)), echelon(basis)
     )
@@ -420,7 +319,7 @@ class TestOutcomeLaw:
                 for chans in combinations(range(r), t):
                     for reads in product(("entangle", "z", "x"), repeat=t):
                         key = tuple(zip(chans, reads))
-                        offset, basis = sampler_law(r, key)
+                        offset, basis = position_law(r, key)
                         ref_offset, ref_basis = outcome_law(r, key)
                         assert in_span(offset ^ ref_offset, ref_basis), key
                         assert all(in_span(v, ref_basis) for v in basis), key

@@ -1,7 +1,6 @@
 import collections
 import itertools
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from dpvqss.threshold import (
     unpack,
 )
 from dpvqss.protocol import ProtocolConfig, run_protocol
+from dense_reference import scripted
 from threshold_reference import (
     lagrange_weights,
     on_one_polynomial,
@@ -157,14 +157,6 @@ class TestKernel:
         self.check_lagrange_rows(8, tuple(range(1, 129)), (*range(129, 256), 0))
 
 
-def _scripted(words):
-    """A generator stand-in whose raw draw is `words`."""
-    def random_raw(count):
-        assert count == len(words)
-        return np.array(words, np.uint64)
-    return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
-
-
 class TestSplitConfig:
     def test_valid(self):
         SplitConfig(2, 3, 4)
@@ -217,7 +209,7 @@ class TestSplitReconstruct:
             seen = {agents: collections.Counter()
                     for agents in itertools.combinations(range(n), k - 1)}
             for draw in draws:
-                shares = cut(split(secret, cfg, 4, _scripted(draw)), n, 4)
+                shares = cut(split(secret, cfg, 4, scripted(draw)), n, 4)
                 for agents, counts in seen.items():
                     counts[tuple(shares[j] for j in agents)] += 1
             for counts in seen.values():
